@@ -214,9 +214,9 @@ void write_observability_snapshot(const std::string& path) {
 
         global_metrics().reset();
         (void)run_map_experiment(suite, to_string(kind), factory_for(kind));
-        const Histogram* cell_us = global_metrics().find_histogram("experiment.cell_us");
+        const Sketch* cell_us = global_metrics().find_sketch("experiment.cell_us");
         ADIV_ASSERT(cell_us != nullptr);
-        const HistogramSummary cells = cell_us->summary();
+        const SketchSummary cells = cell_us->summary();
 
         table.add(to_string(kind), fixed(raw_eps, 0), fixed(instr_eps, 0),
                   fixed(overhead_pct, 2) + "%", fixed(cells.p50, 1),

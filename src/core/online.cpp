@@ -13,7 +13,7 @@ OnlineScorer::OnlineScorer(const SequenceDetector& detector,
       capacity_(std::max(buffer_capacity, detector.window_length())),
       alphabet_size_(detector.alphabet_size()),
       events_counter_(metrics.counter("online.events_consumed")),
-      push_latency_us_(metrics.histogram("online.push_latency_us")),
+      push_latency_us_(metrics.sketch("online.push_latency_us")),
       alarm_rate_gauge_(metrics.gauge("online.alarm_rate")) {
     require(detector.window_length() >= 1, "detector window must be positive");
     if (buffer_capacity == 0) capacity_ = 4 * detector.window_length();

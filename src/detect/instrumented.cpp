@@ -11,10 +11,10 @@ InstrumentedDetector::InstrumentedDetector(std::unique_ptr<SequenceDetector> inn
     : inner_(std::move(inner)),
       train_calls_(metrics.counter("detect.train_calls")),
       train_events_(metrics.counter("detect.train_events")),
-      train_us_(metrics.histogram("detect.train_us")),
+      train_us_(metrics.sketch("detect.train_us")),
       score_calls_(metrics.counter("detect.score_calls")),
       score_windows_(metrics.counter("detect.score_windows")),
-      score_us_(metrics.histogram("detect.score_us")) {
+      score_us_(metrics.sketch("detect.score_us")) {
     require(inner_ != nullptr, "cannot instrument a null detector");
 }
 

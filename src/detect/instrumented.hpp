@@ -2,9 +2,9 @@
 // metrics, leaving the wrapped algorithm untouched.
 //
 // Per train() call: a "detect.train" span plus `detect.train_calls` /
-// `detect.train_events` counters and a `detect.train_us` latency histogram.
+// `detect.train_events` counters and a `detect.train_us` latency sketch.
 // Per score() call: a "detect.score" span plus `detect.score_calls` /
-// `detect.score_windows` counters and a `detect.score_us` histogram. With
+// `detect.score_windows` counters and a `detect.score_us` sketch. With
 // the default null trace sink the spans cost two thread-local increments
 // and a clock read, so the decorator is safe to leave on hot paths.
 //
@@ -46,10 +46,10 @@ private:
     std::unique_ptr<SequenceDetector> inner_;
     Counter& train_calls_;
     Counter& train_events_;
-    Histogram& train_us_;
+    Sketch& train_us_;
     Counter& score_calls_;
     Counter& score_windows_;
-    Histogram& score_us_;
+    Sketch& score_us_;
 };
 
 /// Convenience wrapper: instrument(make_detector(...)).

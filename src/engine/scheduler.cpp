@@ -35,7 +35,7 @@ std::unique_ptr<SequenceDetector> train_column(const ExperimentPlan& plan,
 /// Scores one (AS, DW) cell with an already trained column model.
 SpanScore score_cell(const ExperimentPlan& plan, const PlanDetector& detector,
                      const SequenceDetector& model, std::size_t as,
-                     std::size_t dw, Counter& cells_scored, Histogram& cell_us) {
+                     std::size_t dw, Counter& cells_scored, Sketch& cell_us) {
     TraceSpan cell_span("experiment.cell");
     cell_span.attr("detector", detector.name)
         .attr("anomaly_size", static_cast<std::uint64_t>(as))
@@ -68,7 +68,7 @@ PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options) {
         .attr("anomaly_sizes", static_cast<std::uint64_t>(nas))
         .attr("jobs", static_cast<std::uint64_t>(jobs));
     Counter& cells_scored = global_metrics().counter("experiment.cells_scored");
-    Histogram& cell_us = global_metrics().histogram("experiment.cell_us");
+    Sketch& cell_us = global_metrics().sketch("experiment.cell_us");
 
     // Cell results land in pre-sized slots addressed by grid position, so
     // assembly below is independent of completion order.

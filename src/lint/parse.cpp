@@ -626,7 +626,7 @@ private:
             }
 
             // Lock acquisitions -------------------------------------------
-            if (kGuardTypes.count(name) > 0 || name == "ProfiledLock") {
+            if (kGuardTypes.count(name) > 0) {
                 std::size_t v = skip_angles(j + 1);
                 if (v < fn.body_end && ts[v].kind == TokKind::Identifier &&
                     is_punct(ts, v + 1, "(")) {

@@ -46,7 +46,7 @@ struct Allow {
 };
 
 /// A lock acquisition inside a function body: a scoped guard declaration
-/// (lock_guard / unique_lock / scoped_lock / shared_lock / ProfiledLock) or
+/// (lock_guard / unique_lock / scoped_lock / shared_lock) or
 /// a manual `.lock()` call. The hold extends to `release_tok` (the enclosing
 /// block's closing brace for guards; the matching `.unlock()` or the body
 /// end for manual locks).

@@ -218,8 +218,7 @@ void check_metric_name(const ParsedFile& data, std::vector<Finding>& out) {
     // `<site>.acquires` / `.contended` / `.wait_us` instruments, so the
     // site name itself must satisfy the same dotted-lowercase convention.
     static const std::set<std::string> kSinks{
-        "counter", "gauge", "histogram", "sketch", "TraceSpan", "wait_site",
-        "site"};
+        "counter", "gauge", "sketch", "TraceSpan", "wait_site", "site"};
     const std::vector<Tok>& toks = data.toks;
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
         if (toks[i].kind != TokKind::Identifier || kSinks.count(toks[i].text) == 0)

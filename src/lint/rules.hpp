@@ -28,7 +28,7 @@
 //                        cache breaks it.
 //
 //   metric-name          String literals passed to counter()/gauge()/
-//                        histogram(), naming a TraceSpan, or naming a wait
+//                        sketch(), naming a TraceSpan, or naming a wait
 //                        site (wait_site()/site(), whose names expand into
 //                        `.acquires`/`.contended`/`.wait_us` instruments)
 //                        must follow the dotted-lowercase convention:

@@ -1,124 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/json.hpp"
 #include "obs/trace.hpp"  // hex16 for exemplar ids
-#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace adiv {
-
-namespace {
-
-void atomic_fetch_min(std::atomic<double>& target, double value) noexcept {
-    double current = target.load(std::memory_order_relaxed);
-    while (value < current &&
-           !target.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
-    }
-}
-
-void atomic_fetch_max(std::atomic<double>& target, double value) noexcept {
-    double current = target.load(std::memory_order_relaxed);
-    while (value > current &&
-           !target.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
-    }
-}
-
-}  // namespace
-
-Histogram::Histogram(std::vector<double> bucket_bounds)
-    : bounds_(std::move(bucket_bounds)), buckets_(bounds_.size() + 1) {
-    require(!bounds_.empty(), "histogram needs at least one bucket bound");
-    require(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                std::adjacent_find(bounds_.begin(), bounds_.end()) == bounds_.end(),
-            "histogram bucket bounds must be strictly ascending");
-}
-
-std::vector<double> Histogram::latency_buckets_us() {
-    return {1,     2,     5,     10,    20,    50,    100,   200,   500,
-            1e3,   2e3,   5e3,   1e4,   2e4,   5e4,   1e5,   2e5,   5e5,
-            1e6};
-}
-
-void Histogram::record(double value) noexcept {
-    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    const std::size_t index = static_cast<std::size_t>(it - bounds_.begin());
-    buckets_[index].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-        // First sample seeds min/max; racing recorders converge via the
-        // CAS loops below.
-        min_.store(value, std::memory_order_relaxed);
-        max_.store(value, std::memory_order_relaxed);
-    }
-    atomic_fetch_min(min_, value);
-    atomic_fetch_max(max_, value);
-}
-
-double Histogram::percentile(double q, bool& overflow) const {
-    require(q >= 0.0 && q <= 1.0, "percentile rank must be in [0, 1]");
-    overflow = false;
-    const std::uint64_t total = count();
-    if (total == 0) return 0.0;
-
-    const double min = min_.load(std::memory_order_relaxed);
-    const double max = max_.load(std::memory_order_relaxed);
-    const double rank = q * static_cast<double>(total);
-
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const auto in_bucket =
-            static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
-        if (in_bucket == 0.0) continue;
-        if (cumulative + in_bucket >= rank) {
-            // The rank fell in the implicit overflow bucket: the estimate is
-            // bounded only by the observed max — flag it so callers never
-            // mistake it for a finite-bucket interpolation.
-            overflow = i == bounds_.size();
-            const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-            const double upper = i < bounds_.size() ? bounds_[i] : max;
-            const double fraction =
-                std::clamp((rank - cumulative) / in_bucket, 0.0, 1.0);
-            const double estimate = lower + (upper - lower) * fraction;
-            return std::clamp(estimate, min, max);
-        }
-        cumulative += in_bucket;
-    }
-    // q == 1 or counter races; the top sample is the answer. The top sample
-    // sits in the overflow bucket exactly when that bucket is populated.
-    overflow = buckets_.back().load(std::memory_order_relaxed) > 0;
-    return max;
-}
-
-double Histogram::percentile(double q) const {
-    bool overflow = false;
-    return percentile(q, overflow);
-}
-
-HistogramSummary Histogram::summary() const {
-    HistogramSummary s;
-    s.count = count();
-    if (s.count == 0) return s;
-    s.sum = sum_.load(std::memory_order_relaxed);
-    s.mean = s.sum / static_cast<double>(s.count);
-    s.min = min_.load(std::memory_order_relaxed);
-    s.max = max_.load(std::memory_order_relaxed);
-    s.overflow = buckets_.back().load(std::memory_order_relaxed);
-    s.p50 = percentile(0.50, s.p50_overflow);
-    s.p95 = percentile(0.95, s.p95_overflow);
-    s.p99 = percentile(0.99, s.p99_overflow);
-    return s;
-}
-
-void Histogram::reset() noexcept {
-    for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-    min_.store(0.0, std::memory_order_relaxed);
-    max_.store(0.0, std::memory_order_relaxed);
-}
 
 Counter& MetricsRegistry::counter(const std::string& name) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -131,14 +17,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = gauges_[name];
     if (!slot) slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
     return *slot;
 }
 
@@ -162,12 +40,6 @@ const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
     return it == gauges_.end() ? nullptr : it->second.get();
 }
 
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 const Sketch* MetricsRegistry::find_sketch(const std::string& name) const {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = sketches_.find(name);
@@ -181,8 +53,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
         snap.counters.emplace_back(name, counter->value());
     for (const auto& [name, gauge] : gauges_)
         snap.gauges.emplace_back(name, gauge->value());
-    for (const auto& [name, histogram] : histograms_)
-        snap.histograms.emplace_back(name, histogram->summary());
     for (const auto& [name, sketch] : sketches_)
         snap.sketches.emplace_back(name, sketch->summary());
     return snap;
@@ -192,7 +62,6 @@ void MetricsRegistry::reset() {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (auto& [name, counter] : counters_) counter->reset();
     for (auto& [name, gauge] : gauges_) gauge->reset();
-    for (auto& [name, histogram] : histograms_) histogram->reset();
     for (auto& [name, sketch] : sketches_) sketch->reset();
 }
 
@@ -215,17 +84,6 @@ std::string render_metrics_table(const MetricsRegistry& registry) {
         TextTable table;
         table.header({"gauge", "value"});
         for (const auto& [name, value] : snap.gauges) table.add(name, fixed(value, 6));
-        out += table.render();
-    }
-    if (!snap.histograms.empty()) {
-        if (!out.empty()) out += '\n';
-        TextTable table;
-        table.header({"histogram", "count", "mean", "p50", "p95", "p99", "max"});
-        for (const auto& [name, s] : snap.histograms)
-            table.add(name, s.count, fixed(s.mean, 3), fixed(s.p50, 3),
-                      fixed(s.p95, 3),
-                      fixed(s.p99, 3) + (s.p99_overflow ? "+" : ""),
-                      fixed(s.max, 3));
         out += table.render();
     }
     if (!snap.sketches.empty()) {
@@ -251,8 +109,8 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
     w.key("gauges").begin_object();
     for (const auto& [name, value] : snap.gauges) w.key(name).value(value);
     w.end_object();
-    w.key("histograms").begin_object();
-    for (const auto& [name, s] : snap.histograms) {
+    w.key("sketches").begin_object();
+    for (const auto& [name, s] : snap.sketches) {
         w.key(name).begin_object();
         w.key("count").value(s.count);
         w.key("sum").value(s.sum);
@@ -262,38 +120,14 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
         w.key("p50").value(s.p50);
         w.key("p95").value(s.p95);
         w.key("p99").value(s.p99);
-        if (s.overflow != 0) {
-            // Only when the overflow bucket is populated, so existing dumps
-            // keep their exact shape on in-range data.
-            w.key("overflow").value(s.overflow);
-            w.key("p50_overflow").value(s.p50_overflow);
-            w.key("p95_overflow").value(s.p95_overflow);
-            w.key("p99_overflow").value(s.p99_overflow);
+        if (s.has_exemplar()) {
+            w.key("exemplar_trace").value(hex16(s.exemplar_trace));
+            w.key("exemplar_span").value(hex16(s.exemplar_span));
+            w.key("exemplar_value").value(s.exemplar_value);
         }
         w.end_object();
     }
     w.end_object();
-    if (!snap.sketches.empty()) {
-        w.key("sketches").begin_object();
-        for (const auto& [name, s] : snap.sketches) {
-            w.key(name).begin_object();
-            w.key("count").value(s.count);
-            w.key("sum").value(s.sum);
-            w.key("mean").value(s.mean);
-            w.key("min").value(s.min);
-            w.key("max").value(s.max);
-            w.key("p50").value(s.p50);
-            w.key("p95").value(s.p95);
-            w.key("p99").value(s.p99);
-            if (s.has_exemplar()) {
-                w.key("exemplar_trace").value(hex16(s.exemplar_trace));
-                w.key("exemplar_span").value(hex16(s.exemplar_span));
-                w.key("exemplar_value").value(s.exemplar_value);
-            }
-            w.end_object();
-        }
-        w.end_object();
-    }
     w.end_object();
     return w.str();
 }

@@ -1,5 +1,5 @@
-// Metrics registry: named counters, gauges, fixed-bucket histograms, and
-// mergeable quantile sketches (obs/sketch.hpp).
+// Metrics registry: named counters, gauges, and mergeable quantile
+// sketches (obs/sketch.hpp) — the one quantile instrument.
 //
 // Instruments are lock-free on the hot path (relaxed atomics); the registry
 // itself takes a mutex only on name lookup, so callers that care about
@@ -55,100 +55,29 @@ private:
     std::atomic<double> value_{0.0};
 };
 
-/// Point-in-time digest of a histogram.
-struct HistogramSummary {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    /// Samples beyond the last finite bucket bound.
-    std::uint64_t overflow = 0;
-    /// Set when the matching quantile's rank landed in the implicit
-    /// overflow bucket: the reported value is then an estimate bounded only
-    /// by the observed max, not by a finite bucket — report it flagged,
-    /// never as a silently-clamped finite-bucket figure.
-    bool p50_overflow = false;
-    bool p95_overflow = false;
-    bool p99_overflow = false;
-};
-
-/// Fixed-bucket histogram for latency-like values.
-///
-/// Buckets are (lower, upper] intervals over the given ascending upper
-/// bounds, plus an implicit overflow bucket. Percentiles are estimated by
-/// linear interpolation within the bucket holding the requested rank and
-/// clamped to the observed [min, max], so a single-sample histogram reports
-/// that sample exactly and an empty histogram reports 0.
-class Histogram {
-public:
-    explicit Histogram(std::vector<double> bucket_bounds = latency_buckets_us());
-
-    void record(double value) noexcept;
-
-    [[nodiscard]] std::uint64_t count() const noexcept {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    /// Percentile estimate for q in [0, 1]; 0 when empty.
-    [[nodiscard]] double percentile(double q) const;
-
-    /// As percentile(); additionally sets `overflow` when the rank landed
-    /// in the implicit overflow bucket (the estimate is bounded by the
-    /// observed max rather than a finite bucket bound).
-    [[nodiscard]] double percentile(double q, bool& overflow) const;
-
-    [[nodiscard]] HistogramSummary summary() const;
-
-    [[nodiscard]] const std::vector<double>& bounds() const noexcept { return bounds_; }
-
-    void reset() noexcept;
-
-    /// Default bounds, tuned for microsecond latencies: 1us .. 1s, roughly
-    /// logarithmic (1-2-5 per decade).
-    static std::vector<double> latency_buckets_us();
-
-private:
-    std::vector<double> bounds_;                       // ascending upper bounds
-    std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1 (overflow)
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
-    std::atomic<double> min_{0.0};  // valid when count_ > 0
-    std::atomic<double> max_{0.0};
-};
-
 /// Named instrument store. Lookup creates on first use; references returned
 /// stay valid for the registry's lifetime.
 class MetricsRegistry {
 public:
     Counter& counter(const std::string& name);
     Gauge& gauge(const std::string& name);
-    Histogram& histogram(const std::string& name,
-                         std::vector<double> bounds = Histogram::latency_buckets_us());
     /// Mergeable quantile sketch (obs/sketch.hpp); `lanes` sizes the
-    /// per-shard lane array on first creation (later lookups ignore it, as
-    /// with histogram bounds).
+    /// per-shard lane array on first creation (later lookups ignore it).
     Sketch& sketch(const std::string& name, std::size_t lanes = 1,
                    double relative_error = QuantileSketch::kDefaultRelativeError);
 
     /// Lookup without creation; nullptr when the name is unknown.
     [[nodiscard]] const Counter* find_counter(const std::string& name) const;
     [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
-    [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
     [[nodiscard]] const Sketch* find_sketch(const std::string& name) const;
 
     struct Snapshot {
         std::vector<std::pair<std::string, std::uint64_t>> counters;
         std::vector<std::pair<std::string, double>> gauges;
-        std::vector<std::pair<std::string, HistogramSummary>> histograms;
         std::vector<std::pair<std::string, SketchSummary>> sketches;
 
         [[nodiscard]] bool empty() const noexcept {
-            return counters.empty() && gauges.empty() && histograms.empty() &&
-                   sketches.empty();
+            return counters.empty() && gauges.empty() && sketches.empty();
         }
     };
 
@@ -162,7 +91,6 @@ private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
     std::map<std::string, std::unique_ptr<Sketch>> sketches_;
 };
 
@@ -174,8 +102,9 @@ MetricsRegistry& global_metrics();
 std::string render_metrics_table(const MetricsRegistry& registry);
 
 /// Machine-readable dump: a single JSON object
-/// {"counters":{...},"gauges":{...},"histograms":{name:{count,..,p99},...},
-///  "sketches":{name:{count,..,p99,exemplar_trace,...},...}}.
+/// {"counters":{...},"gauges":{...},
+///  "sketches":{name:{count,..,p99,exemplar_trace,...},...}}; every block is
+/// present, even when empty.
 std::string metrics_to_json(const MetricsRegistry& registry);
 
 }  // namespace adiv

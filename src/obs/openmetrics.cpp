@@ -79,20 +79,11 @@ std::string metrics_to_openmetrics(const MetricsRegistry& registry) {
         out += "# TYPE " + family + " gauge\n";
         append_sample(out, family, "", openmetrics_number(value));
     }
-    for (const auto& [name, s] : snap.histograms) {
-        const std::string family = openmetrics_name(name);
-        out += "# TYPE " + family + " summary\n";
-        // HistogramSummary reports 0 (never NaN) for every field of an
-        // empty histogram, so a zero-sample summary renders as all zeros.
-        append_quantile(out, family, "0.5", s.p50);
-        append_quantile(out, family, "0.95", s.p95);
-        append_quantile(out, family, "0.99", s.p99);
-        append_sample(out, family + "_sum", "", openmetrics_number(s.sum));
-        append_sample(out, family + "_count", "", std::to_string(s.count));
-    }
     for (const auto& [name, s] : snap.sketches) {
         const std::string family = openmetrics_name(name);
         out += "# TYPE " + family + " summary\n";
+        // SketchSummary reports 0 (never NaN) for every field of an empty
+        // sketch, so a zero-sample summary renders as all zeros.
         append_quantile(out, family, "0.5", s.p50);
         append_quantile(out, family, "0.95", s.p95);
         // The tail quantile carries the exemplar: the trace/span ids of the

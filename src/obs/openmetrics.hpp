@@ -6,17 +6,17 @@
 //
 //   serve.events_pushed   (counter)    ->  adiv_serve_events_pushed_total
 //   serve.queue_depth     (gauge)      ->  adiv_serve_queue_depth
-//   serve.push_latency_us (histogram)  ->  adiv_serve_push_latency_us
+//   serve.push_latency_us (sketch)     ->  adiv_serve_push_latency_us
 //                                          {quantile="0.5"|"0.95"|"0.99"},
 //                                          plus _sum and _count series
 //
-// Histograms are exposed as OpenMetrics summaries (the registry keeps
-// pre-digested percentiles, not cumulative buckets); a zero-sample histogram
-// renders every quantile as 0, never NaN. Quantile sketches render the same
-// way, except their p99 sample carries an OpenMetrics exemplar
-// (` # {trace_id="...",span_id="..."} value`) naming the trace context of
-// the largest traced observation. The exposition ends with `# EOF` so stock
-// Prometheus accepts it as openmetrics-text 1.0.
+// Sketches are exposed as OpenMetrics summaries (the registry keeps
+// pre-digested quantiles, not cumulative buckets); a zero-sample sketch
+// renders every quantile as 0, never NaN. The p99 sample carries an
+// OpenMetrics exemplar (` # {trace_id="...",span_id="..."} value`) naming
+// the trace context of the largest traced observation, when there is one.
+// The exposition ends with `# EOF` so stock Prometheus accepts it as
+// openmetrics-text 1.0.
 //
 // parse_openmetrics() is the matching self-check: it re-parses an exposition
 // into samples and validates the grammar (TYPE before samples, counter

@@ -41,7 +41,7 @@ WaitSite::WaitSite(std::string name, WaitSiteKind kind, MetricsRegistry& metrics
       kind_(kind),
       acquires_(metrics.counter(qualified(name_, "acquires"))),
       contended_(metrics.counter(qualified(name_, "contended"))),
-      wait_us_(metrics.histogram(qualified(name_, "wait_us"))) {}
+      wait_us_(metrics.sketch(qualified(name_, "wait_us"))) {}
 
 WaitSiteRegistry::WaitSiteRegistry(MetricsRegistry& metrics)
     : metrics_(&metrics) {}
@@ -61,7 +61,7 @@ std::vector<WaitSiteSummary> WaitSiteRegistry::summaries() const {
     std::vector<WaitSiteSummary> out;
     out.reserve(sites_.size());
     for (const auto& [name, site] : sites_) {
-        const HistogramSummary waits = site->wait_summary();
+        const SketchSummary waits = site->wait_summary();
         WaitSiteSummary summary;
         summary.name = name;
         summary.kind = site->kind();
@@ -119,16 +119,6 @@ const WaitSiteSummary* dominant_wait_site(
     return best;
 }
 
-namespace {
-// Depth buckets for the pool queue-depth histogram: powers of two, not the
-// default microsecond latency bounds.
-std::vector<double> depth_buckets() {
-    std::vector<double> bounds;
-    for (double b = 1.0; b <= 4096.0; b *= 2.0) bounds.push_back(b);
-    return bounds;
-}
-}  // namespace
-
 WaitSiteThreadPoolProbe::WaitSiteThreadPoolProbe(const std::string& prefix,
                                                  WaitSiteRegistry& sites,
                                                  MetricsRegistry& metrics)
@@ -136,8 +126,7 @@ WaitSiteThreadPoolProbe::WaitSiteThreadPoolProbe(const std::string& prefix,
                                 WaitSiteKind::Contention)),
       dequeue_wait_(
           sites.site(qualified(prefix, "dequeue_wait"), WaitSiteKind::Idle)),
-      queue_depth_(
-          metrics.histogram(qualified(prefix, "queue_depth"), depth_buckets())) {}
+      queue_depth_(metrics.sketch(qualified(prefix, "queue_depth"))) {}
 
 void WaitSiteThreadPoolProbe::enqueue_blocked_us(double us) {
     if (!profiling_enabled()) return;

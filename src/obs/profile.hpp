@@ -6,25 +6,31 @@
 //
 //   <site>.acquires    counter, passes through the site (blocked or not)
 //   <site>.contended   counter, passes that actually blocked
-//   <site>.wait_us     histogram over the blocked passes' wait times
+//   <site>.wait_us     sketch over the blocked passes' wait times
 //
 // — so wait-site data rides the existing OpenMetrics / sampler / METRICS
-// paths for free. ProfiledMutex drops into a std::mutex's place and times
-// contended acquisitions; ProfiledLock does the same for a mutex that must
-// stay a bare std::mutex (because a condition_variable waits on it).
+// paths for free. Two idioms cover every profiled site:
+//
+//   * StageTimer, the one stamp: `const StageTimer t(field);` adds the
+//     scope's elapsed microseconds to `field` when profiling is on.
+//   * wait_at(), the one wait: a pass through a wait site that blocks in a
+//     mutex or condition-variable wait. ProfiledMutex (a drop-in std::mutex)
+//     and the serve slot / run-queue waits all go through it.
+//
 // WaitSiteThreadPoolProbe adapts the util/thread_pool probe interface onto
 // wait sites, closing the util -> obs layering gap without a dependency.
 //
 // The zero-overhead-when-off contract: instrumentation is gated twice.
 // Compile time: `cmake -DADIV_PROFILE=OFF` makes profiling_enabled() a
-// constexpr false, so every `if (profiling_enabled())` branch — and with it
-// every clock read, histogram record, and JSONL format — is dead code and a
-// ProfiledMutex is exactly a std::mutex. Run time (the default build):
-// profiling starts disabled and costs one relaxed atomic load per guarded
-// branch until set_profiling_enabled(true) turns it on (adiv_serve and
-// adiv_loadgen expose this as --profile).
+// constexpr false and StageTimer an empty type, so every stamp, clock read,
+// sketch record, and JSONL format is dead code and a ProfiledMutex is
+// exactly a std::mutex. Run time (the default build): profiling starts
+// disabled and costs one relaxed atomic load per stamp until
+// set_profiling_enabled(true) turns it on (adiv_serve and adiv_loadgen
+// expose this as --profile).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -35,7 +41,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 #ifndef ADIV_PROFILE
@@ -53,9 +58,42 @@ constexpr bool profiling_compiled() noexcept { return ADIV_PROFILE != 0; }
 /// straddle the edge and be half-counted — acceptable for a profiler).
 [[nodiscard]] bool profiling_enabled() noexcept;
 void set_profiling_enabled(bool on) noexcept;
+
+/// The one profiling stamp. When profiling is on at construction, adds the
+/// scope's elapsed microseconds to `field` at scope exit; when it is off, no
+/// clock is read and the field is untouched:
+///   { const StageTimer parse(stamps.parse_us); parse_request_into(...); }
+class StageTimer {
+public:
+    explicit StageTimer(double& field) noexcept
+        : field_(profiling_enabled() ? &field : nullptr) {
+        if (field_ != nullptr) start_ = Clock::now();
+    }
+
+    ~StageTimer() {
+        if (field_ != nullptr)
+            *field_ += std::chrono::duration<double, std::micro>(
+                           Clock::now() - start_)
+                           .count();
+    }
+
+    StageTimer(const StageTimer&) = delete;
+    StageTimer& operator=(const StageTimer&) = delete;
+
+private:
+    using Clock = std::chrono::steady_clock;
+    double* field_;
+    Clock::time_point start_{};
+};
 #else
 [[nodiscard]] constexpr bool profiling_enabled() noexcept { return false; }
 constexpr void set_profiling_enabled(bool) noexcept {}
+
+/// ADIV_PROFILE=OFF: an empty type, so every stamp compiles to nothing.
+class StageTimer {
+public:
+    explicit constexpr StageTimer(double& /*field*/) noexcept {}
+};
 #endif
 
 /// Contention sites measure time stolen by other threads (locks, full
@@ -67,7 +105,7 @@ enum class WaitSiteKind { Contention, Idle };
 [[nodiscard]] std::string_view to_string(WaitSiteKind kind) noexcept;
 
 /// One named blocking point. Cheap to hold by reference: recording is two
-/// relaxed counter bumps plus (when blocked) one histogram record.
+/// relaxed counter bumps plus (when blocked) one sketch record.
 class WaitSite {
 public:
     WaitSite(std::string name, WaitSiteKind kind, MetricsRegistry& metrics);
@@ -86,14 +124,14 @@ public:
     [[nodiscard]] WaitSiteKind kind() const noexcept { return kind_; }
     [[nodiscard]] std::uint64_t acquires() const noexcept { return acquires_.value(); }
     [[nodiscard]] std::uint64_t contended() const noexcept { return contended_.value(); }
-    [[nodiscard]] HistogramSummary wait_summary() const { return wait_us_.summary(); }
+    [[nodiscard]] SketchSummary wait_summary() const { return wait_us_.summary(); }
 
 private:
     std::string name_;
     WaitSiteKind kind_;
     Counter& acquires_;
     Counter& contended_;
-    Histogram& wait_us_;
+    Sketch& wait_us_;
 };
 
 /// Point-in-time digest of one site, the unit of reporting.
@@ -148,6 +186,25 @@ WaitSite& wait_site(const std::string& name,
 /// Render one `{"type":"wait_site",...}` JSON line for a digest.
 [[nodiscard]] std::string wait_site_jsonl(const WaitSiteSummary& summary);
 
+/// The one wait idiom: a pass through `site` that blocks in `block()` until
+/// it may proceed. While profiling is on, `try_pass()` is asked first — a
+/// pass it lets through is an uncontended acquire — and a blocked pass is a
+/// timed wait. Off, the pass is exactly `block()`.
+template <class TryPass, class Block>
+void wait_at(WaitSite& site, TryPass&& try_pass, Block&& block) {
+    const bool on = profiling_enabled();
+    if (on && try_pass()) {
+        site.record_acquire();
+        return;
+    }
+    double waited_us = 0.0;
+    {
+        const StageTimer timer(waited_us);
+        block();
+    }
+    if (on) site.record_wait_us(waited_us);
+}
+
 /// A std::mutex that attributes contended acquisitions to a wait site.
 /// BasicLockable + Lockable, so std::lock_guard / std::unique_lock work
 /// unchanged. When profiling is off (either gate) lock() is exactly
@@ -160,17 +217,8 @@ public:
     ProfiledMutex& operator=(const ProfiledMutex&) = delete;
 
     void lock() {
-        if (!profiling_enabled()) {
-            mutex_.lock();
-            return;
-        }
-        if (mutex_.try_lock()) {
-            site_->record_acquire();
-            return;
-        }
-        const Stopwatch watch;
-        mutex_.lock();
-        site_->record_wait_us(watch.seconds() * 1e6);
+        wait_at(*site_, [this] { return mutex_.try_lock(); },
+                [this] { mutex_.lock(); });
     }
 
     bool try_lock() { return mutex_.try_lock(); }
@@ -182,38 +230,10 @@ private:
     WaitSite* site_;
 };
 
-/// Scoped lock over a *bare* std::mutex with wait-site attribution — for
-/// mutexes that cannot become ProfiledMutex because a condition_variable
-/// waits on them.
-class ProfiledLock {
-public:
-    ProfiledLock(std::mutex& mutex, WaitSite& site) : mutex_(&mutex) {
-        if (!profiling_enabled()) {
-            mutex_->lock();
-            return;
-        }
-        if (mutex_->try_lock()) {
-            site.record_acquire();
-            return;
-        }
-        const Stopwatch watch;
-        mutex_->lock();
-        site.record_wait_us(watch.seconds() * 1e6);
-    }
-
-    ~ProfiledLock() { mutex_->unlock(); }
-
-    ProfiledLock(const ProfiledLock&) = delete;
-    ProfiledLock& operator=(const ProfiledLock&) = delete;
-
-private:
-    std::mutex* mutex_;
-};
-
 /// Adapts the thread pool's probe hooks onto wait sites:
 ///   <prefix>.enqueue_block   Contention — submit() blocked on a full queue
 ///   <prefix>.dequeue_wait    Idle — a worker parked on an empty queue
-///   <prefix>.queue_depth     histogram over depths observed at enqueue
+///   <prefix>.queue_depth     sketch over depths observed at enqueue
 /// Install with pool.set_probe(&probe); the probe must outlive the pool's
 /// last submit.
 class WaitSiteThreadPoolProbe final : public ThreadPoolProbe {
@@ -230,7 +250,7 @@ public:
 private:
     WaitSite& enqueue_block_;
     WaitSite& dequeue_wait_;
-    Histogram& queue_depth_;
+    Sketch& queue_depth_;
 };
 
 /// Per-event pipeline stage durations (microseconds), stamped along the

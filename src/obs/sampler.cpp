@@ -98,9 +98,9 @@ std::string TelemetrySampler::render_sample_line(
     w.key("gauges").begin_object();
     for (const auto& [name, value] : snap.gauges) w.key(name).value(value);
     w.end_object();
-    w.key("histograms").begin_object();
-    for (const auto& [name, s] : snap.histograms) {
-        std::uint64_t& baseline = histogram_baseline_[name];
+    w.key("sketches").begin_object();
+    for (const auto& [name, s] : snap.sketches) {
+        std::uint64_t& baseline = sketch_baseline_[name];
         const std::uint64_t delta = s.count >= baseline ? s.count - baseline : 0;
         baseline = s.count;
         w.key(name).begin_object();

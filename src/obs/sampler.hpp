@@ -8,7 +8,7 @@
 //    "counters":{"serve.events_pushed":{"total":512,"delta":512}}, ...}
 //
 // Counters carry both the cumulative total and the delta since the previous
-// sample, so consumers get rates without re-deriving them; histograms carry
+// sample, so consumers get rates without re-deriving them; sketches carry
 // the digest (count/mean/p50/p95/p99/max) plus the count delta. stop() (and
 // the destructor) takes one final sample before joining, so a short run
 // still ends with a flushed, complete series.
@@ -80,7 +80,7 @@ private:
     std::mutex mutex_;  // guards the delta baselines and seq against
                         // stop()-vs-tick races on the final sample
     std::map<std::string, std::uint64_t> counter_baseline_;
-    std::map<std::string, std::uint64_t> histogram_baseline_;
+    std::map<std::string, std::uint64_t> sketch_baseline_;
     std::uint64_t seq_ = 0;
 
     // stop() ordering: stop_mutex_ is held across the whole shutdown —

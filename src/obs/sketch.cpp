@@ -16,6 +16,20 @@ namespace {
 constexpr double kMinTracked = 1e-3;
 constexpr double kMaxTracked = 1e9;
 
+// The sum's fixed tick: 1e-3 of the recorded unit (a nanosecond for the
+// microsecond latencies). A value is rounded to the nearest tick once, at
+// record time; from then on every addition is exact integer arithmetic.
+constexpr double kTicksPerUnit = 1e3;
+
+std::int64_t to_ticks(double value) noexcept {
+    // 2^53 ticks: the largest magnitude a double still holds to the tick.
+    // NaN contributes nothing.
+    constexpr double kMaxTicks = 9007199254740992.0;
+    const double ticks = value * kTicksPerUnit;
+    if (std::isnan(ticks)) return 0;
+    return std::llround(std::clamp(ticks, -kMaxTicks, kMaxTicks));
+}
+
 void atomic_fetch_min(std::atomic<double>& target, double value) noexcept {
     double current = target.load(std::memory_order_relaxed);
     while (value < current &&
@@ -55,6 +69,8 @@ QuantileSketch::QuantileSketch(const QuantileSketch& other)
                           std::memory_order_relaxed);
     count_.store(other.count_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
+    sum_ticks_.store(other.sum_ticks_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
     min_.store(other.min_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
     max_.store(other.max_.load(std::memory_order_relaxed),
@@ -88,6 +104,7 @@ double QuantileSketch::estimate_of(std::size_t bucket) const noexcept {
 
 void QuantileSketch::record(double value) noexcept {
     buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_ticks_.fetch_add(to_ticks(value), std::memory_order_relaxed);
     if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
         min_.store(value, std::memory_order_relaxed);
         max_.store(value, std::memory_order_relaxed);
@@ -127,6 +144,8 @@ void QuantileSketch::merge_from(const QuantileSketch& other) noexcept {
         if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
     }
     count_.fetch_add(other.count(), std::memory_order_relaxed);
+    sum_ticks_.fetch_add(other.sum_ticks_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
     const double other_min = other.min_.load(std::memory_order_relaxed);
     const double other_max = other.max_.load(std::memory_order_relaxed);
     if (was_empty) {
@@ -172,16 +191,9 @@ SketchSummary QuantileSketch::summary() const {
     if (s.count == 0) return s;
     s.min = min_.load(std::memory_order_relaxed);
     s.max = max_.load(std::memory_order_relaxed);
-    // Reconstruct the sum from bucket counts x bucket estimates: integer
-    // counts merge exactly, so the sum stays identical under any merge
-    // order, and each term is within the relative-error bound.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-        if (n != 0) sum += static_cast<double>(n) * estimate_of(i);
-    }
-    s.sum = sum;
-    s.mean = sum / static_cast<double>(s.count);
+    s.sum = static_cast<double>(sum_ticks_.load(std::memory_order_relaxed)) /
+            kTicksPerUnit;
+    s.mean = s.sum / static_cast<double>(s.count);
     s.p50 = quantile(0.50);
     s.p95 = quantile(0.95);
     s.p99 = quantile(0.99);
@@ -197,6 +209,7 @@ SketchSummary QuantileSketch::summary() const {
 void QuantileSketch::reset() noexcept {
     for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);
+    sum_ticks_.store(0, std::memory_order_relaxed);
     min_.store(0.0, std::memory_order_relaxed);
     max_.store(0.0, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(exemplar_mutex_);

@@ -16,10 +16,10 @@
 //     in any order yields the identical exposition (pinned by tests).
 //
 // To keep merges associative down to the last bit, the reported `sum` (and
-// `mean`) are reconstructed from bucket counts times bucket estimates, not
-// accumulated as floating-point at record time: integer bucket counts merge
-// exactly, while a running double sum would depend on addition order. The
-// sum therefore carries the same relative-error bound as the quantiles.
+// `mean`) are accumulated as an integer count of fixed ticks (1e-3 of the
+// recorded unit), not as a running double: integer addition is exact and
+// order-free, so the sum is exact to the tick and bit-identical under any
+// merge order, while a double sum would depend on addition order.
 //
 // Exemplars: record(value, trace, span) remembers the trace context of the
 // largest observation (ties broken lexicographically on (value, trace,
@@ -42,11 +42,11 @@
 
 namespace adiv {
 
-/// Point-in-time digest of a sketch; the shape mirrors HistogramSummary so
-/// the JSON/table renderers and bench writers stay uniform.
+/// Point-in-time digest of a sketch: the one quantile digest every
+/// renderer (table, JSON, OpenMetrics, sampler) reports.
 struct SketchSummary {
     std::uint64_t count = 0;
-    double sum = 0.0;   ///< reconstructed from buckets; relative-error bound
+    double sum = 0.0;   ///< exact to 1e-3 of the recorded unit
     double mean = 0.0;
     double min = 0.0;
     double max = 0.0;
@@ -121,6 +121,7 @@ private:
     // [B+1] overflow (> max_tracked).
     std::vector<std::atomic<std::uint64_t>> buckets_;
     std::atomic<std::uint64_t> count_{0};
+    std::atomic<std::int64_t> sum_ticks_{0};  // sum in 1e-3 units
     std::atomic<double> min_{0.0};  // valid when count_ > 0
     std::atomic<double> max_{0.0};
 

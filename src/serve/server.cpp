@@ -6,7 +6,6 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace adiv::serve {
 
@@ -22,14 +21,6 @@ std::size_t resolve_shards(const ServerConfig& config) {
 // client pipelines past it.
 std::size_t resolve_bound(std::size_t queue_capacity) {
     return queue_capacity != 0 ? queue_capacity : 1024;
-}
-
-// Depth buckets for the shard queue-depth histogram: powers of two, not the
-// default microsecond latency bounds.
-std::vector<double> depth_buckets() {
-    std::vector<double> bounds;
-    for (double b = 1.0; b <= 4096.0; b *= 2.0) bounds.push_back(b);
-    return bounds;
 }
 
 std::string_view verb_of(RequestType type) noexcept {
@@ -74,8 +65,7 @@ Server::Server(ServerConfig config, MetricsRegistry& metrics)
           metrics.sketch("serve.stage.reply_us", resolve_shards(config) + 1)),
       stage_total_us_(
           metrics.sketch("serve.stage.total_us", resolve_shards(config) + 1)),
-      shard_queue_depth_(
-          metrics.histogram("serve.shard.queue_depth", depth_buckets())),
+      shard_queue_depth_(metrics.sketch("serve.shard.queue_depth")),
       slot_wait_site_(wait_site("serve.shard.slot_wait")),
       enqueue_block_site_(wait_site("serve.shard.enqueue_block")),
       wakeup_site_(wait_site("serve.shard.wakeup")),
@@ -173,17 +163,12 @@ void Server::reader_loop(Connection& connection) {
         // read from a clean frame boundary was waiting for the client to
         // send anything (recv_wait, think time), a read mid-frame was
         // receiving a request already on the wire (recv_read, work).
-        double recv_wait_us = 0.0;
-        double recv_read_us = 0.0;
+        StageStamps recv;
         for (;;) {
             std::size_t n = 0;
-            if (profiling_enabled()) {
-                const bool between_frames = decoder.idle();
-                const Stopwatch watch;
-                n = connection.transport->read_some(buffer, sizeof buffer);
-                (between_frames ? recv_wait_us : recv_read_us) +=
-                    watch.seconds() * 1e6;
-            } else {
+            {
+                const StageTimer timer(decoder.idle() ? recv.recv_wait_us
+                                                      : recv.recv_read_us);
                 n = connection.transport->read_some(buffer, sizeof buffer);
             }
             if (n == 0) break;
@@ -192,7 +177,7 @@ void Server::reader_loop(Connection& connection) {
             // the views stay valid until the next feed(), and every payload
             // is parsed before more bytes are fed.
             while (auto payload = decoder.next_view())
-                handle_payload(connection, *payload, recv_wait_us, recv_read_us);
+                handle_payload(connection, *payload, recv);
         }
         if (!decoder.idle()) {
             frames_rejected_.add(1);
@@ -208,23 +193,17 @@ void Server::reader_loop(Connection& connection) {
 }
 
 void Server::handle_payload(Connection& connection, std::string_view payload,
-                            double& recv_wait_us, double& recv_read_us) {
-    const bool stamp = profiling_enabled();
+                            StageStamps& recv) {
     const std::uint32_t slot = claim_slot(connection);
     RunItem& item = connection.slots[slot];
     item.kind = RunItem::Kind::Request;
-    item.frame_t = stamp ? trace_clock_seconds() : 0.0;
-    item.recv_wait_us = std::exchange(recv_wait_us, 0.0);
-    item.recv_read_us = std::exchange(recv_read_us, 0.0);
-    item.parse_us = 0.0;
+    // The frame inherits the recv time that preceded it; the reader's
+    // accumulator starts over for the next frame.
+    item.stamps = std::exchange(recv, StageStamps{});
+    item.frame_t = profiling_enabled() ? trace_clock_seconds() : 0.0;
     try {
-        if (stamp) {
-            const Stopwatch watch;
-            parse_request_into(payload, item.request);
-            item.parse_us = watch.seconds() * 1e6;
-        } else {
-            parse_request_into(payload, item.request);
-        }
+        const StageTimer parse(item.stamps.parse_us);
+        parse_request_into(payload, item.request);
     } catch (const std::exception& record_error) {
         // A well-framed but unparseable record: answered with ERR, the
         // connection (and any session) survives.
@@ -235,47 +214,8 @@ void Server::handle_payload(Connection& connection, std::string_view payload,
         return;
     }
 
-    // Requests the reader answers itself, off the shard path: OPEN (the
-    // reader owns the connection -> session binding, and must know the
-    // outcome to route what follows), METRICS before any session (scrape
-    // clients never open one), and session verbs without a session. All are
-    // cold paths — allocation here is fine.
     const RequestType type = item.request.type;
-    bool inline_reply = true;
-    Response response;
-    const Stopwatch handle_watch;
-    if (type == RequestType::Open) {
-        // Double gate: traced request AND live sink, so untraced runs skip
-        // the global-sink lookup entirely.
-        std::optional<ScopedTraceContext> trace_scope;
-        std::optional<TraceSpan> open_span;
-        if (item.request.trace_id != 0 && global_trace_sink()->enabled()) {
-            trace_scope.emplace(
-                TraceContext{item.request.trace_id, item.request.span_id});
-            open_span.emplace("serve.open_handle");
-        }
-        if (connection.has_session) {
-            response = error_response("session already open (CLOSE it first)");
-        } else {
-            try {
-                const std::uint64_t id = sessions_.reserve_id();
-                response = sessions_.open_with_id(id, item.request.target);
-                connection.session_id = id;
-                connection.has_session = true;
-                connection.shard_index = sessions_.shard_of(id);
-            } catch (const std::exception& open_error) {
-                response = error_response(open_error.what());
-            }
-        }
-    } else if (!connection.has_session) {
-        response = type == RequestType::Metrics
-                       ? metrics_response(*metrics_)
-                       : error_response("no open session");
-    } else {
-        inline_reply = false;
-    }
-
-    if (!inline_reply) {
+    if (type != RequestType::Open && connection.has_session) {
         item.seq = connection.next_seq++;
         item.session_id = connection.session_id;
         // The reader's view of the binding advances at enqueue time, so a
@@ -286,27 +226,54 @@ void Server::handle_payload(Connection& connection, std::string_view payload,
         return;
     }
 
+    Response response;
+    {
+        const StageTimer score(item.stamps.score_us);
+        response = answer_inline(connection, item.request);
+    }
     const std::uint64_t seq = connection.next_seq++;
-    if (!stamp) {
+    {
+        const StageTimer reply(item.stamps.reply_us);
         deliver(connection, seq, &response);
-    } else {
-        StageStamps stamps;
-        stamps.recv_wait_us = item.recv_wait_us;
-        stamps.recv_read_us = item.recv_read_us;
-        stamps.parse_us = item.parse_us;
-        stamps.queue_us = 0.0;  // never queued
-        stamps.score_us = handle_watch.seconds() * 1e6;
-        const Stopwatch reply_watch;
-        deliver(connection, seq, &response);
-        stamps.reply_us = reply_watch.seconds() * 1e6;
-        stamps.total_us = (trace_clock_seconds() - item.frame_t) * 1e6 +
-                          stamps.recv_wait_us + stamps.recv_read_us;
+    }
+    if (item.frame_t > 0.0) {
         // adiv-lint: allow(hot-path, "profiling-only path; the JSON stage record is 1-in-N sampled diagnostics")
-        record_stages(item.request,
-                      connection.has_session ? connection.session_id : 0,
-                      response, stamps, /*lane=*/0);
+        record_stages(item, connection.has_session ? connection.session_id : 0,
+                      response, /*lane=*/0);
     }
     release_slot(connection, slot);
+}
+
+Response Server::answer_inline(Connection& connection, const Request& request) {
+    // Requests the reader answers itself, off the shard path: OPEN (the
+    // reader owns the connection -> session binding, and must know the
+    // outcome to route what follows), METRICS before any session (scrape
+    // clients never open one), and session verbs without a session. All are
+    // cold paths — allocation here is fine.
+    if (request.type != RequestType::Open)
+        return request.type == RequestType::Metrics
+                   ? metrics_response(*metrics_)
+                   : error_response("no open session");
+    // Double gate: traced request AND live sink, so untraced runs skip the
+    // global-sink lookup entirely.
+    std::optional<ScopedTraceContext> trace_scope;
+    std::optional<TraceSpan> open_span;
+    if (request.trace_id != 0 && global_trace_sink()->enabled()) {
+        trace_scope.emplace(TraceContext{request.trace_id, request.span_id});
+        open_span.emplace("serve.open_handle");
+    }
+    if (connection.has_session)
+        return error_response("session already open (CLOSE it first)");
+    try {
+        const std::uint64_t id = sessions_.reserve_id();
+        Response response = sessions_.open_with_id(id, request.target);
+        connection.session_id = id;
+        connection.has_session = true;
+        connection.shard_index = sessions_.shard_of(id);
+        return response;
+    } catch (const std::exception& open_error) {
+        return error_response(open_error.what());
+    }
 }
 
 void Server::reader_eof(Connection& connection) {
@@ -339,17 +306,8 @@ std::uint32_t Server::claim_slot(Connection& connection) {
     const auto available = [&connection] {
         return !connection.free_slots.empty();
     };
-    if (profiling_enabled()) {
-        if (available()) {
-            slot_wait_site_.record_acquire();
-        } else {
-            const Stopwatch watch;
-            connection.slot_available.wait(lock, available);
-            slot_wait_site_.record_wait_us(watch.seconds() * 1e6);
-        }
-    } else {
-        connection.slot_available.wait(lock, available);
-    }
+    wait_at(slot_wait_site_, available,
+            [&] { connection.slot_available.wait(lock, available); });
     const std::uint32_t slot = connection.free_slots.back();
     connection.free_slots.pop_back();
     return slot;
@@ -374,27 +332,19 @@ void Server::enqueue_run(Connection& connection, std::uint32_t slot) {
         const auto space = [&shard] { return shard.count < shard.ring.size(); };
         // Backpressure: readers wait for run-queue space, which TCP flow
         // control propagates to the client.
-        if (stamp) {
-            if (space()) {
-                enqueue_block_site_.record_acquire();
-            } else {
-                const Stopwatch watch;
-                shard.space.wait(lock, space);
-                enqueue_block_site_.record_wait_us(watch.seconds() * 1e6);
-            }
-        } else {
-            shard.space.wait(lock, space);
-        }
+        wait_at(enqueue_block_site_, space,
+                [&] { shard.space.wait(lock, space); });
         Shard::Entry& entry =
             shard.ring[(shard.head + shard.count) % shard.ring.size()];
         entry.connection = &connection;
         entry.slot = slot;
         ++shard.count;
         depth = shard.count;
-        if (stamp) connection.slots[slot].enqueued_t = trace_clock_seconds();
+        const double now = stamp ? trace_clock_seconds() : 0.0;
+        connection.slots[slot].enqueued_t = now;
         if (!shard.scheduled) {
             shard.scheduled = true;
-            if (stamp) shard.submit_t = trace_clock_seconds();
+            shard.submit_t = now;
             schedule = true;
         }
     }
@@ -467,34 +417,23 @@ void Server::process_item(Connection& connection, RunItem& item,
         // adiv-lint: allow(hot-path, "traced requests only; the span is the product, not overhead")
         handle_span.emplace("serve.shard_handle");
     }
-    const bool stamp = item.frame_t > 0.0 && profiling_enabled();
-    if (!stamp) {
+    const bool stamped = item.frame_t > 0.0 && profiling_enabled();
+    if (stamped)
+        item.stamps.queue_us = (trace_clock_seconds() - item.enqueued_t) * 1e6;
+    {
+        const StageTimer score(item.stamps.score_us);
         // adiv-lint: allow(hot-path, "PUSH replies are allocation-free; the verbs that do allocate (error text, METRICS, DUMP, STATS) are cold admin traffic")
         sessions_.handle_into(item.session_id, item.request, scratch);
-        deliver(connection, item.seq, &scratch);
-        return;
     }
-    StageStamps stamps;
-    stamps.recv_wait_us = item.recv_wait_us;
-    stamps.recv_read_us = item.recv_read_us;
-    stamps.parse_us = item.parse_us;
-    stamps.queue_us = (trace_clock_seconds() - item.enqueued_t) * 1e6;
-    const Stopwatch score_watch;
-    // adiv-lint: allow(hot-path, "same contract as the unstamped call above: only cold verbs allocate")
-    sessions_.handle_into(item.session_id, item.request, scratch);
-    stamps.score_us = score_watch.seconds() * 1e6;
-    const Stopwatch reply_watch;
-    deliver(connection, item.seq, &scratch);
-    stamps.reply_us = reply_watch.seconds() * 1e6;
-    // total = frame completion -> reply written, plus the recv time that
-    // preceded the frame. Every stage is a disjoint sub-interval, so
-    // stage_sum_us() <= total_us; the remainder is handoff time, visible at
-    // the wait sites.
-    stamps.total_us = (trace_clock_seconds() - item.frame_t) * 1e6 +
-                      stamps.recv_wait_us + stamps.recv_read_us;
-    // adiv-lint: allow(hot-path, "profiling-only path; the JSON stage record is 1-in-N sampled diagnostics")
-    record_stages(item.request, item.session_id, scratch, stamps,
-                  sessions_.shard_of(item.session_id) + 1);
+    {
+        const StageTimer reply(item.stamps.reply_us);
+        deliver(connection, item.seq, &scratch);
+    }
+    if (stamped) {
+        // adiv-lint: allow(hot-path, "profiling-only path; the JSON stage record is 1-in-N sampled diagnostics")
+        record_stages(item, item.session_id, scratch,
+                      sessions_.shard_of(item.session_id) + 1);
+    }
 }
 
 void Server::deliver(Connection& connection, std::uint64_t seq,
@@ -557,9 +496,16 @@ void Server::finish_locked(Connection& connection) {
     connections_changed_.notify_all();
 }
 
-void Server::record_stages(const Request& request, std::uint64_t session_id,
-                           const Response& response, const StageStamps& stamps,
-                           std::size_t lane) {
+void Server::record_stages(RunItem& item, std::uint64_t session_id,
+                           const Response& response, std::size_t lane) {
+    // total = frame completion -> reply written, plus the recv time that
+    // preceded the frame. Every stage is a disjoint sub-interval, so
+    // stage_sum_us() <= total_us; the remainder is handoff time, visible at
+    // the wait sites.
+    const Request& request = item.request;
+    StageStamps& stamps = item.stamps;
+    stamps.total_us = (trace_clock_seconds() - item.frame_t) * 1e6 +
+                      stamps.recv_wait_us + stamps.recv_read_us;
     // Traced requests leave their ids as sketch exemplars, so a scraped
     // tail latency names the spans that produced it.
     const std::uint64_t trace = request.trace_id;

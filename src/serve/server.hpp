@@ -43,7 +43,7 @@
 //   serve.frames_rejected       counter, malformed frames / requests
 //   serve.responses_sent        counter
 //   serve.queue_depth           gauge, shard run-queue depth at enqueue
-//   serve.shard.queue_depth     histogram over the same depths (profiling)
+//   serve.shard.queue_depth     sketch over the same depths (profiling)
 //
 // Profiling (active only while profiling_enabled(); see obs/profile.hpp):
 // each handled request is stamped with recv_wait/recv_read/parse/queue/
@@ -168,12 +168,10 @@ private:
         Request request;
         std::uint64_t seq = 0;
         std::uint64_t session_id = 0;
-        // Stage stamps, populated by the reader only while profiling is on.
+        // Stage stamps, filled by StageTimer only while profiling is on.
         // frame_t > 0 marks a stamped item (trace_clock_seconds() is measured
         // from the first call in the process, so 0 cannot collide).
-        double recv_wait_us = 0.0;  // read blocked between frames (idle)
-        double recv_read_us = 0.0;  // read blocked mid-frame (work)
-        double parse_us = 0.0;      // payload -> Request
+        StageStamps stamps;
         double frame_t = 0.0;       // clock at frame completion (total_us base)
         double enqueued_t = 0.0;    // clock at run-queue append (queue_us base)
     };
@@ -244,7 +242,8 @@ private:
 
     void reader_loop(Connection& connection);
     void handle_payload(Connection& connection, std::string_view payload,
-                        double& recv_wait_us, double& recv_read_us);
+                        StageStamps& recv);
+    Response answer_inline(Connection& connection, const Request& request);
     void reader_eof(Connection& connection);
     void reader_fatal(Connection& connection, const std::string& message);
     std::uint32_t claim_slot(Connection& connection);
@@ -258,9 +257,8 @@ private:
     void write_locked(Connection& connection, const Response& response);
     void advance_locked(Connection& connection);
     void finish_locked(Connection& connection);
-    void record_stages(const Request& request, std::uint64_t session_id,
-                       const Response& response, const StageStamps& stamps,
-                       std::size_t lane);
+    void record_stages(RunItem& item, std::uint64_t session_id,
+                       const Response& response, std::size_t lane);
 
     ServerConfig config_;
     std::size_t bound_;  // resolved queue_capacity (never 0)
@@ -282,7 +280,7 @@ private:
     Sketch& stage_score_us_;
     Sketch& stage_reply_us_;
     Sketch& stage_total_us_;
-    Histogram& shard_queue_depth_;
+    Sketch& shard_queue_depth_;
     WaitSite& slot_wait_site_;
     WaitSite& enqueue_block_site_;
     WaitSite& wakeup_site_;

@@ -102,7 +102,7 @@ SessionManager::SessionManager(ModelCatalog& catalog, SessionConfig config,
       events_pushed_(metrics.counter("serve.events_pushed")),
       alarms_emitted_(metrics.counter("serve.alarms_emitted")),
       ensembles_opened_(metrics.counter("fusion.sessions_opened")),
-      push_latency_us_(metrics.histogram("serve.push_latency_us")) {
+      push_latency_us_(metrics.sketch("serve.push_latency_us")) {
     // Wait sites live in the global registry regardless of `metrics`:
     // sites are process-wide diagnostics, and tests assert per-manager
     // behaviour through the session metrics, not the site counters.

@@ -21,7 +21,7 @@
 //   serve.events_pushed      counter, one per event in a PUSH
 //   serve.alarms_emitted     counter, maximal responses delivered (fused
 //                            responses for ensemble sessions)
-//   serve.push_latency_us    histogram over per-PUSH handling time
+//   serve.push_latency_us    sketch over per-PUSH handling time
 //   fusion.sessions_opened   counter, OPENs that bound an ensemble spec
 //   fusion.threshold.m<i>    gauge, member i's calibrated vote threshold
 //                            (last writer wins across ensemble sessions)
@@ -224,7 +224,7 @@ private:
     Counter& events_pushed_;
     Counter& alarms_emitted_;
     Counter& ensembles_opened_;
-    Histogram& push_latency_us_;
+    Sketch& push_latency_us_;
 };
 
 }  // namespace adiv::serve

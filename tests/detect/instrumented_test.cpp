@@ -40,8 +40,8 @@ TEST(InstrumentedDetector, CountsTrainAndScoreTraffic) {
     EXPECT_EQ(metrics.find_counter("detect.train_calls")->value(), 1u);
     EXPECT_EQ(metrics.find_counter("detect.train_events")->value(),
               training.size());
-    EXPECT_EQ(metrics.find_histogram("detect.train_us")->count(), 1u);
-    EXPECT_GT(metrics.find_histogram("detect.train_us")->summary().max, 0.0);
+    EXPECT_EQ(metrics.find_sketch("detect.train_us")->summary().count, 1u);
+    EXPECT_GT(metrics.find_sketch("detect.train_us")->summary().max, 0.0);
 
     const EventStream probe = test::small_corpus().background(128, 1);
     const auto r1 = d->score(probe);
@@ -49,7 +49,7 @@ TEST(InstrumentedDetector, CountsTrainAndScoreTraffic) {
     EXPECT_EQ(metrics.find_counter("detect.score_calls")->value(), 2u);
     EXPECT_EQ(metrics.find_counter("detect.score_windows")->value(),
               2 * r1.size());
-    EXPECT_EQ(metrics.find_histogram("detect.score_us")->count(), 2u);
+    EXPECT_EQ(metrics.find_sketch("detect.score_us")->summary().count, 2u);
 }
 
 TEST(InstrumentedDetector, EmitsTrainAndScoreSpans) {

@@ -10,6 +10,7 @@
 #include "engine/scheduler.hpp"
 #include "engine/sink.hpp"
 #include "support/corpus_fixture.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -61,7 +62,7 @@ TEST(ChartSink, OptionsSuppressSections) {
 }
 
 TEST(CsvFileSink, WritesHeaderRowsAndSummaryTrailer) {
-    const std::string path = ::testing::TempDir() + "adiv_sink_test.csv";
+    const std::string path = test::temp_path("adiv_sink_test.csv");
     {
         CsvFileSink sink(path);
         replay(sink);

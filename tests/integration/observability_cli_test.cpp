@@ -12,7 +12,6 @@
 #include <sys/wait.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,6 +19,7 @@
 
 #include "io/stream_io.hpp"
 #include "support/corpus_fixture.hpp"
+#include "support/temp_dir.hpp"
 
 namespace adiv {
 namespace {
@@ -62,8 +62,9 @@ protected:
     // Train once for the whole fixture: write a training stream from the
     // shared corpus, fit a stide model with the real tool.
     static void SetUpTestSuite() {
-        dir_ = new std::string(::testing::TempDir() + "adiv_obs_cli/");
-        std::filesystem::create_directories(*dir_);
+        // Per-process: every case runs SetUpTestSuite in its own process,
+        // and concurrent cases must not rebuild each other's model files.
+        dir_ = new std::string(test::temp_dir());
         save_stream_file(test::small_corpus().generate_heldout(20'000, 11),
                          *dir_ + "train.stream");
         save_stream_file(test::small_corpus().generate_heldout(6'000, 13),
@@ -165,7 +166,7 @@ TEST_F(ObservabilityCli, MetricsFileReceivesJsonDump) {
     EXPECT_NE(json.find("\"online.events_consumed\":6000"), std::string::npos);
     EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
     EXPECT_NE(json.find("\"online.alarm_rate\":"), std::string::npos);
-    EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
+    EXPECT_NE(json.find("\"sketches\":{"), std::string::npos);
     EXPECT_NE(json.find("\"p95\":"), std::string::npos);
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/online.hpp"
 #include "support/corpus_fixture.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -121,7 +122,7 @@ TEST(ModelIo, RejectsOutOfAlphabetSymbols) {
 TEST(ModelIo, FileHelpersRoundTrip) {
     auto d = make_detector(DetectorKind::Markov, 4);
     d->train(test::small_corpus().training());
-    const std::string path = ::testing::TempDir() + "/adiv_model_io_test.adiv";
+    const std::string path = test::temp_path("adiv_model_io_test.adiv");
     save_detector_file(*d, path);
     const auto restored = load_detector_file(path);
     const EventStream heldout = test::small_corpus().generate_heldout(2'000, 9);

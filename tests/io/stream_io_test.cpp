@@ -7,6 +7,7 @@
 
 #include "datagen/trace_model.hpp"
 #include "support/corpus_fixture.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -54,7 +55,7 @@ TEST(StreamIo, RejectsOutOfAlphabetSymbol) {
 
 TEST(StreamIo, FileHelpersRoundTrip) {
     const EventStream original(8, {3, 1, 4, 1, 5});
-    const std::string path = ::testing::TempDir() + "/adiv_stream_io_test.adiv";
+    const std::string path = test::temp_path("adiv_stream_io_test.adiv");
     save_stream_file(original, path);
     EXPECT_EQ(load_stream_file(path).events(), original.events());
     std::remove(path.c_str());
@@ -87,7 +88,7 @@ TEST(TraceIo, RejectsUnknownSymbolName) {
 TEST(TraceIo, FileHelpersRoundTrip) {
     const TraceModel model = make_command_model();
     const EventStream stream = model.generate(200, 3);
-    const std::string path = ::testing::TempDir() + "/adiv_trace_io_test.adiv";
+    const std::string path = test::temp_path("adiv_trace_io_test.adiv");
     save_trace_file(model.alphabet(), stream, path);
     const auto [alphabet, restored] = load_trace_file(path);
     EXPECT_EQ(restored.events(), stream.events());

@@ -194,7 +194,7 @@ TEST(LintMetricName, FlagsNonConventionalNames) {
         void f(adiv::MetricsRegistry& m) {
             m.counter("EventsPushed").add(1);
             m.gauge("depth").set(0.0);
-            m.histogram("serve.Latency_US").record(1.0);
+            m.sketch("serve.Latency_US").record(1.0);
         }
     )", {"metric-name"});
     EXPECT_EQ(count_rule(findings, "metric-name"), 3u);
@@ -265,7 +265,7 @@ TEST(LintMetricName, CleanDottedLowercase) {
     const auto findings = lint_one("src/x.cpp", R"(
         void f(adiv::MetricsRegistry& m) {
             m.counter("serve.events_pushed").add(1);
-            m.histogram("experiment.cell_us").record(2.0);
+            m.sketch("experiment.cell_us").record(2.0);
             TraceSpan span("engine.plan");
             TraceSpan named_span("experiment.train2");
         }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
-
 namespace adiv {
 namespace {
 
@@ -27,136 +25,6 @@ TEST(Gauge, HoldsLastValue) {
     EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
-TEST(Histogram, RejectsBadBounds) {
-    EXPECT_THROW(Histogram(std::vector<double>{}), InvalidArgument);
-    EXPECT_THROW(Histogram({3.0, 2.0, 1.0}), InvalidArgument);
-    EXPECT_THROW(Histogram({1.0, 1.0, 2.0}), InvalidArgument);
-}
-
-TEST(Histogram, EmptyReportsZeros) {
-    const Histogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    const HistogramSummary s = h.summary();
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_DOUBLE_EQ(s.mean, 0.0);
-    EXPECT_DOUBLE_EQ(s.p99, 0.0);
-}
-
-TEST(Histogram, SingleSampleIsReportedExactly) {
-    // The percentile estimate is clamped to the observed [min, max], so with
-    // one sample every percentile IS that sample, despite bucketing.
-    Histogram h;
-    h.record(3.7);
-    const HistogramSummary s = h.summary();
-    EXPECT_EQ(s.count, 1u);
-    EXPECT_DOUBLE_EQ(s.min, 3.7);
-    EXPECT_DOUBLE_EQ(s.max, 3.7);
-    EXPECT_DOUBLE_EQ(s.mean, 3.7);
-    EXPECT_DOUBLE_EQ(s.p50, 3.7);
-    EXPECT_DOUBLE_EQ(s.p95, 3.7);
-    EXPECT_DOUBLE_EQ(s.p99, 3.7);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.7);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 3.7);
-}
-
-TEST(Histogram, TracksSumMinMax) {
-    Histogram h({10.0, 100.0});
-    h.record(5.0);
-    h.record(50.0);
-    h.record(500.0);  // overflow bucket
-    const HistogramSummary s = h.summary();
-    EXPECT_EQ(s.count, 3u);
-    EXPECT_DOUBLE_EQ(s.sum, 555.0);
-    EXPECT_DOUBLE_EQ(s.mean, 185.0);
-    EXPECT_DOUBLE_EQ(s.min, 5.0);
-    EXPECT_DOUBLE_EQ(s.max, 500.0);
-}
-
-TEST(Histogram, PercentilesLandInTheRightBucket) {
-    // 100 samples in (0,10], 0 elsewhere below, 100 in (10,20].
-    Histogram h({10.0, 20.0, 30.0});
-    for (int i = 0; i < 100; ++i) h.record(5.0);
-    for (int i = 0; i < 100; ++i) h.record(15.0);
-    // Rank 100 lands exactly at the top of the first bucket.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);
-    // Rank 198 interpolates into the second bucket (10 + 9.8) but the
-    // estimate is clamped to the observed max of 15.
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 15.0);
-    // q=1 is the observed max.
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 15.0);
-}
-
-TEST(Histogram, PercentileClampedToObservedRange) {
-    // Every sample is 12, all in bucket (10,20]; interpolation would report
-    // values spread over the bucket but the clamp pins them to 12.
-    Histogram h({10.0, 20.0});
-    for (int i = 0; i < 10; ++i) h.record(12.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 12.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 12.0);
-}
-
-TEST(Histogram, OverflowRanksAreFlaggedNotSilentlyClamped) {
-    // Ten in-range samples and ten in the implicit overflow bucket: p50
-    // interpolates a finite bucket, but p95/p99 land past the last bound —
-    // those estimates are bounded only by the observed max and must say so.
-    Histogram h({10.0, 20.0});
-    for (int i = 0; i < 10; ++i) h.record(5.0);
-    for (int i = 0; i < 10; ++i) h.record(1000.0);
-    const HistogramSummary s = h.summary();
-    EXPECT_EQ(s.overflow, 10u);
-    EXPECT_FALSE(s.p50_overflow);
-    EXPECT_TRUE(s.p95_overflow);
-    EXPECT_TRUE(s.p99_overflow);
-    // The flagged estimate interpolates between the last finite bound and
-    // the observed max — past every finite bucket, at or below the max.
-    EXPECT_GT(s.p99, 20.0);
-    EXPECT_LE(s.p99, s.max);
-    bool overflow = false;
-    EXPECT_DOUBLE_EQ(h.percentile(1.0, overflow), 1000.0);
-    EXPECT_TRUE(overflow);
-    (void)h.percentile(0.1, overflow);
-    EXPECT_FALSE(overflow);  // the out-param resets per call
-}
-
-TEST(Histogram, InRangeDataNeverSetsOverflowFlags) {
-    Histogram h({10.0, 20.0});
-    for (int i = 0; i < 100; ++i) h.record(5.0);
-    const HistogramSummary s = h.summary();
-    EXPECT_EQ(s.overflow, 0u);
-    EXPECT_FALSE(s.p50_overflow);
-    EXPECT_FALSE(s.p95_overflow);
-    EXPECT_FALSE(s.p99_overflow);
-}
-
-TEST(Histogram, RejectsOutOfRangeRank) {
-    Histogram h;
-    h.record(1.0);
-    EXPECT_THROW((void)h.percentile(-0.1), InvalidArgument);
-    EXPECT_THROW((void)h.percentile(1.1), InvalidArgument);
-}
-
-TEST(Histogram, ResetClearsEverything) {
-    Histogram h;
-    h.record(4.0);
-    h.record(8.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    h.record(2.0);  // still usable; min/max re-seed from the new sample
-    EXPECT_DOUBLE_EQ(h.summary().min, 2.0);
-    EXPECT_DOUBLE_EQ(h.summary().max, 2.0);
-}
-
-TEST(Histogram, DefaultLatencyBucketsAreAscending) {
-    const auto bounds = Histogram::latency_buckets_us();
-    ASSERT_FALSE(bounds.empty());
-    EXPECT_DOUBLE_EQ(bounds.front(), 1.0);
-    EXPECT_DOUBLE_EQ(bounds.back(), 1e6);
-    for (std::size_t i = 1; i < bounds.size(); ++i)
-        EXPECT_LT(bounds[i - 1], bounds[i]);
-}
-
 TEST(MetricsRegistry, LookupCreatesOnceAndStaysStable) {
     MetricsRegistry reg;
     Counter& a = reg.counter("events");
@@ -171,7 +39,7 @@ TEST(MetricsRegistry, FindDoesNotCreate) {
     MetricsRegistry reg;
     EXPECT_EQ(reg.find_counter("missing"), nullptr);
     EXPECT_EQ(reg.find_gauge("missing"), nullptr);
-    EXPECT_EQ(reg.find_histogram("missing"), nullptr);
+    EXPECT_EQ(reg.find_sketch("missing"), nullptr);
     reg.counter("present").add();
     ASSERT_NE(reg.find_counter("present"), nullptr);
     EXPECT_EQ(reg.find_counter("present")->value(), 1u);
@@ -183,15 +51,15 @@ TEST(MetricsRegistry, SnapshotIsNameSorted) {
     reg.counter("zebra").add(1);
     reg.counter("apple").add(2);
     reg.gauge("rate").set(0.5);
-    reg.histogram("lat").record(3.0);
+    reg.sketch("lat").record(3.0);
     const auto snap = reg.snapshot();
     ASSERT_EQ(snap.counters.size(), 2u);
     EXPECT_EQ(snap.counters[0].first, "apple");
     EXPECT_EQ(snap.counters[1].first, "zebra");
     ASSERT_EQ(snap.gauges.size(), 1u);
     EXPECT_DOUBLE_EQ(snap.gauges[0].second, 0.5);
-    ASSERT_EQ(snap.histograms.size(), 1u);
-    EXPECT_EQ(snap.histograms[0].second.count, 1u);
+    ASSERT_EQ(snap.sketches.size(), 1u);
+    EXPECT_EQ(snap.sketches[0].second.count, 1u);
     EXPECT_FALSE(snap.empty());
     EXPECT_TRUE(MetricsRegistry().snapshot().empty());
 }
@@ -200,14 +68,14 @@ TEST(MetricsRegistry, ResetZeroesButKeepsHandlesValid) {
     MetricsRegistry reg;
     Counter& c = reg.counter("n");
     Gauge& g = reg.gauge("x");
-    Histogram& h = reg.histogram("lat");
+    Sketch& h = reg.sketch("lat");
     c.add(5);
     g.set(1.0);
     h.record(2.0);
     reg.reset();
     EXPECT_EQ(c.value(), 0u);
     EXPECT_DOUBLE_EQ(g.value(), 0.0);
-    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.summary().count, 0u);
     c.add(1);  // handle still live after reset
     EXPECT_EQ(reg.find_counter("n")->value(), 1u);
 }
@@ -216,7 +84,7 @@ TEST(MetricsRendering, TableListsEveryInstrument) {
     MetricsRegistry reg;
     reg.counter("online.events_consumed").add(100);
     reg.gauge("online.alarm_rate").set(0.25);
-    reg.histogram("online.push_latency_us").record(4.0);
+    reg.sketch("online.push_latency_us").record(4.0);
     const std::string table = render_metrics_table(reg);
     EXPECT_NE(table.find("online.events_consumed"), std::string::npos);
     EXPECT_NE(table.find("100"), std::string::npos);
@@ -235,25 +103,12 @@ TEST(MetricsRendering, JsonCarriesAllKinds) {
     MetricsRegistry reg;
     reg.counter("c").add(3);
     reg.gauge("g").set(1.5);
-    reg.histogram("h").record(10.0);
+    reg.sketch("h").record(10.0);
     const std::string json = metrics_to_json(reg);
     EXPECT_NE(json.find("\"counters\":{\"c\":3}"), std::string::npos);
     EXPECT_NE(json.find("\"gauges\":{\"g\":1.5}"), std::string::npos);
     EXPECT_NE(json.find("\"h\":{\"count\":1"), std::string::npos);
     EXPECT_NE(json.find("\"p99\":10"), std::string::npos);
-}
-
-TEST(MetricsRendering, OverflowedP99CarriesAPlusMarker) {
-    MetricsRegistry reg;
-    Histogram& h = reg.histogram("serve.push_latency_us", {10.0});
-    for (int i = 0; i < 100; ++i) h.record(5000.0);  // all overflow
-    const std::string table = render_metrics_table(reg);
-    // The flagged estimate renders as "<max>+": an estimate bounded only by
-    // the observed max, never a silently-precise finite-bucket figure.
-    EXPECT_NE(table.find("5000.000+"), std::string::npos);
-    const std::string json = metrics_to_json(reg);
-    EXPECT_NE(json.find("\"overflow\":100"), std::string::npos);
-    EXPECT_NE(json.find("\"p99_overflow\":true"), std::string::npos);
 }
 
 TEST(MetricsRendering, TableAndJsonCarrySketches) {
@@ -270,10 +125,11 @@ TEST(MetricsRendering, TableAndJsonCarrySketches) {
               std::string::npos);
     EXPECT_NE(json.find("\"exemplar_span\":\"0000000000000123\""),
               std::string::npos);
-    // A registry without sketches keeps its original JSON shape: no key.
+    // A registry without sketches still carries the block, empty: every
+    // dump has the same three keys.
     MetricsRegistry plain;
     plain.counter("c").add(1);
-    EXPECT_EQ(metrics_to_json(plain).find("\"sketches\""), std::string::npos);
+    EXPECT_NE(metrics_to_json(plain).find("\"sketches\":{}"), std::string::npos);
 }
 
 TEST(MetricsRegistry, SketchLookupHonorsLanesOnFirstCreation) {

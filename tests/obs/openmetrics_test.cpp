@@ -68,7 +68,7 @@ TEST(OpenMetricsRender, CountersGetTypeLineAndTotalSuffix) {
 TEST(OpenMetricsRender, GaugesAndHistogramsRender) {
     MetricsRegistry reg;
     reg.gauge("serve.queue_depth").set(3.5);
-    reg.histogram("serve.push_latency_us").record(10.0);
+    reg.sketch("serve.push_latency_us").record(10.0);
     const std::string text = metrics_to_openmetrics(reg);
     EXPECT_NE(text.find("# TYPE adiv_serve_queue_depth gauge\n"), std::string::npos);
     EXPECT_NE(text.find("adiv_serve_queue_depth 3.5\n"), std::string::npos);
@@ -81,10 +81,10 @@ TEST(OpenMetricsRender, GaugesAndHistogramsRender) {
 }
 
 TEST(OpenMetricsRender, ZeroSampleHistogramRendersZerosNotNaN) {
-    // A histogram that was created but never recorded must expose quantiles
-    // of 0 (HistogramSummary's empty contract), never NaN.
+    // A sketch that was created but never recorded must expose quantiles
+    // of 0 (SketchSummary's empty contract), never NaN.
     MetricsRegistry reg;
-    (void)reg.histogram("serve.push_latency_us");
+    (void)reg.sketch("serve.push_latency_us");
     const std::string text = metrics_to_openmetrics(reg);
     EXPECT_EQ(text.find("NaN"), std::string::npos);
     EXPECT_NE(text.find("adiv_serve_push_latency_us{quantile=\"0.5\"} 0\n"),
@@ -103,8 +103,8 @@ TEST(OpenMetricsRender, RoundTripsThroughTheParser) {
     reg.counter("serve.events_pushed").add(100);
     reg.counter("serve.alarms_emitted").add(3);
     reg.gauge("serve.sessions_active").set(2.0);
-    reg.histogram("serve.push_latency_us").record(5.0);
-    reg.histogram("serve.push_latency_us").record(15.0);
+    reg.sketch("serve.push_latency_us").record(5.0);
+    reg.sketch("serve.push_latency_us").record(15.0);
     const OpenMetricsDocument doc = parse_openmetrics(metrics_to_openmetrics(reg));
     EXPECT_EQ(doc.type_of("adiv_serve_events_pushed"), "counter");
     EXPECT_EQ(doc.type_of("adiv_serve_sessions_active"), "gauge");

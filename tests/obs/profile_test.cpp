@@ -1,6 +1,7 @@
 // Wait-site accounting: registry instrument naming, kind semantics,
-// dominant-site selection, JSONL rendering, the profiled lock types, and
-// the thread-pool probe — including the off-switch (everything inert) and a
+// dominant-site selection, JSONL rendering, the two profiling idioms
+// (StageTimer stamps and wait_at passes, ProfiledMutex included), and the
+// thread-pool probe — including the off-switch (everything inert) and a
 // concurrent-writer stress that TSan supervises in the sanitizer pass.
 #include "obs/profile.hpp"
 
@@ -8,10 +9,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -38,8 +41,8 @@ TEST(WaitSite, RegistersDottedInstrumentsInTheGivenRegistry) {
     site.record_wait_us(250.0);
     EXPECT_EQ(reg.counter("test.lock.acquires").value(), 2u);
     EXPECT_EQ(reg.counter("test.lock.contended").value(), 1u);
-    EXPECT_EQ(reg.histogram("test.lock.wait_us").summary().count, 1u);
-    EXPECT_DOUBLE_EQ(reg.histogram("test.lock.wait_us").summary().sum, 250.0);
+    EXPECT_EQ(reg.sketch("test.lock.wait_us").summary().count, 1u);
+    EXPECT_DOUBLE_EQ(reg.sketch("test.lock.wait_us").summary().sum, 250.0);
 }
 
 TEST(WaitSite, LookupIsIdempotentAndFirstKindWins) {
@@ -175,26 +178,93 @@ TEST(ProfiledMutexSuite, ContendedLockRecordsWaitTime) {
     EXPECT_GT(site.wait_summary().sum, 0.0);
 }
 
-TEST(ProfiledMutexSuite, ProfiledLockAttributesContentionOnBareMutex) {
+TEST(WaitAtSuite, ConditionWaitCountsAnAcquireOrATimedWait) {
+    // The shape the serve slot arena and run queue use: a predicate that
+    // holds is an uncontended pass; one that must be waited for is timed.
     if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
     const ProfilingGuard profiling;
     MetricsRegistry reg;
     WaitSiteRegistry sites(reg);
-    WaitSite& site = sites.site("test.cv_lock");
+    WaitSite& site = sites.site("test.cv");
     std::mutex mutex;
-    std::atomic<bool> held{false};
-    std::thread holder([&] {
-        const ProfiledLock guard(mutex, site);
-        held.store(true);
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    std::condition_variable changed;
+    bool ready = true;
+    const auto pass = [&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        const auto is_ready = [&ready] { return ready; };
+        wait_at(site, is_ready, [&] { changed.wait(lock, is_ready); });
+    };
+    pass();
+    EXPECT_EQ(site.acquires(), 1u);
+    EXPECT_EQ(site.contended(), 0u);
+    ready = false;
+    std::thread releaser([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            ready = true;
+        }
+        changed.notify_one();
     });
-    while (!held.load()) std::this_thread::yield();
-    {
-        const ProfiledLock guard(mutex, site);
-    }
-    holder.join();
+    pass();
+    releaser.join();
     EXPECT_EQ(site.acquires(), 2u);
     EXPECT_EQ(site.contended(), 1u);
+    EXPECT_GT(site.wait_summary().sum, 0.0);
+}
+
+TEST(WaitAtSuite, DisabledProfilingIsJustTheBlockingCall) {
+    MetricsRegistry reg;
+    WaitSiteRegistry sites(reg);
+    WaitSite& site = sites.site("test.cv");
+    int tried = 0;
+    int blocked = 0;
+    wait_at(site, [&tried] { return ++tried > 0; }, [&blocked] { ++blocked; });
+    EXPECT_EQ(tried, 0);
+    EXPECT_EQ(blocked, 1);
+    EXPECT_EQ(site.acquires(), 0u);
+}
+
+static_assert(profiling_compiled() || std::is_empty_v<StageTimer>,
+              "under ADIV_PROFILE=OFF a stamp must compile to nothing");
+
+TEST(StageTimerSuite, OffLeavesTheFieldUntouched) {
+    double field = 1.5;
+    {
+        const StageTimer timer(field);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(field, 1.5);
+}
+
+TEST(StageTimerSuite, OnAddsTheScopesElapsedMicroseconds) {
+    if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
+    const ProfilingGuard profiling;
+    double field = 1.5;
+    {
+        const StageTimer timer(field);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_GE(field, 1.5 + 2000.0);
+}
+
+TEST(StageTimerSuite, TheSwitchIsReadOnceAtConstruction) {
+    if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
+    double on_at_start = 0.0;
+    double off_at_start = 0.0;
+    {
+        const ProfilingGuard profiling;
+        const StageTimer timer(on_at_start);
+        set_profiling_enabled(false);  // mid-scope: the stamp still lands
+    }
+    {
+        const StageTimer timer(off_at_start);
+        set_profiling_enabled(true);  // mid-scope: no clock was read
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        set_profiling_enabled(false);
+    }
+    EXPECT_GT(on_at_start, 0.0);
+    EXPECT_EQ(off_at_start, 0.0);
 }
 
 TEST(WaitSiteStress, ConcurrentWritersAndReadersStayConsistent) {
@@ -239,7 +309,7 @@ TEST(WaitSiteProbe, MapsPoolHooksOntoSitesAndDepthHistogram) {
     probe.queue_depth_sampled(3);
     EXPECT_EQ(reg.counter("test_pool.enqueue_block.contended").value(), 1u);
     EXPECT_EQ(reg.counter("test_pool.dequeue_wait.contended").value(), 1u);
-    EXPECT_EQ(reg.histogram("test_pool.queue_depth").summary().count, 1u);
+    EXPECT_EQ(reg.sketch("test_pool.queue_depth").summary().count, 1u);
     const std::vector<WaitSiteSummary> summaries = sites.summaries();
     ASSERT_EQ(summaries.size(), 2u);
     EXPECT_EQ(summaries[0].name, "test_pool.dequeue_wait");
@@ -258,7 +328,7 @@ TEST(WaitSiteProbe, InertWhileProfilingDisabled) {
     probe.queue_depth_sampled(3);
     EXPECT_EQ(reg.counter("test_pool.enqueue_block.acquires").value(), 0u);
     EXPECT_EQ(reg.counter("test_pool.dequeue_wait.acquires").value(), 0u);
-    EXPECT_EQ(reg.histogram("test_pool.queue_depth").summary().count, 0u);
+    EXPECT_EQ(reg.sketch("test_pool.queue_depth").summary().count, 0u);
 }
 
 TEST(WaitSiteProbe, BoundedPoolUnderLoadFeedsTheProbe) {
@@ -287,7 +357,7 @@ TEST(WaitSiteProbe, BoundedPoolUnderLoadFeedsTheProbe) {
             pool.async([] {}).get();
         }
     }  // ~ThreadPool drains the queue — a barrier, not a cancellation
-    EXPECT_GT(reg.histogram("test_pool.queue_depth").summary().count, 0u);
+    EXPECT_GT(reg.sketch("test_pool.queue_depth").summary().count, 0u);
     // 64 one-millisecond tasks through a 2-slot queue: the submitter blocked.
     EXPECT_GT(reg.counter("test_pool.enqueue_block.acquires").value(), 0u);
     // And a parked worker picked up the post-drain task.

@@ -58,12 +58,12 @@ TEST(TelemetrySampler, EmitsByteExactSeriesUnderInjectedClock) {
               "{\"type\":\"metrics_sample\",\"seq\":0,"
               "\"timestamp\":\"2026-08-06T00:00:00Z\","
               "\"counters\":{\"test.events\":{\"total\":5,\"delta\":5}},"
-              "\"gauges\":{},\"histograms\":{}}");
+              "\"gauges\":{},\"sketches\":{}}");
     EXPECT_EQ(lines[1],
               "{\"type\":\"metrics_sample\",\"seq\":1,"
               "\"timestamp\":\"2026-08-06T00:00:00Z\","
               "\"counters\":{\"test.events\":{\"total\":7,\"delta\":2}},"
-              "\"gauges\":{},\"histograms\":{}}");
+              "\"gauges\":{},\"sketches\":{}}");
     EXPECT_EQ(sampler.samples_written(), 2u);
 }
 
@@ -75,7 +75,7 @@ TEST(TelemetrySampler, SameRegistryStateYieldsIdenticalFirstSample) {
         MetricsRegistry reg;
         reg.counter("test.events").add(41);
         reg.gauge("test.level").set(2.5);
-        reg.histogram("test.latency_us").record(10.0);
+        reg.sketch("test.latency_us").record(10.0);
         std::ostringstream out;
         TelemetrySamplerConfig config;
         config.clock = pinned_clock;
@@ -88,24 +88,29 @@ TEST(TelemetrySampler, SameRegistryStateYieldsIdenticalFirstSample) {
     EXPECT_EQ(first, second);
 }
 
-TEST(TelemetrySampler, HistogramSamplesCarryDigestAndCountDelta) {
+TEST(TelemetrySampler, SketchSamplesCarryDigestAndCountDelta) {
+    // Every sketch — serve.stage.* included — reaches the series, with its
+    // count delta since the previous tick and its digest.
     MetricsRegistry reg;
-    reg.histogram("test.latency_us").record(4.0);
+    reg.sketch("serve.stage.total_us", /*lanes=*/2).record(4.0, /*lane=*/1);
     std::ostringstream out;
     TelemetrySamplerConfig config;
     config.clock = pinned_clock;
     TelemetrySampler sampler(reg, std::make_shared<StreamTraceSink>(out), config);
     sampler.sample_once();
-    reg.histogram("test.latency_us").record(8.0);
-    reg.histogram("test.latency_us").record(12.0);
+    reg.sketch("serve.stage.total_us").record(8.0, /*lane=*/0);
+    reg.sketch("serve.stage.total_us").record(12.0, /*lane=*/1);
     sampler.sample_once();
 
     const std::vector<std::string> lines = lines_of(out.str());
     ASSERT_EQ(lines.size(), 2u);
-    EXPECT_NE(lines[0].find("\"test.latency_us\":{\"count\":1,\"delta\":1"),
+    EXPECT_NE(lines[0].find("\"sketches\":{\"serve.stage.total_us\":"
+                            "{\"count\":1,\"delta\":1,\"mean\":4,"),
               std::string::npos);
-    EXPECT_NE(lines[1].find("\"test.latency_us\":{\"count\":3,\"delta\":2"),
+    EXPECT_NE(lines[1].find("\"serve.stage.total_us\":{\"count\":3,"
+                            "\"delta\":2,\"mean\":8,"),
               std::string::npos);
+    EXPECT_NE(lines[1].find("\"max\":12}"), std::string::npos);
 }
 
 TEST(TelemetrySampler, RegistryResetClampsDeltaToZero) {

@@ -12,6 +12,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -79,7 +80,7 @@ TEST(ObsSessionInstall, DashSpecMeansStderr) {
 }
 
 TEST(ObsSessionInstall, FileSpecWritesManifestFirstLine) {
-    const std::string path = ::testing::TempDir() + "adiv_session_trace.jsonl";
+    const std::string path = test::temp_path("adiv_session_trace.jsonl");
     const std::shared_ptr<TraceSink> before = global_trace_sink();
     {
         ObsSession session("", path, make_manifest("adiv_test"));
@@ -105,7 +106,7 @@ TEST(ObsSessionInstall, UnwritableTracePathThrowsDataError) {
 
 TEST(ObsSessionCli, MetricsIntervalStartsSamplerAndWritesSeries) {
     const std::string samples =
-        ::testing::TempDir() + "adiv_session_samples.jsonl";
+        test::temp_path("adiv_session_samples.jsonl");
     CliParser cli("adiv_test", "test");
     add_observability_options(cli);
     const char* argv[] = {"adiv_test", "--metrics-interval=20",
@@ -133,7 +134,7 @@ TEST(ObsSessionCli, ZeroIntervalMeansNoSampler) {
 }
 
 TEST(ObsSessionMetrics, DumpWritesJsonFile) {
-    const std::string path = ::testing::TempDir() + "adiv_session_metrics.json";
+    const std::string path = test::temp_path("adiv_session_metrics.json");
     global_metrics().counter("test.dump_events").add(2);
     ObsSession session(path, "", make_manifest("adiv_test"));
     EXPECT_TRUE(session.metrics_requested());

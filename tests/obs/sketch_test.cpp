@@ -203,6 +203,21 @@ TEST(SketchInstrument, LanesMergeLikeOneSketch) {
     EXPECT_EQ(merged.p99, direct.p99);
 }
 
+TEST(SketchInstrument, TracksExactSumMinMax) {
+    // The sum is kept in integer ticks, not rebuilt from bucket estimates:
+    // it is exact for values on the 1e-3 grid, out-of-range values included.
+    Sketch sketch(/*lanes=*/2);
+    sketch.record(5.0, /*lane=*/0);
+    sketch.record(50.0, /*lane=*/1);
+    sketch.record(2e9, /*lane=*/1);  // beyond max_tracked()
+    const SketchSummary s = sketch.summary();
+    EXPECT_EQ(s.count, 3u);
+    EXPECT_EQ(s.sum, 2000000055.0);
+    EXPECT_EQ(s.mean, 2000000055.0 / 3.0);
+    EXPECT_EQ(s.min, 5.0);
+    EXPECT_EQ(s.max, 2e9);
+}
+
 TEST(SketchInstrument, OutOfRangeLaneFallsBackToLaneZero) {
     Sketch lanes(/*lanes=*/2);
     lanes.record(1.0, /*lane=*/99);

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -128,7 +129,7 @@ TEST(OpenTraceSink, SpecSelectsImplementation) {
     EXPECT_FALSE(open_trace_sink("")->enabled());
     EXPECT_FALSE(open_trace_sink("null")->enabled());
     EXPECT_TRUE(open_trace_sink("-")->enabled());
-    const std::string path = ::testing::TempDir() + "adiv_trace_sink_test.jsonl";
+    const std::string path = test::temp_path("adiv_trace_sink_test.jsonl");
     auto file_sink = open_trace_sink(path);
     ASSERT_TRUE(file_sink->enabled());
     file_sink->write_line("{\"type\":\"probe\"}");

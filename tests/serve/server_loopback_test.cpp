@@ -347,7 +347,7 @@ TEST(ServerLoopback, MetricsObserveTheTraffic) {
     // OPENED + SCORES + DRAINED + CLOSED
     EXPECT_EQ(metrics.counter("serve.responses_sent").value(), 4u);
     EXPECT_EQ(metrics.gauge("serve.sessions_active").value(), 0.0);
-    EXPECT_GE(metrics.histogram("serve.push_latency_us").count(), 1u);
+    EXPECT_GE(metrics.sketch("serve.push_latency_us").summary().count, 1u);
 }
 
 TEST(ServerLoopback, StatsReportsSessionAndServerCounters) {

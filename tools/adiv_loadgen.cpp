@@ -56,7 +56,7 @@
 //
 // --profile (sweep mode, ADIV_PROFILE builds) turns each point into a
 // contention profile: the global metrics registry is reset per point, the
-// server's serve.stage.* histograms and wait-site instruments are captured
+// server's serve.stage.* sketches and wait-site instruments are captured
 // after the drain, and a `profile:` line names the dominant wait site.
 // --profile-trace PATH additionally streams the sampled event_stage lines
 // and per-point wait_site digests as JSONL for `adiv_traceview

@@ -29,7 +29,7 @@
 // events are scored by every member and fused per window.
 //
 // --profile turns on the hot-path contention instrumentation (requires an
-// ADIV_PROFILE build): serve.stage.* histograms and wait-site counters flow
+// ADIV_PROFILE build): serve.stage.* sketches and wait-site counters flow
 // through --metrics / the METRICS verb, sampled per-event `event_stage`
 // lines (1-in---profile-sample PUSHes) and a final `wait_site` digest land
 // in the --trace stream for `adiv_traceview --contention`. --dump-on-signal

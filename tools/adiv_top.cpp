@@ -12,7 +12,7 @@
 //     active sessions — computed from counter deltas between frames;
 //   * every counter with its lifetime total and per-second rate;
 //   * every summary family (the serve.stage.* sketches, client latency
-//     sketches, queue-depth histogram) with count/p50/p95/p99 — and, when
+//     sketches, queue-depth sketches) with count/p50/p95/p99 — and, when
 //     the p99 sample carries an exemplar, the trace id of the request
 //     behind the tail, ready for `adiv_traceview --request`.
 //

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Tier-1 gate plus optional sanitizer passes.
 #
-#   tools/ci_check.sh                   # configure, build, ctest (build/)
+#   tools/ci_check.sh                   # configure, build, ctest (build/);
+#                                       # every case runs up to 3 times
+#                                       # (--repeat until-fail:3) so a flaky
+#                                       # test fails the gate
 #   tools/ci_check.sh --sanitize        # also build + run tests under
 #                                       # ASan/UBSan (build-san/, slower)
 #   tools/ci_check.sh --sanitize thread # also build under TSan (build-tsan/)
@@ -19,11 +22,14 @@
 #                                       # daemon (METRICS verb + HTTP
 #                                       # GET /metrics, exposition validated)
 #   tools/ci_check.sh --profile-smoke   # also: profiled in-process loadgen
-#                                       # sweep (stage histograms, wait
+#                                       # sweep (stage sketches, wait
 #                                       # sites, hotpath JSON, traceview
 #                                       # --contention) plus a --profile
 #                                       # daemon driven with --dump and
-#                                       # SIGUSR1 flight-recorder dumps
+#                                       # SIGUSR1 flight-recorder dumps,
+#                                       # then the compile-time gate: a
+#                                       # -DADIV_PROFILE=OFF build in
+#                                       # build-noprof/ running tier-1
 #   tools/ci_check.sh --shard-smoke     # also: start adiv_serve --shards 4
 #                                       # --profile, drive a verified loadgen
 #                                       # run over TCP, scrape /metrics for
@@ -133,7 +139,7 @@ fi
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . -DADIV_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build -j "$jobs"
-(cd build && ctest --output-on-failure -j "$jobs")
+(cd build && ctest --output-on-failure -j "$jobs" --repeat until-fail:3)
 
 if [ "$lint" -eq 1 ]; then
     echo "== lint: adiv_lint self-scan (all rules, interprocedural included) =="
@@ -172,13 +178,14 @@ if [ "$tsan" -eq 1 ]; then
     # the engine sinks, the detection server (transports, shard strands,
     # concurrent sessions, the shard-determinism replay matrix), the
     # live-telemetry threads (sampler ticks, HTTP scrape listener), the
-    # profiling layer (wait-site registry, flight-recorder ring, stamped
-    # server pipeline), the fusion layer's served surface (ensemble
-    # sessions scored on shard strands, fused replay determinism), and the
-    # request-tracing surface (single-writer sketch lanes merged at
-    # snapshot, traced sessions spanning client threads and shard strands).
+    # profiling layer (wait-site registry, wait_at condition-variable
+    # passes, flight-recorder ring, stamped server pipeline), the fusion
+    # layer's served surface (ensemble sessions scored on shard strands,
+    # fused replay determinism), and the request-tracing surface
+    # (single-writer sketch lanes merged at snapshot, traced sessions
+    # spanning client threads and shard strands).
     (cd build-tsan && ctest --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E')
+        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|WaitAt|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E')
 fi
 
 if [ "$serve_smoke" -eq 1 ]; then
@@ -349,6 +356,14 @@ if [ "$profile_smoke" -eq 1 ]; then
     }
     rm -rf "$smoke_dir"
     trap - EXIT
+
+    # The zero-overhead contract's compile-time half: with ADIV_PROFILE=OFF
+    # every stamp is an empty type and every profiled branch dead code; the
+    # tree must still build warning-free and pass tier-1.
+    echo "-- profile smoke: -DADIV_PROFILE=OFF build + tier-1 (build-noprof/) --"
+    cmake -B build-noprof -S . -DADIV_PROFILE=OFF -DADIV_WERROR=ON
+    cmake --build build-noprof -j "$jobs"
+    (cd build-noprof && ctest --output-on-failure -j "$jobs")
 fi
 
 if [ "$shard_smoke" -eq 1 ]; then
