@@ -22,20 +22,21 @@ NnDetector::NnDetector(std::size_t window_length, NnDetectorConfig config)
 }
 
 void NnDetector::train(const EventStream& training) {
-    alphabet_size_ = training.alphabet_size();
+    const std::size_t alphabet = training.alphabet_size();
     memo_.clear();
 
     const std::size_t context_len = window_length_ - 1;
     const ConditionalModel model(training, context_len);
+    codec_.emplace(alphabet);  // the model checked DW against its capacity
 
     std::vector<MlpSample> batch;
     const auto distributions = model.distributions();
     batch.reserve(distributions.size());
     for (const ContextDistribution& dist : distributions) {
         MlpSample sample;
-        sample.input = one_hot_context(dist.context, alphabet_size_);
-        sample.target.resize(alphabet_size_);
-        for (std::size_t c = 0; c < alphabet_size_; ++c)
+        sample.input = one_hot_context(dist.context, alphabet);
+        sample.target.resize(alphabet);
+        for (std::size_t c = 0; c < alphabet; ++c)
             sample.target[c] = static_cast<double>(dist.next_counts[c]) /
                                static_cast<double>(dist.total);
         sample.weight = std::log2(1.0 + static_cast<double>(dist.total));
@@ -43,8 +44,8 @@ void NnDetector::train(const EventStream& training) {
     }
 
     MlpConfig net_config;
-    net_config.layer_sizes = {one_hot_size(context_len, alphabet_size_),
-                              config_.hidden_units, alphabet_size_};
+    net_config.layer_sizes = {one_hot_size(context_len, alphabet),
+                              config_.hidden_units, alphabet};
     net_config.learning_rate = config_.learning_rate;
     net_config.momentum = config_.momentum;
     net_config.init_scale = config_.init_scale;
@@ -56,25 +57,28 @@ void NnDetector::train(const EventStream& training) {
 std::vector<double> NnDetector::predict(SymbolView context) const {
     require(net_.has_value(), "neural-net detector must be trained before use");
     require(context.size() == window_length_ - 1, "context length mismatch");
-    const NgramCodec codec(alphabet_size_);
-    const NgramKey key = codec.encode(context);
-    if (auto cached = memo_.find(key)) return *std::move(cached);
-    std::vector<double> probs = net_->forward(one_hot_context(context, alphabet_size_));
-    memo_.store(key, probs);
-    return probs;
+    return net_->forward(one_hot_context(context, codec_->alphabet_size()));
+}
+
+double NnDetector::continuation_probability(SymbolView window) const {
+    const NgramKey key = codec_->encode(window);
+    if (const auto cached = memo_.find(key)) return *cached;
+    const std::size_t context_len = window_length_ - 1;
+    const double p = net_->forward(one_hot_context(
+        window.first(context_len), codec_->alphabet_size()))[window[context_len]];
+    memo_.store(key, p);
+    return p;
 }
 
 std::vector<double> NnDetector::score(const EventStream& test) const {
     require(net_.has_value(), "neural-net detector must be trained before scoring");
-    require(test.alphabet_size() == alphabet_size_,
+    require(test.alphabet_size() == codec_->alphabet_size(),
             "test alphabet does not match training alphabet");
-    const std::size_t context_len = window_length_ - 1;
     std::vector<double> responses;
     responses.reserve(test.window_count(window_length_));
     for_each_window(test, window_length_, [&](std::size_t, SymbolView w) {
-        const std::vector<double> probs = predict(w.subspan(0, context_len));
-        const double p = probs[w[context_len]];
-        responses.push_back(quantizer_.response_for_probability(p));
+        responses.push_back(
+            quantizer_.response_for_probability(continuation_probability(w)));
     });
     return responses;
 }
@@ -87,7 +91,7 @@ double NnDetector::training_loss() const {
 
 void NnDetector::save_model(std::ostream& out) const {
     require(net_.has_value(), "cannot save an untrained neural-net model");
-    out << window_length_ << ' ' << alphabet_size_ << ' ' << config_.hidden_units
+    out << window_length_ << ' ' << codec_->alphabet_size() << ' ' << config_.hidden_units
         << ' ' << config_.epochs << ' ';
     write_double(out, config_.learning_rate);
     out << ' ';
@@ -118,7 +122,9 @@ NnDetector NnDetector::load_model(std::istream& in) {
     config.probability_floor = read_double(in, "probability floor");
     config.seed = read_u64(in, "seed");
     NnDetector detector(window, config);
-    detector.alphabet_size_ = alphabet;
+    detector.codec_.emplace(alphabet);
+    require(window <= detector.codec_->max_length(),
+            "window length exceeds codec capacity");
     detector.training_loss_ = read_double(in, "training loss");
 
     MlpConfig net_config;
@@ -139,7 +145,7 @@ NnDetector NnDetector::load_model(std::istream& in) {
 
 std::size_t NnDetector::alphabet_size() const {
     require(net_.has_value(), "neural-net detector is not trained");
-    return alphabet_size_;
+    return codec_->alphabet_size();
 }
 
 }  // namespace adiv

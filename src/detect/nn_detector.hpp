@@ -65,20 +65,25 @@ public:
     /// Final training loss (weighted cross-entropy); throws before train().
     [[nodiscard]] double training_loss() const;
 
-    /// Predicted next-symbol distribution for a DW-1 context (diagnostics).
+    /// Predicted next-symbol distribution for a DW-1 context (diagnostics;
+    /// uncached, one forward pass per call).
     [[nodiscard]] std::vector<double> predict(SymbolView context) const;
 
 private:
+    /// Predicted probability of a DW-window's last symbol given the rest:
+    /// the memoized quantity score() quantizes.
+    [[nodiscard]] double continuation_probability(SymbolView window) const;
+
     std::size_t window_length_;
     NnDetectorConfig config_;
     ResponseQuantizer quantizer_;
-    std::size_t alphabet_size_ = 0;
+    std::optional<NgramCodec> codec_;  // training alphabet; packs memo keys
     std::optional<Mlp> net_;
     double training_loss_ = 0.0;
-    /// Forward passes memoized by context key; test streams repeat contexts
-    /// heavily. Cleared on retrain; mutex-guarded, so concurrent score()
-    /// calls stay safe.
-    mutable ScoreMemo<NgramKey, std::vector<double>, NgramKeyHash> memo_;
+    /// Continuation probabilities memoized by packed DW-window; test streams
+    /// repeat windows heavily, and a hit copies one double. Cleared on
+    /// retrain; mutex-guarded, so concurrent score() calls stay safe.
+    mutable ScoreMemo<NgramKey, double, NgramKeyHash> memo_;
 };
 
 }  // namespace adiv

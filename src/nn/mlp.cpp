@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -46,37 +47,52 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
     }
 }
 
-void Mlp::forward_internal(std::span<const double> input,
-                           std::vector<std::vector<double>>& activations) const {
+void Mlp::forward_internal(std::span<const double> input, Workspace& ws) const {
     require(input.size() == input_size(), "input size mismatch");
-    activations.assign(layers_.size() + 1, {});
-    activations[0].assign(input.begin(), input.end());
+    ws.nonzero.clear();
+    for (std::size_t c = 0; c < input.size(); ++c)
+        if (input[c] != 0.0) ws.nonzero.push_back(c);
+    ws.activations.resize(layers_.size());
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const Layer& layer = layers_[i];
-        std::vector<double> z(layer.weights.rows());
-        layer.weights.multiply(activations[i], z);
+        std::vector<double>& z = ws.activations[i];
+        z.resize(layer.weights.rows());
+        if (i == 0) {
+            // Bit-identical to weights.multiply(input, z): each skipped term
+            // w * 0 is an exact +-0, and adding +-0 to a sum that starts at
+            // +0 changes nothing (finite weights, no FMA contraction).
+            for (std::size_t r = 0; r < z.size(); ++r) {
+                const auto w = layer.weights.row(r);
+                double acc = 0.0;
+                for (const std::size_t c : ws.nonzero) acc += w[c] * input[c];
+                z[r] = acc;
+            }
+        } else {
+            layer.weights.multiply(ws.activations[i - 1], z);
+        }
         for (std::size_t r = 0; r < z.size(); ++r) z[r] += layer.bias[r];
         if (i + 1 == layers_.size()) {
             softmax_inplace(z);
         } else {
             for (double& v : z) v = sigmoid(v);
         }
-        activations[i + 1] = std::move(z);
     }
 }
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
-    std::vector<std::vector<double>> activations;
-    forward_internal(input, activations);
-    return std::move(activations.back());
+    Workspace ws;
+    forward_internal(input, ws);
+    return std::move(ws.activations.back());
 }
 
 double Mlp::loss(std::span<const MlpSample> batch) const {
     require(!batch.empty(), "loss over empty batch");
     double total_weight = 0.0;
     double total_loss = 0.0;
+    Workspace ws;
     for (const MlpSample& sample : batch) {
-        const std::vector<double> y = forward(sample.input);
+        forward_internal(sample.input, ws);
+        const std::vector<double>& y = ws.activations.back();
         double ce = 0.0;
         for (std::size_t c = 0; c < y.size(); ++c) {
             if (sample.target[c] > 0.0)
@@ -102,13 +118,15 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
 
     double total_weight = 0.0;
     double total_loss = 0.0;
-    std::vector<std::vector<double>> activations;
+    Workspace ws;
+    std::vector<double> delta;
+    std::vector<double> prev_delta;
     for (const MlpSample& sample : batch) {
         require(sample.input.size() == input_size(), "sample input size mismatch");
         require(sample.target.size() == output_size(), "sample target size mismatch");
         require(sample.weight > 0.0, "sample weight must be positive");
-        forward_internal(sample.input, activations);
-        const std::vector<double>& y = activations.back();
+        forward_internal(sample.input, ws);
+        const std::vector<double>& y = ws.activations.back();
         for (std::size_t c = 0; c < y.size(); ++c)
             if (sample.target[c] > 0.0)
                 total_loss -=
@@ -116,13 +134,12 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
         total_weight += sample.weight;
 
         // Softmax + cross-entropy: output delta is (y - t), scaled by weight.
-        std::vector<double> delta(y.size());
+        delta.resize(y.size());
         for (std::size_t c = 0; c < y.size(); ++c)
             delta[c] = sample.weight * (y[c] - sample.target[c]);
 
-        for (std::size_t i = layers_.size(); i > 0; --i) {
-            const std::size_t li = i - 1;
-            const std::vector<double>& in_act = activations[li];
+        for (std::size_t li = layers_.size() - 1; li > 0; --li) {
+            const std::vector<double>& in_act = ws.activations[li - 1];
             Matrix& wg = weight_grads[li];
             std::vector<double>& bg = bias_grads[li];
             for (std::size_t r = 0; r < delta.size(); ++r) {
@@ -133,12 +150,20 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
                     row[c] += d * in_act[c];
                 bg[r] += d;
             }
-            if (li == 0) break;
-            std::vector<double> prev_delta(in_act.size());
+            prev_delta.resize(in_act.size());
             layers_[li].weights.multiply_transposed(delta, prev_delta);
             for (std::size_t c = 0; c < prev_delta.size(); ++c)
                 prev_delta[c] *= in_act[c] * (1.0 - in_act[c]);  // sigmoid'
-            delta = std::move(prev_delta);
+            std::swap(delta, prev_delta);
+        }
+        // Layer 0: only the input's nonzero columns take gradient. d * 0 is
+        // an exact +-0, which leaves the +0-initialized sums unchanged.
+        for (std::size_t r = 0; r < delta.size(); ++r) {
+            const double d = delta[r];
+            if (d == 0.0) continue;
+            auto row = weight_grads[0].row(r);
+            for (const std::size_t c : ws.nonzero) row[c] += d * sample.input[c];
+            bias_grads[0][r] += d;
         }
     }
 

@@ -71,9 +71,16 @@ private:
         std::vector<double> bias_velocity;
     };
 
-    /// Activations per layer for one input (activations_[0] = input copy).
-    void forward_internal(std::span<const double> input,
-                          std::vector<std::vector<double>>& activations) const;
+    /// Per-sample scratch, reused across samples so a pass allocates
+    /// nothing once warm.
+    struct Workspace {
+        std::vector<std::size_t> nonzero;  // input indices with x != 0, ascending
+        std::vector<std::vector<double>> activations;  // [i] = layer i's output
+    };
+
+    /// Forward pass for one input. Layer 0 reads only the input's nonzero
+    /// entries (the detectors feed one-hot contexts, mostly zeros).
+    void forward_internal(std::span<const double> input, Workspace& ws) const;
 
     MlpConfig config_;
     std::vector<Layer> layers_;

@@ -21,21 +21,23 @@ Alphabet::Alphabet(const std::vector<std::string>& names) {
         require(!name.empty(), "alphabet symbol names must be non-empty");
         const auto [it, inserted] =
             ids_.emplace(name, static_cast<Symbol>(names_.size()));
-        require(inserted, "duplicate alphabet symbol name: " + name);
+        if (!inserted) throw InvalidArgument("duplicate alphabet symbol name: " + name);
         (void)it;
         names_.push_back(name);
     }
 }
 
 const std::string& Alphabet::name(Symbol s) const {
-    require(valid(s), "symbol id " + std::to_string(s) + " outside alphabet of size " +
-                          std::to_string(size()));
+    if (!valid(s))
+        throw InvalidArgument("symbol id " + std::to_string(s) +
+                              " outside alphabet of size " + std::to_string(size()));
     return names_[s];
 }
 
 Symbol Alphabet::id(std::string_view name) const {
     const auto it = ids_.find(std::string(name));
-    require(it != ids_.end(), "unknown alphabet symbol: " + std::string(name));
+    if (it == ids_.end())
+        throw InvalidArgument("unknown alphabet symbol: " + std::string(name));
     return it->second;
 }
 

@@ -7,9 +7,10 @@ namespace adiv {
 namespace {
 void validate(std::size_t alphabet_size, SymbolView events) {
     for (Symbol s : events)
-        require_data(s < alphabet_size,
-                     "event stream contains symbol " + std::to_string(s) +
-                         " outside alphabet of size " + std::to_string(alphabet_size));
+        if (s >= alphabet_size) [[unlikely]]
+            throw DataError("event stream contains symbol " + std::to_string(s) +
+                            " outside alphabet of size " +
+                            std::to_string(alphabet_size));
 }
 }  // namespace
 

@@ -88,8 +88,10 @@ void HttpMetricsListener::stop() {
     if (stopped_) return;
     stopped_ = true;
     stopping_.store(true);
-    listener_.close();
+    // Join before closing: the accept loop reads the listener's fd, and it
+    // sees stopping_ within one 100 ms accept timeout.
     if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.close();
     const std::lock_guard<std::mutex> lock(mutex_);
     for (std::thread& handler : handlers_)
         if (handler.joinable()) handler.join();
@@ -102,7 +104,7 @@ void HttpMetricsListener::accept_loop() {
         try {
             transport = listener_.accept(/*timeout_ms=*/100);
         } catch (const std::exception&) {
-            return;  // listener closed under us during stop()
+            return;  // poll or accept failed: stop serving scrapes
         }
         if (!transport) continue;
         const std::lock_guard<std::mutex> lock(mutex_);

@@ -17,7 +17,7 @@ std::string encode_frame(std::string_view payload) {
 }
 
 void encode_frame_into(std::string_view payload, std::string& frame) {
-    ADIV_REQUIRE(payload.size() <= kMaxFramePayload, "frame payload too large");
+    require(payload.size() <= kMaxFramePayload, "frame payload too large");
     frame.clear();
     char digits[20];
     const auto [end, ec] =
@@ -128,7 +128,7 @@ bool try_parse_trace(std::string_view token, Request& request) noexcept {
 
 void require_done(std::istream& in, std::string_view verb) {
     std::string extra;
-    require_data(!(in >> extra), "trailing junk after " + std::string(verb));
+    if (in >> extra) throw DataError("trailing junk after " + std::string(verb));
 }
 
 constexpr bool is_record_space(char c) noexcept {

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/error.hpp"
-
 namespace adiv::detail {
 
 void assert_fail(const char* expr, const char* file, int line) {
@@ -18,7 +16,5 @@ void unreachable_fail(const char* what, const char* file, int line) {
                  file, line);
     std::abort();
 }
-
-void require_fail(const char* what) { throw InvalidArgument(what); }
 
 }  // namespace adiv::detail

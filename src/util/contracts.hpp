@@ -1,13 +1,8 @@
 // Contract macros: the machine-checked invariants behind the library's
 // correctness claims.
 //
-// Three tiers, by audience and cost:
-//
-//   ADIV_REQUIRE(cond, what)   Precondition at an API boundary; throws
-//                              InvalidArgument. Always on. `what` must be a
-//                              string literal so the passing path costs one
-//                              branch and no allocation (use util/error.hpp's
-//                              require() when the message needs formatting).
+// Two tiers, by cost (preconditions at API boundaries are util/error.hpp's
+// require()/require_data(), which throw and are always on):
 //
 //   ADIV_ASSERT(expr)          Internal invariant; a failure is a library
 //                              bug, never caller error. Prints and aborts.
@@ -28,8 +23,6 @@ namespace adiv::detail {
 
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line);
 [[noreturn]] void unreachable_fail(const char* what, const char* file, int line);
-/// Throws InvalidArgument(what).
-[[noreturn]] void require_fail(const char* what);
 
 }  // namespace adiv::detail
 
@@ -45,9 +38,6 @@ namespace adiv::detail {
 // unchecked one.
 #define ADIV_ASSERT(expr) ((void)sizeof((expr) ? 1 : 0))
 #endif
-
-#define ADIV_REQUIRE(cond, what) \
-    ((cond) ? void(0) : ::adiv::detail::require_fail(what))
 
 #define ADIV_UNREACHABLE(what) \
     ::adiv::detail::unreachable_fail(what, __FILE__, __LINE__)

@@ -1,13 +1,21 @@
-// Error types and invariant checks shared across the library.
+// Error types and precondition checks shared across the library.
 //
 // The library throws exceptions for contract violations at API boundaries
 // (bad parameters, malformed data) and uses the util/contracts.hpp macros
-// (ADIV_ASSERT / ADIV_REQUIRE / ADIV_UNREACHABLE) for internal invariants
-// that indicate a library bug rather than caller error.
+// (ADIV_ASSERT / ADIV_UNREACHABLE) for internal invariants that indicate a
+// library bug rather than caller error.
+//
+// require() and require_data() sit on every hot loop, so a passing check
+// costs one branch: the message is a view, copied into a std::string only
+// when the check fails. Pass a literal (or a view that outlives the call).
+// A message that needs formatting must be formatted only on failure — write
+// `if (!cond) throw DataError("..." + std::to_string(x));` instead of
+// building the string for require() on every call.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "util/contracts.hpp"
 
@@ -33,13 +41,15 @@ public:
 };
 
 /// Throws InvalidArgument with the given message unless cond holds.
-inline void require(bool cond, const std::string& message) {
-    if (!cond) throw InvalidArgument(message);
+inline void require(bool cond, std::string_view message) {
+    if (!cond) [[unlikely]]
+        throw InvalidArgument(std::string(message));
 }
 
 /// Throws DataError with the given message unless cond holds.
-inline void require_data(bool cond, const std::string& message) {
-    if (!cond) throw DataError(message);
+inline void require_data(bool cond, std::string_view message) {
+    if (!cond) [[unlikely]]
+        throw DataError(std::string(message));
 }
 
 }  // namespace adiv

@@ -11,6 +11,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -22,48 +23,58 @@ inline void write_double(std::ostream& out, double value) {
 }
 
 /// Reads the next whitespace-separated token; throws DataError at EOF.
-inline std::string read_token(std::istream& in, const std::string& what) {
+/// `what` names the value in the error message, which is built only on
+/// failure.
+inline std::string read_token(std::istream& in, std::string_view what) {
     std::string token;
     if (!(in >> token))
-        throw DataError("model file truncated while reading " + what);
+        throw DataError("model file truncated while reading " + std::string(what));
     return token;
 }
 
 /// Reads a token and requires it to equal `tag` exactly.
-inline void expect_tag(std::istream& in, const std::string& tag) {
-    const std::string token = read_token(in, "tag '" + tag + "'");
-    require_data(token == tag,
-                 "model file corrupt: expected '" + tag + "', found '" + token + "'");
+inline void expect_tag(std::istream& in, std::string_view tag) {
+    std::string token;
+    if (!(in >> token))
+        throw DataError("model file truncated while reading tag '" +
+                        std::string(tag) + "'");
+    if (token != tag)
+        throw DataError("model file corrupt: expected '" + std::string(tag) +
+                        "', found '" + token + "'");
 }
 
 /// Reads an unsigned integer token.
-inline std::uint64_t read_u64(std::istream& in, const std::string& what) {
+inline std::uint64_t read_u64(std::istream& in, std::string_view what) {
     const std::string token = read_token(in, what);
     try {
         std::size_t consumed = 0;
         const std::uint64_t value = std::stoull(token, &consumed);
-        require_data(consumed == token.size(), "trailing junk in " + what);
+        if (consumed != token.size())
+            throw DataError("trailing junk in " + std::string(what));
         return value;
     } catch (const std::logic_error&) {
-        throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
+        throw DataError("model file corrupt: '" + token + "' is not a valid " +
+                        std::string(what));
     }
 }
 
 /// Reads a size_t token.
-inline std::size_t read_size(std::istream& in, const std::string& what) {
+inline std::size_t read_size(std::istream& in, std::string_view what) {
     return static_cast<std::size_t>(read_u64(in, what));
 }
 
 /// Reads a double token.
-inline double read_double(std::istream& in, const std::string& what) {
+inline double read_double(std::istream& in, std::string_view what) {
     const std::string token = read_token(in, what);
     try {
         std::size_t consumed = 0;
         const double value = std::stod(token, &consumed);
-        require_data(consumed == token.size(), "trailing junk in " + what);
+        if (consumed != token.size())
+            throw DataError("trailing junk in " + std::string(what));
         return value;
     } catch (const std::logic_error&) {
-        throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
+        throw DataError("model file corrupt: '" + token + "' is not a valid " +
+                        std::string(what));
     }
 }
 

@@ -109,6 +109,32 @@ TEST(NnDetector, ResponseCountMatchesWindows) {
     EXPECT_EQ(d.score(test).size(), test.window_count(4));
 }
 
+// Values recorded from the dense first-layer network that preceded the
+// one-hot path: training and scoring must reproduce them bit for bit.
+TEST(NnDetector, PinnedLossAndResponsesAtDw4) {
+    NnDetector d(4, fast_config());
+    d.train(test::small_corpus().training());
+    EXPECT_EQ(d.training_loss(), 0x1.5ff218d7e1896p-6);
+    const auto r = d.score(test::small_corpus().generate_heldout(400, 5));
+    ASSERT_EQ(r.size(), 397u);
+    EXPECT_EQ(r[0], 0x1.8160551c44ap-9);
+    EXPECT_EQ(r[4], 0x1.b0fca8f64368p-8);
+    EXPECT_EQ(r[8], 1.0);
+    EXPECT_EQ(r[9], 0x1.f930a00817cp-8);
+}
+
+TEST(NnDetector, PinnedLossAndResponsesAtDw6) {
+    NnDetector d(6, fast_config());
+    d.train(test::small_corpus().training());
+    EXPECT_EQ(d.training_loss(), 0x1.620673350513bp-6);
+    const auto r = d.score(test::small_corpus().generate_heldout(400, 5));
+    ASSERT_EQ(r.size(), 395u);
+    EXPECT_EQ(r[0], 0x1.c73ec10d18dp-9);
+    EXPECT_EQ(r[4], 0x1.6c11ec789b08p-7);
+    EXPECT_EQ(r[6], 1.0);
+    EXPECT_EQ(r[8], 0x1.7213e0c5afep-10);
+}
+
 TEST(NnDetector, NameAndWindow) {
     const NnDetector d(5, fast_config());
     EXPECT_EQ(d.name(), "neural-net");

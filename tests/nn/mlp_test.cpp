@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "nn/encoding.hpp"
+#include "nn/matrix.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -216,6 +221,168 @@ TEST(Mlp, DeepNetworkTrains) {
     const double before = net.loss(batch);
     net.train(batch, 500);
     EXPECT_LT(net.loss(batch), before);
+}
+
+// --- One-hot inputs against a dense reference -----------------------------
+//
+// Mlp's first layer reads only the input's nonzero entries. The reference
+// below is the plain dense network written with Matrix::multiply; the two
+// must agree bit for bit, because each term the one-hot path skips is w * 0.
+
+constexpr std::size_t kContext = 7;  // long enough that summation order shows
+constexpr std::size_t kAlphabet = 4;
+constexpr std::size_t kHidden = 6;
+
+MlpConfig one_hot_config() {
+    MlpConfig cfg;
+    cfg.layer_sizes = {one_hot_size(kContext, kAlphabet), kHidden, kAlphabet};
+    cfg.learning_rate = 0.5;
+    cfg.momentum = 0.9;
+    cfg.seed = 23;
+    return cfg;
+}
+
+/// The one_hot_config() network with full-precision weights. The seeded
+/// initializer draws multiples of 2^-53, whose small sums are exact in any
+/// order, so it would hide a change in summation order.
+Mlp one_hot_net() {
+    Mlp net(one_hot_config());
+    std::vector<double> params = net.parameters();
+    for (std::size_t i = 0; i < params.size(); ++i)
+        params[i] = 0.5 * std::sin(1.0 + static_cast<double>(i));
+    net.set_parameters(params);
+    return net;
+}
+
+std::vector<MlpSample> one_hot_batch() {
+    std::vector<MlpSample> batch;
+    for (std::size_t i = 0; i < 6; ++i) {
+        Sequence context(kContext);
+        for (std::size_t k = 0; k < kContext; ++k)
+            context[k] = static_cast<Symbol>((i + 3 * k + k * k) % kAlphabet);
+        MlpSample s;
+        s.input = one_hot_context(context, kAlphabet);
+        s.target.assign(kAlphabet, 0.0);
+        s.target[(i + 3) % kAlphabet] = 0.75;
+        s.target[(i + 1) % kAlphabet] = 0.25;
+        s.weight = 1.0 + static_cast<double>(i);
+        batch.push_back(std::move(s));
+    }
+    return batch;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+    std::vector<std::uint64_t> out;
+    for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+}
+
+/// The one_hot_config() network as dense matrices, unpacked from
+/// Mlp::parameters() (per layer: weights row-major, then biases).
+struct DenseNet {
+    Matrix w0{kHidden, one_hot_size(kContext, kAlphabet)};
+    std::vector<double> b0 = std::vector<double>(kHidden);
+    Matrix w1{kAlphabet, kHidden};
+    std::vector<double> b1 = std::vector<double>(kAlphabet);
+
+    explicit DenseNet(const std::vector<double>& params) {
+        std::size_t at = 0;
+        for (double& v : w0.flat()) v = params[at++];
+        for (double& v : b0) v = params[at++];
+        for (double& v : w1.flat()) v = params[at++];
+        for (double& v : b1) v = params[at++];
+    }
+
+    [[nodiscard]] std::vector<double> parameters() const {
+        std::vector<double> out(w0.flat().begin(), w0.flat().end());
+        out.insert(out.end(), b0.begin(), b0.end());
+        out.insert(out.end(), w1.flat().begin(), w1.flat().end());
+        out.insert(out.end(), b1.begin(), b1.end());
+        return out;
+    }
+
+    /// Dense forward pass; `hidden` receives the sigmoid layer's output.
+    std::vector<double> forward(const std::vector<double>& x,
+                                std::vector<double>& hidden) const {
+        hidden.assign(kHidden, 0.0);
+        w0.multiply(x, hidden);
+        for (std::size_t r = 0; r < kHidden; ++r)
+            hidden[r] = 1.0 / (1.0 + std::exp(-(hidden[r] + b0[r])));
+        std::vector<double> y(kAlphabet);
+        w1.multiply(hidden, y);
+        for (std::size_t r = 0; r < kAlphabet; ++r) y[r] += b1[r];
+        softmax_inplace(y);
+        return y;
+    }
+
+    /// One full-batch momentum step from zero velocity, every weight's
+    /// gradient accumulated densely; returns the pre-step loss.
+    double epoch(const std::vector<MlpSample>& batch, const MlpConfig& cfg) {
+        Matrix g0(w0.rows(), w0.cols());
+        Matrix g1(w1.rows(), w1.cols());
+        std::vector<double> gb0(kHidden, 0.0);
+        std::vector<double> gb1(kAlphabet, 0.0);
+        double total_loss = 0.0;
+        double total_weight = 0.0;
+        for (const MlpSample& s : batch) {
+            std::vector<double> h;
+            const std::vector<double> y = forward(s.input, h);
+            for (std::size_t c = 0; c < kAlphabet; ++c)
+                if (s.target[c] > 0.0)
+                    total_loss -= s.weight * s.target[c] * std::log(std::max(y[c], 1e-300));
+            total_weight += s.weight;
+            std::vector<double> d1(kAlphabet);
+            for (std::size_t c = 0; c < kAlphabet; ++c)
+                d1[c] = s.weight * (y[c] - s.target[c]);
+            for (std::size_t r = 0; r < kAlphabet; ++r) {
+                for (std::size_t c = 0; c < kHidden; ++c) g1.at(r, c) += d1[r] * h[c];
+                gb1[r] += d1[r];
+            }
+            std::vector<double> d0(kHidden);
+            w1.multiply_transposed(d1, d0);
+            for (std::size_t c = 0; c < kHidden; ++c) d0[c] *= h[c] * (1.0 - h[c]);
+            for (std::size_t r = 0; r < kHidden; ++r) {
+                for (std::size_t c = 0; c < w0.cols(); ++c)
+                    g0.at(r, c) += d0[r] * s.input[c];
+                gb0[r] += d0[r];
+            }
+        }
+        const double step = cfg.learning_rate / total_weight;
+        auto update = [&](std::span<double> w, std::span<const double> g) {
+            for (std::size_t i = 0; i < w.size(); ++i) {
+                const double velocity = cfg.momentum * 0.0 - step * g[i];
+                w[i] += velocity;
+            }
+        };
+        update(w0.flat(), g0.flat());
+        update(b0, gb0);
+        update(w1.flat(), g1.flat());
+        update(b1, gb1);
+        return total_loss / total_weight;
+    }
+};
+
+TEST(MlpOneHot, ForwardMatchesDenseReferenceBitForBit) {
+    const Mlp net = one_hot_net();
+    const DenseNet dense(net.parameters());
+    for (const MlpSample& s : one_hot_batch()) {
+        std::vector<double> hidden;
+        EXPECT_EQ(bits(net.forward(s.input)), bits(dense.forward(s.input, hidden)));
+    }
+}
+
+TEST(MlpOneHot, TrainEpochMatchesDenseReferenceBitForBit) {
+    const MlpConfig cfg = one_hot_config();
+    const auto batch = one_hot_batch();
+    Mlp net = one_hot_net();
+    const std::vector<double> before = net.parameters();
+    DenseNet dense(before);
+    const double loss = net.train_epoch(batch);
+    const double dense_loss = dense.epoch(batch, cfg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), std::bit_cast<std::uint64_t>(dense_loss));
+    EXPECT_EQ(bits(net.parameters()), bits(dense.parameters()));
+    // The stepped weights really moved, so the comparison is not vacuous.
+    EXPECT_NE(bits(net.parameters()), bits(before));
 }
 
 }  // namespace

@@ -54,6 +54,13 @@
 #                                       # /metrics exposition, and adiv_top
 #                                       # --once rendered against the live
 #                                       # daemon
+#   tools/ci_check.sh --bench-smoke     # also: the repository benchmark
+#                                       # (python3 perfbench/run.py) for 3 s
+#                                       # on each workload; every run must
+#                                       # end "correct": true (served replies
+#                                       # and map cells byte-exact against
+#                                       # serial replay) with 0 failed
+#                                       # operations. No timing gate.
 #   tools/ci_check.sh --lint            # also: adiv_lint self-scan with every
 #                                       # rule enabled, the interprocedural
 #                                       # concurrency rules (lock-order,
@@ -83,6 +90,7 @@ profile_smoke=0
 shard_smoke=0
 ensemble_smoke=0
 trace_smoke=0
+bench_smoke=0
 lint=0
 lint_smoke=0
 expect_mode=0
@@ -109,9 +117,10 @@ for arg in "$@"; do
         --shard-smoke) shard_smoke=1 ;;
         --ensemble-smoke) ensemble_smoke=1 ;;
         --trace-smoke) trace_smoke=1 ;;
+        --bench-smoke) bench_smoke=1 ;;
         --lint) lint=1 ;;
         --lint-smoke) lint_smoke=1 ;;
-        *) echo "usage: tools/ci_check.sh [--sanitize [address|thread|all]] [--serve-smoke] [--obs-smoke] [--profile-smoke] [--shard-smoke] [--ensemble-smoke] [--trace-smoke] [--lint] [--lint-smoke]" >&2
+        *) echo "usage: tools/ci_check.sh [--sanitize [address|thread|all]] [--serve-smoke] [--obs-smoke] [--profile-smoke] [--shard-smoke] [--ensemble-smoke] [--trace-smoke] [--bench-smoke] [--lint] [--lint-smoke]" >&2
            exit 2 ;;
     esac
 done
@@ -183,9 +192,10 @@ if [ "$tsan" -eq 1 ]; then
     # layer's served surface (ensemble sessions scored on shard strands,
     # fused replay determinism), and the request-tracing surface
     # (single-writer sketch lanes merged at snapshot, traced sessions
-    # spanning client threads and shard strands).
+    # spanning client threads and shard strands), plus the warm-path
+    # allocation budget, whose executable replaces the global operator new.
     (cd build-tsan && ctest --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|WaitAt|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E')
+        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|WaitAt|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E|WarmPathAllocations')
 fi
 
 if [ "$serve_smoke" -eq 1 ]; then
@@ -574,6 +584,23 @@ if [ "$trace_smoke" -eq 1 ]; then
     done
     rm -rf "$smoke_dir"
     trap - EXIT
+fi
+
+if [ "$bench_smoke" -eq 1 ]; then
+    echo "== bench smoke: perfbench correctness on every workload =="
+    for workload in maps serve_small serve_fused; do
+        result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 3 | tail -n 1)
+        echo "$workload: $result" | cut -c 1-160
+        printf '%s\n' "$result" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1)
+' || {
+            echo "bench smoke: $workload was not correct or failed operations" >&2
+            exit 1
+        }
+    done
 fi
 
 echo "== ci_check: OK =="
