@@ -107,18 +107,6 @@ WaitSite& wait_site(const std::string& name, WaitSiteKind kind) {
     return global_wait_sites().site(name, kind);
 }
 
-const WaitSiteSummary* dominant_wait_site(
-    const std::vector<WaitSiteSummary>& summaries) noexcept {
-    const WaitSiteSummary* best = nullptr;
-    for (const WaitSiteSummary& summary : summaries) {
-        if (summary.kind != WaitSiteKind::Contention) continue;
-        if (summary.contended == 0) continue;
-        if (best == nullptr || summary.wait_us_total > best->wait_us_total)
-            best = &summary;
-    }
-    return best;
-}
-
 WaitSiteThreadPoolProbe::WaitSiteThreadPoolProbe(const std::string& prefix,
                                                  WaitSiteRegistry& sites,
                                                  MetricsRegistry& metrics)

@@ -26,8 +26,8 @@
 // sketch record, and JSONL format is dead code and a ProfiledMutex is
 // exactly a std::mutex. Run time (the default build): profiling starts
 // disabled and costs one relaxed atomic load per stamp until
-// set_profiling_enabled(true) turns it on (adiv_serve and adiv_loadgen
-// expose this as --profile).
+// set_profiling_enabled(true) turns it on (adiv_serve exposes this as
+// --profile).
 #pragma once
 
 #include <chrono>
@@ -99,7 +99,8 @@ public:
 /// Contention sites measure time stolen by other threads (locks, full
 /// queues); Idle sites measure time spent waiting for work to exist (a
 /// worker parked on an empty queue). Only Contention sites compete for
-/// "dominant wait site" — an idle pool is not a bottleneck.
+/// `adiv_traceview --contention`'s "dominant wait site" — an idle pool is
+/// not a bottleneck.
 enum class WaitSiteKind { Contention, Idle };
 
 [[nodiscard]] std::string_view to_string(WaitSiteKind kind) noexcept;
@@ -176,12 +177,6 @@ WaitSiteRegistry& global_wait_sites();
 ///   static WaitSite& site = wait_site("serve.session_table");
 WaitSite& wait_site(const std::string& name,
                     WaitSiteKind kind = WaitSiteKind::Contention);
-
-/// The digest with the largest total wait among Contention sites, or nullptr
-/// when nothing contended. This is the "dominant wait site" the hot-path
-/// bench artifact names.
-[[nodiscard]] const WaitSiteSummary* dominant_wait_site(
-    const std::vector<WaitSiteSummary>& summaries) noexcept;
 
 /// Render one `{"type":"wait_site",...}` JSON line for a digest.
 [[nodiscard]] std::string wait_site_jsonl(const WaitSiteSummary& summary);

@@ -480,8 +480,8 @@ ContentionAnalysis analyze_contention(std::istream& in) {
             site.acquires += static_cast<std::uint64_t>(number("acquires"));
             site.contended += static_cast<std::uint64_t>(number("contended"));
             site.wait_us_total += number("wait_us_total");
-            // A sweep emits one line per point; counts sum, tail statistics
-            // keep the worst point.
+            // A stream may hold several digests of one site (runs appended
+            // to one trace file); counts sum, tail statistics keep the worst.
             site.wait_us_p95 = std::max(site.wait_us_p95, number("wait_us_p95"));
             site.wait_us_max = std::max(site.wait_us_max, number("wait_us_max"));
         }

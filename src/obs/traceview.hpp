@@ -141,8 +141,8 @@ struct StageBreakdown {
     double max_us = 0.0;
 };
 
-/// One wait site aggregated across its wait_site lines (a multi-point sweep
-/// emits one line per point: counts sum, percentiles take the worst point).
+/// One wait site aggregated across its wait_site lines (one per digest in
+/// the stream: counts sum, percentiles take the worst digest).
 struct ContentionSite {
     std::string site;
     std::string kind;  ///< "contention" or "idle"

@@ -1,6 +1,6 @@
 #include "serve/http_metrics.hpp"
 
-#include <utility>
+#include <memory>
 
 #include "obs/openmetrics.hpp"
 #include "util/error.hpp"
@@ -56,17 +56,29 @@ std::string http_metrics_response(std::string_view request_head,
 
 std::string serve_one_http_request(Transport& transport,
                                    const MetricsRegistry& metrics) {
+    // One deadline for the whole request. A per-read timeout alone would let
+    // a client that sends one byte per timeout hold the caller until the
+    // head cap; bounding each wait by the time left cannot.
+    const auto deadline = std::chrono::steady_clock::now() + kHttpRequestDeadline;
+    const auto wait_at_most_the_time_left = [&] {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        require_data(left.count() > 0, "http request deadline passed");
+        transport.set_timeout(static_cast<int>(left.count()));
+    };
     // Read until the end of the header block (or end-of-stream / a size cap
     // — scrape requests are tiny, anything bigger is not one).
     std::string head;
     char buffer[1024];
     while (head.find("\r\n\r\n") == std::string::npos &&
            head.find("\n\n") == std::string::npos && head.size() < 16384) {
+        wait_at_most_the_time_left();
         const std::size_t n = transport.read_some(buffer, sizeof buffer);
         if (n == 0) break;
         head.append(buffer, n);
     }
     const std::string response = http_metrics_response(head, metrics);
+    wait_at_most_the_time_left();
     transport.write_all(response.data(), response.size());
     return response;
 }
@@ -88,14 +100,11 @@ void HttpMetricsListener::stop() {
     if (stopped_) return;
     stopped_ = true;
     stopping_.store(true);
-    // Join before closing: the accept loop reads the listener's fd, and it
-    // sees stopping_ within one 100 ms accept timeout.
+    // Join before closing: the accept loop reads the listener's fd. It sees
+    // stopping_ within one 100 ms accept timeout, or when the request it is
+    // serving ends (within kHttpRequestDeadline).
     if (accept_thread_.joinable()) accept_thread_.join();
     listener_.close();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::thread& handler : handlers_)
-        if (handler.joinable()) handler.join();
-    handlers_.clear();
 }
 
 void HttpMetricsListener::accept_loop() {
@@ -107,16 +116,13 @@ void HttpMetricsListener::accept_loop() {
             return;  // poll or accept failed: stop serving scrapes
         }
         if (!transport) continue;
-        const std::lock_guard<std::mutex> lock(mutex_);
-        handlers_.emplace_back(
-            [this, shared = std::shared_ptr<Transport>(std::move(transport))] {
-                try {
-                    serve_one_http_request(*shared, *metrics_);
-                } catch (const std::exception&) {
-                    // A dropped scrape connection is the scraper's problem.
-                }
-                shared->close();
-            });
+        try {
+            serve_one_http_request(*transport, *metrics_);
+        } catch (const std::exception&) {
+            // A dropped, silent or too-slow scrape connection is the
+            // scraper's problem.
+        }
+        transport->close();
     }
 }
 

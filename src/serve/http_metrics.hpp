@@ -17,18 +17,19 @@
 //
 // The response builder is a pure function over the request head, so the
 // whole HTTP surface is unit-testable without sockets; HttpMetricsListener
-// is a thin accept loop (one background thread, one short-lived handler
-// thread per connection) over the same function.
+// is a thin accept loop over the same function. It serves each request on
+// its one background thread, under a fixed whole-request deadline, so a
+// scrape leaves no thread behind and an idle or byte-dripping client holds
+// the loop for at most kHttpRequestDeadline.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "serve/transport.hpp"
@@ -41,14 +42,21 @@ namespace adiv::serve {
 [[nodiscard]] std::string http_metrics_response(std::string_view request_head,
                                                 const MetricsRegistry& metrics);
 
-/// Reads one HTTP request from the transport, writes the response, and
-/// returns it (for tests / logging). Does not close the transport.
+/// The time budget of one scrape: reading its request head, then writing
+/// its response (see serve_one_http_request for how waits are bounded).
+inline constexpr std::chrono::milliseconds kHttpRequestDeadline{1000};
+
+/// Reads one HTTP request head (up to 16 KB) from the transport, writes the
+/// response, and returns it (for tests / logging). Every read waits at most
+/// what is left of kHttpRequestDeadline, and so does each blocked send of
+/// the response, counting from when the write starts; a wait that runs out
+/// throws DataError. Does not close the transport.
 std::string serve_one_http_request(Transport& transport,
                                    const MetricsRegistry& metrics);
 
 /// Background accept loop over a TcpListener: each accepted connection gets
-/// one request served and is closed. Construction binds the port (0 =
-/// ephemeral); the destructor stops the loop and joins.
+/// one request served on the loop's thread and is closed. Construction
+/// binds the port (0 = ephemeral); the destructor stops the loop and joins.
 class HttpMetricsListener {
 public:
     explicit HttpMetricsListener(std::uint16_t port,
@@ -63,7 +71,7 @@ public:
     /// The bound port (the ephemeral one when constructed with 0).
     [[nodiscard]] std::uint16_t port() const noexcept;
 
-    /// Stops accepting, joins the accept loop and every handler. Idempotent.
+    /// Stops accepting and joins the accept loop. Idempotent.
     void stop();
 
 private:
@@ -72,8 +80,6 @@ private:
     MetricsRegistry* metrics_;
     TcpListener listener_;
     std::atomic<bool> stopping_{false};
-    std::mutex mutex_;  // guards handlers_
-    std::vector<std::thread> handlers_;
     std::mutex stop_mutex_;  // serializes stop() callers across threads
     bool stopped_ = false;
     std::thread accept_thread_;

@@ -142,7 +142,7 @@ public:
             const ssize_t n = ::recv(fd, buffer, capacity, 0);
             if (n >= 0) return static_cast<std::size_t>(n);
             if (errno == EINTR) continue;
-            // SO_RCVTIMEO expiry (set_read_timeout): a hung peer is a
+            // SO_RCVTIMEO expiry (set_timeout): a hung peer is a
             // failure, not end-of-stream — the caller's probe must abort.
             if (errno == EAGAIN || errno == EWOULDBLOCK)
                 throw DataError("tcp recv timed out");
@@ -183,7 +183,7 @@ public:
         }
     }
 
-    void set_read_timeout(int timeout_ms) override {
+    void set_timeout(int timeout_ms) override {
         const int fd = fd_.load(std::memory_order_acquire);
         if (fd < 0) return;
         timeval tv{};
@@ -192,6 +192,7 @@ public:
             tv.tv_usec = (timeout_ms % 1000) * 1000;
         }
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     }
 
 private:

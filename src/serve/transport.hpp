@@ -45,12 +45,14 @@ public:
     /// Closes both directions.
     virtual void close() = 0;
 
-    /// Bounds how long a read_some() call may block; 0 restores "forever".
-    /// A timed-out read throws DataError — probes (loadgen --scrape-http,
-    /// adiv_top) use this so a hung daemon fails the sweep fast instead of
-    /// wedging it. Default: unsupported, silently ignored (loopback reads
-    /// are always paired with a writer in tests).
-    virtual void set_read_timeout(int /*timeout_ms*/) {}
+    /// Bounds how long one read_some() call, or one blocked send inside
+    /// write_all(), may wait; 0 restores "forever". A timed-out call throws
+    /// DataError — probes (loadgen --scrape-http, adiv_top) use this so a
+    /// hung daemon fails them fast instead of wedging them, and the HTTP
+    /// scrape endpoint so a hung scraper cannot hold its accept thread.
+    /// Default: unsupported, silently ignored (loopback reads are always
+    /// paired with a writer in tests).
+    virtual void set_timeout(int /*timeout_ms*/) {}
 };
 
 /// Two connected in-process endpoints; bytes written to one are read from

@@ -1,5 +1,5 @@
 // Wait-site accounting: registry instrument naming, kind semantics,
-// dominant-site selection, JSONL rendering, the two profiling idioms
+// JSONL rendering, the two profiling idioms
 // (StageTimer stamps and wait_at passes, ProfiledMutex included), and the
 // thread-pool probe — including the off-switch (everything inert) and a
 // concurrent-writer stress that TSan supervises in the sanitizer pass.
@@ -69,30 +69,6 @@ TEST(WaitSite, SummariesAreNameSortedDigests) {
     EXPECT_EQ(summaries[1].contended, 1u);
     EXPECT_DOUBLE_EQ(summaries[1].wait_us_total, 100.0);
     EXPECT_DOUBLE_EQ(summaries[1].wait_us_mean, 100.0);
-}
-
-TEST(WaitSite, DominantSiteIsLargestContendedContentionSite) {
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    // The idle site waits longest but must not win; among the contention
-    // sites the bigger total does.
-    sites.site("test.park", WaitSiteKind::Idle).record_wait_us(9000.0);
-    sites.site("test.lock_a").record_wait_us(100.0);
-    sites.site("test.lock_b").record_wait_us(300.0);
-    sites.site("test.quiet");  // registered, never contended
-    const std::vector<WaitSiteSummary> summaries = sites.summaries();
-    const WaitSiteSummary* dominant = dominant_wait_site(summaries);
-    ASSERT_NE(dominant, nullptr);
-    EXPECT_EQ(dominant->name, "test.lock_b");
-}
-
-TEST(WaitSite, NoContentionMeansNoDominantSite) {
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    sites.site("test.lock").record_acquire();
-    sites.site("test.park", WaitSiteKind::Idle).record_wait_us(50.0);
-    EXPECT_EQ(dominant_wait_site(sites.summaries()), nullptr);
-    EXPECT_EQ(dominant_wait_site({}), nullptr);
 }
 
 TEST(WaitSite, JsonlLineIsByteExact) {

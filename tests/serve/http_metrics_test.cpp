@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -12,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
 #include "serve/transport.hpp"
+#include "util/error.hpp"
 
 namespace adiv::serve {
 namespace {
@@ -31,6 +34,32 @@ std::string header_value(const std::string& response, const std::string& name) {
     if (at == std::string::npos) return "";
     const std::size_t start = at + needle.size();
     return response.substr(start, response.find("\r\n", start) - start);
+}
+
+/// One GET /metrics over TCP; returns the whole response (the listener
+/// closes the connection after it).
+std::string scrape(std::uint16_t port) {
+    std::unique_ptr<Transport> conn = tcp_connect("127.0.0.1", port);
+    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    conn->write_all(request.data(), request.size());
+    std::string response;
+    char buffer[4096];
+    for (;;) {
+        const std::size_t n = conn->read_some(buffer, sizeof buffer);
+        if (n == 0) break;
+        response.append(buffer, n);
+    }
+    return response;
+}
+
+/// A `<field>:` line of /proc/self/status, in kB; -1 when absent.
+long status_kb(const std::string& field) {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind(field + ":", 0) == 0)
+            return std::stol(line.substr(field.size() + 1));
+    return -1;
 }
 
 TEST(HttpMetrics, GetMetricsReturnsExposition) {
@@ -135,6 +164,59 @@ TEST(HttpMetrics, ListenerAnswersScrapesOverTcp) {
 
     listener.stop();
     listener.stop();  // idempotent
+}
+
+TEST(HttpMetrics, SequentialScrapesLeaveNoThreadBehind) {
+    MetricsRegistry reg;
+    reg.counter("serve.events_pushed").add(5);
+    HttpMetricsListener listener(0, reg);
+    ASSERT_EQ(status_line(scrape(listener.port())), "HTTP/1.0 200 OK");
+    const long before_kb = status_kb("VmSize");
+    ASSERT_GT(before_kb, 0);
+    for (int i = 0; i < 200; ++i)
+        ASSERT_EQ(status_line(scrape(listener.port())), "HTTP/1.0 200 OK");
+    // A thread kept per scrape, even one that has exited, keeps its stack
+    // mapped (8 MB by default), so 200 of them would add over 1.5 GB.
+    EXPECT_LT(status_kb("VmSize") - before_kb, 8 * 1024);
+}
+
+TEST(HttpMetrics, SilentAndDrippingClientsAreCutOffAtTheDeadline) {
+    MetricsRegistry reg;
+    HttpMetricsListener listener(0, reg);
+    using Clock = std::chrono::steady_clock;
+    constexpr std::chrono::milliseconds kGiveUp{5000};
+
+    // Connects, sends one byte every 50 ms when `drip` (never completing a
+    // request head), and returns how long the listener kept the connection
+    // open, giving up after kGiveUp. Any response to the incomplete head
+    // fails the test.
+    const auto held_open_for = [&](bool drip) {
+        std::unique_ptr<Transport> conn =
+            tcp_connect("127.0.0.1", listener.port());
+        const Clock::time_point start = Clock::now();
+        conn->set_timeout(drip ? 50 : static_cast<int>(kGiveUp.count()));
+        char buffer[256];
+        while (Clock::now() - start < kGiveUp) {
+            if (drip) conn->write_all("G", 1);
+            try {
+                const std::size_t n = conn->read_some(buffer, sizeof buffer);
+                EXPECT_EQ(n, 0u) << "the listener answered an incomplete head";
+                break;  // closed by the listener
+            } catch (const DataError&) {
+                // Nothing within the read timeout: drip again, or give up.
+            }
+        }
+        return Clock::now() - start;
+    };
+    for (const bool drip : {false, true}) {
+        const Clock::duration held = held_open_for(drip);
+        EXPECT_GE(held, kHttpRequestDeadline - std::chrono::milliseconds(100))
+            << (drip ? "dripping" : "silent") << " client";
+        EXPECT_LT(held, kHttpRequestDeadline + std::chrono::milliseconds(2000))
+            << (drip ? "dripping" : "silent") << " client";
+    }
+    // The loop is free again: the next scrape is answered.
+    EXPECT_EQ(status_line(scrape(listener.port())), "HTTP/1.0 200 OK");
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ constexpr int kScrapeTimeoutMs = 5000;
 OpenMetricsDocument fetch_metrics(const std::string& host, std::uint16_t port) {
     std::unique_ptr<serve::Transport> transport =
         serve::tcp_connect(host, port, kScrapeTimeoutMs);
-    transport->set_read_timeout(kScrapeTimeoutMs);
+    transport->set_timeout(kScrapeTimeoutMs);
     const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
     transport->write_all(request.data(), request.size());
     std::string response;

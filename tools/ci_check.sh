@@ -18,16 +18,18 @@
 #                                       # experiment (--trace + periodic
 #                                       # --metrics-interval snapshots),
 #                                       # analyze the trace with
-#                                       # adiv_traceview, and scrape a live
+#                                       # adiv_traceview, scrape a live
 #                                       # daemon (METRICS verb + HTTP
-#                                       # GET /metrics, exposition validated)
-#   tools/ci_check.sh --profile-smoke   # also: profiled in-process loadgen
-#                                       # sweep (stage sketches, wait
-#                                       # sites, hotpath JSON, traceview
-#                                       # --contention) plus a --profile
-#                                       # daemon driven with --dump and
-#                                       # SIGUSR1 flight-recorder dumps,
-#                                       # then the compile-time gate: a
+#                                       # GET /metrics, exposition validated),
+#                                       # and churn 2,100 scrapes: daemon
+#                                       # threads and VmRSS must stay flat
+#   tools/ci_check.sh --profile-smoke   # also: a --profile daemon with a
+#                                       # sampled --trace driven with --dump
+#                                       # and SIGUSR1 flight-recorder dumps,
+#                                       # its trace fed to traceview
+#                                       # --contention (stage breakdown +
+#                                       # dominant wait site), then the
+#                                       # compile-time gate: a
 #                                       # -DADIV_PROFILE=OFF build in
 #                                       # build-noprof/ running tier-1
 #   tools/ci_check.sh --shard-smoke     # also: start adiv_serve --shards 4
@@ -40,9 +42,10 @@
 #                                       # members, start a sharded daemon
 #                                       # serving both, OPEN ensemble sessions
 #                                       # over TCP (verified against the local
-#                                       # serial replay), run the --ensemble
-#                                       # sweep + analysis, and scrape
-#                                       # /metrics for the fusion.* instruments
+#                                       # serial replay), scrape /metrics for
+#                                       # the fusion.* instruments, and run
+#                                       # bench/ensemble_analysis, which must
+#                                       # print "suppression demonstrated: yes"
 #   tools/ci_check.sh --trace-smoke     # also: request tracing end to end —
 #                                       # a --trace daemon driven by a --trace
 #                                       # loadgen (verified), the printed
@@ -218,10 +221,11 @@ if [ "$serve_smoke" -eq 1 ]; then
         sleep 0.2
     done
     [ -n "$port" ] || { echo "serve smoke: daemon never reported a port" >&2; exit 1; }
+    # A session error or a score mismatch exits non-zero, which set -e turns
+    # into a failure; the summary line shows that --verify ran.
     ./build/tools/adiv_loadgen --port "$port" --model "$smoke_dir/model.adiv" \
-        --sessions 8 --events 20000 --verify \
-        --out "$smoke_dir/BENCH_serve_smoke.json"
-    grep -q '"verified":true' "$smoke_dir/BENCH_serve_smoke.json" || {
+        --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
+    grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
         echo "serve smoke: loadgen did not verify" >&2; exit 1; }
     kill -TERM "$serve_pid"
     wait "$serve_pid" || { echo "serve smoke: daemon exited non-zero" >&2; exit 1; }
@@ -286,6 +290,45 @@ if [ "$obs_smoke" -eq 1 ]; then
         > "$smoke_dir/loadgen.log"
     grep -q 'valid OpenMetrics' "$smoke_dir/loadgen.log" || {
         echo "obs smoke: loadgen scrape did not validate" >&2; exit 1; }
+
+    echo "-- obs smoke: scrape churn keeps daemon threads and memory flat --"
+    # 100 scrapes settle the daemon; 2,000 more must add no thread and at
+    # most 2 MB of resident memory. A thread kept per scrape fails this.
+    python3 - "$http_port" "$serve_pid" <<'PY'
+import http.client
+import sys
+
+port, pid = int(sys.argv[1]), sys.argv[2]
+
+
+def scrape(count):
+    for _ in range(count):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        conn.request("GET", "/metrics")
+        response = conn.getresponse()
+        response.read()
+        conn.close()
+        if response.status != 200:
+            sys.exit(f"obs smoke: GET /metrics answered {response.status}")
+
+
+def status_kb(field):
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    sys.exit(f"obs smoke: no {field} in /proc/{pid}/status")
+
+
+scrape(100)
+threads, rss = status_kb("Threads"), status_kb("VmRSS")
+scrape(2000)
+threads_after, rss_after = status_kb("Threads"), status_kb("VmRSS")
+print(f"scrape churn: Threads {threads} -> {threads_after}, "
+      f"VmRSS {rss} -> {rss_after} kB")
+if threads_after != threads or rss_after - rss > 2048:
+    sys.exit("obs smoke: scrapes left threads or memory behind")
+PY
     kill -TERM "$serve_pid"
     wait "$serve_pid" || { echo "obs smoke: daemon exited non-zero" >&2; exit 1; }
     serve_pid=""
@@ -302,42 +345,14 @@ if [ "$profile_smoke" -eq 1 ]; then
     ./build/tools/adiv_train --detector stide --window 6 \
         --input "$smoke_dir/demo.trace" --out "$smoke_dir/model.adiv"
 
-    echo "-- profile smoke: profiled in-process sweep --"
+    echo "-- profile smoke: profiled daemon, contention trace, DUMP verb + SIGUSR1 --"
     # --profile-sample 8 keeps the event_stage stream dense enough for the
-    # contention view at smoke-test sizes; --dump exercises the DUMP verb
-    # against every session's flight ring.
-    ./build/tools/adiv_loadgen --model "$smoke_dir/model.adiv" \
-        --sweep-jobs 1,2 --sessions 4 --events 8000 \
-        --profile --profile-sample 8 --dump \
-        --profile-trace "$smoke_dir/profile.jsonl" \
-        --hotpath-out "$smoke_dir/BENCH_serve_hotpath.json" \
-        > "$smoke_dir/sweep.log"
-    grep -q 'profile: stage samples=' "$smoke_dir/sweep.log" || {
-        echo "profile smoke: sweep printed no profile line" >&2; exit 1; }
-    if grep -q 'profile: stage samples=0,' "$smoke_dir/sweep.log"; then
-        echo "profile smoke: a sweep point recorded zero stage samples" >&2
-        exit 1
-    fi
-    grep -q 'client latency PUSH' "$smoke_dir/sweep.log" || {
-        echo "profile smoke: no client-side PUSH latency summary" >&2; exit 1; }
-    grep -q '"dominant_wait_site":"' "$smoke_dir/BENCH_serve_hotpath.json" || {
-        echo "profile smoke: hotpath JSON names no dominant wait site" >&2
-        exit 1
-    }
-    ./build/tools/adiv_traceview --contention "$smoke_dir/profile.jsonl" \
-        > "$smoke_dir/contention.txt"
-    grep -q 'stage breakdown' "$smoke_dir/contention.txt" || {
-        echo "profile smoke: traceview --contention found no stages" >&2
-        exit 1
-    }
-    grep -q 'dominant wait site:' "$smoke_dir/contention.txt" || {
-        echo "profile smoke: traceview --contention named no dominant site" >&2
-        exit 1
-    }
-
-    echo "-- profile smoke: profiled daemon, DUMP verb + SIGUSR1 --"
+    # contention view at smoke-test sizes; the daemon appends its wait_site
+    # digest to the same --trace file when it drains. --dump exercises the
+    # DUMP verb against every session's flight ring.
     ./build/tools/adiv_serve --model "$smoke_dir/model.adiv" --port 0 --jobs 2 \
-        --profile --dump-on-signal > "$smoke_dir/serve.log" 2>&1 &
+        --profile --profile-sample 8 --trace "$smoke_dir/profile.jsonl" \
+        --dump-on-signal > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
     port=""
     for _ in $(seq 1 50); do
@@ -357,11 +372,23 @@ if [ "$profile_smoke" -eq 1 ]; then
     kill -USR1 "$serve_pid"
     wait "$loadgen_pid" || { cat "$smoke_dir/loadgen.log" >&2
         echo "profile smoke: loadgen --dump failed" >&2; exit 1; }
+    grep -q 'client latency PUSH' "$smoke_dir/loadgen.log" || {
+        echo "profile smoke: no client-side PUSH latency summary" >&2; exit 1; }
     kill -TERM "$serve_pid"
     wait "$serve_pid" || { echo "profile smoke: daemon exited non-zero" >&2; exit 1; }
     serve_pid=""
     grep -q 'flight recorder dump' "$smoke_dir/serve.log" || {
         echo "profile smoke: SIGUSR1 produced no flight recorder dump" >&2
+        exit 1
+    }
+    ./build/tools/adiv_traceview --contention "$smoke_dir/profile.jsonl" \
+        > "$smoke_dir/contention.txt"
+    grep -q 'stage breakdown' "$smoke_dir/contention.txt" || {
+        echo "profile smoke: traceview --contention found no stages" >&2
+        exit 1
+    }
+    grep -q 'dominant wait site:' "$smoke_dir/contention.txt" || {
+        echo "profile smoke: traceview --contention named no dominant site" >&2
         exit 1
     }
     rm -rf "$smoke_dir"
@@ -408,9 +435,8 @@ if [ "$shard_smoke" -eq 1 ]; then
     grep -q 'shards=4' "$smoke_dir/serve.log" || {
         echo "shard smoke: daemon did not report shards=4" >&2; exit 1; }
     ./build/tools/adiv_loadgen --port "$port" --model "$smoke_dir/model.adiv" \
-        --sessions 8 --events 20000 --verify \
-        --out "$smoke_dir/BENCH_shard_smoke.json" > "$smoke_dir/loadgen.log"
-    grep -q '"verified":true' "$smoke_dir/BENCH_shard_smoke.json" || {
+        --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
+    grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
         echo "shard smoke: loadgen did not verify against the sharded daemon" >&2
         exit 1
     }
@@ -472,9 +498,8 @@ if [ "$ensemble_smoke" -eq 1 ]; then
     ./build/tools/adiv_loadgen --port "$port" \
         --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
         --target 'stide/6+markov/6;fuse=ds' \
-        --sessions 8 --events 20000 --verify \
-        --out "$smoke_dir/BENCH_ensemble_smoke.json" > "$smoke_dir/loadgen.log"
-    grep -q '"verified":true' "$smoke_dir/BENCH_ensemble_smoke.json" || {
+        --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
+    grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
         echo "ensemble smoke: served ensemble scores did not verify" >&2
         exit 1
     }
@@ -496,15 +521,14 @@ if [ "$ensemble_smoke" -eq 1 ]; then
     grep -q 'drained' "$smoke_dir/serve.log" || {
         echo "ensemble smoke: daemon did not drain cleanly" >&2; exit 1; }
 
-    echo "-- ensemble smoke: in-process --ensemble sweep + analysis --"
-    ./build/tools/adiv_loadgen \
-        --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
-        --ensemble 'stide/6+markov/6' --sweep-shards 1,2 --sweep-jobs 0,1 \
-        --sessions 4 --events 6000 --verify \
-        --ensemble-out "$smoke_dir/BENCH_serve_ensemble.json" \
-        > "$smoke_dir/sweep.log"
-    grep -q '"suppression_demonstrated":true' \
-        "$smoke_dir/BENCH_serve_ensemble.json" || {
+    echo "-- ensemble smoke: offline fused-vs-member replay (ensemble_analysis) --"
+    # The same two members (stide/6 on a 4000-event sample with seed 11,
+    # markov/6 on one with seed 22) replayed through EnsembleScorer under
+    # every rule: some rule must false-alarm less than the best member at
+    # matched probe coverage.
+    ./build/bench/ensemble_analysis --training-length 20000 --background 512 \
+        --max-anomaly 3 --max-window 4 --jobs 2 > "$smoke_dir/analysis.log"
+    grep -q '^suppression demonstrated: yes$' "$smoke_dir/analysis.log" || {
         echo "ensemble smoke: no fused rule beat its best member" >&2
         exit 1
     }
