@@ -17,15 +17,19 @@ std::string encode_frame(std::string_view payload) {
 }
 
 void encode_frame_into(std::string_view payload, std::string& frame) {
-    require(payload.size() <= kMaxFramePayload, "frame payload too large");
     frame.clear();
+    append_frame(payload, frame);
+}
+
+void append_frame(std::string_view payload, std::string& out) {
+    require(payload.size() <= kMaxFramePayload, "frame payload too large");
     char digits[20];
     const auto [end, ec] =
         std::to_chars(digits, digits + sizeof digits, payload.size());
     ADIV_ASSERT(ec == std::errc());
-    frame.append(digits, static_cast<std::size_t>(end - digits));
-    frame += ' ';
-    frame += payload;
+    out.append(digits, static_cast<std::size_t>(end - digits));
+    out += ' ';
+    out += payload;
 }
 
 void FrameDecoder::feed(std::string_view bytes) {

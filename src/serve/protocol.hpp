@@ -76,6 +76,9 @@ std::string encode_frame(std::string_view payload);
 /// first) so a steady-state writer reuses one allocation.
 void encode_frame_into(std::string_view payload, std::string& frame);
 
+/// Appends one frame to `out`, so several replies leave in one write.
+void append_frame(std::string_view payload, std::string& out);
+
 /// Incremental frame decoder: feed bytes in arbitrary chunks, pull complete
 /// payloads. Throws DataError on a malformed length prefix or an oversized
 /// announcement; after a throw the stream is out of sync and must be closed.

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -22,6 +23,10 @@ std::size_t resolve_shards(const ServerConfig& config) {
 std::size_t resolve_bound(std::size_t queue_capacity) {
     return queue_capacity != 0 ? queue_capacity : 1024;
 }
+
+// A connection's output buffer is flushed once it passes this, so a read
+// full of METRICS or DUMP requests cannot hold megabytes of replies.
+constexpr std::size_t kFlushBytes = 64 * 1024;
 
 std::string_view verb_of(RequestType type) noexcept {
     switch (type) {
@@ -50,6 +55,9 @@ Server::Server(ServerConfig config, MetricsRegistry& metrics)
       connections_accepted_(metrics.counter("serve.connections_accepted")),
       frames_rejected_(metrics.counter("serve.frames_rejected")),
       responses_sent_(metrics.counter("serve.responses_sent")),
+      recv_calls_(metrics.counter("serve.recv_calls")),
+      send_calls_(metrics.counter("serve.send_calls")),
+      strand_handoffs_(metrics.counter("serve.strand_handoffs")),
       queue_depth_(metrics.gauge("serve.queue_depth")),
       stage_recv_wait_us_(
           metrics.sketch("serve.stage.recv_wait_us", resolve_shards(config) + 1)),
@@ -171,6 +179,7 @@ void Server::reader_loop(Connection& connection) {
                                                       : recv.recv_read_us);
                 n = connection.transport->read_some(buffer, sizeof buffer);
             }
+            recv_calls_.add(1);
             if (n == 0) break;
             decoder.feed({buffer, n});
             // next_view() throws on framing errors (fatal, handled below);
@@ -178,6 +187,8 @@ void Server::reader_loop(Connection& connection) {
             // is parsed before more bytes are fed.
             while (auto payload = decoder.next_view())
                 handle_payload(connection, *payload, recv);
+            // One send for every reply this read produced and still holds.
+            flush(connection);
         }
         if (!decoder.idle()) {
             frames_rejected_.add(1);
@@ -302,15 +313,25 @@ void Server::reader_fatal(Connection& connection, const std::string& message) {
 }
 
 std::uint32_t Server::claim_slot(Connection& connection) {
-    std::unique_lock<std::mutex> lock(connection.slot_mutex);
-    const auto available = [&connection] {
-        return !connection.free_slots.empty();
-    };
-    wait_at(slot_wait_site_, available,
-            [&] { connection.slot_available.wait(lock, available); });
-    const std::uint32_t slot = connection.free_slots.back();
-    connection.free_slots.pop_back();
-    return slot;
+    // At most two passes: an empty arena means this reader is about to
+    // block, so the first pass leaves the lock to flush the replies it
+    // holds (they must not wait out the block), and the second waits.
+    for (bool flushed = false;; flushed = true) {
+        {
+            std::unique_lock<std::mutex> lock(connection.slot_mutex);
+            const auto available = [&connection] {
+                return !connection.free_slots.empty();
+            };
+            if (flushed || available()) {
+                wait_at(slot_wait_site_, available,
+                        [&] { connection.slot_available.wait(lock, available); });
+                const std::uint32_t slot = connection.free_slots.back();
+                connection.free_slots.pop_back();
+                return slot;
+            }
+        }
+        flush(connection);
+    }
 }
 
 void Server::release_slot(Connection& connection, std::uint32_t slot) {
@@ -323,68 +344,69 @@ void Server::release_slot(Connection& connection, std::uint32_t slot) {
 }
 
 void Server::enqueue_run(Connection& connection, std::uint32_t slot) {
-    Shard& shard = *shards_[connection.shard_index];
+    const std::size_t index = connection.shard_index;
+    Shard& shard = *shards_[index];
     const bool stamp = profiling_enabled();
-    bool schedule = false;
+    bool run = false;
     std::size_t depth = 0;
-    {
-        std::unique_lock<std::mutex> lock(shard.mutex);
-        const auto space = [&shard] { return shard.count < shard.ring.size(); };
-        // Backpressure: readers wait for run-queue space, which TCP flow
-        // control propagates to the client.
-        wait_at(enqueue_block_site_, space,
-                [&] { shard.space.wait(lock, space); });
-        Shard::Entry& entry =
-            shard.ring[(shard.head + shard.count) % shard.ring.size()];
-        entry.connection = &connection;
-        entry.slot = slot;
-        ++shard.count;
-        depth = shard.count;
-        const double now = stamp ? trace_clock_seconds() : 0.0;
-        connection.slots[slot].enqueued_t = now;
-        if (!shard.scheduled) {
-            shard.scheduled = true;
-            shard.submit_t = now;
-            schedule = true;
+    // At most two passes, as in claim_slot: flush before blocking on a full
+    // ring.
+    for (bool flushed = false;; flushed = true) {
+        {
+            std::unique_lock<std::mutex> lock(shard.mutex);
+            const auto space = [&shard] {
+                return shard.count < shard.ring.size();
+            };
+            if (flushed || space()) {
+                // Backpressure: readers wait for run-queue space, which TCP
+                // flow control propagates to the client.
+                wait_at(enqueue_block_site_, space,
+                        [&] { shard.space.wait(lock, space); });
+                Shard::Entry& entry =
+                    shard.ring[(shard.head + shard.count) % shard.ring.size()];
+                entry.connection = &connection;
+                entry.slot = slot;
+                ++shard.count;
+                depth = shard.count;
+                connection.slots[slot].enqueued_t =
+                    stamp ? trace_clock_seconds() : 0.0;
+                run = !std::exchange(shard.scheduled, true);
+                break;
+            }
         }
-    }
-    if (schedule) {
-        // Affine submit: the shard's strand always lands on the same worker
-        // (lane = shard index), keeping its session state cache-warm. Never
-        // blocks — the bounded ring above is the admission control.
-        const std::size_t index = connection.shard_index;
-        pool_.submit_affine(index, [this, index] { run_shard(index); });
+        flush(connection);
     }
     queue_depth_.set(static_cast<double>(depth));
     if (stamp) shard_queue_depth_.record(static_cast<double>(depth));
+    // The reader that finds the shard idle runs its strand; past bound_
+    // items with more queued, the strand moves to the pool and this reader
+    // returns to its own connection.
+    if (run && run_shard(index, &connection, bound_)) hand_off(index);
 }
 
+// Runs shard `shard_index`'s strand until its ring drains (it unschedules
+// and returns false) or `budget` items have run with more queued (it stays
+// scheduled and returns true: the caller must hand it on). Replies for
+// connections other than `owner` are flushed as they are delivered; a
+// reader's own stay buffered for its end-of-read flush. noexcept: as on a
+// pool worker, a failure inside a strand ends the process rather than
+// unwinding through a reader while the shard is still scheduled.
 // adiv-hot
-void Server::run_shard(std::size_t shard_index) {
+bool Server::run_shard(std::size_t shard_index, const Connection* owner,
+                       std::size_t budget) noexcept {
     Shard& shard = *shards_[shard_index];
-    if (profiling_enabled()) {
-        // Attribute the submit -> execution handoff once per strand wakeup;
-        // only stamped (profiled) enqueues set the mark.
-        double submitted_t = 0.0;
-        {
-            const std::lock_guard<std::mutex> lock(shard.mutex);
-            submitted_t = std::exchange(shard.submit_t, 0.0);
-        }
-        if (submitted_t > 0.0)
-            wakeup_site_.record_wait_us((trace_clock_seconds() - submitted_t) *
-                                        1e6);
-    }
-    for (;;) {
+    for (std::size_t ran = 0;; ++ran) {
         Connection* connection = nullptr;
         std::uint32_t slot = 0;
         {
             const std::lock_guard<std::mutex> lock(shard.mutex);
             if (shard.count == 0) {
                 // Drained: unschedule under the lock, so the next enqueue
-                // observes it and submits a fresh strand task.
+                // observes it and runs the strand itself.
                 shard.scheduled = false;
-                return;
+                return false;
             }
+            if (ran == budget) return true;
             const Shard::Entry& entry = shard.ring[shard.head];
             connection = entry.connection;
             slot = entry.slot;
@@ -393,16 +415,31 @@ void Server::run_shard(std::size_t shard_index) {
         }
         shard.space.notify_one();
         process_item(*connection, connection->slots[slot],
-                     shard.response_scratch);
+                     shard.response_scratch, connection != owner);
         release_slot(*connection, slot);
     }
 }
 
+void Server::hand_off(std::size_t shard_index) {
+    // Affine submit: a handed-off strand always lands on the same worker
+    // (lane = shard index), keeping its session state cache-warm. Never
+    // blocks — the bounded ring is the admission control. The strand is
+    // still scheduled, so no reader runs it meanwhile.
+    strand_handoffs_.add(1);
+    const double handed_t = profiling_enabled() ? trace_clock_seconds() : 0.0;
+    pool_.submit_affine(shard_index, [this, shard_index, handed_t] {
+        if (handed_t > 0.0)
+            wakeup_site_.record_wait_us((trace_clock_seconds() - handed_t) *
+                                        1e6);
+        run_shard(shard_index, nullptr, std::numeric_limits<std::size_t>::max());
+    });
+}
+
 void Server::process_item(Connection& connection, RunItem& item,
-                          Response& scratch) {
+                          Response& scratch, bool send_now) {
     if (item.kind == RunItem::Kind::Disconnect) {
         sessions_.disconnect(item.session_id);
-        deliver(connection, item.seq, nullptr);
+        deliver(connection, item.seq, nullptr, send_now);
         return;
     }
     // Double gate: the wire context is installed (and the handling span
@@ -427,7 +464,7 @@ void Server::process_item(Connection& connection, RunItem& item,
     }
     {
         const StageTimer reply(item.stamps.reply_us);
-        deliver(connection, item.seq, &scratch);
+        deliver(connection, item.seq, &scratch, send_now);
     }
     if (stamped) {
         // adiv-lint: allow(hot-path, "profiling-only path; the JSON stage record is 1-in-N sampled diagnostics")
@@ -437,7 +474,7 @@ void Server::process_item(Connection& connection, RunItem& item,
 }
 
 void Server::deliver(Connection& connection, std::uint64_t seq,
-                     const Response* response) {
+                     const Response* response, bool send_now) {
     const std::lock_guard<std::mutex> lock(connection.write_mutex);
     if (seq != connection.next_write_seq) {
         // Out of turn: park the reply (or the silent advance). Only
@@ -450,6 +487,7 @@ void Server::deliver(Connection& connection, std::uint64_t seq,
     }
     if (response != nullptr) write_locked(connection, *response);
     advance_locked(connection);
+    if (send_now) flush_locked(connection);
 }
 
 void Server::deliver_eos(Connection& connection, std::uint64_t seq) {
@@ -459,17 +497,29 @@ void Server::deliver_eos(Connection& connection, std::uint64_t seq) {
     if (connection.next_write_seq >= seq) finish_locked(connection);
 }
 
-void Server::write_locked(Connection& connection, const Response& response) {
-    if (connection.finished) return;
-    serialize_into(response, connection.payload_scratch);
-    encode_frame_into(connection.payload_scratch, connection.frame_scratch);
+void Server::flush(Connection& connection) {
+    const std::lock_guard<std::mutex> lock(connection.write_mutex);
+    flush_locked(connection);
+}
+
+void Server::flush_locked(Connection& connection) {
+    if (connection.output.empty()) return;
     // Writes after the peer closed are discarded by the transport; a TCP
     // write may block on flow control, which holds this connection's
     // sequencer (head-of-line on one connection, by design — its replies
     // are ordered) but no shard lock.
-    connection.transport->write_all(connection.frame_scratch.data(),
-                                    connection.frame_scratch.size());
+    connection.transport->write_all(connection.output.data(),
+                                    connection.output.size());
+    connection.output.clear();
+    send_calls_.add(1);
+}
+
+void Server::write_locked(Connection& connection, const Response& response) {
+    if (connection.finished) return;
+    serialize_into(response, connection.payload_scratch);
+    append_frame(connection.payload_scratch, connection.output);
     responses_sent_.add(1);
+    if (connection.output.size() >= kFlushBytes) flush_locked(connection);
 }
 
 void Server::advance_locked(Connection& connection) {
@@ -487,6 +537,7 @@ void Server::advance_locked(Connection& connection) {
 
 void Server::finish_locked(Connection& connection) {
     if (connection.finished) return;
+    flush_locked(connection);
     connection.finished = true;
     connection.transport->close();
     {
@@ -498,10 +549,10 @@ void Server::finish_locked(Connection& connection) {
 
 void Server::record_stages(RunItem& item, std::uint64_t session_id,
                            const Response& response, std::size_t lane) {
-    // total = frame completion -> reply written, plus the recv time that
-    // preceded the frame. Every stage is a disjoint sub-interval, so
-    // stage_sum_us() <= total_us; the remainder is handoff time, visible at
-    // the wait sites.
+    // total = frame completion -> reply framed (or sent, when a runner
+    // flushes a foreign connection), plus the recv time that preceded the
+    // frame. Every stage is a disjoint sub-interval, so stage_sum_us() <=
+    // total_us; the remainder is handoff time, visible at the wait sites.
     const Request& request = item.request;
     StageStamps& stamps = item.stamps;
     stamps.total_us = (trace_clock_seconds() - item.frame_t) * 1e6 +

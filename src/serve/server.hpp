@@ -1,24 +1,38 @@
 // The multi-session online detection server.
 //
-// Threading model (strand-per-shard)
+// Threading model (strand-per-shard, run by the reader that wakes it)
 //
 //   * One reader per connection (a dedicated thread): reads frames, parses
 //     requests in place into a pooled slot, and routes them. OPEN, METRICS
 //     before a session, and session-verbs-without-a-session are answered by
 //     the reader itself (cold paths); everything else is appended to the
 //     owning *shard's* run queue.
-//   * One strand per session-table shard: a long-lived pool task, pinned to
-//     a fixed worker via ThreadPool::submit_affine, that drains the shard's
-//     bounded MPSC run queue in FIFO order. A session lives entirely in
-//     shard_of(id), so at most one thread ever touches a session's scorer —
-//     the per-session ordering guarantee — while different shards score in
-//     parallel. The strand stays scheduled while its queue is non-empty, so
-//     a busy shard pays one pool handoff per burst, not one per request.
+//   * One strand per session-table shard drains the shard's bounded MPSC
+//     run queue in FIFO order. `scheduled` admits one runner per shard, and
+//     the reader whose enqueue finds the shard idle becomes that runner: it
+//     runs the strand itself, with no pool hop and no worker wakeup. A
+//     session lives entirely in shard_of(id), so at most one thread ever
+//     touches a session's scorer — the per-session ordering guarantee —
+//     while different shards score in parallel.
+//   * A reader runs at most bound_ (the ring capacity) items per strand
+//     run. If the ring is still non-empty then, the strand stays scheduled
+//     and moves to a pool worker pinned to the shard (ThreadPool::
+//     submit_affine), which runs it until the ring drains, and the reader
+//     returns to its own connection. Without the bound, a connection that
+//     keeps the ring full would keep another connection's reader scoring
+//     its frames forever. Pool workers (`jobs`) run only handed-off strands.
 //   * Responses leave each connection in request order regardless of which
 //     thread produced them: every request takes a sequence number at the
 //     reader, and a per-connection sequencer holds out-of-order replies
 //     until their turn (only cross-shard pipelining ever holds a reply —
-//     a single-session connection always writes immediately).
+//     a single-session connection always frames its replies immediately).
+//   * One send per read: released replies are framed into the connection's
+//     output buffer, and one write_all flushes it (every byte, in sequence
+//     order) when the reader has handled every frame of one read_some;
+//     when a runner has appended a reply for a connection other than its
+//     own (a pool runner flushes every reply); before a reader blocks on its
+//     slot arena or on a full shard ring; once the buffer passes
+//     kFlushBytes; and before finish_locked closes the transport.
 //   * Backpressure is layered: each connection owns a bounded slot arena
 //     (readers block when a client pushes faster than its shard scores,
 //     which TCP flow control propagates to the client), and each shard's
@@ -28,9 +42,9 @@
 // The per-event path is allocation-free at steady state: frame payloads are
 // parsed as views into the decoder's buffer, requests land in reusable
 // slots whose vectors keep their capacity, scoring writes into a per-shard
-// scratch Response, and replies are serialized into per-connection scratch
-// buffers. Server::run_shard is `// adiv-hot` — adiv_lint rejects
-// allocation idioms inside it.
+// scratch Response, and replies are framed into a per-connection output
+// buffer that keeps its capacity across flushes. Server::run_shard is
+// `// adiv-hot` — adiv_lint rejects allocation idioms inside it.
 //
 // Draining and shutdown: shutdown() stops the accept loop, closes every
 // connection's *input* side only, lets each shard strand finish the
@@ -41,13 +55,18 @@
 // Server-level metrics (SessionManager adds the session ones):
 //   serve.connections_accepted  counter
 //   serve.frames_rejected       counter, malformed frames / requests
-//   serve.responses_sent        counter
+//   serve.responses_sent        counter, replies framed for the wire
+//   serve.recv_calls            counter, read_some calls on readers
+//   serve.send_calls            counter, write_all calls (one per flush)
+//   serve.strand_handoffs       counter, strands a reader moved to the pool
 //   serve.queue_depth           gauge, shard run-queue depth at enqueue
 //   serve.shard.queue_depth     sketch over the same depths (profiling)
 //
 // Profiling (active only while profiling_enabled(); see obs/profile.hpp):
 // each handled request is stamped with recv_wait/recv_read/parse/queue/
-// score/reply stage durations, recorded into serve.stage.* quantile
+// score/reply stage durations (reply is the append to the output buffer,
+// plus the send when a runner flushes a foreign connection; the end-of-read
+// send falls after total, in no stage), recorded into serve.stage.* quantile
 // sketches (obs/sketch.hpp; one single-writer lane per shard plus lane 0
 // for replies the reader answers inline, merged at scrape time), appended
 // to the session's flight ring, and — for every profile_sample_every'th
@@ -60,7 +79,7 @@
 //   serve.shard.table          the SessionManager shard locks (aggregate)
 //   serve.shard.slot_wait      reader blocked on a full slot arena
 //   serve.shard.enqueue_block  reader blocked on a full shard run queue
-//   serve.shard.wakeup         strand submit -> first task execution
+//   serve.shard.wakeup         strand handoff -> first pool execution
 //   serve.pool.enqueue_block / serve.pool.dequeue_wait / serve.pool.queue_depth
 #pragma once
 
@@ -85,10 +104,12 @@
 namespace adiv::serve {
 
 struct ServerConfig {
-    /// Scoring worker threads; 0 = hardware concurrency.
+    /// Pool workers, which run the strands readers hand off, and the
+    /// default shard count; 0 = hardware concurrency.
     std::size_t jobs = 0;
-    /// Bound on each connection's in-flight requests (its slot arena) and
-    /// on each shard's run queue; 0 = a large default (1024).
+    /// Bound on each connection's in-flight requests (its slot arena), on
+    /// each shard's run queue, and on the items a reader runs per strand
+    /// run; 0 = a large default (1024).
     std::size_t queue_capacity = 256;
     /// OnlineScorer buffer capacity per session; 0 = scorer default (4*DW).
     std::size_t scorer_buffer = 0;
@@ -214,7 +235,8 @@ private:
         bool eos_set = false;                    // adiv-guarded-by(write_mutex)
         bool finished = false;                   // adiv-guarded-by(write_mutex)
         std::string payload_scratch;             // adiv-guarded-by(write_mutex)
-        std::string frame_scratch;               // adiv-guarded-by(write_mutex)
+        // Framed replies awaiting the next flush; keeps its capacity.
+        std::string output;                      // adiv-guarded-by(write_mutex)
     };
 
     /// One session-table shard's execution state: a bounded MPSC ring of
@@ -230,12 +252,10 @@ private:
         std::vector<Entry> ring;   // adiv-guarded-by(mutex)
         std::size_t head = 0;      // adiv-guarded-by(mutex)
         std::size_t count = 0;     // adiv-guarded-by(mutex)
-        // True while a strand task is scheduled or running; at most one per
-        // shard, which is the per-session serialization guarantee.
+        // True while a runner (a reader or a pool worker) owns the strand;
+        // at most one per shard, which is the per-session serialization
+        // guarantee.
         bool scheduled = false;    // adiv-guarded-by(mutex)
-        // Clock at the last strand submit; consumed (reset to 0) by the
-        // strand to attribute the wakeup latency.
-        double submit_t = 0.0;     // adiv-guarded-by(mutex)
         // Scoring scratch: only the shard's strand touches it.
         Response response_scratch;
     };
@@ -249,11 +269,16 @@ private:
     std::uint32_t claim_slot(Connection& connection);
     void release_slot(Connection& connection, std::uint32_t slot);
     void enqueue_run(Connection& connection, std::uint32_t slot);
-    void run_shard(std::size_t shard_index);
-    void process_item(Connection& connection, RunItem& item, Response& scratch);
+    bool run_shard(std::size_t shard_index, const Connection* owner,
+                   std::size_t budget) noexcept;
+    void hand_off(std::size_t shard_index);
+    void process_item(Connection& connection, RunItem& item, Response& scratch,
+                      bool send_now);
     void deliver(Connection& connection, std::uint64_t seq,
-                 const Response* response);
+                 const Response* response, bool send_now = false);
     void deliver_eos(Connection& connection, std::uint64_t seq);
+    void flush(Connection& connection);
+    void flush_locked(Connection& connection);
     void write_locked(Connection& connection, const Response& response);
     void advance_locked(Connection& connection);
     void finish_locked(Connection& connection);
@@ -268,6 +293,9 @@ private:
     Counter& connections_accepted_;
     Counter& frames_rejected_;
     Counter& responses_sent_;
+    Counter& recv_calls_;
+    Counter& send_calls_;
+    Counter& strand_handoffs_;
     Gauge& queue_depth_;
     // Stage sketches (profiling only; registered eagerly so an OpenMetrics
     // scrape shows them, zeroed, even before the first profiled event).
@@ -294,8 +322,8 @@ private:
     std::size_t open_connections_ = 0;                      // adiv-guarded-by(mutex_)
     bool stopping_ = false;                                 // adiv-guarded-by(mutex_)
 
-    // Declared last: destroyed first, so queued strand tasks run while the
-    // connections and session manager they reference are still alive.
+    // Declared last: destroyed first, so handed-off strand tasks run while
+    // the connections and session manager they reference are still alive.
     ThreadPool pool_;
 };
 

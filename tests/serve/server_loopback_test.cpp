@@ -1,12 +1,18 @@
 // End-to-end server behavior over in-process loopback transports: session
 // lifecycle, concurrent multi-session scoring bit-identical to a serial
 // OnlineScorer replay, response ordering, DRAIN semantics, error handling,
-// and graceful shutdown. No sockets — every test is hermetic.
+// graceful shutdown, and the reader-run strand (one send per read, request
+// order across shards, a bounded run). No sockets — every test is hermetic.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
+#include <semaphore>
 #include <thread>
 
 #include "core/online.hpp"
@@ -42,6 +48,84 @@ std::vector<double> replay(const SequenceDetector& model, SymbolView events,
         if (const auto response = scorer.push(event)) scores.push_back(*response);
     return scores;
 }
+
+/// One request, framed for the wire; bursts concatenate these.
+std::string frame(RequestType type, SymbolView events = {},
+                  std::string target = {}) {
+    Request request;
+    request.type = type;
+    request.events.assign(events.begin(), events.end());
+    request.target = std::move(target);
+    return encode_frame(serialize(request));
+}
+
+void send(Transport& transport, const std::string& bytes) {
+    transport.write_all(bytes.data(), bytes.size());
+}
+
+std::uint64_t alarms_in(const std::vector<double>& scores) {
+    return static_cast<std::uint64_t>(
+        std::count_if(scores.begin(), scores.end(),
+                      [](double score) { return score >= kMaximalResponse; }));
+}
+
+/// A transport that counts the server's write_all calls.
+class CountingTransport final : public Transport {
+public:
+    CountingTransport(std::unique_ptr<Transport> inner,
+                      std::atomic<std::size_t>& writes)
+        : inner_(std::move(inner)), writes_(&writes) {}
+
+    std::size_t read_some(char* buffer, std::size_t capacity) override {
+        return inner_->read_some(buffer, capacity);
+    }
+    void write_all(const char* data, std::size_t size) override {
+        writes_->fetch_add(1);
+        inner_->write_all(data, size);
+    }
+    void shutdown_input() override { inner_->shutdown_input(); }
+    void close() override { inner_->close(); }
+
+private:
+    std::unique_ptr<Transport> inner_;
+    std::atomic<std::size_t>* writes_;
+};
+
+/// Delegates to a trained model, except that its first score() call blocks
+/// until open() — pinning whichever thread runs that strand inside it.
+class GatedDetector final : public SequenceDetector {
+public:
+    explicit GatedDetector(std::shared_ptr<const SequenceDetector> inner)
+        : inner_(std::move(inner)) {}
+
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+    [[nodiscard]] std::size_t window_length() const override {
+        return inner_->window_length();
+    }
+    void train(const EventStream& /*training*/) override {}
+    [[nodiscard]] std::size_t alphabet_size() const override {
+        return inner_->alphabet_size();
+    }
+    [[nodiscard]] std::vector<double> score(const EventStream& test) const override {
+        if (!scored_.exchange(true)) {
+            entered_.count_down();
+            gate_.wait();
+        }
+        return inner_->score(test);
+    }
+    [[nodiscard]] bool window_local() const noexcept override {
+        return inner_->window_local();
+    }
+
+    void wait_entered() const { entered_.wait(); }
+    void open() const { gate_.count_down(); }
+
+private:
+    std::shared_ptr<const SequenceDetector> inner_;
+    mutable std::atomic<bool> scored_{false};
+    mutable std::latch entered_{1};
+    mutable std::latch gate_{1};
+};
 
 TEST(ServerLoopback, OpenPushDrainCloseLifecycle) {
     MetricsRegistry metrics;
@@ -346,6 +430,11 @@ TEST(ServerLoopback, MetricsObserveTheTraffic) {
     EXPECT_EQ(metrics.counter("serve.events_pushed").value(), events.size());
     // OPENED + SCORES + DRAINED + CLOSED
     EXPECT_EQ(metrics.counter("serve.responses_sent").value(), 4u);
+    // Replies leave in at most one send each, and every read is counted.
+    EXPECT_GE(metrics.counter("serve.send_calls").value(), 1u);
+    EXPECT_LE(metrics.counter("serve.send_calls").value(),
+              metrics.counter("serve.responses_sent").value());
+    EXPECT_GE(metrics.counter("serve.recv_calls").value(), 4u);
     EXPECT_EQ(metrics.gauge("serve.sessions_active").value(), 0.0);
     EXPECT_GE(metrics.sketch("serve.push_latency_us").summary().count, 1u);
 }
@@ -401,6 +490,251 @@ TEST(ServerLoopback, MetricsVerbReflectsSessionTraffic) {
 
     client.close_session();
     client.disconnect();
+    server.wait_connections_closed();
+}
+
+TEST(ServerLoopback, OneReadIsAnsweredWithOneSend) {
+    // The reader that finds the shard idle runs its strand and frames the
+    // replies into one buffer, flushed once the read's frames are handled.
+    MetricsRegistry metrics;
+    Server server({.jobs = 1, .shards = 1}, metrics);
+    const auto model = trained(DetectorKind::Stide, 6);
+    server.add_model("stide/6", model);
+
+    auto [client, server_end] = make_loopback_pair();
+    std::atomic<std::size_t> writes{0};
+    ASSERT_TRUE(server.attach(
+        std::make_unique<CountingTransport>(std::move(server_end), writes)));
+
+    // OPEN, 20 PUSH frames of 10 events and DRAIN in one loopback append,
+    // under the reader's 16 KB buffer, so one read_some sees all of it.
+    const EventStream events = test::small_corpus().generate_heldout(200, 41);
+    std::string burst = frame(RequestType::Open, {}, "stide/6");
+    for (std::size_t pos = 0; pos < events.size(); pos += 10)
+        burst += frame(RequestType::Push, events.view().subspan(pos, 10));
+    burst += frame(RequestType::Drain);
+    ASSERT_LT(burst.size(), 16384u);
+    send(*client, burst);
+
+    FrameDecoder decoder;
+    ASSERT_EQ(parse_response(*read_frame(*client, decoder)).type,
+              ResponseType::Opened);
+    std::vector<double> scores;
+    for (std::size_t i = 0; i < 20; ++i) {
+        const Response response = parse_response(*read_frame(*client, decoder));
+        ASSERT_EQ(response.type, ResponseType::Scores) << "push " << i;
+        scores.insert(scores.end(), response.scores.begin(),
+                      response.scores.end());
+    }
+    const Response drained = parse_response(*read_frame(*client, decoder));
+    ASSERT_EQ(drained.type, ResponseType::Drained);
+    EXPECT_EQ(scores, replay(*model, events.view()));
+    EXPECT_EQ(drained.counts.events, events.size());
+    EXPECT_EQ(drained.counts.windows, scores.size());
+    EXPECT_EQ(drained.counts.alarms, alarms_in(scores));
+
+    client->close();
+    server.wait_connections_closed();
+    EXPECT_EQ(writes.load(), 1u);
+    EXPECT_EQ(metrics.counter("serve.send_calls").value(), writes.load());
+    EXPECT_EQ(metrics.counter("serve.responses_sent").value(), 22u);
+}
+
+TEST(ServerLoopback, BurstsThatCrossShardsKeepRequestOrder) {
+    // Each connection closes and reopens mid-burst, so its second session
+    // lands on a new id and usually a new shard: replies produced by
+    // different runners must still leave in request order.
+    const auto model = trained(DetectorKind::Stide, 6);
+    constexpr std::size_t kConnections = 2;
+    constexpr std::size_t kPushes = 5;
+    constexpr std::size_t kBatch = 40;
+    for (const std::size_t shards : {1u, 2u, 7u}) {
+        MetricsRegistry metrics;
+        Server server({.jobs = 2, .shards = shards}, metrics);
+        server.add_model("stide/6", model);
+        std::vector<std::string> failures(kConnections);
+        std::vector<std::thread> threads;
+        for (std::size_t c = 0; c < kConnections; ++c)
+            threads.emplace_back([&, c] {
+                const auto fail = [&](const std::string& why) {
+                    if (failures[c].empty()) failures[c] = why;
+                };
+                try {
+                    const EventStream first = test::small_corpus().generate_heldout(
+                        kPushes * kBatch, 200 + 2 * c);
+                    const EventStream second = test::small_corpus().generate_heldout(
+                        kPushes * kBatch, 201 + 2 * c);
+                    std::string burst = frame(RequestType::Open, {}, "stide/6");
+                    for (std::size_t i = 0; i < kPushes; ++i)
+                        burst += frame(RequestType::Push,
+                                       first.view().subspan(i * kBatch, kBatch));
+                    burst += frame(RequestType::Close);
+                    burst += frame(RequestType::Open, {}, "stide/6");
+                    for (std::size_t i = 0; i < kPushes; ++i)
+                        burst += frame(RequestType::Push,
+                                       second.view().subspan(i * kBatch, kBatch));
+                    burst += frame(RequestType::Drain);
+                    burst += frame(RequestType::Close);
+                    auto transport = connect(server);
+                    send(*transport, burst);
+
+                    FrameDecoder decoder;
+                    const auto next = [&] {
+                        return parse_response(*read_frame(*transport, decoder));
+                    };
+                    // OPENED and the SCORES replies; returns the counts
+                    // the session's DRAINED / CLOSED must carry.
+                    const auto session = [&](const EventStream& events) {
+                        if (next().type != ResponseType::Opened) fail("no OPENED");
+                        std::vector<double> scores;
+                        for (std::size_t i = 0; i < kPushes; ++i) {
+                            const Response r = next();
+                            if (r.type != ResponseType::Scores) fail("no SCORES");
+                            scores.insert(scores.end(), r.scores.begin(),
+                                          r.scores.end());
+                        }
+                        if (scores != replay(*model, events.view()))
+                            fail("scores differ from serial replay");
+                        return SessionCounts{events.size(), scores.size(),
+                                             alarms_in(scores)};
+                    };
+                    const auto expect = [&](ResponseType type,
+                                            const SessionCounts& counts) {
+                        const Response r = next();
+                        if (r.type != type || r.counts.events != counts.events ||
+                            r.counts.windows != counts.windows ||
+                            r.counts.alarms != counts.alarms)
+                            fail("counts out of order or wrong");
+                    };
+                    expect(ResponseType::Closed, session(first));
+                    const SessionCounts second_counts = session(second);
+                    expect(ResponseType::Drained, second_counts);
+                    expect(ResponseType::Closed, second_counts);
+                    transport->close();
+                } catch (const std::exception& e) {
+                    fail(e.what());
+                }
+            });
+        for (auto& thread : threads) thread.join();
+        for (std::size_t c = 0; c < kConnections; ++c)
+            EXPECT_EQ(failures[c], "") << "shards " << shards << " connection " << c;
+        server.wait_connections_closed();
+        EXPECT_EQ(server.active_sessions(), 0u);
+    }
+}
+
+TEST(ServerLoopback, AFloodedShardCannotHoldAnotherConnectionsReader) {
+    // A's reader runs the shard's strand and is held inside the gated
+    // model while F fills the ring. Once the gate opens, A's reader must
+    // stop after one ring's worth of items and hand the strand to the
+    // pool — otherwise F's flood would keep it scoring F's frames and A's
+    // next request would never be read.
+    using namespace std::chrono_literals;
+    MetricsRegistry metrics;
+    Server server({.jobs = 1, .queue_capacity = 8, .shards = 1}, metrics);
+    const auto stide = trained(DetectorKind::Stide, 6);
+    const auto gated = std::make_shared<GatedDetector>(stide);
+    server.add_model("gated", gated);
+    server.add_model("stide/6", stide);
+
+    const EventStream a_events = test::small_corpus().generate_heldout(128, 51);
+    auto a = connect(server);
+    FrameDecoder a_decoder;
+    send(*a, frame(RequestType::Open, {}, "gated"));
+    ASSERT_EQ(parse_response(*read_frame(*a, a_decoder)).type,
+              ResponseType::Opened);
+    send(*a, frame(RequestType::Push, a_events.view().subspan(0, 64)));
+    gated->wait_entered();
+
+    auto f = connect(server);
+    FrameDecoder f_decoder;
+    send(*f, frame(RequestType::Open, {}, "stide/6"));
+    ASSERT_EQ(parse_response(*read_frame(*f, f_decoder)).type,
+              ResponseType::Opened);
+
+    // F floods: a writer keeps 32 frames of 256 events in flight until told
+    // to stop, and a collector gathers the replies.
+    constexpr std::size_t kFrame = 256;
+    constexpr std::size_t kMaxFrames = 4096;
+    const EventStream f_pool = test::small_corpus().generate_heldout(64 * kFrame, 52);
+    std::counting_semaphore<32> credits(32);
+    std::atomic<bool> stop{false};
+    std::atomic<bool> exhausted{false};
+    Sequence f_sent;
+    std::thread f_writer([&] {
+        std::size_t frames = 0;
+        while (!stop.load()) {
+            if (!credits.try_acquire_for(10ms)) continue;
+            if (frames == kMaxFrames) {
+                exhausted.store(true);
+                break;
+            }
+            const auto view = f_pool.view().subspan((frames % 64) * kFrame, kFrame);
+            f_sent.insert(f_sent.end(), view.begin(), view.end());
+            send(*f, frame(RequestType::Push, view));
+            ++frames;
+        }
+        send(*f, frame(RequestType::Drain));
+    });
+    std::vector<double> f_scores;
+    SessionCounts f_drained;
+    std::thread f_collector([&] {
+        for (;;) {
+            const auto payload = read_frame(*f, f_decoder);
+            if (!payload) return;
+            const Response response = parse_response(*payload);
+            if (response.type != ResponseType::Scores) {
+                f_drained = response.counts;
+                return;
+            }
+            f_scores.insert(f_scores.end(), response.scores.begin(),
+                            response.scores.end());
+            credits.release();
+        }
+    });
+
+    // F's reader has filled the ring (depth 8 at its last enqueue) behind
+    // A's held PUSH; A's second PUSH waits in A's input.
+    const auto filled_by = std::chrono::steady_clock::now() + 5s;
+    while (metrics.gauge("serve.queue_depth").value() < 8.0 &&
+           std::chrono::steady_clock::now() < filled_by)
+        std::this_thread::sleep_for(1ms);
+    EXPECT_EQ(metrics.gauge("serve.queue_depth").value(), 8.0);
+    send(*a, frame(RequestType::Push, a_events.view().subspan(64, 64)));
+
+    std::promise<std::vector<double>> a_replies;
+    std::thread a_reader([&] {
+        std::vector<double> scores;
+        try {
+            for (int i = 0; i < 2; ++i) {
+                const auto payload = read_frame(*a, a_decoder);
+                if (!payload) break;
+                const Response response = parse_response(*payload);
+                scores.insert(scores.end(), response.scores.begin(),
+                              response.scores.end());
+            }
+        } catch (const std::exception&) {
+        }
+        a_replies.set_value(std::move(scores));
+    });
+    auto a_scores = a_replies.get_future();
+    gated->open();
+    const bool in_time = a_scores.wait_for(5s) == std::future_status::ready;
+    const bool still_writing = !exhausted.load();
+    stop.store(true);
+    f_writer.join();
+    f_collector.join();
+    if (!in_time) a->close();
+    a_reader.join();
+
+    EXPECT_TRUE(in_time) << "A's second reply waited behind F's flood";
+    EXPECT_TRUE(still_writing);
+    EXPECT_EQ(a_scores.get(), replay(*stide, a_events.view()));
+    EXPECT_GE(metrics.counter("serve.strand_handoffs").value(), 1u);
+    EXPECT_EQ(f_scores, replay(*stide, f_sent));
+    EXPECT_EQ(f_drained.events, f_sent.size());
+    a->close();
+    f->close();
     server.wait_connections_closed();
 }
 

@@ -206,9 +206,12 @@ if [ "$serve_smoke" -eq 1 ]; then
     smoke_dir=$(mktemp -d)
     serve_pid=""
     trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-    ./build/tools/adiv_train --demo-trace "$smoke_dir/demo.trace"
+    # A model of the generated paper corpus: loadgen's streams then score
+    # below 1.0 on most windows, so --verify compares informative scores (a
+    # demo-trace model flags every window, and all-1.0 replies would verify
+    # even if reordered or misrouted).
     ./build/tools/adiv_train --detector stide --window 6 \
-        --input "$smoke_dir/demo.trace" --out "$smoke_dir/model.adiv"
+        --training-length 20000 --seed 11 --out "$smoke_dir/model.adiv"
     ./build/tools/adiv_serve --model "$smoke_dir/model.adiv" --port 0 --jobs 2 \
         > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
@@ -408,9 +411,9 @@ if [ "$shard_smoke" -eq 1 ]; then
     smoke_dir=$(mktemp -d)
     serve_pid=""
     trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-    ./build/tools/adiv_train --demo-trace "$smoke_dir/demo.trace"
+    # Paper-corpus model, as in the serve smoke, so --verify is informative.
     ./build/tools/adiv_train --detector stide --window 6 \
-        --input "$smoke_dir/demo.trace" --out "$smoke_dir/model.adiv"
+        --training-length 20000 --seed 11 --out "$smoke_dir/model.adiv"
     # 4 shards over 2 workers: shard strands multiplex onto the lanes, the
     # profiled build stamps the serve.shard.* wait sites, and the final
     # wait_site digest lands in the daemon's trace stream.
@@ -541,9 +544,9 @@ if [ "$trace_smoke" -eq 1 ]; then
     smoke_dir=$(mktemp -d)
     serve_pid=""
     trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-    ./build/tools/adiv_train --demo-trace "$smoke_dir/demo.trace"
+    # Paper-corpus model, as in the serve smoke, so --verify is informative.
     ./build/tools/adiv_train --detector stide --window 6 \
-        --input "$smoke_dir/demo.trace" --out "$smoke_dir/model.adiv"
+        --training-length 20000 --seed 11 --out "$smoke_dir/model.adiv"
     # --trace streams the daemon's handling spans; --profile turns on the
     # serve.stage.* sketches, which keep the traced requests' ids as p99
     # exemplars — the ids /metrics and adiv_top surface.
