@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace adiv {
 
@@ -13,14 +12,12 @@ OnlineScorer::OnlineScorer(const SequenceDetector& detector,
       capacity_(std::max(buffer_capacity, detector.window_length())),
       alphabet_size_(detector.alphabet_size()),
       events_counter_(metrics.counter("online.events_consumed")),
-      push_latency_us_(metrics.sketch("online.push_latency_us")),
       alarm_rate_gauge_(metrics.gauge("online.alarm_rate")) {
     require(detector.window_length() >= 1, "detector window must be positive");
     if (buffer_capacity == 0) capacity_ = 4 * detector.window_length();
 }
 
 std::optional<double> OnlineScorer::push(Symbol event) {
-    const Stopwatch watch;
     require_data(event < alphabet_size_, "event outside the training alphabet");
     buffer_.push_back(event);
     trim();
@@ -28,10 +25,7 @@ std::optional<double> OnlineScorer::push(Symbol event) {
     events_counter_.add(1);
 
     const std::size_t dw = detector_->window_length();
-    if (buffer_.size() - head_ < dw) {
-        push_latency_us_.record(watch.seconds() * 1e6);
-        return std::nullopt;
-    }
+    if (buffer_.size() - head_ < dw) return std::nullopt;
 
     EventStream window_stream(
         alphabet_size_,
@@ -44,7 +38,6 @@ std::optional<double> OnlineScorer::push(Symbol event) {
     ++windows_;
     if (response >= kMaximalResponse) ++alarms_;
     alarm_rate_gauge_.set(alarm_rate());
-    push_latency_us_.record(watch.seconds() * 1e6);
     return response;
 }
 
@@ -63,13 +56,11 @@ std::size_t OnlineScorer::push_batch(const Symbol* events, std::size_t count,
             }
         return appended;
     }
-    const Stopwatch watch;
     // Consume the valid prefix exactly as the per-event path would, then
     // throw — so a rejected batch leaves the same state behind.
     std::size_t valid = 0;
     while (valid < count && events[valid] < alphabet_size_) ++valid;
     const std::size_t appended = score_window_local(events, valid, out);
-    push_latency_us_.record(watch.seconds() * 1e6);
     require_data(valid == count, "event outside the training alphabet");
     return appended;
 }

@@ -23,8 +23,9 @@
 // Instrumentation: every scorer reports to a metrics registry (the
 // process-global one unless a test injects its own):
 //   online.events_consumed   counter, one per push
-//   online.push_latency_us   sketch over per-push (or per-batch) wall time
 //   online.alarm_rate        gauge, maximal-response windows / windows scored
+// No clock is read per push; a served PUSH is timed once, by the session
+// layer (serve.push_latency_us).
 // Scorer-local accessors (events_consumed, windows_scored, alarms) expose
 // the same quantities without the registry; registry metrics are cumulative
 // across scorers and survive reset().
@@ -103,7 +104,6 @@ private:
     std::size_t windows_ = 0;
     std::size_t alarms_ = 0;
     Counter& events_counter_;
-    Sketch& push_latency_us_;
     Gauge& alarm_rate_gauge_;
 };
 

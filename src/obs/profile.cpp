@@ -107,28 +107,4 @@ WaitSite& wait_site(const std::string& name, WaitSiteKind kind) {
     return global_wait_sites().site(name, kind);
 }
 
-WaitSiteThreadPoolProbe::WaitSiteThreadPoolProbe(const std::string& prefix,
-                                                 WaitSiteRegistry& sites,
-                                                 MetricsRegistry& metrics)
-    : enqueue_block_(sites.site(qualified(prefix, "enqueue_block"),
-                                WaitSiteKind::Contention)),
-      dequeue_wait_(
-          sites.site(qualified(prefix, "dequeue_wait"), WaitSiteKind::Idle)),
-      queue_depth_(metrics.sketch(qualified(prefix, "queue_depth"))) {}
-
-void WaitSiteThreadPoolProbe::enqueue_blocked_us(double us) {
-    if (!profiling_enabled()) return;
-    enqueue_block_.record_wait_us(us);
-}
-
-void WaitSiteThreadPoolProbe::dequeue_waited_us(double us) {
-    if (!profiling_enabled()) return;
-    dequeue_wait_.record_wait_us(us);
-}
-
-void WaitSiteThreadPoolProbe::queue_depth_sampled(std::size_t depth) {
-    if (!profiling_enabled()) return;
-    queue_depth_.record(static_cast<double>(depth));
-}
-
 }  // namespace adiv

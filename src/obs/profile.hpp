@@ -17,9 +17,6 @@
 //     mutex or condition-variable wait. ProfiledMutex (a drop-in std::mutex)
 //     and the serve slot / run-queue waits all go through it.
 //
-// WaitSiteThreadPoolProbe adapts the util/thread_pool probe interface onto
-// wait sites, closing the util -> obs layering gap without a dependency.
-//
 // The zero-overhead-when-off contract: instrumentation is gated twice.
 // Compile time: `cmake -DADIV_PROFILE=OFF` makes profiling_enabled() a
 // constexpr false and StageTimer an empty type, so every stamp, clock read,
@@ -41,7 +38,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 #ifndef ADIV_PROFILE
 #define ADIV_PROFILE 1
@@ -223,29 +219,6 @@ public:
 private:
     std::mutex mutex_;
     WaitSite* site_;
-};
-
-/// Adapts the thread pool's probe hooks onto wait sites:
-///   <prefix>.enqueue_block   Contention — submit() blocked on a full queue
-///   <prefix>.dequeue_wait    Idle — a worker parked on an empty queue
-///   <prefix>.queue_depth     sketch over depths observed at enqueue
-/// Install with pool.set_probe(&probe); the probe must outlive the pool's
-/// last submit.
-class WaitSiteThreadPoolProbe final : public ThreadPoolProbe {
-public:
-    explicit WaitSiteThreadPoolProbe(
-        const std::string& prefix = "pool",
-        WaitSiteRegistry& sites = global_wait_sites(),
-        MetricsRegistry& metrics = global_metrics());
-
-    void enqueue_blocked_us(double us) override;
-    void dequeue_waited_us(double us) override;
-    void queue_depth_sampled(std::size_t depth) override;
-
-private:
-    WaitSite& enqueue_block_;
-    WaitSite& dequeue_wait_;
-    Sketch& queue_depth_;
 };
 
 /// Per-event pipeline stage durations (microseconds), stamped along the

@@ -77,9 +77,7 @@ Server::Server(ServerConfig config, MetricsRegistry& metrics)
       slot_wait_site_(wait_site("serve.shard.slot_wait")),
       enqueue_block_site_(wait_site("serve.shard.enqueue_block")),
       wakeup_site_(wait_site("serve.shard.wakeup")),
-      pool_probe_("serve.pool", global_wait_sites(), global_metrics()),
-      pool_(config.jobs, config.queue_capacity) {
-    pool_.set_probe(&pool_probe_);
+      pool_(config.jobs) {
     const std::size_t shard_count = sessions_.shard_count();
     shards_.reserve(shard_count);
     for (std::size_t i = 0; i < shard_count; ++i) {
@@ -421,13 +419,12 @@ bool Server::run_shard(std::size_t shard_index, const Connection* owner,
 }
 
 void Server::hand_off(std::size_t shard_index) {
-    // Affine submit: a handed-off strand always lands on the same worker
-    // (lane = shard index), keeping its session state cache-warm. Never
-    // blocks — the bounded ring is the admission control. The strand is
-    // still scheduled, so no reader runs it meanwhile.
+    // The next free worker runs the strand. It is still scheduled, so no
+    // reader runs it meanwhile and at most one handoff per shard is queued;
+    // submit never blocks — the bounded ring is the admission control.
     strand_handoffs_.add(1);
     const double handed_t = profiling_enabled() ? trace_clock_seconds() : 0.0;
-    pool_.submit_affine(shard_index, [this, shard_index, handed_t] {
+    pool_.submit([this, shard_index, handed_t] {
         if (handed_t > 0.0)
             wakeup_site_.record_wait_us((trace_clock_seconds() - handed_t) *
                                         1e6);

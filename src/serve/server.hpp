@@ -16,11 +16,13 @@
 //     while different shards score in parallel.
 //   * A reader runs at most bound_ (the ring capacity) items per strand
 //     run. If the ring is still non-empty then, the strand stays scheduled
-//     and moves to a pool worker pinned to the shard (ThreadPool::
-//     submit_affine), which runs it until the ring drains, and the reader
-//     returns to its own connection. Without the bound, a connection that
-//     keeps the ring full would keep another connection's reader scoring
-//     its frames forever. Pool workers (`jobs`) run only handed-off strands.
+//     and is submitted to the pool, whose next free worker runs it until
+//     the ring drains, and the reader returns to its own connection.
+//     Without the bound, a connection that keeps the ring full would keep
+//     another connection's reader scoring its frames forever. Pool workers
+//     (`jobs`) run only handed-off strands; any worker may run any shard's,
+//     and since a shard stays scheduled until its runner drains it, at most
+//     one handoff per shard is ever queued.
 //   * Responses leave each connection in request order regardless of which
 //     thread produced them: every request takes a sequence number at the
 //     reader, and a per-connection sequencer holds out-of-order replies
@@ -80,7 +82,6 @@
 //   serve.shard.slot_wait      reader blocked on a full slot arena
 //   serve.shard.enqueue_block  reader blocked on a full shard run queue
 //   serve.shard.wakeup         strand handoff -> first pool execution
-//   serve.pool.enqueue_block / serve.pool.dequeue_wait / serve.pool.queue_depth
 #pragma once
 
 #include <atomic>
@@ -312,7 +313,6 @@ private:
     WaitSite& slot_wait_site_;
     WaitSite& enqueue_block_site_;
     WaitSite& wakeup_site_;
-    WaitSiteThreadPoolProbe pool_probe_;
     std::atomic<std::uint64_t> push_seq_{0};
     std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -1,35 +1,21 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace adiv {
-
-namespace {
-// Set while a worker of some pool runs tasks; lets submit() recognize
-// nested submissions (which must never block on a full queue).
-thread_local const ThreadPool* tl_current_pool = nullptr;
-}  // namespace
 
 std::size_t ThreadPool::default_jobs() noexcept {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
-    : capacity_(queue_capacity) {
+ThreadPool::ThreadPool(std::size_t threads) {
     if (threads == 0) threads = default_jobs();
-    // adiv-lint: allow(guarded-by, "pre-publication: no worker thread exists until the loop below starts them")
-    lanes_.resize(threads);
-    for (std::size_t i = 0; i < threads; ++i) worker_state_.emplace_back();
-    // adiv-lint: allow(guarded-by, "pre-publication: no worker thread exists until the loop below starts them")
-    idle_workers_.reserve(threads);
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i] { worker_loop(i); });
+        workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -37,149 +23,33 @@ ThreadPool::~ThreadPool() {
         const std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
     }
-    for (WorkerState& state : worker_state_) state.cv.notify_all();
-    space_available_.notify_all();
+    work_available_.notify_all();
     for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
     require(task != nullptr, "cannot submit an empty task");
-    ThreadPoolProbe* const probe = probe_.load(std::memory_order_acquire);
-    double blocked_us = -1.0;
-    std::size_t depth = 0;
-    WorkerState* wake = nullptr;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (capacity_ != 0 && !on_worker_thread()) {
-            const auto space = [this] {
-                return stopping_ || queue_.size() < capacity_;
-            };
-            // Time the wait only when it would actually block — the probe's
-            // contract is "passes that blocked", and the common uncontended
-            // submit must not pay for a clock read.
-            if (probe != nullptr && !space()) {
-                const Stopwatch watch;
-                space_available_.wait(lock, space);
-                blocked_us = watch.seconds() * 1e6;
-            } else {
-                space_available_.wait(lock, space);
-            }
-        }
-        require(!stopping_, "cannot submit to a stopping thread pool");
-        queue_.push_back(std::move(task));
-        depth = queue_.size();
-        // Claim the most recently idled worker (LIFO: warmest caches).
-        // Clearing its idle flag under the lock means nobody else claims
-        // it and the worker itself skips deregistration on wake.
-        if (!idle_workers_.empty()) {
-            const std::size_t index = idle_workers_.back();
-            idle_workers_.pop_back();
-            worker_state_[index].idle = false;
-            wake = &worker_state_[index];
-        }
-    }
-    if (wake != nullptr) wake->cv.notify_one();
-    if (probe != nullptr) {
-        if (blocked_us >= 0.0) probe->enqueue_blocked_us(blocked_us);
-        probe->queue_depth_sampled(depth);
-    }
-}
-
-void ThreadPool::submit_affine(std::size_t lane, std::function<void()> task) {
-    require(task != nullptr, "cannot submit an empty task");
-    // adiv-lint: allow(guarded-by, "lanes_ never resizes after construction; only the deque contents need the lock")
-    const std::size_t owner = lane % lanes_.size();
-    bool wake = false;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         require(!stopping_, "cannot submit to a stopping thread pool");
-        lanes_[owner].push_back(std::move(task));
-        // Only the owner can run this task; wake it directly via its own
-        // condition variable — and only when it is actually asleep (a busy
-        // owner re-checks its lane before sleeping, under this mutex).
-        WorkerState& state = worker_state_[owner];
-        if (state.idle) {
-            state.idle = false;
-            idle_workers_.erase(std::find(idle_workers_.begin(),
-                                          idle_workers_.end(), owner));
-            wake = true;
-        }
+        queue_.push_back(std::move(task));
     }
-    if (wake) worker_state_[owner].cv.notify_one();
+    work_available_.notify_one();
 }
 
-std::size_t ThreadPool::queue_depth() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
-
-bool ThreadPool::on_worker_thread() const noexcept {
-    return tl_current_pool == this;
-}
-
-std::future<void> ThreadPool::async(std::function<void()> task) {
-    auto packaged =
-        std::make_shared<std::packaged_task<void()>>(std::move(task));
-    std::future<void> result = packaged->get_future();
-    submit([packaged] { (*packaged)(); });
-    return result;
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
-    tl_current_pool = this;
-    // adiv-lint: allow(guarded-by, "binds a reference only; lanes_ never resizes after construction and the deque is touched under mutex_")
-    std::deque<std::function<void()>>& lane = lanes_[index];
-    WorkerState& self = worker_state_[index];
+void ThreadPool::worker_loop() {
     for (;;) {
         std::function<void()> task;
-        bool from_lane = false;
-        ThreadPoolProbe* const probe = probe_.load(std::memory_order_acquire);
-        double waited_us = -1.0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            const auto work = [this, &lane] {
-                return stopping_ || !queue_.empty() || !lane.empty();
-            };
-            if (!work()) {
-                // Sleep on our own condition variable, registered as idle.
-                // A submitter that claims this worker clears the flag under
-                // the mutex before notifying; when a claimed wake finds its
-                // work already stolen by a busy peer, the loop re-registers
-                // before sleeping again so no worker ever sleeps unclaimable.
-                const Stopwatch watch;
-                while (!work()) {
-                    if (!self.idle) {
-                        self.idle = true;
-                        idle_workers_.push_back(index);
-                    }
-                    self.cv.wait(lock);
-                }
-                if (probe != nullptr) waited_us = watch.seconds() * 1e6;
-                if (self.idle) {
-                    self.idle = false;
-                    idle_workers_.erase(std::find(idle_workers_.begin(),
-                                                  idle_workers_.end(), index));
-                }
-            }
-            // Drain both the lane and the queue before honouring shutdown:
-            // every submitted task runs, so ~ThreadPool is a barrier, not a
-            // cancellation. The lane goes first — affine tasks are latency
-            // sensitive (serve strands) and only this worker can run them.
-            if (!lane.empty()) {
-                task = std::move(lane.front());
-                lane.pop_front();
-                from_lane = true;
-            } else if (!queue_.empty()) {
-                task = std::move(queue_.front());
-                queue_.pop_front();
-            } else {
-                tl_current_pool = nullptr;
-                return;  // shutdown wake — not a dequeue wait, don't record
-            }
+            work_available_.wait(
+                lock, [this] { return stopping_ || !queue_.empty(); });
+            // Drain the queue before honouring shutdown: every submitted
+            // task runs, so ~ThreadPool is a barrier, not a cancellation.
+            if (queue_.empty()) return;
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
-        if (!from_lane && capacity_ != 0) space_available_.notify_one();
-        if (probe != nullptr && waited_us >= 0.0)
-            probe->dequeue_waited_us(waited_us);
         task();
     }
 }

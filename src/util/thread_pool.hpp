@@ -1,64 +1,35 @@
 // Fixed-size thread pool and task groups: the execution substrate of the
 // experiment engine (src/engine) and the detection server (src/serve).
 //
-// ThreadPool runs submitted tasks on a fixed set of worker threads; tasks
-// are picked up in FIFO submission order. An optional queue capacity turns
-// submit() into a backpressure point: when the queue is full, submit blocks
-// until a worker frees a slot — except from inside a pool task, where
-// blocking could deadlock nested submissions, so worker-thread submits
-// always enqueue immediately. submit_affine(lane, task) pins a task to one
-// specific worker (lane modulo thread count): tasks sharing a lane run on
-// the same thread in FIFO order, which is how the serve layer keeps each
-// session shard's strand long-lived and cache-warm. Affine lanes are
-// unbounded and never block — the caller bounds them (serve's shard run
-// queues admit at most one scheduled strand per shard). TaskGroup tracks a
-// set of related tasks —
-// including tasks submitted from *inside* other tasks, which is how the
-// engine expresses dependencies (a training job submits its scoring jobs
-// once the model is ready) — and wait() blocks until the whole set has
-// drained. Failures are deterministic regardless of thread interleaving:
-// every task gets a submission index, and wait() rethrows the exception of
-// the lowest-indexed failed task, so jobs=1 and jobs=N report the same error.
+// ThreadPool runs submitted tasks on a fixed set of worker threads, which
+// drain one unbounded FIFO queue: submit() never blocks, and any worker may
+// run any task. The engine and adiv_score reach it through TaskGroup; the
+// serve layer submits each shard strand a reader hands off (serve's shard
+// rings, not the pool, bound what is queued). TaskGroup tracks a set of
+// related tasks — including tasks submitted from *inside* other tasks,
+// which is how the engine expresses dependencies (a training job submits
+// its scoring jobs once the model is ready) — and wait() blocks until the
+// whole set has drained. Failures are deterministic regardless of thread
+// interleaving: every task gets a submission index, and wait() rethrows the
+// exception of the lowest-indexed failed task, so jobs=1 and jobs=N report
+// the same error.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace adiv {
 
-/// Observation hooks for the pool's blocking points. The pool itself stays
-/// observability-free (util cannot depend on obs); the serve layer installs
-/// an adapter (obs/profile.hpp: WaitSiteThreadPoolProbe) that forwards these
-/// callbacks to wait sites. Implementations must be thread-safe and cheap —
-/// they run on readers and workers — and must outlive the pool's last
-/// submit. The timing callbacks fire only for passes that actually blocked.
-class ThreadPoolProbe {
-public:
-    virtual ~ThreadPoolProbe() = default;
-
-    /// submit() blocked `us` microseconds waiting for queue space.
-    virtual void enqueue_blocked_us(double us) = 0;
-
-    /// A worker waited `us` microseconds for the queue to become non-empty.
-    virtual void dequeue_waited_us(double us) = 0;
-
-    /// Queue depth observed right after a task was enqueued.
-    virtual void queue_depth_sampled(std::size_t depth) = 0;
-};
-
 class ThreadPool {
 public:
-    /// Spawns `threads` workers; 0 means default_jobs(). queue_capacity
-    /// bounds the number of queued-but-not-started tasks; 0 = unbounded.
-    explicit ThreadPool(std::size_t threads = 0, std::size_t queue_capacity = 0);
+    /// Spawns `threads` workers; 0 means default_jobs().
+    explicit ThreadPool(std::size_t threads = 0);
 
     /// Drains the queue (every submitted task runs), then joins the workers.
     ~ThreadPool();
@@ -66,77 +37,27 @@ public:
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /// Enqueues a fire-and-forget task. The task must not throw — use
-    /// TaskGroup::run or async() when exceptions need to propagate.
-    /// With a bounded queue, blocks until a slot is free — unless called
-    /// from one of this pool's own workers (nested submissions never block).
+    /// Enqueues a fire-and-forget task and wakes one idle worker. Never
+    /// blocks. The task must not throw — use TaskGroup::run when exceptions
+    /// need to propagate.
     void submit(std::function<void()> task);
-
-    /// Enqueues a task pinned to worker `lane % thread_count()`. Tasks that
-    /// share a lane execute on the same worker thread in submission order;
-    /// tasks on different lanes may run concurrently. Never blocks (affine
-    /// lanes are not bounded by queue_capacity — callers that need
-    /// backpressure must bound their own admission, as serve's shard run
-    /// queues do). Like submit(), every accepted task runs before the
-    /// destructor returns.
-    void submit_affine(std::size_t lane, std::function<void()> task);
-
-    /// Enqueues a task whose exceptions propagate through the future.
-    std::future<void> async(std::function<void()> task);
 
     [[nodiscard]] std::size_t thread_count() const noexcept {
         return workers_.size();
     }
 
-    /// Tasks queued and not yet picked up by a worker. A momentary value:
-    /// use for backpressure metrics, not for synchronization.
-    [[nodiscard]] std::size_t queue_depth() const;
-
-    /// The configured capacity; 0 = unbounded.
-    [[nodiscard]] std::size_t queue_capacity() const noexcept { return capacity_; }
-
     /// hardware_concurrency, clamped to at least 1 (the value CLI `--jobs 0`
     /// resolves to).
     static std::size_t default_jobs() noexcept;
 
-    /// Installs (or clears, with nullptr) the blocking-point probe. The
-    /// pointer is atomic, so installation may race running workers (they
-    /// start at construction); install before concurrent submits begin so
-    /// every *submit-side* pass is observed.
-    void set_probe(ThreadPoolProbe* probe) noexcept {
-        probe_.store(probe, std::memory_order_release);
-    }
-
 private:
-    void worker_loop(std::size_t index);
-    [[nodiscard]] bool on_worker_thread() const noexcept;
+    void worker_loop();
 
-    mutable std::mutex mutex_;
-    std::condition_variable space_available_;
+    std::mutex mutex_;
+    std::condition_variable work_available_;
     std::deque<std::function<void()>> queue_;  // adiv-guarded-by(mutex_)
-    // One FIFO lane per worker; worker i drains lanes_[i] ahead of the
-    // shared queue.
-    std::vector<std::deque<std::function<void()>>>
-        lanes_;  // adiv-guarded-by(mutex_)
-    // Each worker sleeps on its own condition variable, so a submit wakes
-    // exactly one targeted thread: an affine submit wakes the lane's owner,
-    // a shared submit wakes the most recently idled worker (cache-warm,
-    // LIFO). No thundering herd — the old single-CV design had to
-    // notify_all for affine tasks because notify_one could wake the wrong
-    // worker. `idle` and `idle_workers_` are guarded by mutex_; a submitter
-    // that claims a worker clears its idle flag *before* notifying, so a
-    // woken worker never needs to deregister itself.
-    struct WorkerState {
-        std::condition_variable cv;
-        bool idle = false;
-    };
-    std::deque<WorkerState> worker_state_;  // deque: grows without moving
-    // LIFO stack of idle worker indices.
-    std::vector<std::size_t> idle_workers_;  // adiv-guarded-by(mutex_)
+    bool stopping_ = false;                    // adiv-guarded-by(mutex_)
     std::vector<std::thread> workers_;
-    std::size_t capacity_ = 0;
-    bool stopping_ = false;  // adiv-guarded-by(mutex_)
-    std::atomic<ThreadPoolProbe*> probe_{nullptr};
 };
 
 /// A joinable set of pool tasks. Tasks may themselves call run() to add

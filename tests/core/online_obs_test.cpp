@@ -50,12 +50,9 @@ TEST(OnlineScorerMetrics, RegistryAgreesWithAccessorsAndBatch) {
     ASSERT_NE(metrics.find_gauge("online.alarm_rate"), nullptr);
     EXPECT_DOUBLE_EQ(metrics.find_gauge("online.alarm_rate")->value(),
                      scorer.alarm_rate());
-    ASSERT_NE(metrics.find_sketch("online.push_latency_us"), nullptr);
-    const SketchSummary latency =
-        metrics.find_sketch("online.push_latency_us")->summary();
-    EXPECT_EQ(latency.count, stream.size());  // one sample per push
-    EXPECT_GT(latency.max, 0.0);
-    EXPECT_GE(latency.p99, latency.p50);
+    // No per-push timer: the scorer reads no clock (the served per-PUSH
+    // latency is serve.push_latency_us).
+    EXPECT_EQ(metrics.find_sketch("online.push_latency_us"), nullptr);
 }
 
 TEST(OnlineScorerMetrics, AlarmRateZeroBeforeFirstWindow) {

@@ -1,8 +1,8 @@
 // Wait-site accounting: registry instrument naming, kind semantics,
-// JSONL rendering, the two profiling idioms
-// (StageTimer stamps and wait_at passes, ProfiledMutex included), and the
-// thread-pool probe — including the off-switch (everything inert) and a
-// concurrent-writer stress that TSan supervises in the sanitizer pass.
+// JSONL rendering and the two profiling idioms (StageTimer stamps and
+// wait_at passes, ProfiledMutex included) — including the off-switch
+// (everything inert) and a concurrent-writer stress that TSan supervises in
+// the sanitizer pass.
 #include "obs/profile.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adiv {
 namespace {
@@ -272,72 +271,6 @@ TEST(WaitSiteStress, ConcurrentWritersAndReadersStayConsistent) {
     for (const WaitSiteSummary& summary : sites.summaries())
         acquires += summary.acquires;
     EXPECT_EQ(acquires, static_cast<std::uint64_t>(kThreads) * kRounds);
-}
-
-TEST(WaitSiteProbe, MapsPoolHooksOntoSitesAndDepthHistogram) {
-    if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
-    const ProfilingGuard profiling;
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSiteThreadPoolProbe probe("test_pool", sites, reg);
-    probe.enqueue_blocked_us(120.0);
-    probe.dequeue_waited_us(80.0);
-    probe.queue_depth_sampled(3);
-    EXPECT_EQ(reg.counter("test_pool.enqueue_block.contended").value(), 1u);
-    EXPECT_EQ(reg.counter("test_pool.dequeue_wait.contended").value(), 1u);
-    EXPECT_EQ(reg.sketch("test_pool.queue_depth").summary().count, 1u);
-    const std::vector<WaitSiteSummary> summaries = sites.summaries();
-    ASSERT_EQ(summaries.size(), 2u);
-    EXPECT_EQ(summaries[0].name, "test_pool.dequeue_wait");
-    EXPECT_EQ(summaries[0].kind, WaitSiteKind::Idle);
-    EXPECT_EQ(summaries[1].name, "test_pool.enqueue_block");
-    EXPECT_EQ(summaries[1].kind, WaitSiteKind::Contention);
-}
-
-TEST(WaitSiteProbe, InertWhileProfilingDisabled) {
-    if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSiteThreadPoolProbe probe("test_pool", sites, reg);
-    probe.enqueue_blocked_us(120.0);
-    probe.dequeue_waited_us(80.0);
-    probe.queue_depth_sampled(3);
-    EXPECT_EQ(reg.counter("test_pool.enqueue_block.acquires").value(), 0u);
-    EXPECT_EQ(reg.counter("test_pool.dequeue_wait.acquires").value(), 0u);
-    EXPECT_EQ(reg.sketch("test_pool.queue_depth").summary().count, 0u);
-}
-
-TEST(WaitSiteProbe, BoundedPoolUnderLoadFeedsTheProbe) {
-    // End-to-end through the real pool: a tiny queue forces enqueue blocking
-    // and parked workers, so every probe hook fires at least once.
-    if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
-    const ProfilingGuard profiling;
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSiteThreadPoolProbe probe("test_pool", sites, reg);
-    {
-        ThreadPool pool(2, /*queue_capacity=*/2);
-        pool.set_probe(&probe);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([] {
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            });
-        // A dequeue wait is recorded only when a parked worker *receives a
-        // task* (the final shutdown wake deliberately doesn't count), and
-        // the full queue above never let a worker park mid-run. So: let the
-        // queue drain and the workers park, then hand them one more task.
-        for (int round = 0; round < 400; ++round) {
-            if (reg.counter("test_pool.dequeue_wait.acquires").value() > 0)
-                break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            pool.async([] {}).get();
-        }
-    }  // ~ThreadPool drains the queue — a barrier, not a cancellation
-    EXPECT_GT(reg.sketch("test_pool.queue_depth").summary().count, 0u);
-    // 64 one-millisecond tasks through a 2-slot queue: the submitter blocked.
-    EXPECT_GT(reg.counter("test_pool.enqueue_block.acquires").value(), 0u);
-    // And a parked worker picked up the post-drain task.
-    EXPECT_GT(reg.counter("test_pool.dequeue_wait.acquires").value(), 0u);
 }
 
 TEST(StageStampsSuite, StageSumIsTheSixStages) {

@@ -91,11 +91,11 @@ private:
     std::atomic<std::size_t>* writes_;
 };
 
-/// Delegates to a trained model, except that its first score() call blocks
-/// until open() — pinning whichever thread runs that strand inside it.
-class GatedDetector final : public SequenceDetector {
+/// Forwards every call to a trained model; the decorators below override
+/// score() only.
+class DelegatingDetector : public SequenceDetector {
 public:
-    explicit GatedDetector(std::shared_ptr<const SequenceDetector> inner)
+    explicit DelegatingDetector(std::shared_ptr<const SequenceDetector> inner)
         : inner_(std::move(inner)) {}
 
     [[nodiscard]] std::string name() const override { return inner_->name(); }
@@ -107,24 +107,54 @@ public:
         return inner_->alphabet_size();
     }
     [[nodiscard]] std::vector<double> score(const EventStream& test) const override {
-        if (!scored_.exchange(true)) {
-            entered_.count_down();
-            gate_.wait();
-        }
         return inner_->score(test);
     }
     [[nodiscard]] bool window_local() const noexcept override {
         return inner_->window_local();
     }
 
+private:
+    std::shared_ptr<const SequenceDetector> inner_;
+};
+
+/// Its first score() call blocks until open() — pinning whichever thread
+/// runs that strand inside it.
+class GatedDetector final : public DelegatingDetector {
+public:
+    using DelegatingDetector::DelegatingDetector;
+
+    [[nodiscard]] std::vector<double> score(const EventStream& test) const override {
+        if (!scored_.exchange(true)) {
+            entered_.count_down();
+            gate_.wait();
+        }
+        return DelegatingDetector::score(test);
+    }
+
     void wait_entered() const { entered_.wait(); }
     void open() const { gate_.count_down(); }
 
 private:
-    std::shared_ptr<const SequenceDetector> inner_;
     mutable std::atomic<bool> scored_{false};
     mutable std::latch entered_{1};
     mutable std::latch gate_{1};
+};
+
+/// Sleeps `delay` in every score() call, so the strand running its sessions
+/// stays busy while they keep writing.
+class SlowDetector final : public DelegatingDetector {
+public:
+    SlowDetector(std::shared_ptr<const SequenceDetector> inner,
+                 std::chrono::milliseconds delay)
+        : DelegatingDetector(std::move(inner)), delay_(delay) {}
+
+    [[nodiscard]] std::vector<double> score(const EventStream& test) const override {
+        std::this_thread::sleep_for(delay_);
+        return DelegatingDetector::score(test);
+    }
+
+private:
+    std::chrono::milliseconds delay_;
 };
 
 TEST(ServerLoopback, OpenPushDrainCloseLifecycle) {
@@ -735,6 +765,164 @@ TEST(ServerLoopback, AFloodedShardCannotHoldAnotherConnectionsReader) {
     EXPECT_EQ(f_drained.events, f_sent.size());
     a->close();
     f->close();
+    server.wait_connections_closed();
+}
+
+TEST(ServerLoopback, AHandedOffStrandDoesNotWaitBehindAnotherShard) {
+    // Shards X = 0 and Y = 2 of 3 at jobs 2: a pool that pinned each
+    // handed-off strand to worker (shard % jobs) would queue Y's behind X's.
+    // X's two connections flood stide/6 behind a 20 ms sleep per score()
+    // call, so X's ring stays full and its handed-off run never drains while
+    // they write. Y's two connections then flood stide/6 behind a 2 ms sleep
+    // — enough that one Y reader fills the ring while the other runs Y's
+    // strand, so Y's strand is handed off in turn — and it must run on the
+    // other worker while X still writes.
+    using namespace std::chrono_literals;
+    constexpr std::size_t kShards = 3;
+    constexpr std::size_t kX = 0;
+    constexpr std::size_t kY = 2;
+    MetricsRegistry metrics;
+    Server server({.jobs = 2, .queue_capacity = 8, .shards = kShards}, metrics);
+    const auto stide = trained(DetectorKind::Stide, 6);
+    server.add_model("slow", std::make_shared<SlowDetector>(stide, 20ms));
+    server.add_model("brisk", std::make_shared<SlowDetector>(stide, 2ms));
+
+    // A manager over the same shard count places session ids exactly as the
+    // server's does.
+    ModelCatalog no_models;
+    MetricsRegistry quiet;
+    const SessionManager placement(no_models, {.shards = kShards}, quiet);
+    struct Client {
+        std::unique_ptr<Transport> transport;
+        FrameDecoder decoder;
+        // X's frames in flight; Y never acquires, so it only counts up.
+        std::counting_semaphore<> credits{16};
+        Sequence sent;
+        std::vector<double> scores;
+        SessionCounts drained;
+    };
+    // Connects and opens `target`, closing and reopening until the session
+    // lands on `shard`.
+    const auto open_on = [&](Client& client, std::size_t shard,
+                             const std::string& target) {
+        client.transport = connect(server);
+        for (int attempt = 0; attempt < 64; ++attempt) {
+            send(*client.transport, frame(RequestType::Open, {}, target));
+            const Response opened =
+                parse_response(*read_frame(*client.transport, client.decoder));
+            if (opened.type != ResponseType::Opened) return false;
+            if (placement.shard_of(opened.session_id) == shard) return true;
+            send(*client.transport, frame(RequestType::Close));
+            if (parse_response(*read_frame(*client.transport, client.decoder))
+                    .type != ResponseType::Closed)
+                return false;
+        }
+        return false;
+    };
+    Client x[2];
+    Client y[2];
+    for (Client& client : x) ASSERT_TRUE(open_on(client, kX, "slow"));
+    for (Client& client : y) ASSERT_TRUE(open_on(client, kY, "brisk"));
+
+    // Reads SCORES replies until DRAINED (or the end of the stream).
+    const auto collect = [](Client& client) {
+        for (;;) {
+            const auto payload = read_frame(*client.transport, client.decoder);
+            if (!payload) return;
+            const Response response = parse_response(*payload);
+            if (response.type != ResponseType::Scores) {
+                client.drained = response.counts;
+                return;
+            }
+            client.scores.insert(client.scores.end(), response.scores.begin(),
+                                 response.scores.end());
+            client.credits.release();
+        }
+    };
+
+    // X floods: each writer keeps 16 frames in flight until told to stop,
+    // then sends DRAIN.
+    constexpr std::size_t kXFrame = 32;
+    constexpr std::size_t kMaxFrames = 1024;
+    const EventStream x_pool =
+        test::small_corpus().generate_heldout(64 * kXFrame, 61);
+    std::atomic<bool> stop{false};
+    std::atomic<bool> exhausted{false};
+    std::vector<std::thread> x_threads;
+    for (Client& client : x) {
+        x_threads.emplace_back([&] {
+            std::size_t frames = 0;
+            while (!stop.load()) {
+                if (!client.credits.try_acquire_for(10ms)) continue;
+                if (frames == kMaxFrames) {
+                    exhausted.store(true);
+                    break;
+                }
+                const auto view =
+                    x_pool.view().subspan((frames % 64) * kXFrame, kXFrame);
+                client.sent.insert(client.sent.end(), view.begin(), view.end());
+                send(*client.transport, frame(RequestType::Push, view));
+                ++frames;
+            }
+            send(*client.transport, frame(RequestType::Drain));
+        });
+        x_threads.emplace_back([&] { collect(client); });
+    }
+    const auto handed_off_by = std::chrono::steady_clock::now() + 5s;
+    while (metrics.counter("serve.strand_handoffs").value() < 1 &&
+           std::chrono::steady_clock::now() < handed_off_by)
+        std::this_thread::sleep_for(1ms);
+    EXPECT_GE(metrics.counter("serve.strand_handoffs").value(), 1u);
+
+    // Y floods a fixed number of frames, then DRAIN, in one write each.
+    constexpr std::size_t kYFrames = 32;
+    constexpr std::size_t kYFrame = 256;
+    std::vector<EventStream> y_events;
+    std::vector<std::future<void>> y_done;
+    for (std::size_t c = 0; c < 2; ++c) {
+        y_events.push_back(
+            test::small_corpus().generate_heldout(kYFrames * kYFrame, 62 + c));
+        std::string burst;
+        for (std::size_t i = 0; i < kYFrames; ++i)
+            burst += frame(RequestType::Push,
+                           y_events[c].view().subspan(i * kYFrame, kYFrame));
+        burst += frame(RequestType::Drain);
+        send(*y[c].transport, burst);
+        y_done.push_back(
+            std::async(std::launch::async, [&, c] { collect(y[c]); }));
+    }
+    const auto y_deadline = std::chrono::steady_clock::now() + 5s;
+    bool in_time = true;
+    for (const std::future<void>& done : y_done)
+        in_time = done.wait_until(y_deadline) == std::future_status::ready &&
+                  in_time;
+    const bool still_writing = !exhausted.load();
+    const std::uint64_t handoffs =
+        metrics.counter("serve.strand_handoffs").value();
+
+    // Stop X and drain everything: once X's run drains, a strand queued
+    // behind it runs too.
+    stop.store(true);
+    for (std::thread& thread : x_threads) thread.join();
+    for (std::size_t c = 0; c < 2; ++c) {
+        if (y_done[c].wait_for(10s) != std::future_status::ready)
+            y[c].transport->close();
+        y_done[c].get();
+    }
+
+    EXPECT_TRUE(in_time) << "Y's handed-off strand waited behind X's";
+    EXPECT_TRUE(still_writing);
+    EXPECT_GE(handoffs, 2u);
+    for (const Client& client : x) {
+        EXPECT_EQ(client.scores, replay(*stide, client.sent));
+        EXPECT_EQ(client.drained.events, client.sent.size());
+    }
+    for (std::size_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(y[c].scores, replay(*stide, y_events[c].view()));
+        EXPECT_EQ(y[c].drained.events, y_events[c].size());
+    }
+    for (Client& client : x) client.transport->close();
+    for (Client& client : y) client.transport->close();
     server.wait_connections_closed();
 }
 

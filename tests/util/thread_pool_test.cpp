@@ -1,4 +1,5 @@
-// ThreadPool + TaskGroup: the execution substrate of the experiment engine.
+// ThreadPool + TaskGroup: the execution substrate of the experiment engine
+// and of the serve layer's strand handoffs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,137 +36,9 @@ TEST(ThreadPool, ZeroThreadsMeansDefaultJobs) {
     EXPECT_EQ(pool.thread_count(), ThreadPool::default_jobs());
 }
 
-TEST(ThreadPool, AsyncPropagatesExceptions) {
-    ThreadPool pool(2);
-    std::future<void> ok = pool.async([] {});
-    std::future<void> bad =
-        pool.async([] { throw std::runtime_error("task failed"); });
-    EXPECT_NO_THROW(ok.get());
-    EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, RejectsEmptyTask) {
     ThreadPool pool(1);
     EXPECT_THROW(pool.submit(nullptr), InvalidArgument);
-}
-
-TEST(ThreadPool, UnboundedByDefault) {
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.queue_capacity(), 0u);
-    EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
-TEST(ThreadPool, QueueDepthTracksBacklog) {
-    ThreadPool pool(1, 8);
-    EXPECT_EQ(pool.queue_capacity(), 8u);
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    pool.submit([opened] { opened.wait(); });  // occupies the only worker
-    // Give the worker a moment to take the blocker off the queue.
-    for (int i = 0; i < 200 && pool.queue_depth() != 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    for (int i = 0; i < 5; ++i) pool.submit([] {});
-    EXPECT_EQ(pool.queue_depth(), 5u);
-    gate.set_value();
-}
-
-TEST(ThreadPool, BoundedSubmitBlocksUntilAWorkerFreesASlot) {
-    ThreadPool pool(1, 2);
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    pool.submit([opened] { opened.wait(); });
-    // Wait until the worker holds the blocker, then fill the queue exactly.
-    for (int i = 0; i < 200 && pool.queue_depth() != 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::atomic<int> ran{0};
-    pool.submit([&ran] { ran.fetch_add(1); });
-    pool.submit([&ran] { ran.fetch_add(1); });
-    EXPECT_EQ(pool.queue_depth(), 2u);
-
-    std::atomic<bool> producer_done{false};
-    std::thread producer([&] {
-        pool.submit([&ran] { ran.fetch_add(1); });  // queue full: must block
-        producer_done.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(producer_done.load()) << "submit returned on a full queue";
-    gate.set_value();  // worker drains; a slot frees; producer unblocks
-    producer.join();
-    EXPECT_TRUE(producer_done.load());
-}
-
-TEST(ThreadPool, NestedSubmissionsNeverBlockOnTheBound) {
-    // A worker-thread submit that blocked on a full queue could deadlock
-    // (the only thread able to free a slot would be the one waiting), so
-    // submissions from inside a pool task always enqueue immediately.
-    ThreadPool pool(1, 1);
-    std::atomic<int> leaves{0};
-    pool.submit([&] {
-        for (int i = 0; i < 4; ++i)
-            pool.submit([&leaves] { leaves.fetch_add(1); });
-    });
-    while (leaves.load() < 4) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_EQ(leaves.load(), 4);
-}
-
-TEST(ThreadPool, BoundedPoolRunsEverythingThroughBackpressure) {
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2, 4);
-        for (int i = 0; i < 200; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-    }
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, AffineLaneRunsTasksInSubmissionOrder) {
-    // Many tasks on one lane race-free: the lane is a strand, so a plain
-    // (unsynchronized-between-tasks) vector records strict FIFO order.
-    std::vector<int> order;
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 200; ++i)
-            pool.submit_affine(3, [&order, i] { order.push_back(i); });
-    }
-    ASSERT_EQ(order.size(), 200u);
-    for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, DistinctLanesRunConcurrently) {
-    // Lane 0 blocks until lane 1 runs: only possible when the two lanes
-    // execute on different workers at the same time.
-    std::atomic<bool> lane1_ran{false};
-    ThreadPool pool(2);
-    pool.submit_affine(0, [&lane1_ran] {
-        for (int spin = 0; spin < 2'000 && !lane1_ran.load(); ++spin)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        EXPECT_TRUE(lane1_ran.load());
-    });
-    pool.submit_affine(1, [&lane1_ran] { lane1_ran.store(true); });
-}
-
-TEST(ThreadPool, LanesDrainBeforeShutdown) {
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(3);
-        for (int i = 0; i < 90; ++i)
-            pool.submit_affine(static_cast<std::size_t>(i) % 7,
-                               [&count] { count.fetch_add(1); });
-    }  // destructor must run every lane dry, not just the shared queue
-    EXPECT_EQ(count.load(), 90);
-}
-
-TEST(ThreadPool, AffineSubmitIgnoresTheQueueBound) {
-    // The bound backpressures the shared queue only; shard strands own
-    // their admission control (the serve ring), so affine submits from a
-    // worker must never deadlock on a full shared queue.
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(1, /*queue_capacity=*/1);
-        for (int i = 0; i < 32; ++i)
-            pool.submit_affine(0, [&count] { count.fetch_add(1); });
-    }  // 32 affine submits with a 1-slot bound: none may block the caller
-    EXPECT_EQ(count.load(), 32);
 }
 
 TEST(TaskGroup, WaitBlocksUntilAllTasksFinish) {

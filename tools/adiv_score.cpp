@@ -27,9 +27,9 @@
 // Observability: --trace PATH streams JSON-lines spans — the run manifest
 // first, then one score.batch span per window batch with the instrumented
 // detect.score spans nested inside. --metrics PATH dumps the final metrics
-// (online.events_consumed, online.push_latency_us percentiles,
-// online.alarm_rate, ...) as a human table on stdout and machine JSON to
-// PATH ('-' = stdout).
+// (online.events_consumed, online.alarm_rate, detect.score_us
+// percentiles, ...) as a human table on stdout and machine JSON to PATH
+// ('-' = stdout).
 //
 // Exit status: 0 when no alarms fire, 2 when at least one alarm event fires
 // (scriptable), 1 on errors.

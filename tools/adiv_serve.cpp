@@ -7,8 +7,10 @@
 // protocol (src/serve/protocol.hpp) on 127.0.0.1: clients OPEN a session,
 // PUSH events through a per-session OnlineScorer, and receive one response
 // per completed window — plus STATS / DRAIN / CLOSE. The model is shared
-// read-only across all sessions; scoring runs on a bounded worker pool
-// (--jobs) with per-session response ordering.
+// read-only across all sessions. Sessions are spread over --shards strands;
+// the connection reader that finds a strand idle scores on it, and a strand
+// that keeps a reader past one ring's worth (--queue) of items moves to a
+// pool worker (--jobs). Responses keep per-connection request order.
 //
 // --port 0 binds an ephemeral port; the actual port is printed on the
 // "listening" line (and is what scripts should parse). SIGINT/SIGTERM
@@ -69,7 +71,9 @@ int main(int argc, char** argv) {
     cli.add_option("metrics-port", "",
                    "also serve HTTP GET /metrics (OpenMetrics) on this "
                    "127.0.0.1 port (0 = ephemeral; empty = off)");
-    cli.add_option("jobs", "0", "scoring worker threads (0 = hardware)");
+    cli.add_option("jobs", "0",
+                   "pool workers for strands a reader hands off, and the "
+                   "default shard count (0 = hardware)");
     cli.add_option("shards", "0",
                    "session-table shards, one strand each (0 = one per worker)");
     cli.add_option("queue", "256",

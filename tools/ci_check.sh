@@ -185,7 +185,7 @@ if [ "$tsan" -eq 1 ]; then
         -DADIV_SANITIZE=thread -DADIV_WERROR=ON \
         -DADIV_BUILD_BENCH=OFF -DADIV_BUILD_EXAMPLES=OFF
     cmake --build build-tsan -j "$jobs"
-    # The concurrency surface: the pool itself (affine lanes included), the
+    # The concurrency surface: the pool itself (one FIFO queue), the
     # scheduler's determinism suite (jobs > 1 plan runs for all detectors),
     # the engine sinks, the detection server (transports, shard strands,
     # concurrent sessions, the shard-determinism replay matrix), the
@@ -414,9 +414,9 @@ if [ "$shard_smoke" -eq 1 ]; then
     # Paper-corpus model, as in the serve smoke, so --verify is informative.
     ./build/tools/adiv_train --detector stide --window 6 \
         --training-length 20000 --seed 11 --out "$smoke_dir/model.adiv"
-    # 4 shards over 2 workers: shard strands multiplex onto the lanes, the
-    # profiled build stamps the serve.shard.* wait sites, and the final
-    # wait_site digest lands in the daemon's trace stream.
+    # 4 shards over 2 workers: readers run idle strands, any worker runs a
+    # handed-off one, the profiled build stamps the serve.shard.* wait sites,
+    # and the final wait_site digest lands in the daemon's trace stream.
     ./build/tools/adiv_serve --model "$smoke_dir/model.adiv" --port 0 \
         --jobs 2 --shards 4 --metrics-port 0 --profile \
         --trace "$smoke_dir/shard_trace.jsonl" \
