@@ -57,10 +57,11 @@
 //                        operator new, no std::string / std::to_string
 //                        construction, and no push_back/emplace_back on a
 //                        container the body does not reserve() first. The
-//                        serve event loop (serve/server.cpp run_shard)
-//                        carries the annotation; per-event work there must
-//                        go through the preallocated slot arenas and scratch
-//                        buffers, never the heap.
+//                        serve per-request function (serve/server.cpp
+//                        handle_request) carries the annotation; per-event
+//                        work there must go through the connection's reused
+//                        request, response and output buffers, never the
+//                        heap.
 //
 //   lock-order           Whole-tree deadlock detection. Every acquisition of
 //                        lock L while lock M is held — directly or through a

@@ -73,7 +73,6 @@ std::string render_flight_records(const std::vector<FlightRecord>& records) {
         out += " recv_wait_us=" + fixed(static_cast<double>(r.recv_wait_us), 3);
         out += " recv_read_us=" + fixed(static_cast<double>(r.recv_read_us), 3);
         out += " parse_us=" + fixed(static_cast<double>(r.parse_us), 3);
-        out += " queue_us=" + fixed(static_cast<double>(r.queue_us), 3);
         out += " score_us=" + fixed(static_cast<double>(r.score_us), 3);
         out += " reply_us=" + fixed(static_cast<double>(r.reply_us), 3);
         out += " total_us=" + fixed(static_cast<double>(r.total_us), 3);

@@ -41,11 +41,9 @@ struct FlightRecord {
     float recv_wait_us = 0.0F;  ///< read blocked between frames (client idle)
     float recv_read_us = 0.0F;  ///< read blocked mid-frame (receive work)
     float parse_us = 0.0F;
-    float queue_us = 0.0F;
     float score_us = 0.0F;
     float reply_us = 0.0F;
     float total_us = 0.0F;
-    std::uint32_t reserved = 0;  ///< padding: keeps the record word-aligned
 
     void set_verb(std::string_view text) noexcept { copy_token(verb, text); }
     void set_outcome(std::string_view text) noexcept { copy_token(outcome, text); }

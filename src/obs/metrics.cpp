@@ -20,11 +20,10 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
     return *slot;
 }
 
-Sketch& MetricsRegistry::sketch(const std::string& name, std::size_t lanes,
-                                double relative_error) {
+Sketch& MetricsRegistry::sketch(const std::string& name, double relative_error) {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = sketches_[name];
-    if (!slot) slot = std::make_unique<Sketch>(lanes, relative_error);
+    if (!slot) slot = std::make_unique<Sketch>(relative_error);
     return *slot;
 }
 

@@ -61,9 +61,9 @@ class MetricsRegistry {
 public:
     Counter& counter(const std::string& name);
     Gauge& gauge(const std::string& name);
-    /// Mergeable quantile sketch (obs/sketch.hpp); `lanes` sizes the
-    /// per-shard lane array on first creation (later lookups ignore it).
-    Sketch& sketch(const std::string& name, std::size_t lanes = 1,
+    /// Mergeable quantile sketch (obs/sketch.hpp); `relative_error` applies
+    /// on first creation (later lookups ignore it).
+    Sketch& sketch(const std::string& name,
                    double relative_error = QuantileSketch::kDefaultRelativeError);
 
     /// Lookup without creation; nullptr when the name is unknown.

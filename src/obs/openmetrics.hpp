@@ -5,7 +5,7 @@
 // the renderer maps every dot to '_' and prefixes `adiv_`:
 //
 //   serve.events_pushed   (counter)    ->  adiv_serve_events_pushed_total
-//   serve.queue_depth     (gauge)      ->  adiv_serve_queue_depth
+//   serve.sessions_active (gauge)      ->  adiv_serve_sessions_active
 //   serve.push_latency_us (sketch)     ->  adiv_serve_push_latency_us
 //                                          {quantile="0.5"|"0.95"|"0.99"},
 //                                          plus _sum and _count series

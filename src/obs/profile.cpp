@@ -22,10 +22,6 @@ void set_profiling_enabled(bool on) noexcept {
 }
 #endif
 
-std::string_view to_string(WaitSiteKind kind) noexcept {
-    return kind == WaitSiteKind::Contention ? "contention" : "idle";
-}
-
 namespace {
 // "serve.shard.table" + "wait_us" -> "serve.shard.table.wait_us". The
 // metric-name lint checks string literals passed directly to instrument
@@ -36,9 +32,8 @@ std::string qualified(const std::string& prefix, const char* leaf) {
 }
 }  // namespace
 
-WaitSite::WaitSite(std::string name, WaitSiteKind kind, MetricsRegistry& metrics)
+WaitSite::WaitSite(std::string name, MetricsRegistry& metrics)
     : name_(std::move(name)),
-      kind_(kind),
       acquires_(metrics.counter(qualified(name_, "acquires"))),
       contended_(metrics.counter(qualified(name_, "contended"))),
       wait_us_(metrics.sketch(qualified(name_, "wait_us"))) {}
@@ -46,12 +41,12 @@ WaitSite::WaitSite(std::string name, WaitSiteKind kind, MetricsRegistry& metrics
 WaitSiteRegistry::WaitSiteRegistry(MetricsRegistry& metrics)
     : metrics_(&metrics) {}
 
-WaitSite& WaitSiteRegistry::site(const std::string& name, WaitSiteKind kind) {
+WaitSite& WaitSiteRegistry::site(const std::string& name) {
     require(!name.empty(), "wait site needs a name");
     const std::lock_guard<std::mutex> lock(mutex_);
     auto it = sites_.find(name);
     if (it == sites_.end())
-        it = sites_.emplace(name, std::make_unique<WaitSite>(name, kind, *metrics_))
+        it = sites_.emplace(name, std::make_unique<WaitSite>(name, *metrics_))
                  .first;
     return *it->second;
 }
@@ -64,7 +59,6 @@ std::vector<WaitSiteSummary> WaitSiteRegistry::summaries() const {
         const SketchSummary waits = site->wait_summary();
         WaitSiteSummary summary;
         summary.name = name;
-        summary.kind = site->kind();
         summary.acquires = site->acquires();
         summary.contended = site->contended();
         summary.wait_us_total = waits.sum;
@@ -81,7 +75,6 @@ std::string wait_site_jsonl(const WaitSiteSummary& summary) {
     w.begin_object();
     w.key("type").value("wait_site");
     w.key("site").value(summary.name);
-    w.key("kind").value(to_string(summary.kind));
     w.key("acquires").value(summary.acquires);
     w.key("contended").value(summary.contended);
     w.key("wait_us_total").value(summary.wait_us_total);
@@ -103,8 +96,8 @@ WaitSiteRegistry& global_wait_sites() {
     return registry;
 }
 
-WaitSite& wait_site(const std::string& name, WaitSiteKind kind) {
-    return global_wait_sites().site(name, kind);
+WaitSite& wait_site(const std::string& name) {
+    return global_wait_sites().site(name);
 }
 
 }  // namespace adiv

@@ -1,8 +1,7 @@
 // Wait-time accounting for the serve hot path.
 //
-// A *wait site* is a named place where a thread can block: a contended
-// mutex, a full bounded queue, a strand handoff. Each site owns three
-// registry instruments —
+// A *wait site* is a named place where a thread can block, such as a
+// contended mutex. Each site owns three registry instruments —
 //
 //   <site>.acquires    counter, passes through the site (blocked or not)
 //   <site>.contended   counter, passes that actually blocked
@@ -15,7 +14,7 @@
 //     scope's elapsed microseconds to `field` when profiling is on.
 //   * wait_at(), the one wait: a pass through a wait site that blocks in a
 //     mutex or condition-variable wait. ProfiledMutex (a drop-in std::mutex)
-//     and the serve slot / run-queue waits all go through it.
+//     goes through it.
 //
 // The zero-overhead-when-off contract: instrumentation is gated twice.
 // Compile time: `cmake -DADIV_PROFILE=OFF` makes profiling_enabled() a
@@ -33,7 +32,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -92,20 +90,11 @@ public:
 };
 #endif
 
-/// Contention sites measure time stolen by other threads (locks, full
-/// queues); Idle sites measure time spent waiting for work to exist (a
-/// worker parked on an empty queue). Only Contention sites compete for
-/// `adiv_traceview --contention`'s "dominant wait site" — an idle pool is
-/// not a bottleneck.
-enum class WaitSiteKind { Contention, Idle };
-
-[[nodiscard]] std::string_view to_string(WaitSiteKind kind) noexcept;
-
 /// One named blocking point. Cheap to hold by reference: recording is two
 /// relaxed counter bumps plus (when blocked) one sketch record.
 class WaitSite {
 public:
-    WaitSite(std::string name, WaitSiteKind kind, MetricsRegistry& metrics);
+    WaitSite(std::string name, MetricsRegistry& metrics);
 
     /// An uncontended pass: the thread got through without blocking.
     void record_acquire() noexcept { acquires_.add(1); }
@@ -118,14 +107,12 @@ public:
     }
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] WaitSiteKind kind() const noexcept { return kind_; }
     [[nodiscard]] std::uint64_t acquires() const noexcept { return acquires_.value(); }
     [[nodiscard]] std::uint64_t contended() const noexcept { return contended_.value(); }
     [[nodiscard]] SketchSummary wait_summary() const { return wait_us_.summary(); }
 
 private:
     std::string name_;
-    WaitSiteKind kind_;
     Counter& acquires_;
     Counter& contended_;
     Sketch& wait_us_;
@@ -134,7 +121,6 @@ private:
 /// Point-in-time digest of one site, the unit of reporting.
 struct WaitSiteSummary {
     std::string name;
-    WaitSiteKind kind = WaitSiteKind::Contention;
     std::uint64_t acquires = 0;
     std::uint64_t contended = 0;
     double wait_us_total = 0.0;
@@ -145,13 +131,12 @@ struct WaitSiteSummary {
 
 /// Named site store. Like MetricsRegistry: lookup creates on first use,
 /// references stay valid for the registry's lifetime, a site asked for
-/// twice is the same site (the first caller's kind wins).
+/// twice is the same site.
 class WaitSiteRegistry {
 public:
     explicit WaitSiteRegistry(MetricsRegistry& metrics = global_metrics());
 
-    WaitSite& site(const std::string& name,
-                   WaitSiteKind kind = WaitSiteKind::Contention);
+    WaitSite& site(const std::string& name);
 
     /// Name-sorted digests of every registered site.
     [[nodiscard]] std::vector<WaitSiteSummary> summaries() const;
@@ -171,8 +156,7 @@ WaitSiteRegistry& global_wait_sites();
 
 /// Resolve-once idiom for instrumentation points:
 ///   static WaitSite& site = wait_site("serve.session_table");
-WaitSite& wait_site(const std::string& name,
-                    WaitSiteKind kind = WaitSiteKind::Contention);
+WaitSite& wait_site(const std::string& name);
 
 /// Render one `{"type":"wait_site",...}` JSON line for a digest.
 [[nodiscard]] std::string wait_site_jsonl(const WaitSiteSummary& summary);
@@ -223,8 +207,7 @@ private:
 
 /// Per-event pipeline stage durations (microseconds), stamped along the
 /// serve hot path. Stages are disjoint steady-clock intervals inside the
-/// event's end-to-end window, so stage_sum_us() <= total_us always holds
-/// (the remainder is handoff time visible at the wait sites).
+/// event's end-to-end window, so stage_sum_us() <= total_us always holds.
 ///
 /// recv is split the same way wait sites split idle from contention: a
 /// read_some() that began at a clean frame boundary was waiting for the
@@ -236,14 +219,12 @@ struct StageStamps {
     double recv_wait_us = 0.0;  ///< blocked in read_some between frames (idle)
     double recv_read_us = 0.0;  ///< blocked in read_some mid-frame (work)
     double parse_us = 0.0;      ///< frame payload -> Request
-    double queue_us = 0.0;      ///< run-queue enqueue -> shard strand pickup
     double score_us = 0.0;      ///< request dispatch (scoring, for PUSH)
-    double reply_us = 0.0;      ///< response serialize + write
-    double total_us = 0.0;      ///< recv start -> reply written
+    double reply_us = 0.0;      ///< response serialize + frame
+    double total_us = 0.0;      ///< recv start -> reply framed
 
     [[nodiscard]] double stage_sum_us() const noexcept {
-        return recv_wait_us + recv_read_us + parse_us + queue_us + score_us +
-               reply_us;
+        return recv_wait_us + recv_read_us + parse_us + score_us + reply_us;
     }
 };
 

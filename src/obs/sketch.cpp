@@ -218,20 +218,4 @@ void QuantileSketch::reset() noexcept {
     exemplar_span_ = 0;
 }
 
-Sketch::Sketch(std::size_t lanes, double relative_error) {
-    const std::size_t n = std::max<std::size_t>(lanes, 1);
-    lanes_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) lanes_.emplace_back(relative_error);
-}
-
-QuantileSketch Sketch::merged() const {
-    QuantileSketch merged(lanes_.front().relative_error());
-    for (const QuantileSketch& lane : lanes_) merged.merge_from(lane);
-    return merged;
-}
-
-void Sketch::reset() noexcept {
-    for (QuantileSketch& lane : lanes_) lane.reset();
-}
-
 }  // namespace adiv

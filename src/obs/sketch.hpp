@@ -12,8 +12,8 @@
 //     recorded values. Two runs that record the same values report
 //     bit-identical quantiles, whatever the thread interleaving.
 //   * Mergeable: merge_from() is bucketwise integer addition, so merging
-//     per-shard sketches is exact, commutative, and associative — merging
-//     in any order yields the identical exposition (pinned by tests).
+//     sketches recorded apart is exact, commutative, and associative —
+//     merging in any order yields the identical exposition (pinned by tests).
 //
 // To keep merges associative down to the last bit, the reported `sum` (and
 // `mean`) are accumulated as an integer count of fixed ticks (1e-3 of the
@@ -28,11 +28,10 @@
 // that produced it in the trace file.
 //
 // Thread-safety: record() is lock-free on the bucket counters (relaxed
-// atomics); the exemplar takes a tiny mutex only when a new maximum
-// arrives, which happens O(log n) times per stream. Sketch (the registry
-// instrument, obs/metrics.hpp) adds per-shard lanes on top: each lane is an
-// independent QuantileSketch, so single-writer lanes never contend, and the
-// scrape merges them in lane order.
+// atomics), so any number of threads may record into one sketch; the
+// exemplar takes a tiny mutex only when a new maximum arrives, which happens
+// O(log n) times per stream. The registry instrument (Sketch, below and
+// obs/metrics.hpp) is one QuantileSketch.
 #pragma once
 
 #include <atomic>
@@ -134,42 +133,7 @@ private:
     std::uint64_t exemplar_span_ = 0;      // adiv-guarded-by(exemplar_mutex_)
 };
 
-/// The registry instrument (obs/metrics.hpp): N independent single-writer
-/// lanes merged at snapshot time. A per-shard recorder passes its shard
-/// index as the lane, so shards never touch each other's cache lines; the
-/// scrape merges lanes in ascending order, which — merge being associative —
-/// yields the same digest as any other order.
-class Sketch {
-public:
-    explicit Sketch(std::size_t lanes = 1,
-                    double relative_error = QuantileSketch::kDefaultRelativeError);
-
-    void record(double value, std::size_t lane = 0) noexcept {
-        lanes_[lane < lanes_.size() ? lane : 0].record(value);
-    }
-
-    void record(double value, std::uint64_t trace_id, std::uint64_t span_id,
-                std::size_t lane = 0) noexcept {
-        lanes_[lane < lanes_.size() ? lane : 0].record(value, trace_id, span_id);
-    }
-
-    [[nodiscard]] std::size_t lane_count() const noexcept {
-        return lanes_.size();
-    }
-
-    [[nodiscard]] double relative_error() const noexcept {
-        return lanes_.front().relative_error();
-    }
-
-    /// All lanes merged, in ascending lane order.
-    [[nodiscard]] QuantileSketch merged() const;
-
-    [[nodiscard]] SketchSummary summary() const { return merged().summary(); }
-
-    void reset() noexcept;
-
-private:
-    std::vector<QuantileSketch> lanes_;
-};
+/// The registry instrument (obs/metrics.hpp).
+using Sketch = QuantileSketch;
 
 }  // namespace adiv

@@ -24,7 +24,8 @@
 // as 16-hex-digit strings. adiv_traceview --request stitches those lines,
 // across processes, into one causal tree: the client span carries the same
 // ids the wire protocol ships, and the daemon installs the shipped context
-// (ScopedTraceContext) around the shard-strand handling of that request.
+// (ScopedTraceContext) around the connection reader's handling of that
+// request.
 #pragma once
 
 #include <cstdint>

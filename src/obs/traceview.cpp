@@ -422,8 +422,7 @@ std::string render_traceview(const TraceAnalysis& analysis) {
 namespace {
 
 constexpr const char* kStageNames[] = {"recv_wait", "recv_read", "parse",
-                                       "queue",     "score",     "reply",
-                                       "total"};
+                                       "score",     "reply",     "total"};
 
 struct StageAccum {
     std::vector<double> values;
@@ -471,8 +470,6 @@ ContentionAnalysis analyze_contention(std::istream& in) {
             }
             ContentionSite& site = site_accum[name->text];
             site.site = name->text;
-            if (const FieldValue* kind = find_string(fields, "kind"))
-                site.kind = kind->text;
             const auto number = [&](const char* key) {
                 const FieldValue* v = find_number(fields, key);
                 return v != nullptr ? v->number : 0.0;
@@ -520,7 +517,7 @@ ContentionAnalysis analyze_contention(std::istream& in) {
                   return a.site < b.site;
               });
     for (const ContentionSite& site : analysis.sites) {
-        if (site.kind == "contention" && site.contended > 0) {
+        if (site.contended > 0) {
             analysis.dominant_site = site.site;  // first hit: max total wait
             break;
         }
@@ -551,10 +548,10 @@ std::string render_contention(const ContentionAnalysis& analysis) {
     } else {
         out += "wait sites (by total wait):\n";
         TextTable table;
-        table.header({"site", "kind", "acquires", "contended", "wait_us_total",
+        table.header({"site", "acquires", "contended", "wait_us_total",
                       "wait_us_mean", "wait_us_p95", "wait_us_max"});
         for (const ContentionSite& site : analysis.sites)
-            table.add(site.site, site.kind, site.acquires, site.contended,
+            table.add(site.site, site.acquires, site.contended,
                       fixed(site.wait_us_total, 3), fixed(site.wait_us_mean, 3),
                       fixed(site.wait_us_p95, 3), fixed(site.wait_us_max, 3));
         out += table.render();
@@ -590,7 +587,6 @@ std::string contention_to_json(const ContentionAnalysis& analysis) {
     for (const ContentionSite& site : analysis.sites) {
         w.begin_object();
         w.key("site").value(site.site);
-        w.key("kind").value(site.kind);
         w.key("acquires").value(site.acquires);
         w.key("contended").value(site.contended);
         w.key("wait_us_total").value(site.wait_us_total);

@@ -126,12 +126,13 @@ std::string request_to_json(const RequestAnalysis& analysis);
 // serve stage stamps): `event_stage` lines — the sampled per-event pipeline
 // stamps — into a stage-breakdown table with exact nearest-rank percentiles,
 // and `wait_site` lines into a top-wait-sites attribution report naming the
-// dominant (most total wait among contention-kind) site.
+// dominant (most total wait among contended) site. The `kind` key that
+// older traces carry on wait_site lines is ignored.
 
 /// One pipeline stage aggregated over the sampled events. Durations are
 /// microseconds; percentiles are exact over the sampled values.
 struct StageBreakdown {
-    std::string stage;  ///< recv | parse | queue | score | reply | total
+    std::string stage;  ///< recv_wait | recv_read | parse | score | reply | total
     std::uint64_t count = 0;
     double total_us = 0.0;
     double mean_us = 0.0;
@@ -145,7 +146,6 @@ struct StageBreakdown {
 /// the stream: counts sum, percentiles take the worst digest).
 struct ContentionSite {
     std::string site;
-    std::string kind;  ///< "contention" or "idle"
     std::uint64_t acquires = 0;
     std::uint64_t contended = 0;
     double wait_us_total = 0.0;

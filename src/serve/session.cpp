@@ -203,7 +203,7 @@ void SessionManager::handle_into(std::uint64_t session_id,
                 }
             out.type = ResponseType::Scores;
             {
-                // Traced requests nest a scorer span under the strand's
+                // Traced requests nest a scorer span under the reader's
                 // serve.shard_handle (the context the server installed);
                 // the active() check keeps untraced pushes span-free.
                 std::optional<TraceSpan> score_span;
@@ -239,9 +239,9 @@ void SessionManager::handle_into(std::uint64_t session_id,
             out.exposition = metrics_to_openmetrics(*metrics_);
             return;
         case RequestType::Drain:
-            // The server's shard strand has already handled everything this
-            // session enqueued before this request, so reaching this point
-            // IS the barrier.
+            // The connection's reader handles its requests one at a time,
+            // in arrival order, so everything this session sent before this
+            // request has been handled: reaching this point IS the barrier.
             out.type = ResponseType::Drained;
             out.counts = counts_of(*session);
             return;

@@ -10,9 +10,10 @@
 // shards — a session lives in shard_of(id), a mixed hash of its id — each
 // with its own lock, so opens and closes on different shards never contend
 // and the table stops being a serialization point. The manager performs no
-// locking around a session's scorer: the server guarantees (via its
-// per-shard strand) that at most one thread handles a given session at a
-// time, and the manager's shard locks only guard the table entries.
+// locking around a session's scorer: the server guarantees that at most one
+// thread handles a given session — the reader of the connection that opened
+// it, one request at a time — and the manager's shard locks only guard the
+// table entries.
 //
 // Metrics (in the given registry; the process-global one by default):
 //   serve.sessions_opened    counter
@@ -132,7 +133,7 @@ public:
 
     /// As handle(), but writes into a caller-owned Response whose buffers
     /// (scores, exposition, message) keep their capacity across calls — the
-    /// shard strand's allocation-free steady state.
+    /// connection reader's allocation-free steady state.
     void handle_into(std::uint64_t session_id, const Request& request,
                      Response& out);
 
@@ -157,7 +158,7 @@ private:
     /// an ensemble spec (fusion::is_ensemble_spec) binds N catalog models
     /// fused by a rule, any other target binds one model. Either way the
     /// session answers PUSH with one score stream and one alarm count, so
-    /// the shard strand and the wire protocol never branch on the kind.
+    /// the server and the wire protocol never branch on the kind.
     struct Session {
         std::shared_ptr<const SequenceDetector> model;  // null for ensembles
         std::optional<OnlineScorer> scorer;
@@ -201,8 +202,8 @@ private:
         mutable ProfiledMutex mutex;
         // The table structure only: a Session's own state (scorer, ensemble
         // members, the vote rule's threshold histograms, flight ring) is
-        // strand-confined — after the locked lookup, only the owning
-        // shard's strand touches it, which is what keeps the score path
+        // confined to one connection's reader — after the locked lookup,
+        // only that reader touches it, which is what keeps the score path
         // lock-free.
         std::map<std::uint64_t, std::shared_ptr<Session>>
             sessions;  // adiv-guarded-by(mutex)

@@ -1,15 +1,13 @@
 // Fixed-size thread pool and task groups: the execution substrate of the
-// experiment engine (src/engine) and the detection server (src/serve).
+// experiment engine (src/engine).
 //
 // ThreadPool runs submitted tasks on a fixed set of worker threads, which
 // drain one unbounded FIFO queue: submit() never blocks, and any worker may
-// run any task. The engine and adiv_score reach it through TaskGroup; the
-// serve layer submits each shard strand a reader hands off (serve's shard
-// rings, not the pool, bound what is queued). TaskGroup tracks a set of
-// related tasks — including tasks submitted from *inside* other tasks,
-// which is how the engine expresses dependencies (a training job submits
-// its scoring jobs once the model is ready) — and wait() blocks until the
-// whole set has drained. Failures are deterministic regardless of thread
+// run any task. The engine and adiv_score reach it through TaskGroup, which
+// tracks a set of related tasks — including tasks submitted from *inside*
+// other tasks, which is how the engine expresses dependencies (a training
+// job submits its scoring jobs once the model is ready) — and wait() blocks
+// until the whole set has drained. Failures are deterministic regardless of thread
 // interleaving: every task gets a submission index, and wait() rethrows the
 // exception of the lowest-indexed failed task, so jobs=1 and jobs=N report
 // the same error.

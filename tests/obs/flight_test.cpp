@@ -84,7 +84,6 @@ TEST(FlightRecorder, RenderIsByteExact) {
     first.recv_wait_us = 1.0F;
     first.recv_read_us = 0.5F;
     first.parse_us = 2.25F;
-    first.queue_us = 3.5F;
     first.score_us = 100.125F;
     first.reply_us = 4.0F;
     first.total_us = 120.5F;
@@ -97,11 +96,11 @@ TEST(FlightRecorder, RenderIsByteExact) {
     EXPECT_EQ(render_flight_records(ring.snapshot()),
               "seq=0 verb=PUSH outcome=ok events=64 scores=59 "
               "recv_wait_us=1.000 recv_read_us=0.500 parse_us=2.250 "
-              "queue_us=3.500 score_us=100.125 reply_us=4.000 "
+              "score_us=100.125 reply_us=4.000 "
               "total_us=120.500\n"
               "seq=1 verb=DRAIN outcome=err events=0 scores=0 "
               "recv_wait_us=0.000 recv_read_us=0.000 parse_us=0.000 "
-              "queue_us=0.000 score_us=0.000 reply_us=0.000 "
+              "score_us=0.000 reply_us=0.000 "
               "total_us=0.000\n");
     EXPECT_EQ(render_flight_records({}), "");
 }

@@ -113,8 +113,7 @@ TEST(MetricsRendering, JsonCarriesAllKinds) {
 
 TEST(MetricsRendering, TableAndJsonCarrySketches) {
     MetricsRegistry reg;
-    reg.sketch("serve.stage.total_us", /*lanes=*/2)
-        .record(42.0, 0xabcULL, 0x123ULL, /*lane=*/1);
+    reg.sketch("serve.stage.total_us").record(42.0, 0xabcULL, 0x123ULL);
     const std::string table = render_metrics_table(reg);
     EXPECT_NE(table.find("sketch"), std::string::npos);
     EXPECT_NE(table.find("serve.stage.total_us"), std::string::npos);
@@ -132,14 +131,14 @@ TEST(MetricsRendering, TableAndJsonCarrySketches) {
     EXPECT_NE(metrics_to_json(plain).find("\"sketches\":{}"), std::string::npos);
 }
 
-TEST(MetricsRegistry, SketchLookupHonorsLanesOnFirstCreation) {
+TEST(MetricsRegistry, SketchLookupKeepsTheFirstInstrument) {
     MetricsRegistry reg;
-    Sketch& a = reg.sketch("serve.stage.total_us", /*lanes=*/3);
-    EXPECT_EQ(a.lane_count(), 3u);
-    // Later lookups return the same instrument and ignore the lane hint.
-    Sketch& b = reg.sketch("serve.stage.total_us", /*lanes=*/99);
+    Sketch& a = reg.sketch("serve.stage.total_us", /*relative_error=*/0.05);
+    EXPECT_EQ(a.relative_error(), 0.05);
+    // Later lookups return the same instrument and ignore the error hint.
+    Sketch& b = reg.sketch("serve.stage.total_us", /*relative_error=*/0.2);
     EXPECT_EQ(&a, &b);
-    EXPECT_EQ(b.lane_count(), 3u);
+    EXPECT_EQ(b.relative_error(), 0.05);
     EXPECT_EQ(reg.find_sketch("missing"), nullptr);
     ASSERT_NE(reg.find_sketch("serve.stage.total_us"), nullptr);
 }

@@ -171,10 +171,9 @@ TEST(OpenMetricsParse, RejectsMalformedValuesAndNames) {
 
 TEST(OpenMetricsRender, SketchExemplarRoundTripsThroughTheParser) {
     MetricsRegistry reg;
-    Sketch& sketch = reg.sketch("serve.stage.total_us", /*lanes=*/2);
-    sketch.record(120.0, /*lane=*/0);
-    sketch.record(950.0, 0xdeadbeef01234567ULL, 0x0123456789abcdefULL,
-                  /*lane=*/1);
+    Sketch& sketch = reg.sketch("serve.stage.total_us");
+    sketch.record(120.0);
+    sketch.record(950.0, 0xdeadbeef01234567ULL, 0x0123456789abcdefULL);
     const std::string text = metrics_to_openmetrics(reg);
     // The sketch renders as a summary; its p99 sample carries the exemplar
     // naming the trace context of the largest traced observation.

@@ -92,14 +92,14 @@ TEST(TelemetrySampler, SketchSamplesCarryDigestAndCountDelta) {
     // Every sketch — serve.stage.* included — reaches the series, with its
     // count delta since the previous tick and its digest.
     MetricsRegistry reg;
-    reg.sketch("serve.stage.total_us", /*lanes=*/2).record(4.0, /*lane=*/1);
+    reg.sketch("serve.stage.total_us").record(4.0);
     std::ostringstream out;
     TelemetrySamplerConfig config;
     config.clock = pinned_clock;
     TelemetrySampler sampler(reg, std::make_shared<StreamTraceSink>(out), config);
     sampler.sample_once();
-    reg.sketch("serve.stage.total_us").record(8.0, /*lane=*/0);
-    reg.sketch("serve.stage.total_us").record(12.0, /*lane=*/1);
+    reg.sketch("serve.stage.total_us").record(8.0);
+    reg.sketch("serve.stage.total_us").record(12.0);
     sampler.sample_once();
 
     const std::vector<std::string> lines = lines_of(out.str());

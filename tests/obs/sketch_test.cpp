@@ -1,7 +1,7 @@
 // QuantileSketch: the documented relative-error bound against exact offline
 // quantiles, bit-identical determinism across recording orders, merge
 // associativity down to the exposition string, exemplar selection, and the
-// per-shard lane instrument.
+// registry instrument under concurrent recorders.
 #include "obs/sketch.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -187,29 +188,38 @@ TEST(QuantileSketch, ResetClearsCountsAndExemplar) {
     EXPECT_EQ(sketch.quantile(0.99), 0.0);
 }
 
-TEST(SketchInstrument, LanesMergeLikeOneSketch) {
-    Sketch lanes(/*lanes=*/4);
+TEST(SketchInstrument, ConcurrentRecordersMatchOneSerialSketch) {
+    // Four threads record interleaved quarters of one sample into one
+    // registry sketch; its digest must equal a serial sketch's.
+    MetricsRegistry registry;
+    Sketch& shared = registry.sketch("serve.stage.total_us");
     QuantileSketch reference;
     const std::vector<double> values = log_uniform_sample(4'000, 5);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        lanes.record(values[i], /*lane=*/i % 4);
-        reference.record(values[i]);
-    }
-    const SketchSummary merged = lanes.summary();
-    const SketchSummary direct = reference.summary();
-    EXPECT_EQ(merged.count, direct.count);
-    EXPECT_EQ(merged.sum, direct.sum);
-    EXPECT_EQ(merged.p50, direct.p50);
-    EXPECT_EQ(merged.p99, direct.p99);
+    for (const double value : values) reference.record(value);
+    std::vector<std::thread> recorders;
+    for (std::size_t t = 0; t < 4; ++t)
+        recorders.emplace_back([&, t] {
+            for (std::size_t i = t; i < values.size(); i += 4)
+                shared.record(values[i]);
+        });
+    for (std::thread& recorder : recorders) recorder.join();
+    const SketchSummary concurrent = shared.summary();
+    const SketchSummary serial = reference.summary();
+    EXPECT_EQ(concurrent.count, serial.count);
+    EXPECT_EQ(concurrent.sum, serial.sum);
+    EXPECT_EQ(concurrent.min, serial.min);
+    EXPECT_EQ(concurrent.max, serial.max);
+    EXPECT_EQ(concurrent.p50, serial.p50);
+    EXPECT_EQ(concurrent.p99, serial.p99);
 }
 
 TEST(SketchInstrument, TracksExactSumMinMax) {
     // The sum is kept in integer ticks, not rebuilt from bucket estimates:
     // it is exact for values on the 1e-3 grid, out-of-range values included.
-    Sketch sketch(/*lanes=*/2);
-    sketch.record(5.0, /*lane=*/0);
-    sketch.record(50.0, /*lane=*/1);
-    sketch.record(2e9, /*lane=*/1);  // beyond max_tracked()
+    Sketch sketch;
+    sketch.record(5.0);
+    sketch.record(50.0);
+    sketch.record(2e9);  // beyond max_tracked()
     const SketchSummary s = sketch.summary();
     EXPECT_EQ(s.count, 3u);
     EXPECT_EQ(s.sum, 2000000055.0);
@@ -218,16 +228,10 @@ TEST(SketchInstrument, TracksExactSumMinMax) {
     EXPECT_EQ(s.max, 2e9);
 }
 
-TEST(SketchInstrument, OutOfRangeLaneFallsBackToLaneZero) {
-    Sketch lanes(/*lanes=*/2);
-    lanes.record(1.0, /*lane=*/99);
-    EXPECT_EQ(lanes.summary().count, 1u);
-}
-
 TEST(SketchInstrument, RegistrySnapshotCarriesTheSketch) {
     MetricsRegistry registry;
-    Sketch& sketch = registry.sketch("serve.stage.probe_us", /*lanes=*/3);
-    sketch.record(10.0, 0xfeedULL, 0xbeefULL, /*lane=*/1);
+    Sketch& sketch = registry.sketch("serve.stage.probe_us");
+    sketch.record(10.0, 0xfeedULL, 0xbeefULL);
     const MetricsRegistry::Snapshot snap = registry.snapshot();
     ASSERT_EQ(snap.sketches.size(), 1u);
     EXPECT_EQ(snap.sketches[0].first, "serve.stage.probe_us");
@@ -240,17 +244,17 @@ TEST(SketchInstrument, RegistrySnapshotCarriesTheSketch) {
 }
 
 TEST(SketchInstrument, ShardMergeOrderCannotChangeTheExposition) {
-    // Two registries record identical per-lane streams but in different
-    // interleavings; the rendered exposition must be byte-identical.
+    // Two registries record the same three shards' streams, but in
+    // different interleavings; the rendered exposition must be
+    // byte-identical.
     MetricsRegistry first, second;
-    Sketch& a = first.sketch("serve.stage.order_us", 3);
-    Sketch& b = second.sketch("serve.stage.order_us", 3);
+    Sketch& a = first.sketch("serve.stage.order_us");
+    Sketch& b = second.sketch("serve.stage.order_us");
     const std::vector<double> values = log_uniform_sample(999, 8);
-    for (std::size_t i = 0; i < values.size(); ++i)
-        a.record(values[i], i % 3);
-    for (std::size_t lane = 0; lane < 3; ++lane)
-        for (std::size_t i = lane; i < values.size(); i += 3)
-            b.record(values[i], i % 3);
+    for (const double value : values) a.record(value);
+    for (std::size_t shard = 0; shard < 3; ++shard)
+        for (std::size_t i = shard; i < values.size(); i += 3)
+            b.record(values[i]);
     EXPECT_EQ(metrics_to_openmetrics(first), metrics_to_openmetrics(second));
 }
 

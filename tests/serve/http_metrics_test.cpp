@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
 #include "serve/transport.hpp"
+#include "support/proc_status.hpp"
 #include "util/error.hpp"
 
 namespace adiv::serve {
@@ -50,16 +50,6 @@ std::string scrape(std::uint16_t port) {
         response.append(buffer, n);
     }
     return response;
-}
-
-/// A `<field>:` line of /proc/self/status, in kB; -1 when absent.
-long status_kb(const std::string& field) {
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line))
-        if (line.rfind(field + ":", 0) == 0)
-            return std::stol(line.substr(field.size() + 1));
-    return -1;
 }
 
 TEST(HttpMetrics, GetMetricsReturnsExposition) {
@@ -171,13 +161,13 @@ TEST(HttpMetrics, SequentialScrapesLeaveNoThreadBehind) {
     reg.counter("serve.events_pushed").add(5);
     HttpMetricsListener listener(0, reg);
     ASSERT_EQ(status_line(scrape(listener.port())), "HTTP/1.0 200 OK");
-    const long before_kb = status_kb("VmSize");
+    const long before_kb = test::proc_status_kb("VmSize");
     ASSERT_GT(before_kb, 0);
     for (int i = 0; i < 200; ++i)
         ASSERT_EQ(status_line(scrape(listener.port())), "HTTP/1.0 200 OK");
     // A thread kept per scrape, even one that has exited, keeps its stack
     // mapped (8 MB by default), so 200 of them would add over 1.5 GB.
-    EXPECT_LT(status_kb("VmSize") - before_kb, 8 * 1024);
+    EXPECT_LT(test::proc_status_kb("VmSize") - before_kb, 8 * 1024);
 }
 
 TEST(HttpMetrics, SilentAndDrippingClientsAreCutOffAtTheDeadline) {

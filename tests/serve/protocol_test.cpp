@@ -264,10 +264,10 @@ TEST(Dump, ResponseCarriesFlightRecordsVerbatim) {
     response.type = ResponseType::Dumped;
     response.exposition =
         "seq=6 verb=PUSH outcome=ok events=64 scores=59 recv_us=1.000 "
-        "parse_us=2.250 queue_us=3.500 score_us=100.125 reply_us=4.000 "
+        "parse_us=2.250 score_us=100.125 reply_us=4.000 "
         "total_us=120.500\n"
         "seq=7 verb=DRAIN outcome=ok events=0 scores=0 recv_us=0.000 "
-        "parse_us=0.000 queue_us=0.000 score_us=0.000 reply_us=0.000 "
+        "parse_us=0.000 score_us=0.000 reply_us=0.000 "
         "total_us=0.000\n";
     const Response parsed = parse_response(serialize(response));
     ASSERT_EQ(parsed.type, ResponseType::Dumped);

@@ -58,7 +58,7 @@ protected:
     void SetUp() override {
         stide_ = trained(DetectorKind::Stide, 6);
         markov_ = trained(DetectorKind::Markov, 4);
-        server_ = std::make_unique<Server>(ServerConfig{.jobs = 2, .shards = 2},
+        server_ = std::make_unique<Server>(ServerConfig{.shards = 2},
                                            metrics_);
         server_->add_model("stide/6", stide_);
         server_->add_model("markov/4", markov_);

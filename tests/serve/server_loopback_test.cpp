@@ -1,8 +1,10 @@
 // End-to-end server behavior over in-process loopback transports: session
 // lifecycle, concurrent multi-session scoring bit-identical to a serial
 // OnlineScorer replay, response ordering, DRAIN semantics, error handling,
-// graceful shutdown, and the reader-run strand (one send per read, request
-// order across shards, a bounded run). No sockets — every test is hermetic.
+// graceful shutdown, and the reader-per-connection model (one send per read,
+// request order across a reopen, a blocked scorer that holds only its own
+// connection, finished connections reaped). No sockets — every test is
+// hermetic.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <future>
 #include <latch>
 #include <semaphore>
+#include <string>
 #include <thread>
 
 #include "core/online.hpp"
@@ -20,6 +23,7 @@
 #include "obs/openmetrics.hpp"
 #include "serve/client.hpp"
 #include "support/corpus_fixture.hpp"
+#include "support/proc_status.hpp"
 
 namespace adiv::serve {
 namespace {
@@ -91,8 +95,8 @@ private:
     std::atomic<std::size_t>* writes_;
 };
 
-/// Forwards every call to a trained model; the decorators below override
-/// score() only.
+/// Forwards every call to a trained model; GatedDetector overrides score()
+/// only.
 class DelegatingDetector : public SequenceDetector {
 public:
     explicit DelegatingDetector(std::shared_ptr<const SequenceDetector> inner)
@@ -117,8 +121,8 @@ private:
     std::shared_ptr<const SequenceDetector> inner_;
 };
 
-/// Its first score() call blocks until open() — pinning whichever thread
-/// runs that strand inside it.
+/// Its first score() call blocks until open() — pinning the reader that
+/// scores it inside.
 class GatedDetector final : public DelegatingDetector {
 public:
     using DelegatingDetector::DelegatingDetector;
@@ -140,26 +144,9 @@ private:
     mutable std::latch gate_{1};
 };
 
-/// Sleeps `delay` in every score() call, so the strand running its sessions
-/// stays busy while they keep writing.
-class SlowDetector final : public DelegatingDetector {
-public:
-    SlowDetector(std::shared_ptr<const SequenceDetector> inner,
-                 std::chrono::milliseconds delay)
-        : DelegatingDetector(std::move(inner)), delay_(delay) {}
-
-    [[nodiscard]] std::vector<double> score(const EventStream& test) const override {
-        std::this_thread::sleep_for(delay_);
-        return DelegatingDetector::score(test);
-    }
-
-private:
-    std::chrono::milliseconds delay_;
-};
-
 TEST(ServerLoopback, OpenPushDrainCloseLifecycle) {
     MetricsRegistry metrics;
-    Server server({.jobs = 2}, metrics);
+    Server server({}, metrics);
     const auto model = trained(DetectorKind::Stide, 6);
     server.add_model("stide/6", model);
 
@@ -192,10 +179,10 @@ TEST(ServerLoopback, OpenPushDrainCloseLifecycle) {
 
 TEST(ServerLoopback, ConcurrentSessionsScoreBitIdentically) {
     // The acceptance property at test scale: many sessions over two shared
-    // models, scored concurrently on a small pool, each bit-identical to a
+    // models, scored concurrently by their readers, each bit-identical to a
     // serial replay of its own stream.
     MetricsRegistry metrics;
-    Server server({.jobs = 4, .queue_capacity = 8}, metrics);
+    Server server({}, metrics);
     const auto stide = trained(DetectorKind::Stide, 6);
     const auto markov = trained(DetectorKind::Markov, 4);
     server.add_model("stide/6", stide);
@@ -243,7 +230,7 @@ TEST(ServerLoopback, PipelinedRequestsAnswerInOrder) {
     // Send every PUSH before reading anything; responses must come back in
     // request order, and their concatenation must equal the serial replay.
     MetricsRegistry metrics;
-    Server server({.jobs = 4}, metrics);
+    Server server({}, metrics);
     const auto model = trained(DetectorKind::Stide, 6);
     server.add_model("stide/6", model);
 
@@ -393,7 +380,7 @@ TEST(ServerLoopback, FramingDesyncGetsErrThenClose) {
 
 TEST(ServerLoopback, ShutdownWithActiveClientsDeliversPendingResponses) {
     MetricsRegistry metrics;
-    Server server({.jobs = 2}, metrics);
+    Server server({}, metrics);
     const auto model = trained(DetectorKind::Stide, 6);
     server.add_model("stide/6", model);
 
@@ -441,7 +428,7 @@ TEST(ServerLoopback, AbruptDisconnectCleansUpItsSession) {
 
 TEST(ServerLoopback, MetricsObserveTheTraffic) {
     MetricsRegistry metrics;
-    Server server({.jobs = 2}, metrics);
+    Server server({}, metrics);
     const auto model = trained(DetectorKind::Stide, 6);
     server.add_model("stide/6", model);
 
@@ -501,7 +488,7 @@ TEST(ServerLoopback, MetricsVerbWorksBeforeAnySessionOpens) {
 
 TEST(ServerLoopback, MetricsVerbReflectsSessionTraffic) {
     MetricsRegistry metrics;
-    Server server({.jobs = 2}, metrics);
+    Server server({}, metrics);
     const auto model = trained(DetectorKind::Stide, 6);
     server.add_model("stide/6", model);
 
@@ -524,10 +511,10 @@ TEST(ServerLoopback, MetricsVerbReflectsSessionTraffic) {
 }
 
 TEST(ServerLoopback, OneReadIsAnsweredWithOneSend) {
-    // The reader that finds the shard idle runs its strand and frames the
-    // replies into one buffer, flushed once the read's frames are handled.
+    // The reader handles every frame of one read, framing the replies into
+    // one buffer that is flushed once the read's frames are handled.
     MetricsRegistry metrics;
-    Server server({.jobs = 1, .shards = 1}, metrics);
+    Server server({.shards = 1}, metrics);
     const auto model = trained(DetectorKind::Stide, 6);
     server.add_model("stide/6", model);
 
@@ -572,15 +559,15 @@ TEST(ServerLoopback, OneReadIsAnsweredWithOneSend) {
 
 TEST(ServerLoopback, BurstsThatCrossShardsKeepRequestOrder) {
     // Each connection closes and reopens mid-burst, so its second session
-    // lands on a new id and usually a new shard: replies produced by
-    // different runners must still leave in request order.
+    // lands on a new id and usually a new shard: replies must still leave in
+    // request order.
     const auto model = trained(DetectorKind::Stide, 6);
     constexpr std::size_t kConnections = 2;
     constexpr std::size_t kPushes = 5;
     constexpr std::size_t kBatch = 40;
     for (const std::size_t shards : {1u, 2u, 7u}) {
         MetricsRegistry metrics;
-        Server server({.jobs = 2, .shards = shards}, metrics);
+        Server server({.shards = shards}, metrics);
         server.add_model("stide/6", model);
         std::vector<std::string> failures(kConnections);
         std::vector<std::thread> threads;
@@ -653,37 +640,37 @@ TEST(ServerLoopback, BurstsThatCrossShardsKeepRequestOrder) {
     }
 }
 
-TEST(ServerLoopback, AFloodedShardCannotHoldAnotherConnectionsReader) {
-    // A's reader runs the shard's strand and is held inside the gated
-    // model while F fills the ring. Once the gate opens, A's reader must
-    // stop after one ring's worth of items and hand the strand to the
-    // pool — otherwise F's flood would keep it scoring F's frames and A's
-    // next request would never be read.
+TEST(ServerLoopback, ABlockedScoreHoldsOnlyItsOwnConnection) {
+    // One shard for every session. A's reader is held inside the gated
+    // model's first score() while F keeps 32 frames in flight; B's PUSH and
+    // DRAIN must still be answered, because no connection's requests wait
+    // behind another connection's.
     using namespace std::chrono_literals;
     MetricsRegistry metrics;
-    Server server({.jobs = 1, .queue_capacity = 8, .shards = 1}, metrics);
+    Server server({.shards = 1}, metrics);
     const auto stide = trained(DetectorKind::Stide, 6);
     const auto gated = std::make_shared<GatedDetector>(stide);
     server.add_model("gated", gated);
     server.add_model("stide/6", stide);
 
-    const EventStream a_events = test::small_corpus().generate_heldout(128, 51);
+    // A: OPEN, then a PUSH that blocks A's reader inside score() and a DRAIN
+    // that waits in A's input behind it.
+    const EventStream a_events = test::small_corpus().generate_heldout(64, 51);
     auto a = connect(server);
     FrameDecoder a_decoder;
     send(*a, frame(RequestType::Open, {}, "gated"));
     ASSERT_EQ(parse_response(*read_frame(*a, a_decoder)).type,
               ResponseType::Opened);
-    send(*a, frame(RequestType::Push, a_events.view().subspan(0, 64)));
+    send(*a, frame(RequestType::Push, a_events.view()) + frame(RequestType::Drain));
     gated->wait_entered();
 
+    // F floods: a writer keeps 32 frames of 256 events in flight until told
+    // to stop, then sends DRAIN; a collector gathers the replies.
     auto f = connect(server);
     FrameDecoder f_decoder;
     send(*f, frame(RequestType::Open, {}, "stide/6"));
     ASSERT_EQ(parse_response(*read_frame(*f, f_decoder)).type,
               ResponseType::Opened);
-
-    // F floods: a writer keeps 32 frames of 256 events in flight until told
-    // to stop, and a collector gathers the replies.
     constexpr std::size_t kFrame = 256;
     constexpr std::size_t kMaxFrames = 4096;
     const EventStream f_pool = test::small_corpus().generate_heldout(64 * kFrame, 52);
@@ -723,207 +710,97 @@ TEST(ServerLoopback, AFloodedShardCannotHoldAnotherConnectionsReader) {
         }
     });
 
-    // F's reader has filled the ring (depth 8 at its last enqueue) behind
-    // A's held PUSH; A's second PUSH waits in A's input.
-    const auto filled_by = std::chrono::steady_clock::now() + 5s;
-    while (metrics.gauge("serve.queue_depth").value() < 8.0 &&
-           std::chrono::steady_clock::now() < filled_by)
-        std::this_thread::sleep_for(1ms);
-    EXPECT_EQ(metrics.gauge("serve.queue_depth").value(), 8.0);
-    send(*a, frame(RequestType::Push, a_events.view().subspan(64, 64)));
-
-    std::promise<std::vector<double>> a_replies;
-    std::thread a_reader([&] {
-        std::vector<double> scores;
+    // B: OPEN, one PUSH and DRAIN in one write; its replies are read on the
+    // side, so a missing one cannot hang the test.
+    const EventStream b_events = test::small_corpus().generate_heldout(256, 53);
+    auto b = connect(server);
+    send(*b, frame(RequestType::Open, {}, "stide/6") +
+                 frame(RequestType::Push, b_events.view()) +
+                 frame(RequestType::Drain));
+    std::promise<std::vector<Response>> b_promise;
+    std::thread b_reader([&] {
+        std::vector<Response> replies;
+        FrameDecoder decoder;
         try {
-            for (int i = 0; i < 2; ++i) {
-                const auto payload = read_frame(*a, a_decoder);
+            while (replies.size() < 3) {
+                const auto payload = read_frame(*b, decoder);
                 if (!payload) break;
-                const Response response = parse_response(*payload);
-                scores.insert(scores.end(), response.scores.begin(),
-                              response.scores.end());
+                replies.push_back(parse_response(*payload));
             }
         } catch (const std::exception&) {
         }
-        a_replies.set_value(std::move(scores));
+        b_promise.set_value(std::move(replies));
     });
-    auto a_scores = a_replies.get_future();
-    gated->open();
-    const bool in_time = a_scores.wait_for(5s) == std::future_status::ready;
+    auto b_replies = b_promise.get_future();
+    // A's gate is still closed here: it opens only after this check.
+    const bool in_time = b_replies.wait_for(5s) == std::future_status::ready;
     const bool still_writing = !exhausted.load();
+    if (!in_time) b->close();
+    b_reader.join();
+
+    gated->open();
+    const Response a_scores = parse_response(*read_frame(*a, a_decoder));
+    const Response a_drained = parse_response(*read_frame(*a, a_decoder));
     stop.store(true);
     f_writer.join();
     f_collector.join();
-    if (!in_time) a->close();
-    a_reader.join();
 
-    EXPECT_TRUE(in_time) << "A's second reply waited behind F's flood";
+    EXPECT_TRUE(in_time) << "B's replies waited behind A's blocked score";
     EXPECT_TRUE(still_writing);
-    EXPECT_EQ(a_scores.get(), replay(*stide, a_events.view()));
-    EXPECT_GE(metrics.counter("serve.strand_handoffs").value(), 1u);
+    const std::vector<Response> b_got = b_replies.get();
+    ASSERT_EQ(b_got.size(), 3u);
+    EXPECT_EQ(b_got[0].type, ResponseType::Opened);
+    ASSERT_EQ(b_got[1].type, ResponseType::Scores);
+    const std::vector<double>& b_scores = b_got[1].scores;
+    EXPECT_EQ(b_scores, replay(*stide, b_events.view()));
+    ASSERT_EQ(b_got[2].type, ResponseType::Drained);
+    EXPECT_EQ(b_got[2].counts.events, b_events.size());
+    EXPECT_EQ(b_got[2].counts.windows, b_scores.size());
+    EXPECT_EQ(b_got[2].counts.alarms, alarms_in(b_scores));
+
+    ASSERT_EQ(a_scores.type, ResponseType::Scores);
+    EXPECT_EQ(a_scores.scores, replay(*stide, a_events.view()));
+    ASSERT_EQ(a_drained.type, ResponseType::Drained);
+    EXPECT_EQ(a_drained.counts.events, a_events.size());
+    EXPECT_EQ(a_drained.counts.windows, a_scores.scores.size());
+    EXPECT_EQ(a_drained.counts.alarms, alarms_in(a_scores.scores));
+
     EXPECT_EQ(f_scores, replay(*stide, f_sent));
     EXPECT_EQ(f_drained.events, f_sent.size());
+    EXPECT_EQ(f_drained.windows, f_scores.size());
+    EXPECT_EQ(f_drained.alarms, alarms_in(f_scores));
     a->close();
+    b->close();
     f->close();
     server.wait_connections_closed();
 }
 
-TEST(ServerLoopback, AHandedOffStrandDoesNotWaitBehindAnotherShard) {
-    // Shards X = 0 and Y = 2 of 3 at jobs 2: a pool that pinned each
-    // handed-off strand to worker (shard % jobs) would queue Y's behind X's.
-    // X's two connections flood stide/6 behind a 20 ms sleep per score()
-    // call, so X's ring stays full and its handed-off run never drains while
-    // they write. Y's two connections then flood stide/6 behind a 2 ms sleep
-    // — enough that one Y reader fills the ring while the other runs Y's
-    // strand, so Y's strand is handed off in turn — and it must run on the
-    // other worker while X still writes.
-    using namespace std::chrono_literals;
-    constexpr std::size_t kShards = 3;
-    constexpr std::size_t kX = 0;
-    constexpr std::size_t kY = 2;
+TEST(ServerLoopback, FinishedConnectionsAreReaped) {
+    // 200 sequential connections, each OPEN, PUSH, CLOSE and disconnect. A
+    // reader thread kept per finished connection, even one that has exited,
+    // keeps its stack mapped (8 MB by default), so 200 of them would add
+    // over 1.5 GB; reaped, the next connection's reader reuses the stack.
     MetricsRegistry metrics;
-    Server server({.jobs = 2, .queue_capacity = 8, .shards = kShards}, metrics);
-    const auto stide = trained(DetectorKind::Stide, 6);
-    server.add_model("slow", std::make_shared<SlowDetector>(stide, 20ms));
-    server.add_model("brisk", std::make_shared<SlowDetector>(stide, 2ms));
-
-    // A manager over the same shard count places session ids exactly as the
-    // server's does.
-    ModelCatalog no_models;
-    MetricsRegistry quiet;
-    const SessionManager placement(no_models, {.shards = kShards}, quiet);
-    struct Client {
-        std::unique_ptr<Transport> transport;
-        FrameDecoder decoder;
-        // X's frames in flight; Y never acquires, so it only counts up.
-        std::counting_semaphore<> credits{16};
-        Sequence sent;
-        std::vector<double> scores;
-        SessionCounts drained;
+    Server server({.shards = 1}, metrics);
+    const auto model = trained(DetectorKind::Stide, 6);
+    server.add_model("stide/6", model);
+    const EventStream events = test::small_corpus().generate_heldout(64, 71);
+    const std::vector<double> expected = replay(*model, events.view());
+    const auto cycle = [&] {
+        Client client(connect(server));
+        client.open("stide/6");
+        EXPECT_EQ(client.push(events.view()), expected);
+        client.close_session();
+        client.disconnect();
+        server.wait_connections_closed();
     };
-    // Connects and opens `target`, closing and reopening until the session
-    // lands on `shard`.
-    const auto open_on = [&](Client& client, std::size_t shard,
-                             const std::string& target) {
-        client.transport = connect(server);
-        for (int attempt = 0; attempt < 64; ++attempt) {
-            send(*client.transport, frame(RequestType::Open, {}, target));
-            const Response opened =
-                parse_response(*read_frame(*client.transport, client.decoder));
-            if (opened.type != ResponseType::Opened) return false;
-            if (placement.shard_of(opened.session_id) == shard) return true;
-            send(*client.transport, frame(RequestType::Close));
-            if (parse_response(*read_frame(*client.transport, client.decoder))
-                    .type != ResponseType::Closed)
-                return false;
-        }
-        return false;
-    };
-    Client x[2];
-    Client y[2];
-    for (Client& client : x) ASSERT_TRUE(open_on(client, kX, "slow"));
-    for (Client& client : y) ASSERT_TRUE(open_on(client, kY, "brisk"));
-
-    // Reads SCORES replies until DRAINED (or the end of the stream).
-    const auto collect = [](Client& client) {
-        for (;;) {
-            const auto payload = read_frame(*client.transport, client.decoder);
-            if (!payload) return;
-            const Response response = parse_response(*payload);
-            if (response.type != ResponseType::Scores) {
-                client.drained = response.counts;
-                return;
-            }
-            client.scores.insert(client.scores.end(), response.scores.begin(),
-                                 response.scores.end());
-            client.credits.release();
-        }
-    };
-
-    // X floods: each writer keeps 16 frames in flight until told to stop,
-    // then sends DRAIN.
-    constexpr std::size_t kXFrame = 32;
-    constexpr std::size_t kMaxFrames = 1024;
-    const EventStream x_pool =
-        test::small_corpus().generate_heldout(64 * kXFrame, 61);
-    std::atomic<bool> stop{false};
-    std::atomic<bool> exhausted{false};
-    std::vector<std::thread> x_threads;
-    for (Client& client : x) {
-        x_threads.emplace_back([&] {
-            std::size_t frames = 0;
-            while (!stop.load()) {
-                if (!client.credits.try_acquire_for(10ms)) continue;
-                if (frames == kMaxFrames) {
-                    exhausted.store(true);
-                    break;
-                }
-                const auto view =
-                    x_pool.view().subspan((frames % 64) * kXFrame, kXFrame);
-                client.sent.insert(client.sent.end(), view.begin(), view.end());
-                send(*client.transport, frame(RequestType::Push, view));
-                ++frames;
-            }
-            send(*client.transport, frame(RequestType::Drain));
-        });
-        x_threads.emplace_back([&] { collect(client); });
-    }
-    const auto handed_off_by = std::chrono::steady_clock::now() + 5s;
-    while (metrics.counter("serve.strand_handoffs").value() < 1 &&
-           std::chrono::steady_clock::now() < handed_off_by)
-        std::this_thread::sleep_for(1ms);
-    EXPECT_GE(metrics.counter("serve.strand_handoffs").value(), 1u);
-
-    // Y floods a fixed number of frames, then DRAIN, in one write each.
-    constexpr std::size_t kYFrames = 32;
-    constexpr std::size_t kYFrame = 256;
-    std::vector<EventStream> y_events;
-    std::vector<std::future<void>> y_done;
-    for (std::size_t c = 0; c < 2; ++c) {
-        y_events.push_back(
-            test::small_corpus().generate_heldout(kYFrames * kYFrame, 62 + c));
-        std::string burst;
-        for (std::size_t i = 0; i < kYFrames; ++i)
-            burst += frame(RequestType::Push,
-                           y_events[c].view().subspan(i * kYFrame, kYFrame));
-        burst += frame(RequestType::Drain);
-        send(*y[c].transport, burst);
-        y_done.push_back(
-            std::async(std::launch::async, [&, c] { collect(y[c]); }));
-    }
-    const auto y_deadline = std::chrono::steady_clock::now() + 5s;
-    bool in_time = true;
-    for (const std::future<void>& done : y_done)
-        in_time = done.wait_until(y_deadline) == std::future_status::ready &&
-                  in_time;
-    const bool still_writing = !exhausted.load();
-    const std::uint64_t handoffs =
-        metrics.counter("serve.strand_handoffs").value();
-
-    // Stop X and drain everything: once X's run drains, a strand queued
-    // behind it runs too.
-    stop.store(true);
-    for (std::thread& thread : x_threads) thread.join();
-    for (std::size_t c = 0; c < 2; ++c) {
-        if (y_done[c].wait_for(10s) != std::future_status::ready)
-            y[c].transport->close();
-        y_done[c].get();
-    }
-
-    EXPECT_TRUE(in_time) << "Y's handed-off strand waited behind X's";
-    EXPECT_TRUE(still_writing);
-    EXPECT_GE(handoffs, 2u);
-    for (const Client& client : x) {
-        EXPECT_EQ(client.scores, replay(*stide, client.sent));
-        EXPECT_EQ(client.drained.events, client.sent.size());
-    }
-    for (std::size_t c = 0; c < 2; ++c) {
-        EXPECT_EQ(y[c].scores, replay(*stide, y_events[c].view()));
-        EXPECT_EQ(y[c].drained.events, y_events[c].size());
-    }
-    for (Client& client : x) client.transport->close();
-    for (Client& client : y) client.transport->close();
-    server.wait_connections_closed();
+    cycle();
+    const long before_kb = test::proc_status_kb("VmSize");
+    ASSERT_GT(before_kb, 0);
+    for (int i = 0; i < 200; ++i) cycle();
+    EXPECT_LT(test::proc_status_kb("VmSize") - before_kb, 8 * 1024);
+    EXPECT_EQ(metrics.counter("serve.connections_accepted").value(), 201u);
+    EXPECT_EQ(server.active_sessions(), 0u);
 }
 
 }  // namespace

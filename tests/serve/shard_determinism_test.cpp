@@ -1,12 +1,11 @@
-// Shard determinism: the strand-per-shard refactor must not change a single
-// bit of any session's score stream. Every (shards, jobs) point in the sweep
-// — including shard counts that force several sessions onto the same strand
-// — replays bit-identical to a serial per-event replay, and sessions that
-// hash to the same shard stay isolated from each other. Every other session
-// in the grid is an ENSEMBLE session (vote-fused, aggressively recalibrated)
-// whose oracle is a serial EnsembleScorer — fused scoring and calibrated
-// rule state ride the same strands as plain sessions and must be just as
-// replay-exact.
+// Shard determinism: the sharded session table must not change a single bit
+// of any session's score stream. Every shard count in the sweep — including
+// counts that force several sessions into the same shard — replays
+// bit-identical to a serial per-event replay, and sessions that hash to the
+// same shard stay isolated from each other. Every other session in the grid
+// is an ENSEMBLE session (vote-fused, aggressively recalibrated) whose oracle
+// is a serial EnsembleScorer — fused scoring and calibrated rule state ride
+// the same readers as plain sessions and must be just as replay-exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -89,14 +88,13 @@ std::vector<double> oracle_scores(
 }
 
 /// Runs kSessions concurrent client sessions against a server with the given
-/// shard/job counts and returns each session's served score stream. Odd
-/// sessions open the vote-fused ensemble, even ones the plain model.
+/// shard count and returns each session's served score stream. Odd sessions
+/// open the vote-fused ensemble, even ones the plain model.
 std::vector<std::vector<double>> served_scores(
     const std::shared_ptr<const SequenceDetector>& model,
-    const std::shared_ptr<const SequenceDetector>& markov, std::size_t shards,
-    std::size_t jobs) {
+    const std::shared_ptr<const SequenceDetector>& markov, std::size_t shards) {
     MetricsRegistry metrics;
-    Server server({.jobs = jobs, .shards = shards}, metrics);
+    Server server({.shards = shards}, metrics);
     server.add_model("stide/6", model);
     server.add_model("markov/4", markov);
     std::vector<std::vector<double>> scores(kSessions);
@@ -127,14 +125,12 @@ std::vector<std::vector<double>> served_scores(
 
 void expect_bit_identical(const std::vector<double>& served,
                           const std::vector<double>& serial,
-                          std::size_t session, std::size_t shards,
-                          std::size_t jobs) {
+                          std::size_t session, std::size_t shards) {
     ASSERT_EQ(served.size(), serial.size())
-        << "session " << session << " shards=" << shards << " jobs=" << jobs;
+        << "session " << session << " shards=" << shards;
     for (std::size_t k = 0; k < serial.size(); ++k)
         ASSERT_EQ(served[k], serial[k])
-            << "session " << session << " score " << k << " shards=" << shards
-            << " jobs=" << jobs;
+            << "session " << session << " score " << k << " shards=" << shards;
 }
 
 TEST(ShardDeterminism, EveryShardJobPointReplaysBitIdentical) {
@@ -144,24 +140,23 @@ TEST(ShardDeterminism, EveryShardJobPointReplaysBitIdentical) {
     for (std::size_t i = 0; i < kSessions; ++i)
         serial[i] = oracle_scores(model, markov, i);
     // 8 sessions over 1, 2, and 7 shards: every point forces at least two
-    // sessions onto one strand (pigeonhole), so same-shard isolation and
-    // cross-shard parallelism are both on trial at each jobs count — for
-    // plain and ensemble sessions alike.
-    for (const std::size_t shards : {1UL, 2UL, 7UL})
-        for (const std::size_t jobs : {0UL, 1UL, 4UL}) {
-            const auto served = served_scores(model, markov, shards, jobs);
-            for (std::size_t i = 0; i < kSessions; ++i)
-                expect_bit_identical(served[i], serial[i], i, shards, jobs);
-        }
+    // sessions into one shard (pigeonhole), so same-shard isolation and
+    // cross-shard parallelism are both on trial — for plain and ensemble
+    // sessions alike.
+    for (const std::size_t shards : {1UL, 2UL, 7UL}) {
+        const auto served = served_scores(model, markov, shards);
+        for (std::size_t i = 0; i < kSessions; ++i)
+            expect_bit_identical(served[i], serial[i], i, shards);
+    }
 }
 
 TEST(ShardDeterminism, InterleavedSameShardSessionsStayIsolated) {
-    // One shard, one worker: every session shares the single strand. Two
-    // clients interleave batch-by-batch from one thread; each stream must
-    // still match its own serial replay exactly.
+    // One shard: every session shares the single table shard. Two clients
+    // interleave batch-by-batch from one thread; each stream must still
+    // match its own serial replay exactly.
     const auto model = trained_stide();
     MetricsRegistry metrics;
-    Server server({.jobs = 1, .shards = 1}, metrics);
+    Server server({.shards = 1}, metrics);
     server.add_model("stide/6", model);
     auto connect = [&server] {
         auto [client_end, server_end] = make_loopback_pair();
@@ -187,8 +182,8 @@ TEST(ShardDeterminism, InterleavedSameShardSessionsStayIsolated) {
     b->disconnect();
     server.wait_connections_closed();
     server.shutdown();
-    expect_bit_identical(sa, serial_scores(*model, 0), 0, 1, 1);
-    expect_bit_identical(sb, serial_scores(*model, 1), 1, 1, 1);
+    expect_bit_identical(sa, serial_scores(*model, 0), 0, 1);
+    expect_bit_identical(sb, serial_scores(*model, 1), 1, 1);
 }
 
 TEST(ShardDeterminism, ShardCountIsNotPartOfTheAlarmCount) {
@@ -198,7 +193,7 @@ TEST(ShardDeterminism, ShardCountIsNotPartOfTheAlarmCount) {
     std::vector<SessionCounts> drained;
     for (const std::size_t shards : {1UL, 7UL}) {
         MetricsRegistry metrics;
-        Server server({.jobs = 4, .shards = shards}, metrics);
+        Server server({.shards = shards}, metrics);
         server.add_model("stide/6", model);
         auto [client_end, server_end] = make_loopback_pair();
         ASSERT_TRUE(server.attach(std::move(server_end)));

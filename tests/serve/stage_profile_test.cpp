@@ -66,7 +66,7 @@ public:
 TEST(StageProfile, OffByDefaultLeavesHistogramsAndFlightEmpty) {
     if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
     MetricsRegistry metrics;
-    Server server({.jobs = 2, .profile_sample_every = 1}, metrics);
+    Server server({.profile_sample_every = 1}, metrics);
     server.add_model("stide/6", trained_stide());
     const std::string dump = drive_session(server, /*dump=*/true);
     // No profiling: no stage samples, and the flight ring never filled.
@@ -83,21 +83,20 @@ TEST(StageProfile, StampsEveryStageAndKeepsTheSumInvariant) {
     const auto sink = std::make_shared<StreamTraceSink>(captured);
     const auto previous = set_global_trace_sink(sink);
     MetricsRegistry metrics;
-    Server server({.jobs = 2, .flight_capacity = 8, .profile_sample_every = 1},
-                  metrics);
+    Server server({.flight_capacity = 8, .profile_sample_every = 1}, metrics);
     server.add_model("stide/6", trained_stide());
     const std::string dump = drive_session(server, /*dump=*/true);
     server.shutdown();
     set_global_trace_sink(previous);
 
-    // Every request stamps all seven stage sketches together.
+    // Every request stamps all six stage sketches together.
     const MetricsRegistry::Snapshot snap = metrics.snapshot();
     const std::uint64_t total = stage_count(snap, "serve.stage.total_us");
     EXPECT_GT(total, 0u);
     for (const char* name :
          {"serve.stage.recv_wait_us", "serve.stage.recv_read_us",
-          "serve.stage.parse_us", "serve.stage.queue_us",
-          "serve.stage.score_us", "serve.stage.reply_us"})
+          "serve.stage.parse_us", "serve.stage.score_us",
+          "serve.stage.reply_us"})
         EXPECT_EQ(stage_count(snap, name), total) << name;
 
     // The flight ring replays the most recent requests, PUSHes included.
@@ -127,7 +126,7 @@ TEST(StageProfile, StampsEveryStageAndKeepsTheSumInvariant) {
 TEST(StageProfile, DumpNeedsAnOpenSession) {
     if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
     MetricsRegistry metrics;
-    Server server({.jobs = 1}, metrics);
+    Server server({}, metrics);
     server.add_model("stide/6", trained_stide());
     Client client(connect(server));
     EXPECT_THROW((void)client.dump(), ServeError);
@@ -141,8 +140,7 @@ TEST(StageProfile, FlightRingIsBoundedPerSession) {
     MetricsRegistry metrics;
     // Tiny ring: 1024 events in 128-batches = 8 PUSHes + OPEN + DRAIN, far
     // past 4 slots, so the dump holds exactly the last 4 records.
-    Server server({.jobs = 1, .flight_capacity = 4, .profile_sample_every = 0},
-                  metrics);
+    Server server({.flight_capacity = 4, .profile_sample_every = 0}, metrics);
     server.add_model("stide/6", trained_stide());
     const std::string dump = drive_session(server, /*dump=*/true);
     server.shutdown();

@@ -1,6 +1,6 @@
 // End-to-end request tracing over loopback: a traced client session and the
 // in-process daemon emit spans that analyze_request stitches into one causal
-// tree (client verb -> transport -> shard strand -> scorer), span ids are
+// tree (client verb -> transport -> connection reader -> scorer), span ids are
 // deterministic across identical runs, and untraced sessions stay span-free.
 #include <gtest/gtest.h>
 
@@ -55,7 +55,7 @@ std::string traced_session(const std::string& target, std::uint64_t trace_id,
                            std::size_t pushes) {
     const CapturedTrace capture;
     MetricsRegistry metrics;
-    Server server({.jobs = 2, .shards = 2}, metrics);
+    Server server({.shards = 2}, metrics);
     server.add_model("stide/6", trained(DetectorKind::Stide, 6));
     server.add_model("markov/4", trained(DetectorKind::Markov, 4));
     Client client(connect(server));
@@ -107,7 +107,7 @@ TEST(TraceE2E, TracedSessionStitchesIntoOneCausalTree) {
                       nullptr);
         } else if (root.name == "serve.client_push") {
             ++pushes;
-            // Client verb -> shard strand -> scorer: the full causal chain.
+            // Client verb -> connection reader -> scorer: the full causal chain.
             const RequestSpan* shard =
                 only_child_named(analysis, root, "serve.shard_handle");
             ASSERT_NE(shard, nullptr);
@@ -166,7 +166,7 @@ TEST(TraceE2E, SpanIdsAreDeterministicAcrossIdenticalRuns) {
 TEST(TraceE2E, UntracedSessionEmitsNoTraceFields) {
     const CapturedTrace capture;
     MetricsRegistry metrics;
-    Server server({.jobs = 2}, metrics);
+    Server server({}, metrics);
     server.add_model("stide/6", trained(DetectorKind::Stide, 6));
     Client client(connect(server));  // set_trace never called
     (void)client.open("stide/6");
@@ -191,7 +191,7 @@ TEST(TraceE2E, LastSpanIdNamesTheMostRecentWireSpan) {
     constexpr std::uint64_t kTrace = 0x42ULL;
     const CapturedTrace capture;
     MetricsRegistry metrics;
-    Server server({.jobs = 1}, metrics);
+    Server server({}, metrics);
     server.add_model("stide/6", trained(DetectorKind::Stide, 6));
     Client client(connect(server));
     client.set_trace(kTrace);

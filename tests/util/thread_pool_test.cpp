@@ -1,5 +1,4 @@
-// ThreadPool + TaskGroup: the execution substrate of the experiment engine
-// and of the serve layer's strand handoffs.
+// ThreadPool + TaskGroup: the execution substrate of the experiment engine.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -232,9 +232,8 @@ int main(int argc, char** argv) {
                     TraceSpan batch_span("score.batch");
                     batch_span.attr("batch", static_cast<std::uint64_t>(start / batch_size))
                         .attr("events", static_cast<std::uint64_t>(end - start));
-                    for (std::size_t i = start; i < end; ++i)
-                        if (const auto response = scorer.push(events_in[i]))
-                            responses.push_back(*response);
+                    scorer.push_batch(events_in.data() + start, end - start,
+                                      responses);
                     batch_span.attr("windows_scored",
                                     static_cast<std::uint64_t>(responses.size()));
                 }

@@ -7,15 +7,14 @@
 // protocol (src/serve/protocol.hpp) on 127.0.0.1: clients OPEN a session,
 // PUSH events through a per-session OnlineScorer, and receive one response
 // per completed window — plus STATS / DRAIN / CLOSE. The model is shared
-// read-only across all sessions. Sessions are spread over --shards strands;
-// the connection reader that finds a strand idle scores on it, and a strand
-// that keeps a reader past one ring's worth (--queue) of items moves to a
-// pool worker (--jobs). Responses keep per-connection request order.
+// read-only across all sessions. Each connection's reader thread handles its
+// own requests in arrival order, so responses keep request order and every
+// session replays bit-identically; --jobs sets the session-table shard count.
 //
 // --port 0 binds an ephemeral port; the actual port is printed on the
 // "listening" line (and is what scripts should parse). SIGINT/SIGTERM
-// trigger a graceful drain: queued requests finish, responses flush,
-// connections close, exit 0.
+// trigger a graceful drain: requests already received finish, responses
+// flush, connections close, exit 0.
 //
 // --metrics-port N additionally serves `GET /metrics` (plain HTTP/1.0,
 // OpenMetrics text) on a second port for Prometheus-style scrapers; the
@@ -72,13 +71,7 @@ int main(int argc, char** argv) {
                    "also serve HTTP GET /metrics (OpenMetrics) on this "
                    "127.0.0.1 port (0 = ephemeral; empty = off)");
     cli.add_option("jobs", "0",
-                   "pool workers for strands a reader hands off, and the "
-                   "default shard count (0 = hardware)");
-    cli.add_option("shards", "0",
-                   "session-table shards, one strand each (0 = one per worker)");
-    cli.add_option("queue", "256",
-                   "backpressure bound: per-connection slots and each shard's "
-                   "run queue");
+                   "session-table shards (0 = hardware concurrency)");
     cli.add_option("buffer", "0", "per-session scorer buffer (0 = 4*DW)");
     cli.add_flag("allow-paths", "let OPEN name model files on disk");
     cli.add_flag("profile",
@@ -96,9 +89,7 @@ int main(int argc, char** argv) {
         if (!cli.parse(argc, argv)) return 0;
 
         serve::ServerConfig config;
-        config.jobs = resolve_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
-        config.shards = static_cast<std::size_t>(cli.get_int("shards"));
-        config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
+        config.shards = static_cast<std::size_t>(cli.get_int("jobs"));
         config.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
         config.allow_model_paths = cli.get_flag("allow-paths");
         config.flight_capacity = static_cast<std::size_t>(cli.get_int("flight"));
@@ -179,10 +170,9 @@ int main(int argc, char** argv) {
         std::signal(SIGTERM, handle_stop_signal);
         const bool dump_on_signal = cli.get_flag("dump-on-signal");
         if (dump_on_signal) std::signal(SIGUSR1, handle_dump_signal);
-        std::printf("adiv_serve: listening on 127.0.0.1:%u (model=%s, jobs=%zu, "
-                    "shards=%zu, queue=%zu)\n",
+        std::printf("adiv_serve: listening on 127.0.0.1:%u (model=%s, shards=%zu)\n",
                     static_cast<unsigned>(listener.port()), model_names.c_str(),
-                    config.jobs, server.shard_count(), config.queue_capacity);
+                    server.shard_count());
         std::fflush(stdout);
 
         // The stop callback runs on the accept loop, not in the signal

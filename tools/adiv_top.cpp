@@ -11,8 +11,8 @@
 //   * headline rates — events/s, fused-alarm rate per scored window, and
 //     active sessions — computed from counter deltas between frames;
 //   * every counter with its lifetime total and per-second rate;
-//   * every summary family (the serve.stage.* sketches, client latency
-//     sketches, queue-depth sketches) with count/p50/p95/p99 — and, when
+//   * every summary family (the serve.stage.* sketches, the wait sites'
+//     wait_us sketches, serve.push_latency_us) with count/p50/p95/p99 — and, when
 //     the p99 sample carries an exemplar, the trace id of the request
 //     behind the tail, ready for `adiv_traceview --request`.
 //

@@ -14,9 +14,9 @@
 // fatal, so a trace cut off mid-line still analyzes.
 //
 // --contention switches to the profiling view: the sampled per-event
-// `event_stage` lines become a recv/parse/queue/score/reply/total stage
-// breakdown, the `wait_site` lines become a top-wait-sites report, and the
-// dominant (most total wait, contention-kind) site is named on its own
+// `event_stage` lines become a recv_wait/recv_read/parse/score/reply/total
+// stage breakdown, the `wait_site` lines become a top-wait-sites report, and
+// the dominant (most total wait among contended) site is named on its own
 // line. Combines with --json.
 //
 // --request TRACEID switches to the request view: the causal tree of one

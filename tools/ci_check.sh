@@ -21,7 +21,8 @@
 #                                       # adiv_traceview, scrape a live
 #                                       # daemon (METRICS verb + HTTP
 #                                       # GET /metrics, exposition validated),
-#                                       # and churn 2,100 scrapes: daemon
+#                                       # then churn 2,100 scrapes and 5,100
+#                                       # protocol connections: daemon
 #                                       # threads and VmRSS must stay flat
 #   tools/ci_check.sh --profile-smoke   # also: a --profile daemon with a
 #                                       # sampled --trace driven with --dump
@@ -32,8 +33,9 @@
 #                                       # compile-time gate: a
 #                                       # -DADIV_PROFILE=OFF build in
 #                                       # build-noprof/ running tier-1
-#   tools/ci_check.sh --shard-smoke     # also: start adiv_serve --shards 4
-#                                       # --profile, drive a verified loadgen
+#   tools/ci_check.sh --shard-smoke     # also: start adiv_serve --jobs 4
+#                                       # (4 table shards) --profile, drive
+#                                       # a verified loadgen
 #                                       # run over TCP, scrape /metrics for
 #                                       # the serve.shard.* instruments, and
 #                                       # assert adiv_traceview --contention
@@ -140,8 +142,8 @@ if [ "$lint_smoke" -eq 1 ]; then
         echo "lint smoke: --json output carries no schema_version:2" >&2
         exit 1
     }
-    ./build/tools/adiv_lint --callgraph . | grep -q 'Server::run_shard' || {
-        echo "lint smoke: --callgraph does not list Server::run_shard" >&2
+    ./build/tools/adiv_lint --callgraph . | grep -q 'Server::handle_request' || {
+        echo "lint smoke: --callgraph does not list Server::handle_request" >&2
         exit 1
     }
     echo "== ci_check: OK (lint smoke) =="
@@ -156,8 +158,8 @@ cmake --build build -j "$jobs"
 if [ "$lint" -eq 1 ]; then
     echo "== lint: adiv_lint self-scan (all rules, interprocedural included) =="
     ./build/tools/adiv_lint .
-    ./build/tools/adiv_lint --callgraph . | grep -q 'Server::run_shard' || {
-        echo "lint: --callgraph does not list Server::run_shard" >&2
+    ./build/tools/adiv_lint --callgraph . | grep -q 'Server::handle_request' || {
+        echo "lint: --callgraph does not list Server::handle_request" >&2
         exit 1
     }
     if command -v clang-tidy >/dev/null 2>&1; then
@@ -187,16 +189,17 @@ if [ "$tsan" -eq 1 ]; then
     cmake --build build-tsan -j "$jobs"
     # The concurrency surface: the pool itself (one FIFO queue), the
     # scheduler's determinism suite (jobs > 1 plan runs for all detectors),
-    # the engine sinks, the detection server (transports, shard strands,
-    # concurrent sessions, the shard-determinism replay matrix), the
-    # live-telemetry threads (sampler ticks, HTTP scrape listener), the
-    # profiling layer (wait-site registry, wait_at condition-variable
-    # passes, flight-recorder ring, stamped server pipeline), the fusion
-    # layer's served surface (ensemble sessions scored on shard strands,
-    # fused replay determinism), and the request-tracing surface
-    # (single-writer sketch lanes merged at snapshot, traced sessions
-    # spanning client threads and shard strands), plus the warm-path
-    # allocation budget, whose executable replaces the global operator new.
+    # the engine sinks, the detection server (transports, one reader per
+    # connection, concurrent sessions, connection reaping, a stalled TCP
+    # client, the shard-determinism replay matrix), the live-telemetry
+    # threads (sampler ticks, HTTP scrape listener), the profiling layer
+    # (wait-site registry, wait_at condition-variable passes,
+    # flight-recorder ring, stamped server pipeline), the fusion layer's
+    # served surface (ensemble sessions scored by their readers, fused
+    # replay determinism), and the request-tracing surface (sketches
+    # recorded by concurrent readers, traced sessions spanning client
+    # threads and readers), plus the warm-path allocation budget, whose
+    # executable replaces the global operator new.
     (cd build-tsan && ctest --output-on-failure -j "$jobs" \
         -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|WaitAt|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E|WarmPathAllocations')
 fi
@@ -332,6 +335,69 @@ print(f"scrape churn: Threads {threads} -> {threads_after}, "
 if threads_after != threads or rss_after - rss > 2048:
     sys.exit("obs smoke: scrapes left threads or memory behind")
 PY
+
+    echo "-- obs smoke: connection churn keeps daemon threads and memory flat --"
+    # 100 protocol connections settle the daemon; 5,000 more, each OPEN
+    # default, read OPENED, close, must add no thread and at most 2 MB of
+    # resident memory. A connection kept after its client left fails this.
+    python3 - "$port" "$serve_pid" <<'PY'
+import socket
+import sys
+import time
+
+port, pid = int(sys.argv[1]), sys.argv[2]
+OPEN = b"OPEN default"
+FRAME = str(len(OPEN)).encode() + b" " + OPEN
+
+
+def read_frame(sock):
+    data = b""
+    while b" " not in data:
+        chunk = sock.recv(4096)
+        if not chunk:
+            sys.exit("obs smoke: daemon closed the connection before OPENED")
+        data += chunk
+    size, _, payload = data.partition(b" ")
+    while len(payload) < int(size):
+        chunk = sock.recv(4096)
+        if not chunk:
+            sys.exit("obs smoke: daemon closed the connection mid-frame")
+        payload += chunk
+    return payload
+
+
+def churn(count):
+    for _ in range(count):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(FRAME)
+            reply = read_frame(sock)
+            if not reply.startswith(b"OPENED "):
+                sys.exit(f"obs smoke: OPEN default answered {reply[:60]!r}")
+
+
+def status_kb(field):
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    sys.exit(f"obs smoke: no {field} in /proc/{pid}/status")
+
+
+def settled(field):
+    # A reader ends just after its client closes; let the last one finish.
+    time.sleep(0.5)
+    return status_kb(field)
+
+
+churn(100)
+threads, rss = settled("Threads"), status_kb("VmRSS")
+churn(5000)
+threads_after, rss_after = settled("Threads"), status_kb("VmRSS")
+print(f"connection churn: Threads {threads} -> {threads_after}, "
+      f"VmRSS {rss} -> {rss_after} kB")
+if threads_after != threads or rss_after - rss > 2048:
+    sys.exit("obs smoke: connections left threads or memory behind")
+PY
     kill -TERM "$serve_pid"
     wait "$serve_pid" || { echo "obs smoke: daemon exited non-zero" >&2; exit 1; }
     serve_pid=""
@@ -414,11 +480,11 @@ if [ "$shard_smoke" -eq 1 ]; then
     # Paper-corpus model, as in the serve smoke, so --verify is informative.
     ./build/tools/adiv_train --detector stide --window 6 \
         --training-length 20000 --seed 11 --out "$smoke_dir/model.adiv"
-    # 4 shards over 2 workers: readers run idle strands, any worker runs a
-    # handed-off one, the profiled build stamps the serve.shard.* wait sites,
-    # and the final wait_site digest lands in the daemon's trace stream.
+    # 4 session-table shards: the profiled build stamps the
+    # serve.shard.table wait site, and the final wait_site digest lands in
+    # the daemon's trace stream.
     ./build/tools/adiv_serve --model "$smoke_dir/model.adiv" --port 0 \
-        --jobs 2 --shards 4 --metrics-port 0 --profile \
+        --jobs 4 --metrics-port 0 --profile \
         --trace "$smoke_dir/shard_trace.jsonl" \
         > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
@@ -482,7 +548,7 @@ if [ "$ensemble_smoke" -eq 1 ]; then
     echo "-- ensemble smoke: verified ensemble sessions over TCP --"
     ./build/tools/adiv_serve \
         --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
-        --port 0 --jobs 2 --shards 4 --metrics-port 0 \
+        --port 0 --jobs 4 --metrics-port 0 \
         > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
     port=""
@@ -551,7 +617,7 @@ if [ "$trace_smoke" -eq 1 ]; then
     # serve.stage.* sketches, which keep the traced requests' ids as p99
     # exemplars — the ids /metrics and adiv_top surface.
     ./build/tools/adiv_serve --model "$smoke_dir/model.adiv" --port 0 \
-        --jobs 2 --shards 2 --metrics-port 0 --profile \
+        --jobs 2 --metrics-port 0 --profile \
         --trace "$smoke_dir/daemon_trace.jsonl" \
         > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
