@@ -214,19 +214,20 @@ bool valid_metric_name(const std::string& name) {
 }
 
 void check_metric_name(const ParsedFile& data, std::vector<Finding>& out) {
-    // wait_site()/site() cover the profiling layer: wait-site names become
+    // WaitSite covers the profiling layer: a wait-site name becomes
     // `<site>.acquires` / `.contended` / `.wait_us` instruments, so the
     // site name itself must satisfy the same dotted-lowercase convention.
     static const std::set<std::string> kSinks{
-        "counter", "gauge", "sketch", "TraceSpan", "wait_site", "site"};
+        "counter", "gauge", "sketch", "TraceSpan", "WaitSite"};
     const std::vector<Tok>& toks = data.toks;
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
         if (toks[i].kind != TokKind::Identifier || kSinks.count(toks[i].text) == 0)
             continue;
-        // Call shapes: counter("name"), TraceSpan span("name"), and
-        // TraceSpan span(sink, "name") — locate the argument list, then the
-        // first string literal at its top nesting level. Nested calls keep
-        // their own string arguments out of this site's check.
+        // Call shapes: counter("name"), TraceSpan span("name"),
+        // TraceSpan span(sink, "name") and WaitSite("name", metrics) —
+        // locate the argument list, then the first string literal at its
+        // top nesting level. Nested calls keep their own string arguments
+        // out of this site's check.
         std::size_t open = 0;
         if (is_punct(toks, i + 1, "(")) {
             open = i + 1;

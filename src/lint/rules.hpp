@@ -28,8 +28,8 @@
 //                        cache breaks it.
 //
 //   metric-name          String literals passed to counter()/gauge()/
-//                        sketch(), naming a TraceSpan, or naming a wait
-//                        site (wait_site()/site(), whose names expand into
+//                        sketch(), naming a TraceSpan, or naming a
+//                        WaitSite (whose name expands into
 //                        `.acquires`/`.contended`/`.wait_us` instruments)
 //                        must follow the dotted-lowercase convention:
 //                        `subsystem.metric` for registry instruments,

@@ -8,34 +8,29 @@
 //   <site>.wait_us     sketch over the blocked passes' wait times
 //
 // — so wait-site data rides the existing OpenMetrics / sampler / METRICS
-// paths for free. Two idioms cover every profiled site:
+// paths for free, and the registry is the one place a profile is read.
+// Two idioms cover every profiled site:
 //
 //   * StageTimer, the one stamp: `const StageTimer t(field);` adds the
 //     scope's elapsed microseconds to `field` when profiling is on.
-//   * wait_at(), the one wait: a pass through a wait site that blocks in a
-//     mutex or condition-variable wait. ProfiledMutex (a drop-in std::mutex)
-//     goes through it.
+//   * ProfiledMutex::lock(), the one wait: a drop-in std::mutex whose
+//     contended acquisitions are timed into its wait site.
 //
 // The zero-overhead-when-off contract: instrumentation is gated twice.
 // Compile time: `cmake -DADIV_PROFILE=OFF` makes profiling_enabled() a
-// constexpr false and StageTimer an empty type, so every stamp, clock read,
-// sketch record, and JSONL format is dead code and a ProfiledMutex is
-// exactly a std::mutex. Run time (the default build): profiling starts
-// disabled and costs one relaxed atomic load per stamp until
-// set_profiling_enabled(true) turns it on (adiv_serve exposes this as
-// --profile).
+// constexpr false and StageTimer an empty type, so every stamp, clock read
+// and sketch record is dead code and a ProfiledMutex is exactly a
+// std::mutex. Run time (the default build): profiling starts disabled and
+// costs one relaxed atomic load per stamp until set_profiling_enabled(true)
+// turns it on (adiv_serve exposes this as --profile).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 #ifndef ADIV_PROFILE
 #define ADIV_PROFILE 1
@@ -90,11 +85,12 @@ public:
 };
 #endif
 
-/// One named blocking point. Cheap to hold by reference: recording is two
-/// relaxed counter bumps plus (when blocked) one sketch record.
+/// One named blocking point, registered in `metrics` at construction. Cheap
+/// to hold by reference: recording is two relaxed counter bumps plus (when
+/// blocked) one sketch record.
 class WaitSite {
 public:
-    WaitSite(std::string name, MetricsRegistry& metrics);
+    WaitSite(const std::string& name, MetricsRegistry& metrics);
 
     /// An uncontended pass: the thread got through without blocking.
     void record_acquire() noexcept { acquires_.add(1); }
@@ -106,84 +102,21 @@ public:
         wait_us_.record(us);
     }
 
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] std::uint64_t acquires() const noexcept { return acquires_.value(); }
     [[nodiscard]] std::uint64_t contended() const noexcept { return contended_.value(); }
     [[nodiscard]] SketchSummary wait_summary() const { return wait_us_.summary(); }
 
 private:
-    std::string name_;
     Counter& acquires_;
     Counter& contended_;
     Sketch& wait_us_;
 };
 
-/// Point-in-time digest of one site, the unit of reporting.
-struct WaitSiteSummary {
-    std::string name;
-    std::uint64_t acquires = 0;
-    std::uint64_t contended = 0;
-    double wait_us_total = 0.0;
-    double wait_us_mean = 0.0;
-    double wait_us_p95 = 0.0;
-    double wait_us_max = 0.0;
-};
-
-/// Named site store. Like MetricsRegistry: lookup creates on first use,
-/// references stay valid for the registry's lifetime, a site asked for
-/// twice is the same site.
-class WaitSiteRegistry {
-public:
-    explicit WaitSiteRegistry(MetricsRegistry& metrics = global_metrics());
-
-    WaitSite& site(const std::string& name);
-
-    /// Name-sorted digests of every registered site.
-    [[nodiscard]] std::vector<WaitSiteSummary> summaries() const;
-
-    /// One `{"type":"wait_site",...}` JSON line per site, name order — the
-    /// stream adiv_traceview --contention aggregates.
-    void write_jsonl(TraceSink& sink) const;
-
-private:
-    MetricsRegistry* metrics_;
-    mutable std::mutex mutex_;
-    std::map<std::string, std::unique_ptr<WaitSite>> sites_;
-};
-
-/// The process-global site registry (instruments live in global_metrics()).
-WaitSiteRegistry& global_wait_sites();
-
-/// Resolve-once idiom for instrumentation points:
-///   static WaitSite& site = wait_site("serve.session_table");
-WaitSite& wait_site(const std::string& name);
-
-/// Render one `{"type":"wait_site",...}` JSON line for a digest.
-[[nodiscard]] std::string wait_site_jsonl(const WaitSiteSummary& summary);
-
-/// The one wait idiom: a pass through `site` that blocks in `block()` until
-/// it may proceed. While profiling is on, `try_pass()` is asked first — a
-/// pass it lets through is an uncontended acquire — and a blocked pass is a
-/// timed wait. Off, the pass is exactly `block()`.
-template <class TryPass, class Block>
-void wait_at(WaitSite& site, TryPass&& try_pass, Block&& block) {
-    const bool on = profiling_enabled();
-    if (on && try_pass()) {
-        site.record_acquire();
-        return;
-    }
-    double waited_us = 0.0;
-    {
-        const StageTimer timer(waited_us);
-        block();
-    }
-    if (on) site.record_wait_us(waited_us);
-}
-
 /// A std::mutex that attributes contended acquisitions to a wait site.
 /// BasicLockable + Lockable, so std::lock_guard / std::unique_lock work
-/// unchanged. When profiling is off (either gate) lock() is exactly
-/// mutex_.lock().
+/// unchanged. While profiling is on, a lock() that try_lock() satisfies at
+/// once is an uncontended acquire and any other is a timed wait. When
+/// profiling is off (either gate) lock() is exactly mutex_.lock().
 class ProfiledMutex {
 public:
     explicit ProfiledMutex(WaitSite& site) noexcept : site_(&site) {}
@@ -192,8 +125,17 @@ public:
     ProfiledMutex& operator=(const ProfiledMutex&) = delete;
 
     void lock() {
-        wait_at(*site_, [this] { return mutex_.try_lock(); },
-                [this] { mutex_.lock(); });
+        const bool on = profiling_enabled();
+        if (on && mutex_.try_lock()) {
+            site_->record_acquire();
+            return;
+        }
+        double waited_us = 0.0;
+        {
+            const StageTimer timer(waited_us);
+            mutex_.lock();
+        }
+        if (on) site_->record_wait_us(waited_us);
     }
 
     bool try_lock() { return mutex_.try_lock(); }
@@ -213,8 +155,7 @@ private:
 /// read_some() that began at a clean frame boundary was waiting for the
 /// client to send anything (think time — recv_wait), while a read that
 /// began mid-frame was receiving a request already in flight (server-side
-/// work — recv_read). Latency analysis should discount recv_wait; the old
-/// single `recv` stage conflated the two and dwarfed every real stage.
+/// work — recv_read). Latency analysis should discount recv_wait.
 struct StageStamps {
     double recv_wait_us = 0.0;  ///< blocked in read_some between frames (idle)
     double recv_read_us = 0.0;  ///< blocked in read_some mid-frame (work)

@@ -417,192 +417,6 @@ std::string render_traceview(const TraceAnalysis& analysis) {
     return out;
 }
 
-// --- contention view --------------------------------------------------------
-
-namespace {
-
-constexpr const char* kStageNames[] = {"recv_wait", "recv_read", "parse",
-                                       "score",     "reply",     "total"};
-
-struct StageAccum {
-    std::vector<double> values;
-    double total = 0.0;
-};
-
-}  // namespace
-
-ContentionAnalysis analyze_contention(std::istream& in) {
-    ContentionAnalysis analysis;
-    std::map<std::string, StageAccum> stage_accum;
-    std::map<std::string, ContentionSite> site_accum;
-
-    std::string line;
-    while (std::getline(in, line)) {
-        ++analysis.lines;
-        if (line.empty()) continue;
-        FlatObject fields;
-        try {
-            fields = parse_flat_object(line);
-        } catch (const DataError&) {
-            ++analysis.skipped;
-            continue;
-        }
-        const FieldValue* type = find_string(fields, "type");
-        if (type == nullptr) {
-            ++analysis.skipped;
-            continue;
-        }
-        if (type->text == "event_stage") {
-            ++analysis.events;
-            for (const char* stage : kStageNames) {
-                const std::string key = std::string(stage) + "_us";
-                if (const FieldValue* v = find_number(fields, key.c_str())) {
-                    StageAccum& accum = stage_accum[stage];
-                    accum.values.push_back(v->number);
-                    accum.total += v->number;
-                }
-            }
-        } else if (type->text == "wait_site") {
-            const FieldValue* name = find_string(fields, "site");
-            if (name == nullptr) {
-                ++analysis.skipped;
-                continue;
-            }
-            ContentionSite& site = site_accum[name->text];
-            site.site = name->text;
-            const auto number = [&](const char* key) {
-                const FieldValue* v = find_number(fields, key);
-                return v != nullptr ? v->number : 0.0;
-            };
-            site.acquires += static_cast<std::uint64_t>(number("acquires"));
-            site.contended += static_cast<std::uint64_t>(number("contended"));
-            site.wait_us_total += number("wait_us_total");
-            // A stream may hold several digests of one site (runs appended
-            // to one trace file); counts sum, tail statistics keep the worst.
-            site.wait_us_p95 = std::max(site.wait_us_p95, number("wait_us_p95"));
-            site.wait_us_max = std::max(site.wait_us_max, number("wait_us_max"));
-        }
-        // Other line types (spans, samples, manifests) pass through silently:
-        // the contention view reads the same merged stream as the span view.
-    }
-
-    for (const char* stage : kStageNames) {
-        const auto it = stage_accum.find(stage);
-        if (it == stage_accum.end()) continue;
-        StageAccum& accum = it->second;
-        std::sort(accum.values.begin(), accum.values.end());
-        StageBreakdown row;
-        row.stage = stage;
-        row.count = accum.values.size();
-        row.total_us = accum.total;
-        row.mean_us = accum.total / static_cast<double>(accum.values.size());
-        row.p50_us = nearest_rank(accum.values, 0.50);
-        row.p95_us = nearest_rank(accum.values, 0.95);
-        row.p99_us = nearest_rank(accum.values, 0.99);
-        row.max_us = accum.values.back();
-        analysis.stages.push_back(std::move(row));
-    }
-
-    for (auto& [name, site] : site_accum) {
-        site.wait_us_mean = site.contended > 0
-                                ? site.wait_us_total /
-                                      static_cast<double>(site.contended)
-                                : 0.0;
-        analysis.sites.push_back(site);
-    }
-    std::sort(analysis.sites.begin(), analysis.sites.end(),
-              [](const ContentionSite& a, const ContentionSite& b) {
-                  if (a.wait_us_total != b.wait_us_total)
-                      return a.wait_us_total > b.wait_us_total;
-                  return a.site < b.site;
-              });
-    for (const ContentionSite& site : analysis.sites) {
-        if (site.contended > 0) {
-            analysis.dominant_site = site.site;  // first hit: max total wait
-            break;
-        }
-    }
-    return analysis;
-}
-
-std::string render_contention(const ContentionAnalysis& analysis) {
-    std::string out;
-    if (analysis.stages.empty()) {
-        out += "(no event_stage lines in trace)\n";
-    } else {
-        out += "stage breakdown (" + std::to_string(analysis.events) +
-               " sampled events):\n";
-        TextTable table;
-        table.header({"stage", "count", "total_us", "mean_us", "p50_us",
-                      "p95_us", "p99_us", "max_us"});
-        for (const StageBreakdown& row : analysis.stages)
-            table.add(row.stage, row.count, fixed(row.total_us, 3),
-                      fixed(row.mean_us, 3), fixed(row.p50_us, 3),
-                      fixed(row.p95_us, 3), fixed(row.p99_us, 3),
-                      fixed(row.max_us, 3));
-        out += table.render();
-    }
-    out += "\n";
-    if (analysis.sites.empty()) {
-        out += "(no wait_site lines in trace)\n";
-    } else {
-        out += "wait sites (by total wait):\n";
-        TextTable table;
-        table.header({"site", "acquires", "contended", "wait_us_total",
-                      "wait_us_mean", "wait_us_p95", "wait_us_max"});
-        for (const ContentionSite& site : analysis.sites)
-            table.add(site.site, site.acquires, site.contended,
-                      fixed(site.wait_us_total, 3), fixed(site.wait_us_mean, 3),
-                      fixed(site.wait_us_p95, 3), fixed(site.wait_us_max, 3));
-        out += table.render();
-        out += analysis.dominant_site.empty()
-                   ? "dominant wait site: (none contended)\n"
-                   : "dominant wait site: " + analysis.dominant_site + "\n";
-    }
-    if (analysis.skipped > 0)
-        out += "\n(" + std::to_string(analysis.skipped) + " of " +
-               std::to_string(analysis.lines) + " lines skipped as malformed)\n";
-    return out;
-}
-
-std::string contention_to_json(const ContentionAnalysis& analysis) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("events").value(analysis.events);
-    w.key("stages").begin_array();
-    for (const StageBreakdown& row : analysis.stages) {
-        w.begin_object();
-        w.key("stage").value(row.stage);
-        w.key("count").value(row.count);
-        w.key("total_us").value(row.total_us);
-        w.key("mean_us").value(row.mean_us);
-        w.key("p50_us").value(row.p50_us);
-        w.key("p95_us").value(row.p95_us);
-        w.key("p99_us").value(row.p99_us);
-        w.key("max_us").value(row.max_us);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("wait_sites").begin_array();
-    for (const ContentionSite& site : analysis.sites) {
-        w.begin_object();
-        w.key("site").value(site.site);
-        w.key("acquires").value(site.acquires);
-        w.key("contended").value(site.contended);
-        w.key("wait_us_total").value(site.wait_us_total);
-        w.key("wait_us_mean").value(site.wait_us_mean);
-        w.key("wait_us_p95").value(site.wait_us_p95);
-        w.key("wait_us_max").value(site.wait_us_max);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("dominant_wait_site").value(analysis.dominant_site);
-    w.key("lines").value(analysis.lines);
-    w.key("skipped").value(analysis.skipped);
-    w.end_object();
-    return w.str();
-}
-
 std::string traceview_to_json(const TraceAnalysis& analysis) {
     JsonWriter w;
     w.begin_object();

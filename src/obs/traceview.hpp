@@ -120,61 +120,6 @@ std::string render_request(const RequestAnalysis& analysis);
 /// Machine rendering: one JSON document with the same content.
 std::string request_to_json(const RequestAnalysis& analysis);
 
-// --- contention view (adiv_traceview --contention) --------------------------
-//
-// Aggregates the profiling layer's two line types (obs/profile.hpp and the
-// serve stage stamps): `event_stage` lines — the sampled per-event pipeline
-// stamps — into a stage-breakdown table with exact nearest-rank percentiles,
-// and `wait_site` lines into a top-wait-sites attribution report naming the
-// dominant (most total wait among contended) site. The `kind` key that
-// older traces carry on wait_site lines is ignored.
-
-/// One pipeline stage aggregated over the sampled events. Durations are
-/// microseconds; percentiles are exact over the sampled values.
-struct StageBreakdown {
-    std::string stage;  ///< recv_wait | recv_read | parse | score | reply | total
-    std::uint64_t count = 0;
-    double total_us = 0.0;
-    double mean_us = 0.0;
-    double p50_us = 0.0;
-    double p95_us = 0.0;
-    double p99_us = 0.0;
-    double max_us = 0.0;
-};
-
-/// One wait site aggregated across its wait_site lines (one per digest in
-/// the stream: counts sum, percentiles take the worst digest).
-struct ContentionSite {
-    std::string site;
-    std::uint64_t acquires = 0;
-    std::uint64_t contended = 0;
-    double wait_us_total = 0.0;
-    double wait_us_mean = 0.0;  ///< wait_us_total / contended
-    double wait_us_p95 = 0.0;
-    double wait_us_max = 0.0;
-};
-
-struct ContentionAnalysis {
-    std::vector<StageBreakdown> stages;  ///< pipeline order, present stages only
-    std::vector<ContentionSite> sites;   ///< by total wait, descending
-    std::string dominant_site;  ///< most-total-wait contention site; empty
-                                ///< when nothing contended
-    std::uint64_t events = 0;   ///< event_stage lines aggregated
-    std::uint64_t lines = 0;    ///< input lines seen
-    std::uint64_t skipped = 0;  ///< malformed lines (other types just pass)
-};
-
-/// Streams the trace and aggregates its profiling lines. Like
-/// analyze_trace: malformed lines are counted, never fatal.
-ContentionAnalysis analyze_contention(std::istream& in);
-
-/// Human rendering: stage-breakdown table, wait-site table, and one
-/// `dominant wait site: <name>` line.
-std::string render_contention(const ContentionAnalysis& analysis);
-
-/// Machine rendering: one JSON document with the same content.
-std::string contention_to_json(const ContentionAnalysis& analysis);
-
 /// Human rendering: per-span table (sorted by total time, descending) plus
 /// a per-run critical-path section.
 std::string render_traceview(const TraceAnalysis& analysis);

@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
@@ -37,8 +36,7 @@ std::string_view verb_of(RequestType type) noexcept {
 }  // namespace
 
 Server::Server(ServerConfig config, MetricsRegistry& metrics)
-    : config_(config),
-      metrics_(&metrics),
+    : metrics_(&metrics),
       catalog_(config.allow_model_paths),
       sessions_(catalog_,
                 SessionConfig{config.scorer_buffer, config.flight_capacity,
@@ -249,10 +247,8 @@ void Server::handle_request(Reader& reader, std::string_view payload,
         const StageTimer reply_timer(stamps.reply_us);
         reply(reader, response);
     }
-    if (frame_t > 0.0) {
-        // adiv-lint: allow(hot-path, "profiling-only path; the JSON stage record is 1-in-N sampled diagnostics")
+    if (frame_t > 0.0)
         record_stages(request, stamps, frame_t, session_id, response);
-    }
 }
 
 Response Server::answer_sessionless(Reader& reader, const Request& request) {
@@ -275,9 +271,8 @@ Response Server::answer_sessionless(Reader& reader, const Request& request) {
     if (reader.has_session)
         return error_response("session already open (CLOSE it first)");
     try {
-        const std::uint64_t id = sessions_.reserve_id();
-        Response response = sessions_.open_with_id(id, request.target);
-        reader.session_id = id;
+        Response response = sessions_.open(request.target);
+        reader.session_id = response.session_id;
         reader.has_session = true;
         return response;
     } catch (const std::exception& open_error) {
@@ -334,32 +329,6 @@ void Server::record_stages(const Request& request, StageStamps& stamps,
         record.total_us = static_cast<float>(stamps.total_us);
         sessions_.record_flight(session_id, record);
     }
-    if (request.type != RequestType::Push) return;
-    // The sampled per-event stream: deterministic 1-in-N by PUSH arrival
-    // order, so two runs of the same load sample the same fraction.
-    const std::uint64_t seq = push_seq_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.profile_sample_every == 0 ||
-        seq % config_.profile_sample_every != 0)
-        return;
-    const std::shared_ptr<TraceSink> sink = global_trace_sink();
-    if (!sink || !sink->enabled()) return;
-    JsonWriter w;
-    w.begin_object();
-    w.key("type").value("event_stage");
-    w.key("seq").value(seq);
-    w.key("verb").value(verb_of(request.type));
-    w.key("session").value(session_id);
-    w.key("events").value(static_cast<std::uint64_t>(request.events.size()));
-    w.key("scores").value(static_cast<std::uint64_t>(response.scores.size()));
-    w.key("outcome").value(ok ? "ok" : "err");
-    w.key("recv_wait_us").value(stamps.recv_wait_us);
-    w.key("recv_read_us").value(stamps.recv_read_us);
-    w.key("parse_us").value(stamps.parse_us);
-    w.key("score_us").value(stamps.score_us);
-    w.key("reply_us").value(stamps.reply_us);
-    w.key("total_us").value(stamps.total_us);
-    w.end_object();
-    sink->write_line(w.str());
 }
 
 }  // namespace adiv::serve

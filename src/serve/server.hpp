@@ -49,18 +49,17 @@
 // each handled request is stamped with recv_wait/recv_read/parse/score/
 // reply stage durations (reply is the append to the output buffer; the
 // end-of-read send falls after total, in no stage), recorded into
-// serve.stage.* quantile sketches (obs/sketch.hpp), appended to the
-// session's flight ring, and — for every profile_sample_every'th PUSH,
-// deterministically by arrival order — written to the global trace sink as
-// a {"type":"event_stage",...} JSON line. Traced requests (a trace= context
-// on the wire) additionally leave their trace/span ids as the sketch
-// exemplars, and the reader brackets their handling in serve.open_handle /
-// serve.shard_handle / serve.score_push spans parented under the client's
-// wire span. Wait site:
+// serve.stage.* quantile sketches (obs/sketch.hpp) and appended to the
+// session's flight ring. The registry is the whole profile: every request
+// lands in the sketches, which --metrics, METRICS, GET /metrics and adiv_top
+// read. Traced requests (a trace= context on the wire) additionally leave
+// their trace/span ids as the sketch exemplars, and the reader brackets
+// their handling in serve.open_handle / serve.shard_handle /
+// serve.score_push spans parented under the client's wire span. Wait site
+// (SessionManager's, in the same registry):
 //   serve.shard.table          the SessionManager shard locks (aggregate)
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -85,9 +84,6 @@ struct ServerConfig {
     bool allow_model_paths = false;
     /// Flight-recorder slots per session (the DUMP verb's window).
     std::size_t flight_capacity = 64;
-    /// Emit an event_stage trace line for every Nth PUSH (per server, by
-    /// arrival order) while profiling is on; 0 disables the sampled stream.
-    std::uint64_t profile_sample_every = 64;
     /// Session-table shards; 0 = hardware concurrency.
     std::size_t shards = 0;
 };
@@ -179,7 +175,6 @@ private:
                        const Response& response);
     void reap_locked();
 
-    ServerConfig config_;
     MetricsRegistry* metrics_;
     ModelCatalog catalog_;
     SessionManager sessions_;
@@ -196,7 +191,6 @@ private:
     Sketch& stage_score_us_;
     Sketch& stage_reply_us_;
     Sketch& stage_total_us_;
-    std::atomic<std::uint64_t> push_seq_{0};
 
     mutable std::mutex mutex_;
     std::condition_variable connections_changed_;

@@ -26,6 +26,9 @@
 //   fusion.sessions_opened   counter, OPENs that bound an ensemble spec
 //   fusion.threshold.m<i>    gauge, member i's calibrated vote threshold
 //                            (last writer wins across ensemble sessions)
+//   serve.shard.table.*      the shard locks' wait site: .acquires,
+//                            .contended, .wait_us (obs/profile.hpp; moves
+//                            only while profiling is on)
 // Ensemble sessions additionally move the fusion.* scorer counters
 // (fused_windows / fused_alarms / member_alarms / suppressed_alarms) —
 // see fusion/ensemble_scorer.hpp.
@@ -62,16 +65,9 @@ public:
     void add(const std::string& name,
              std::shared_ptr<const SequenceDetector> model);
 
-    /// Loads a model file and registers it under `name` (and "default" when
-    /// first). Returns the loaded detector.
-    std::shared_ptr<const SequenceDetector> add_from_file(
-        const std::string& name, const std::string& path);
-
     /// Resolves an OPEN target: a registered name, or (when allowed) a model
     /// file path. Throws InvalidArgument for unknown targets.
     std::shared_ptr<const SequenceDetector> resolve(const std::string& target);
-
-    [[nodiscard]] std::vector<std::string> names() const;
 
 private:
     mutable std::mutex mutex_;
@@ -101,39 +97,22 @@ public:
     explicit SessionManager(ModelCatalog& catalog, SessionConfig config = {},
                             MetricsRegistry& metrics = global_metrics());
 
-    /// Creates a session over the resolved target. Throws InvalidArgument
-    /// for unknown targets.
+    /// Creates a session over the resolved target; the response carries
+    /// its id (ids are unique, not dense: a failed open uses one up).
+    /// Throws InvalidArgument for unknown targets.
     [[nodiscard]] Response open(const std::string& target);
-
-    /// Draws the next session id. The server reserves the id before opening
-    /// so it can route the connection to shard_of(id) immediately; a
-    /// reserved id whose open fails is simply never used (ids are unique,
-    /// not dense).
-    [[nodiscard]] std::uint64_t reserve_id() noexcept {
-        return next_id_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /// As open(), under a caller-reserved id.
-    [[nodiscard]] Response open_with_id(std::uint64_t session_id,
-                                        const std::string& target);
-
-    /// The shard a session id lives in: a mixed hash of the id (sequential
-    /// ids must spread, not stripe) modulo the shard count.
-    [[nodiscard]] std::size_t shard_of(std::uint64_t session_id) const noexcept;
 
     [[nodiscard]] std::size_t shard_count() const noexcept {
         return shards_.size();
     }
 
-    /// Handles a PUSH / STATS / DRAIN / DUMP / CLOSE for an existing session.
-    /// Returns an ERR response (never throws) for protocol-level problems:
-    /// unknown session, out-of-alphabet events. A rejected PUSH leaves the
-    /// session state untouched (events are validated before any is scored).
-    [[nodiscard]] Response handle(std::uint64_t session_id, const Request& request);
-
-    /// As handle(), but writes into a caller-owned Response whose buffers
-    /// (scores, exposition, message) keep their capacity across calls — the
-    /// connection reader's allocation-free steady state.
+    /// Handles a PUSH / STATS / DRAIN / DUMP / CLOSE for an existing session,
+    /// writing into a caller-owned Response whose buffers (scores,
+    /// exposition, message) keep their capacity across calls — the
+    /// connection reader's allocation-free steady state. Answers ERR (never
+    /// throws) for protocol-level problems: unknown session, out-of-alphabet
+    /// events. A rejected PUSH leaves the session state untouched (events
+    /// are validated before any is scored).
     void handle_into(std::uint64_t session_id, const Request& request,
                      Response& out);
 
@@ -196,8 +175,8 @@ private:
 
     struct Shard {
         explicit Shard(WaitSite& site) : mutex(site) {}
-        // One lock per shard; every shard reports to the single
-        // "serve.shard.table" wait site, so the profiler sees the table's
+        // One lock per shard; every shard reports to the manager's single
+        // serve.shard.table wait site, so the profile shows the table's
         // aggregate contention regardless of the shard count.
         mutable ProfiledMutex mutex;
         // The table structure only: a Session's own state (scorer, ensemble
@@ -209,6 +188,9 @@ private:
             sessions;  // adiv-guarded-by(mutex)
     };
 
+    /// The shard a session id lives in: a mixed hash of the id (sequential
+    /// ids must spread, not stripe) modulo the shard count.
+    [[nodiscard]] std::size_t shard_of(std::uint64_t session_id) const noexcept;
     [[nodiscard]] std::shared_ptr<Session> find(std::uint64_t session_id) const;
     [[nodiscard]] static SessionCounts counts_of(const Session& session);
     void close_locked_erase(Shard& shard, std::uint64_t session_id);
@@ -216,6 +198,7 @@ private:
     ModelCatalog* catalog_;
     SessionConfig config_;
     MetricsRegistry* metrics_;
+    WaitSite table_site_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::atomic<std::uint64_t> next_id_{1};
     std::atomic<std::size_t> live_sessions_{0};

@@ -238,6 +238,22 @@ TEST(LintMetricName, CleanSpanNameAfterSinkArgument) {
     EXPECT_EQ(count_rule(findings, "metric-name"), 0u);
 }
 
+TEST(LintMetricName, FlagsWaitSiteNames) {
+    // A wait-site name expands into `<site>.acquires` / `.contended` /
+    // `.wait_us`, so both construction shapes are checked: a member
+    // initialized from a WaitSite(...) expression, and a named local. The
+    // well-formed third site is not flagged.
+    const auto findings = lint_one("src/x.cpp", R"(
+        Manager::Manager(adiv::MetricsRegistry& metrics)
+            : table_site_(WaitSite("Serve-Shard-Table", metrics)) {}
+        void f(adiv::MetricsRegistry& m) {
+            WaitSite site("shardtable", m);
+            WaitSite good("serve.shard.table", m);
+        }
+    )", {"metric-name"});
+    EXPECT_EQ(count_rule(findings, "metric-name"), 2u);
+}
+
 TEST(LintMetricName, FlagsUnknownSubsystemNamespace) {
     // Well-formed dotted lowercase, but the leading segment names no known
     // subsystem — a typo'd namespace would fork the exposition's family

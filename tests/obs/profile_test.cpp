@@ -1,25 +1,20 @@
-// Wait-site accounting: registry instrument naming, idempotent lookup,
-// JSONL rendering and the two profiling idioms (StageTimer stamps and
-// wait_at passes, ProfiledMutex included) — including the off-switch
-// (everything inert) and a concurrent-writer stress that TSan supervises in
-// the sanitizer pass.
+// Wait-site accounting: registry instrument naming and the two profiling
+// idioms (StageTimer stamps and ProfiledMutex waits) — including the
+// off-switch (everything inert) and a concurrent-writer stress that TSan
+// supervises in the sanitizer pass.
 #include "obs/profile.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "util/error.hpp"
 
 namespace adiv {
 namespace {
@@ -34,8 +29,7 @@ public:
 
 TEST(WaitSite, RegistersDottedInstrumentsInTheGivenRegistry) {
     MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSite& site = sites.site("test.lock");
+    WaitSite site("test.lock", reg);
     site.record_acquire();
     site.record_wait_us(250.0);
     EXPECT_EQ(reg.counter("test.lock.acquires").value(), 2u);
@@ -44,83 +38,30 @@ TEST(WaitSite, RegistersDottedInstrumentsInTheGivenRegistry) {
     EXPECT_DOUBLE_EQ(reg.sketch("test.lock.wait_us").summary().sum, 250.0);
 }
 
-TEST(WaitSite, LookupIsIdempotent) {
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSite& first = sites.site("test.park");
-    WaitSite& again = sites.site("test.park");
-    EXPECT_EQ(&first, &again);
-    EXPECT_THROW(sites.site(""), InvalidArgument);
-}
-
-TEST(WaitSite, SummariesAreNameSortedDigests) {
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    sites.site("test.b_lock").record_wait_us(100.0);
-    sites.site("test.a_lock").record_acquire();
-    const std::vector<WaitSiteSummary> summaries = sites.summaries();
-    ASSERT_EQ(summaries.size(), 2u);
-    EXPECT_EQ(summaries[0].name, "test.a_lock");
-    EXPECT_EQ(summaries[0].acquires, 1u);
-    EXPECT_EQ(summaries[0].contended, 0u);
-    EXPECT_EQ(summaries[1].name, "test.b_lock");
-    EXPECT_EQ(summaries[1].contended, 1u);
-    EXPECT_DOUBLE_EQ(summaries[1].wait_us_total, 100.0);
-    EXPECT_DOUBLE_EQ(summaries[1].wait_us_mean, 100.0);
-}
-
-TEST(WaitSite, JsonlLineIsByteExact) {
-    WaitSiteSummary summary;
-    summary.name = "serve.session_table";
-    summary.acquires = 12;
-    summary.contended = 3;
-    summary.wait_us_total = 450.0;
-    summary.wait_us_mean = 150.0;
-    summary.wait_us_p95 = 250.0;
-    summary.wait_us_max = 250.0;
-    EXPECT_EQ(wait_site_jsonl(summary),
-              "{\"type\":\"wait_site\",\"site\":\"serve.session_table\","
-              "\"acquires\":12,\"contended\":3,"
-              "\"wait_us_total\":450,\"wait_us_mean\":150,"
-              "\"wait_us_p95\":250,\"wait_us_max\":250}");
-}
-
-TEST(WaitSite, WriteJsonlEmitsOneLinePerSiteInNameOrder) {
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    sites.site("test.b_lock").record_wait_us(10.0);
-    sites.site("test.a_park").record_acquire();
-    std::ostringstream out;
-    StreamTraceSink sink(out);
-    sites.write_jsonl(sink);
-    std::istringstream lines(out.str());
-    std::string line;
-    ASSERT_TRUE(std::getline(lines, line));
-    EXPECT_NE(line.find("\"site\":\"test.a_park\""), std::string::npos);
-    EXPECT_NE(line.find("\"acquires\":1,"), std::string::npos);
-    ASSERT_TRUE(std::getline(lines, line));
-    EXPECT_NE(line.find("\"site\":\"test.b_lock\""), std::string::npos);
-    EXPECT_FALSE(std::getline(lines, line));
-}
-
 TEST(ProfiledMutexSuite, DisabledProfilingRecordsNothing) {
-    if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
+    // Runs in both builds: with profiling off (the runtime default, or
+    // compiled out) a lock is just the mutex — it still excludes, and the
+    // site records nothing.
     MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    ProfiledMutex mutex(sites.site("test.lock"));
+    WaitSite site("test.lock", reg);
+    ProfiledMutex mutex(site);
     {
         const std::lock_guard<ProfiledMutex> guard(mutex);
+        std::thread([&mutex] { EXPECT_FALSE(mutex.try_lock()); }).join();
     }
+    EXPECT_TRUE(mutex.try_lock());
+    mutex.unlock();
     EXPECT_EQ(reg.counter("test.lock.acquires").value(), 0u);
     EXPECT_EQ(reg.counter("test.lock.contended").value(), 0u);
+    EXPECT_EQ(reg.sketch("test.lock.wait_us").summary().count, 0u);
 }
 
 TEST(ProfiledMutexSuite, UncontendedLockCountsAnAcquire) {
     if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
     const ProfilingGuard profiling;
     MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    ProfiledMutex mutex(sites.site("test.lock"));
+    WaitSite site("test.lock", reg);
+    ProfiledMutex mutex(site);
     {
         const std::lock_guard<ProfiledMutex> guard(mutex);
     }
@@ -132,8 +73,7 @@ TEST(ProfiledMutexSuite, ContendedLockRecordsWaitTime) {
     if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
     const ProfilingGuard profiling;
     MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSite& site = sites.site("test.lock");
+    WaitSite site("test.lock", reg);
     ProfiledMutex mutex(site);
     std::atomic<bool> held{false};
     std::thread holder([&] {
@@ -149,53 +89,6 @@ TEST(ProfiledMutexSuite, ContendedLockRecordsWaitTime) {
     EXPECT_EQ(site.acquires(), 2u);
     EXPECT_EQ(site.contended(), 1u);
     EXPECT_GT(site.wait_summary().sum, 0.0);
-}
-
-TEST(WaitAtSuite, ConditionWaitCountsAnAcquireOrATimedWait) {
-    // A condition-variable wait through wait_at: a predicate that holds is
-    // an uncontended pass; one that must be waited for is timed.
-    if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
-    const ProfilingGuard profiling;
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSite& site = sites.site("test.cv");
-    std::mutex mutex;
-    std::condition_variable changed;
-    bool ready = true;
-    const auto pass = [&] {
-        std::unique_lock<std::mutex> lock(mutex);
-        const auto is_ready = [&ready] { return ready; };
-        wait_at(site, is_ready, [&] { changed.wait(lock, is_ready); });
-    };
-    pass();
-    EXPECT_EQ(site.acquires(), 1u);
-    EXPECT_EQ(site.contended(), 0u);
-    ready = false;
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            ready = true;
-        }
-        changed.notify_one();
-    });
-    pass();
-    releaser.join();
-    EXPECT_EQ(site.acquires(), 2u);
-    EXPECT_EQ(site.contended(), 1u);
-    EXPECT_GT(site.wait_summary().sum, 0.0);
-}
-
-TEST(WaitAtSuite, DisabledProfilingIsJustTheBlockingCall) {
-    MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
-    WaitSite& site = sites.site("test.cv");
-    int tried = 0;
-    int blocked = 0;
-    wait_at(site, [&tried] { return ++tried > 0; }, [&blocked] { ++blocked; });
-    EXPECT_EQ(tried, 0);
-    EXPECT_EQ(blocked, 1);
-    EXPECT_EQ(site.acquires(), 0u);
 }
 
 static_assert(profiling_compiled() || std::is_empty_v<StageTimer>,
@@ -241,33 +134,37 @@ TEST(StageTimerSuite, TheSwitchIsReadOnceAtConstruction) {
 }
 
 TEST(WaitSiteStress, ConcurrentWritersAndReadersStayConsistent) {
-    // The TSan target: several threads hammer the same registry — lookups,
-    // recordings, and digest reads interleave — and the final counts add up.
+    // The TSan target: several threads record through two shared sites in
+    // one registry while another thread reads snapshots, and the final
+    // counts add up.
     if (!profiling_compiled()) GTEST_SKIP() << "ADIV_PROFILE=OFF build";
     const ProfilingGuard profiling;
     MetricsRegistry reg;
-    WaitSiteRegistry sites(reg);
+    WaitSite lanes[] = {WaitSite("test.lane_0", reg),
+                        WaitSite("test.lane_1", reg)};
     constexpr int kThreads = 4;
     constexpr int kRounds = 500;
+    std::atomic<bool> done{false};
+    std::thread reader([&reg, &done] {
+        while (!done.load()) (void)reg.snapshot();
+    });
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&sites, t] {
-            const std::string mine =
-                "test.lane_" + std::to_string(t % 2);  // two shared sites
+        threads.emplace_back([&site = lanes[t % 2]] {
             for (int i = 0; i < kRounds; ++i) {
-                WaitSite& site = sites.site(mine);
                 if (i % 3 == 0)
                     site.record_wait_us(static_cast<double>(i));
                 else
                     site.record_acquire();
-                if (i % 100 == 0) (void)sites.summaries();
             }
         });
     for (std::thread& thread : threads) thread.join();
+    done.store(true);
+    reader.join();
     std::uint64_t acquires = 0;
-    for (const WaitSiteSummary& summary : sites.summaries())
-        acquires += summary.acquires;
+    for (const auto& [name, value] : reg.snapshot().counters)
+        if (name.ends_with(".acquires")) acquires += value;
     EXPECT_EQ(acquires, static_cast<std::uint64_t>(kThreads) * kRounds);
 }
 

@@ -29,13 +29,13 @@
 // names — e.g. "stide/6+markov/6;fuse=ds" (see src/fusion/spec.hpp) — whose
 // events are scored by every member and fused per window.
 //
-// --profile turns on the hot-path contention instrumentation (requires an
-// ADIV_PROFILE build): serve.stage.* sketches and wait-site counters flow
-// through --metrics / the METRICS verb, sampled per-event `event_stage`
-// lines (1-in---profile-sample PUSHes) and a final `wait_site` digest land
-// in the --trace stream for `adiv_traceview --contention`. --dump-on-signal
-// makes SIGUSR1 print every session's flight-recorder ring (last --flight
-// events each) to stderr without disturbing the run.
+// --profile turns on the hot-path profile (requires an ADIV_PROFILE build):
+// every request's stage times go into the serve.stage.* sketches and the
+// shard locks' waits into the serve.shard.table.* instruments, all read
+// through the metrics registry — --metrics at drain, the METRICS verb,
+// GET /metrics, or adiv_top live. --dump-on-signal makes SIGUSR1 print
+// every session's flight-recorder ring (last --flight events each) to
+// stderr without disturbing the run.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -77,9 +77,6 @@ int main(int argc, char** argv) {
     cli.add_flag("profile",
                  "enable wait-site and per-event stage profiling "
                  "(ADIV_PROFILE builds)");
-    cli.add_option("profile-sample", "64",
-                   "emit one event_stage trace line per N PUSHes under "
-                   "--profile (0 = none)");
     cli.add_option("flight", "64",
                    "per-session flight-recorder capacity (last K events)");
     cli.add_flag("dump-on-signal",
@@ -93,10 +90,7 @@ int main(int argc, char** argv) {
         config.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
         config.allow_model_paths = cli.get_flag("allow-paths");
         config.flight_capacity = static_cast<std::size_t>(cli.get_int("flight"));
-        config.profile_sample_every =
-            static_cast<std::uint64_t>(cli.get_int("profile-sample"));
-        const bool profile = cli.get_flag("profile");
-        if (profile) {
+        if (cli.get_flag("profile")) {
             require(profiling_compiled(),
                     "--profile needs an ADIV_PROFILE build (reconfigure with "
                     "-DADIV_PROFILE=ON)");
@@ -187,8 +181,6 @@ int main(int argc, char** argv) {
         listener.close();
         if (scrape) scrape->stop();
         server.shutdown();
-        if (const auto sink = global_trace_sink(); profile && sink->enabled())
-            global_wait_sites().write_jsonl(*sink);
         std::printf("adiv_serve: drained; %zu connection(s) served\n",
                     server.connections_accepted());
         return 0;

@@ -2,7 +2,6 @@
 //
 //   adiv_traceview run.trace.jsonl
 //   adiv_traceview --json run.trace.jsonl other.trace.jsonl
-//   adiv_traceview --contention profiled.trace.jsonl
 //   some_tool --trace - 2>&1 | adiv_traceview -
 //
 // Prints one row per span name — count, total time, self time (total minus
@@ -12,12 +11,6 @@
 // longest root span). --json emits the same content as one JSON document,
 // spans sorted by name. Malformed lines are counted and reported, never
 // fatal, so a trace cut off mid-line still analyzes.
-//
-// --contention switches to the profiling view: the sampled per-event
-// `event_stage` lines become a recv_wait/recv_read/parse/score/reply/total
-// stage breakdown, the `wait_site` lines become a top-wait-sites report, and
-// the dominant (most total wait among contended) site is named on its own
-// line. Combines with --json.
 //
 // --request TRACEID switches to the request view: the causal tree of one
 // traced request (see obs/trace.hpp), stitched across files by the 16-hex
@@ -40,9 +33,6 @@ int main(int argc, char** argv) {
                   "aggregate a JSON-lines span trace: per-span statistics and "
                   "per-run critical paths");
     cli.add_flag("json", "emit one JSON document instead of tables");
-    cli.add_flag("contention",
-                 "profiling view: stage breakdown + top wait sites from "
-                 "event_stage / wait_site lines");
     cli.add_option("request", "",
                    "request view: the causal tree of one traced request "
                    "(16-hex trace id)");
@@ -50,10 +40,8 @@ int main(int argc, char** argv) {
         if (!cli.parse(argc, argv)) return 0;
         const std::vector<std::string>& inputs = cli.positionals();
         require(!inputs.empty(),
-                "usage: adiv_traceview [--json] [--contention] "
-                "[--request TRACEID] TRACE.jsonl ... ('-' = stdin)");
-        require(cli.get("request").empty() || !cli.get_flag("contention"),
-                "--request and --contention are different views; pick one");
+                "usage: adiv_traceview [--json] [--request TRACEID] "
+                "TRACE.jsonl ... ('-' = stdin)");
         std::stringstream merged;
         for (const std::string& path : inputs) {
             if (path == "-") {
@@ -71,14 +59,6 @@ int main(int argc, char** argv) {
                 std::printf("%s\n", request_to_json(analysis).c_str());
             else
                 std::fputs(render_request(analysis).c_str(), stdout);
-            return 0;
-        }
-        if (cli.get_flag("contention")) {
-            const ContentionAnalysis analysis = analyze_contention(merged);
-            if (cli.get_flag("json"))
-                std::printf("%s\n", contention_to_json(analysis).c_str());
-            else
-                std::fputs(render_contention(analysis).c_str(), stdout);
             return 0;
         }
         const TraceAnalysis analysis = analyze_trace(merged);

@@ -24,22 +24,22 @@
 #                                       # then churn 2,100 scrapes and 5,100
 #                                       # protocol connections: daemon
 #                                       # threads and VmRSS must stay flat
-#   tools/ci_check.sh --profile-smoke   # also: a --profile daemon with a
-#                                       # sampled --trace driven with --dump
-#                                       # and SIGUSR1 flight-recorder dumps,
-#                                       # its trace fed to traceview
-#                                       # --contention (stage breakdown +
-#                                       # dominant wait site), then the
-#                                       # compile-time gate: a
-#                                       # -DADIV_PROFILE=OFF build in
+#   tools/ci_check.sh --profile-smoke   # also: a --profile daemon driven
+#                                       # with --dump and SIGUSR1
+#                                       # flight-recorder dumps; its drain-
+#                                       # time --metrics dump must hold six
+#                                       # equal, non-zero serve.stage.*
+#                                       # counts and serve.shard.table
+#                                       # acquires; then the compile-time
+#                                       # gate: a -DADIV_PROFILE=OFF build in
 #                                       # build-noprof/ running tier-1
 #   tools/ci_check.sh --shard-smoke     # also: start adiv_serve --jobs 4
 #                                       # (4 table shards) --profile, drive
 #                                       # a verified loadgen
 #                                       # run over TCP, scrape /metrics for
 #                                       # the serve.shard.* instruments, and
-#                                       # assert adiv_traceview --contention
-#                                       # sees the serve.shard.* wait sites
+#                                       # require serve.shard.table acquires
+#                                       # in the drain-time --metrics dump
 #   tools/ci_check.sh --ensemble-smoke  # also: train two coverage-diverse
 #                                       # members, start a sharded daemon
 #                                       # serving both, OPEN ensemble sessions
@@ -193,15 +193,15 @@ if [ "$tsan" -eq 1 ]; then
     # connection, concurrent sessions, connection reaping, a stalled TCP
     # client, the shard-determinism replay matrix), the live-telemetry
     # threads (sampler ticks, HTTP scrape listener), the profiling layer
-    # (wait-site registry, wait_at condition-variable passes,
-    # flight-recorder ring, stamped server pipeline), the fusion layer's
+    # (wait sites shared by writers, profiled mutexes, flight-recorder
+    # ring, stamped server pipeline), the fusion layer's
     # served surface (ensemble sessions scored by their readers, fused
     # replay determinism), and the request-tracing surface (sketches
     # recorded by concurrent readers, traced sessions spanning client
     # threads and readers), plus the warm-path allocation budget, whose
     # executable replaces the global operator new.
     (cd build-tsan && ctest --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|WaitAt|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E|WarmPathAllocations')
+        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|Profiled|FlightRecorder|StageProfile|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E|WarmPathAllocations')
 fi
 
 if [ "$serve_smoke" -eq 1 ]; then
@@ -406,7 +406,7 @@ PY
 fi
 
 if [ "$profile_smoke" -eq 1 ]; then
-    echo "== profile smoke: contention profiling end to end =="
+    echo "== profile smoke: the daemon's profile in its metrics registry =="
     smoke_dir=$(mktemp -d)
     serve_pid=""
     trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
@@ -414,13 +414,12 @@ if [ "$profile_smoke" -eq 1 ]; then
     ./build/tools/adiv_train --detector stide --window 6 \
         --input "$smoke_dir/demo.trace" --out "$smoke_dir/model.adiv"
 
-    echo "-- profile smoke: profiled daemon, contention trace, DUMP verb + SIGUSR1 --"
-    # --profile-sample 8 keeps the event_stage stream dense enough for the
-    # contention view at smoke-test sizes; the daemon appends its wait_site
-    # digest to the same --trace file when it drains. --dump exercises the
-    # DUMP verb against every session's flight ring.
+    echo "-- profile smoke: profiled daemon, drain-time metrics, DUMP verb + SIGUSR1 --"
+    # The daemon writes its registry, the whole profile, to --metrics when
+    # it drains. --dump exercises the DUMP verb against every session's
+    # flight ring.
     ./build/tools/adiv_serve --model "$smoke_dir/model.adiv" --port 0 --jobs 2 \
-        --profile --profile-sample 8 --trace "$smoke_dir/profile.jsonl" \
+        --profile --metrics "$smoke_dir/metrics.json" \
         --dump-on-signal > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
     port=""
@@ -450,16 +449,22 @@ if [ "$profile_smoke" -eq 1 ]; then
         echo "profile smoke: SIGUSR1 produced no flight recorder dump" >&2
         exit 1
     }
-    ./build/tools/adiv_traceview --contention "$smoke_dir/profile.jsonl" \
-        > "$smoke_dir/contention.txt"
-    grep -q 'stage breakdown' "$smoke_dir/contention.txt" || {
-        echo "profile smoke: traceview --contention found no stages" >&2
-        exit 1
-    }
-    grep -q 'dominant wait site:' "$smoke_dir/contention.txt" || {
-        echo "profile smoke: traceview --contention named no dominant site" >&2
-        exit 1
-    }
+    # Every request stamps all six stage sketches, and the sessions' table
+    # lookups pass through the serve.shard.table wait site.
+    python3 - "$smoke_dir/metrics.json" <<'PY'
+import json
+import sys
+
+metrics = json.load(open(sys.argv[1]))
+stages = ["recv_wait", "recv_read", "parse", "score", "reply", "total"]
+counts = {s: metrics["sketches"].get(f"serve.stage.{s}_us", {}).get("count", 0)
+          for s in stages}
+print(f"profile smoke: stage counts {counts}")
+if len(set(counts.values())) != 1 or counts["total"] == 0:
+    sys.exit("profile smoke: the six serve.stage.* sketches differ or are empty")
+if metrics["counters"].get("serve.shard.table.acquires", 0) == 0:
+    sys.exit("profile smoke: no serve.shard.table acquires in the metrics dump")
+PY
     rm -rf "$smoke_dir"
     trap - EXIT
 
@@ -481,11 +486,10 @@ if [ "$shard_smoke" -eq 1 ]; then
     ./build/tools/adiv_train --detector stide --window 6 \
         --training-length 20000 --seed 11 --out "$smoke_dir/model.adiv"
     # 4 session-table shards: the profiled build stamps the
-    # serve.shard.table wait site, and the final wait_site digest lands in
-    # the daemon's trace stream.
+    # serve.shard.table wait site, which the drain-time --metrics dump holds.
     ./build/tools/adiv_serve --model "$smoke_dir/model.adiv" --port 0 \
         --jobs 4 --metrics-port 0 --profile \
-        --trace "$smoke_dir/shard_trace.jsonl" \
+        --metrics "$smoke_dir/metrics.json" \
         > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
     port=""
@@ -522,12 +526,16 @@ if [ "$shard_smoke" -eq 1 ]; then
     serve_pid=""
     grep -q 'drained' "$smoke_dir/serve.log" || {
         echo "shard smoke: daemon did not drain cleanly" >&2; exit 1; }
-    ./build/tools/adiv_traceview --contention "$smoke_dir/shard_trace.jsonl" \
-        > "$smoke_dir/contention.txt"
-    grep -q 'serve\.shard\.' "$smoke_dir/contention.txt" || {
-        echo "shard smoke: traceview --contention shows no serve.shard.* wait sites" >&2
-        exit 1
-    }
+    python3 - "$smoke_dir/metrics.json" <<'PY'
+import json
+import sys
+
+counters = json.load(open(sys.argv[1]))["counters"]
+acquires = counters.get("serve.shard.table.acquires", 0)
+print(f"shard smoke: serve.shard.table.acquires = {acquires}")
+if acquires == 0:
+    sys.exit("shard smoke: no serve.shard.table acquires in the metrics dump")
+PY
     rm -rf "$smoke_dir"
     trap - EXIT
 fi
