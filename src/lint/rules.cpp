@@ -4,9 +4,6 @@
 #include <map>
 #include <set>
 
-#include "lint/callgraph.hpp"
-#include "lint/concurrency.hpp"
-#include "lint/index.hpp"
 #include "lint/lexer.hpp"
 #include "lint/parse.hpp"
 #include "util/error.hpp"
@@ -274,75 +271,6 @@ void check_metric_name(const ParsedFile& data, std::vector<Finding>& out) {
     }
 }
 
-// --- rule: hot-alloc -------------------------------------------------------
-
-/// Token range [begin, end) of the function body following the `// adiv-hot`
-/// annotation on `hot_line`: the first balanced brace block at or after that
-/// line. Returns begin == end when no body follows (a stray annotation).
-std::pair<std::size_t, std::size_t> hot_body(const std::vector<Tok>& toks,
-                                             std::size_t hot_line) {
-    std::size_t open = toks.size();
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (toks[i].line < hot_line) continue;
-        if (is_punct(toks, i, "{")) {
-            open = i;
-            break;
-        }
-    }
-    if (open == toks.size()) return {open, open};
-    std::size_t depth = 0;
-    for (std::size_t j = open; j < toks.size(); ++j) {
-        if (is_punct(toks, j, "{")) ++depth;
-        if (is_punct(toks, j, "}") && --depth == 0) return {open + 1, j};
-    }
-    return {open + 1, toks.size()};
-}
-
-void check_hot_alloc(const ParsedFile& data, std::vector<Finding>& out) {
-    const std::vector<Tok>& toks = data.toks;
-    for (const std::size_t hot_line : data.hot_lines) {
-        const auto [begin, end] = hot_body(toks, hot_line);
-        // Containers the body reserves up front may grow in place; only
-        // unreserved push_back/emplace_back is an allocation hazard.
-        std::set<std::string> reserved;
-        for (std::size_t j = begin; j + 3 < end; ++j)
-            if (toks[j].kind == TokKind::Identifier &&
-                (is_punct(toks, j + 1, ".") || is_punct(toks, j + 1, "->")) &&
-                is_ident(toks, j + 2, "reserve") && is_punct(toks, j + 3, "("))
-                reserved.insert(toks[j].text);
-        for (std::size_t j = begin; j < end; ++j) {
-            if (toks[j].kind != TokKind::Identifier) continue;
-            const std::string& name = toks[j].text;
-            if (name == "new") {
-                out.push_back({"hot-alloc", data.path, toks[j].line,
-                               "operator new inside an `// adiv-hot` "
-                               "function: the event loop must run "
-                               "allocation-free — use the preallocated "
-                               "arenas/scratch buffers"});
-            } else if (name == "string" || name == "to_string") {
-                out.push_back({"hot-alloc", data.path, toks[j].line,
-                               "std::" + name +
-                                   " inside an `// adiv-hot` function "
-                                   "allocates: format into a reusable "
-                                   "buffer outside the hot loop instead"});
-            } else if (name == "push_back" || name == "emplace_back") {
-                const bool member_call =
-                    j >= 2 &&
-                    (is_punct(toks, j - 1, ".") || is_punct(toks, j - 1, "->")) &&
-                    toks[j - 2].kind == TokKind::Identifier;
-                if (member_call && reserved.count(toks[j - 2].text) > 0)
-                    continue;
-                out.push_back({"hot-alloc", data.path, toks[j].line,
-                               name +
-                                   " on an unreserved container inside an "
-                                   "`// adiv-hot` function may reallocate: "
-                                   "reserve() in the same body first, or "
-                                   "use a fixed-capacity ring"});
-            }
-        }
-    }
-}
-
 // --- rule: header-hygiene --------------------------------------------------
 
 bool is_header(const std::string& path) {
@@ -393,27 +321,11 @@ bool suppressed(const ParsedFile& data, const Finding& finding) {
     return line_suppressed(data, finding.line, finding.rule);
 }
 
-/// A bare suppression of a reason-required rule is inert (the finding still
-/// fires) and is itself a finding: the exception must say why it is safe.
-void check_suppression_reasons(const ParsedFile& data,
-                               const std::set<std::string>& enabled,
-                               std::vector<Finding>& out) {
-    for (const auto& [line, allow] : data.allows)
-        for (const auto& [rule, has_reason] : allow.rules)
-            if (!has_reason && reason_required(rule) && enabled.count(rule) > 0)
-                out.push_back(
-                    {rule, data.path, line,
-                     "suppression of '" + rule +
-                         "' requires a reason: write `adiv-lint: allow(" +
-                         rule + ", \"why the invariant holds anyway\")`"});
-}
-
 }  // namespace
 
 std::vector<std::string> rule_names() {
     return {"nondeterminism", "unordered-iteration", "score-memo",
-            "metric-name",    "header-hygiene",      "hot-alloc",
-            "lock-order",     "guarded-by",          "hot-path"};
+            "metric-name", "header-hygiene"};
 }
 
 std::vector<Finding> run_lint(const std::vector<SourceFile>& sources,
@@ -449,7 +361,6 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& sources,
         if (enabled.count("score-memo") > 0) check_score_memo(data, raw);
         if (enabled.count("metric-name") > 0) check_metric_name(data, raw);
         if (enabled.count("header-hygiene") > 0) check_pragma_once(data, raw);
-        if (enabled.count("hot-alloc") > 0) check_hot_alloc(data, raw);
         for (Finding& finding : raw)
             if (!suppressed(data, finding)) findings.push_back(std::move(finding));
     }
@@ -461,31 +372,6 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& sources,
                 for (Finding& finding : raw)
                     if (!suppressed(data, finding))
                         findings.push_back(std::move(finding));
-    }
-
-    // The interprocedural rules see the whole tree at once; their findings
-    // are filtered against the suppressions of the file each lands in.
-    const bool concurrency = enabled.count("lock-order") > 0 ||
-                             enabled.count("guarded-by") > 0 ||
-                             enabled.count("hot-path") > 0;
-    if (concurrency) {
-        const SymbolIndex index = build_index(files);
-        const CallGraph graph = build_call_graph(index);
-        std::vector<Finding> raw;
-        if (enabled.count("lock-order") > 0) check_lock_order(index, graph, raw);
-        if (enabled.count("guarded-by") > 0) check_guarded_by(index, graph, raw);
-        if (enabled.count("hot-path") > 0) check_hot_path(index, graph, raw);
-        std::map<std::string, const ParsedFile*> by_path;
-        for (const ParsedFile& data : files) by_path.emplace(data.path, &data);
-        for (Finding& finding : raw) {
-            const auto it = by_path.find(finding.file);
-            if (it != by_path.end() && suppressed(*it->second, finding)) continue;
-            findings.push_back(std::move(finding));
-        }
-        // Reason-less suppressions of the new rules are findings themselves,
-        // appended after the filter so they cannot suppress each other.
-        for (const ParsedFile& data : files)
-            check_suppression_reasons(data, enabled, findings);
     }
 
     std::sort(findings.begin(), findings.end(),

@@ -50,50 +50,16 @@
 //                        not part of the adiv API, and is exempt from the
 //                        umbrella requirement.
 //
-//   hot-alloc            Allocation ban for the serve hot path. A comment
-//                        whose first word is `adiv-hot` marks the next
-//                        function body (the first balanced brace block at or
-//                        after the comment's line) as allocation-free: no
-//                        operator new, no std::string / std::to_string
-//                        construction, and no push_back/emplace_back on a
-//                        container the body does not reserve() first. The
-//                        serve per-request function (serve/server.cpp
-//                        handle_request) carries the annotation; per-event
-//                        work there must go through the connection's reused
-//                        request, response and output buffers, never the
-//                        heap.
-//
-//   lock-order           Whole-tree deadlock detection. Every acquisition of
-//                        lock L while lock M is held — directly or through a
-//                        resolved call chain — contributes an edge M -> L to
-//                        the global lock-order graph; every cycle is reported
-//                        once, with a witness path for each edge. Locks are
-//                        identified by header/source twin stem plus member
-//                        name, and self-edges (two instances of the same
-//                        class's lock) are not reported.
-//
-//   guarded-by           A field annotated `// adiv-guarded-by(mu_)` may only
-//                        be touched from a scope that holds `mu_`, or from a
-//                        function every resolved caller of which holds it
-//                        (the `*_locked` helper pattern). Any other access in
-//                        the twin group is a finding.
-//
-//   hot-path             Interprocedural extension of hot-alloc: a function
-//                        is hazardous when it allocates or blocks (condition
-//                        waits, sleeps, joins, I/O) directly or via a call to
-//                        a hazardous function. An `// adiv-hot` function's
-//                        blocking sites and its calls into hazardous
-//                        functions are findings, each with the witness chain
-//                        down to the concrete hazard.
-//
 // Suppressions: a comment `// adiv-lint: allow(rule)` (comma-separated
 // rules, or `all`) suppresses findings on its own line and the next line.
 // Suppressions are deliberate, reviewable exceptions — each one should state
-// why the invariant holds anyway. For the interprocedural rules (lock-order,
-// guarded-by, hot-path) the reason is mandatory and machine-checked:
-// `// adiv-lint: allow(hot-path, "cold admin path, replies are rare")`. A
-// bare allow of one of those rules suppresses nothing and is itself a
-// finding.
+// why the invariant holds anyway, as a trailing quoted reason:
+// `// adiv-lint: allow(unordered-iteration, "sorted below")`.
+//
+// The daemon's concurrency invariants (lock order, fields read only under
+// their mutex, an allocation-free PUSH path) are checked where the code
+// runs, not here: the TSan pass of tools/ci_check.sh runs the whole suite,
+// and tests/alloc counts the allocations of a PUSH served through a Server.
 #pragma once
 
 #include <cstddef>

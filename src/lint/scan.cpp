@@ -5,9 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "lint/callgraph.hpp"
-#include "lint/index.hpp"
-#include "lint/parse.hpp"
 #include "util/error.hpp"
 
 namespace adiv::lint {
@@ -53,19 +50,6 @@ std::vector<SourceFile> collect_tree_sources(const std::string& root) {
     std::sort(sources.begin(), sources.end(),
               [](const SourceFile& a, const SourceFile& b) { return a.path < b.path; });
     return sources;
-}
-
-std::vector<Finding> lint_tree(const std::string& root, const LintOptions& options) {
-    return run_lint(collect_tree_sources(root), options);
-}
-
-std::string dump_tree_callgraph(const std::string& root) {
-    const std::vector<SourceFile> sources = collect_tree_sources(root);
-    std::vector<ParsedFile> files;
-    files.reserve(sources.size());
-    for (const SourceFile& src : sources) files.push_back(parse_cpp_file(src));
-    const SymbolIndex index = build_index(files);
-    return build_call_graph(index).dump();
 }
 
 }  // namespace adiv::lint

@@ -21,13 +21,4 @@ namespace adiv::lint {
 /// .` run from the wrong place fails loudly rather than reporting clean).
 std::vector<SourceFile> collect_tree_sources(const std::string& root);
 
-/// collect_tree_sources + run_lint in one call.
-std::vector<Finding> lint_tree(const std::string& root,
-                               const LintOptions& options = {});
-
-/// Parses the default scan set and returns the resolved whole-tree call
-/// graph in the `adiv_lint --callgraph` dump format (one block per function,
-/// callees indented beneath it).
-std::string dump_tree_callgraph(const std::string& root);
-
 }  // namespace adiv::lint

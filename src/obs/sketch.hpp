@@ -128,9 +128,9 @@ private:
     // Guarded by a mutex because three fields must move together; the
     // atomic max_ above gates the lock so the steady state never takes it.
     mutable std::mutex exemplar_mutex_;
-    double exemplar_value_ = 0.0;          // adiv-guarded-by(exemplar_mutex_)
-    std::uint64_t exemplar_trace_ = 0;     // adiv-guarded-by(exemplar_mutex_)
-    std::uint64_t exemplar_span_ = 0;      // adiv-guarded-by(exemplar_mutex_)
+    double exemplar_value_ = 0.0;          // guarded by exemplar_mutex_
+    std::uint64_t exemplar_trace_ = 0;     // guarded by exemplar_mutex_
+    std::uint64_t exemplar_span_ = 0;      // guarded by exemplar_mutex_
 };
 
 /// The registry instrument (obs/metrics.hpp).

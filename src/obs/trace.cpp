@@ -25,7 +25,6 @@ std::mutex& global_sink_mutex() {
 }
 
 std::shared_ptr<TraceSink>& global_sink_slot() {
-    // adiv-lint: allow(hot-path, "function-local static: the null sink is built once at first use, not per call")
     static std::shared_ptr<TraceSink> sink = std::make_shared<NullTraceSink>();
     return sink;
 }

@@ -191,9 +191,6 @@ public:
     /// This span's trace context ({0,0} when the span is untraced).
     [[nodiscard]] TraceContext context() const noexcept { return context_; }
 
-    /// Wall time since the span opened, in seconds.
-    [[nodiscard]] double elapsed_seconds() const noexcept { return watch_.seconds(); }
-
 private:
     void open(std::string_view name);
 

@@ -187,7 +187,6 @@ void Server::read_requests(Reader& reader) {
     if (!decoder.idle()) throw DataError("connection closed mid-frame");
 }
 
-// adiv-hot
 void Server::handle_request(Reader& reader, std::string_view payload,
                             StageStamps& recv) {
     // The frame inherits the recv time that preceded it; the reader's
@@ -199,13 +198,14 @@ void Server::handle_request(Reader& reader, std::string_view payload,
     Request& request = reader.request;
     try {
         const StageTimer parse(stamps.parse_us);
-        // adiv-lint: allow(hot-path, "the reused Request keeps its events' capacity, so PUSH grows it only up to the largest frame; the other verbs are cold admin traffic")
+        // The reused Request keeps its events' capacity, so a PUSH grows it
+        // only up to the largest frame.
         parse_request_into(payload, request);
     } catch (const std::exception& record_error) {
         // A well-framed but unparseable record: answered with ERR, the
-        // connection (and any session) survives.
+        // connection (and any session) survives. Malformed records are cold;
+        // only they build an error message.
         frames_rejected_.add(1);
-        // adiv-lint: allow(hot-path, "malformed records are cold; only they build an error message")
         reply(reader, error_response(record_error.what()));
         return;
     }
@@ -227,13 +227,13 @@ void Server::handle_request(Reader& reader, std::string_view payload,
             std::optional<TraceSpan> handle_span;
             if (request.trace_id != 0 && global_trace_sink()->enabled()) {
                 trace_scope.emplace(TraceContext{request.trace_id, request.span_id});
-                // adiv-lint: allow(hot-path, "traced requests only; the span is the product, not overhead")
                 handle_span.emplace("serve.shard_handle");
             }
-            // adiv-lint: allow(hot-path, "PUSH replies are allocation-free; the verbs that do allocate (error text, METRICS, DUMP, STATS) are cold admin traffic")
+            // A warm PUSH allocates only inside its scorer (tests/alloc
+            // counts it); the verbs that do allocate (error text, METRICS,
+            // DUMP, STATS) are cold admin traffic.
             sessions_.handle_into(reader.session_id, request, reader.response);
         } else {
-            // adiv-lint: allow(hot-path, "cold path: OPEN, METRICS before a session and session verbs without one")
             cold = answer_sessionless(reader, request);
         }
     }

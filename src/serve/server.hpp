@@ -29,8 +29,9 @@
 // The per-event path is allocation-free at steady state: frame payloads are
 // parsed as views into the decoder's buffer into a reused Request, scoring
 // writes into a reused Response, and replies are framed into an output
-// buffer that keeps its capacity across flushes. Server::handle_request is
-// `// adiv-hot` — adiv_lint rejects allocation idioms inside it.
+// buffer that keeps its capacity across flushes. A warm PUSH allocates only
+// what its scorer does; WarmPathAllocations.ServedPushPaysAConstantPerBatch
+// (tests/alloc) counts it through a Server over loopback transports.
 //
 // Draining and shutdown: shutdown() stops accepting and closes every
 // connection's *input* side only. Each reader then handles the bytes it
@@ -147,7 +148,7 @@ private:
         std::thread reader;
         // Set by the reader as its last act; the connection may then be
         // reaped (its reader joined, this struct freed).
-        bool ended = false;  // adiv-guarded-by(mutex_)
+        bool ended = false;  // guarded by Server::mutex_
     };
 
     /// A connection's per-request state. It lives on the reader's stack and
@@ -194,8 +195,8 @@ private:
 
     mutable std::mutex mutex_;
     std::condition_variable connections_changed_;
-    std::vector<std::unique_ptr<Connection>> connections_;  // adiv-guarded-by(mutex_)
-    bool stopping_ = false;                                 // adiv-guarded-by(mutex_)
+    std::vector<std::unique_ptr<Connection>> connections_;  // guarded by mutex_
+    bool stopping_ = false;                                 // guarded by mutex_
 };
 
 }  // namespace adiv::serve

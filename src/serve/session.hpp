@@ -72,7 +72,7 @@ public:
 private:
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<const SequenceDetector>>
-        models_;  // adiv-guarded-by(mutex_)
+        models_;  // guarded by mutex_
     bool allow_paths_;
 };
 
@@ -185,7 +185,7 @@ private:
         // only that reader touches it, which is what keeps the score path
         // lock-free.
         std::map<std::uint64_t, std::shared_ptr<Session>>
-            sessions;  // adiv-guarded-by(mutex)
+            sessions;  // guarded by mutex
     };
 
     /// The shard a session id lives in: a mixed hash of the id (sequential

@@ -53,8 +53,8 @@ private:
 
     std::mutex mutex_;
     std::condition_variable work_available_;
-    std::deque<std::function<void()>> queue_;  // adiv-guarded-by(mutex_)
-    bool stopping_ = false;                    // adiv-guarded-by(mutex_)
+    std::deque<std::function<void()>> queue_;  // guarded by mutex_
+    bool stopping_ = false;                    // guarded by mutex_
     std::vector<std::thread> workers_;
 };
 

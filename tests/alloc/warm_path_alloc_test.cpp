@@ -1,8 +1,8 @@
 // Allocation budget of the warm scoring path.
 //
-// This file replaces the global operator new with one that counts the
-// allocations of the calling thread, which is why it is its own test
-// executable: the replacement must not reach adiv_tests.
+// This file replaces the global operator new with one that counts
+// allocations twice: per thread, and process-wide. That is why it is its own
+// test executable: the replacement must not reach adiv_tests.
 //
 // Each case pushes a held-out stream three times through a scorer, in
 // frames, and counts the allocations of every frame of the third pass. The
@@ -14,6 +14,16 @@
 // the scorer (a contract check formatting its message, a memo hit copying
 // a vector) multiplies by the frame length and fails it.
 //
+// The served case sends pre-encoded PUSH frames through a Server over a
+// loopback transport and holds its reader to the session's budget: the
+// server's own work for a warm PUSH (decode, parse, reply framing, the send,
+// and with profiling on the stage sketches and the flight ring) adds no
+// allocation. It counts what every other thread allocated between the
+// client's write and the reply's arrival: the process-wide delta minus the
+// test thread's own. The count is exact, because the reader allocates before
+// its write of the reply releases the loopback channel's mutex, which the
+// client takes to read it. ci_check.sh's TSan pass runs this file too.
+//
 // The HMM detector is left out. It is not window-local, so OnlineScorer
 // scores it through the per-event fallback, which builds one stream per
 // event; only a scoring path that writes into caller-owned spans (a
@@ -22,9 +32,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,22 +45,28 @@
 #include "fusion/ensemble_scorer.hpp"
 #include "fusion/spec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
+#include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "serve/transport.hpp"
 #include "support/corpus_fixture.hpp"
 #include "util/rng.hpp"
 
 namespace {
 thread_local std::size_t g_allocations = 0;
+std::atomic<std::size_t> g_process_allocations{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
     ++g_allocations;
+    g_process_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc();
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
     ++g_allocations;
+    g_process_allocations.fetch_add(1, std::memory_order_relaxed);
     const auto a = static_cast<std::size_t>(align);
     const std::size_t rounded = (std::max<std::size_t>(size, 1) + a - 1) / a * a;
     if (void* p = std::aligned_alloc(a, rounded)) return p;
@@ -115,21 +133,45 @@ std::shared_ptr<const SequenceDetector> detector_of(DetectorKind kind) {
     return nullptr;
 }
 
+/// Allocations this thread has made.
+std::size_t own_allocations() { return g_allocations; }
+
+/// Allocations every other thread has made (a Server's readers).
+std::size_t other_allocations() {
+    return g_process_allocations.load(std::memory_order_relaxed) - g_allocations;
+}
+
 /// Pushes heldout() three times in frames of `frame` events and returns the
-/// most allocations any frame of the third, warm pass made.
+/// most allocations any frame of the third, warm pass made, as `counted`
+/// sees them.
 template <typename Push>
-std::size_t warm_allocations_per_batch(std::size_t frame, Push&& push) {
+std::size_t warm_allocations_per_batch(std::size_t frame, Push&& push,
+                                       std::size_t (*counted)() = own_allocations) {
     const Sequence& stream = heldout();
     std::size_t worst = 0;
     for (int pass = 0; pass < 3; ++pass)
         for (std::size_t at = 0; at < stream.size(); at += frame) {
             const std::size_t count = std::min(frame, stream.size() - at);
-            const std::size_t before = g_allocations;
+            const std::size_t before = counted();
             push(stream.data() + at, count);
-            if (pass == 2) worst = std::max(worst, g_allocations - before);
+            if (pass == 2) worst = std::max(worst, counted() - before);
         }
     return worst;
 }
+
+/// Writes one framed request and returns the reply.
+serve::Response exchange(serve::Transport& client, serve::FrameDecoder& decoder,
+                         const std::string& frame) {
+    client.write_all(frame.data(), frame.size());
+    const std::optional<std::string> reply = serve::read_frame(client, decoder);
+    return reply ? serve::parse_response(*reply) : serve::Response{};
+}
+
+/// Restores the process-wide profiling switch when it leaves scope.
+struct ProfilingRestore {
+    bool was = profiling_enabled();
+    ~ProfilingRestore() { set_profiling_enabled(was); }
+};
 
 TEST(WarmPathAllocations, CounterSeesEveryAllocation) {
     const std::size_t before = g_allocations;
@@ -219,6 +261,67 @@ TEST(WarmPathAllocations, SessionPushPaysAConstantPerBatch) {
         EXPECT_LE(worst[0], target.budget) << "64-event frames";
         EXPECT_LE(worst[1], target.budget) << "512-event frames";
         EXPECT_LE(worst[1], worst[0]) << "allocations grow with batch length";
+    }
+}
+
+TEST(WarmPathAllocations, ServedPushPaysAConstantPerBatch) {
+    struct Target {
+        std::string name;
+        std::size_t budget;
+    };
+    const Target targets[] = {{"stide/6", kScorerAllocsPerBatch},
+                              {"neural-net/6", kScorerAllocsPerBatch},
+                              {kVoteSpec, 4 * kScorerAllocsPerBatch}};
+    const ProfilingRestore restore;
+    for (const bool profile : {false, true}) {
+        set_profiling_enabled(profile);
+        MetricsRegistry metrics;
+        serve::Server server({}, metrics);
+        for (const DetectorKind kind : paper_detectors())
+            server.add_model(to_string(kind) + "/6", detector_of(kind));
+        for (const Target& target : targets) {
+            SCOPED_TRACE(target.name + (profile ? ", profiling on" : ", profiling off"));
+            std::vector<std::size_t> worst;
+            for (const std::size_t frame : kFrames) {
+                auto [client, server_end] = serve::make_loopback_pair();
+                ASSERT_TRUE(server.attach(std::move(server_end)));
+                serve::FrameDecoder decoder;
+                serve::Request request;
+                request.type = serve::RequestType::Open;
+                request.target = target.name;
+                ASSERT_EQ(exchange(*client, decoder,
+                                   serve::encode_frame(serve::serialize(request)))
+                              .type,
+                          serve::ResponseType::Opened);
+                // One pre-encoded PUSH per batch, replayed in every pass.
+                std::vector<std::string> pushes;
+                request.type = serve::RequestType::Push;
+                for (std::size_t at = 0; at < heldout().size(); at += frame) {
+                    const std::size_t count = std::min(frame, heldout().size() - at);
+                    request.events.assign(heldout().begin() + at,
+                                          heldout().begin() + at + count);
+                    pushes.push_back(serve::encode_frame(serve::serialize(request)));
+                }
+                std::size_t next = 0;
+                std::size_t rejected = 0;
+                worst.push_back(warm_allocations_per_batch(
+                    frame,
+                    [&](const Symbol* /*events*/, std::size_t /*count*/) {
+                        const std::string& push = pushes[next++ % pushes.size()];
+                        if (exchange(*client, decoder, push).type !=
+                            serve::ResponseType::Scores)
+                            ++rejected;
+                    },
+                    other_allocations));
+                EXPECT_EQ(rejected, 0u);
+                // The reader's teardown must not land in the next count.
+                client->close();
+                server.wait_connections_closed();
+            }
+            EXPECT_LE(worst[0], target.budget) << "64-event frames";
+            EXPECT_LE(worst[1], target.budget) << "512-event frames";
+            EXPECT_LE(worst[1], worst[0]) << "allocations grow with batch length";
+        }
     }
 }
 

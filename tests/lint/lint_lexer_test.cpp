@@ -136,15 +136,14 @@ TEST(LintLexer, StringLiteralContinuesAcrossBackslashNewline) {
 }
 
 TEST(LintLexer, RawStringKeepsLintMarkersInert) {
-    // An `// adiv-` marker inside a raw string is string payload, never a
-    // Comment token — the annotation parser must not see it.
-    const auto toks =
-        lex("auto s = R\"(// adiv-hot\n// adiv-lint: allow(all))\";\nint x;");
+    // An `adiv-lint: allow` marker inside a raw string is string payload,
+    // never a Comment token — the suppression parser must not see it.
+    const auto toks = lex("auto s = R\"(// adiv-lint: allow(all))\";\nint x;");
     for (const Tok& tok : toks) EXPECT_NE(tok.kind, TokKind::Comment);
     bool found = false;
     for (const Tok& tok : toks)
         if (tok.kind == TokKind::String &&
-            tok.text.find("adiv-hot") != std::string::npos)
+            tok.text.find("adiv-lint: allow") != std::string::npos)
             found = true;
     EXPECT_TRUE(found);
 }

@@ -363,6 +363,17 @@ TEST(LintSuppression, AllWildcardAndListsSuppress) {
     EXPECT_EQ(count_rule(list, "nondeterminism"), 0u);
 }
 
+TEST(LintSuppression, QuotedReasonIsSkipped) {
+    // The reason may hold commas, parentheses and rule names; only the
+    // names outside the quotes are suppressed.
+    const auto findings = lint_one("src/x.cpp", R"(
+        // adiv-lint: allow(nondeterminism, "seeded (see metric-name), ok")
+        int noisy() { m.counter("Bad").add(rand()); }
+    )");
+    EXPECT_EQ(count_rule(findings, "nondeterminism"), 0u);
+    EXPECT_EQ(count_rule(findings, "metric-name"), 1u);
+}
+
 TEST(LintSuppression, DoesNotLeakPastTheNextLine) {
     const auto findings = lint_one("src/x.cpp", R"(
         // adiv-lint: allow(nondeterminism)
@@ -397,85 +408,10 @@ TEST(LintEngine, FindingsAreSortedByFileLineRule) {
 
 TEST(LintEngine, RuleNamesAreStable) {
     const std::vector<std::string> names = rule_names();
-    ASSERT_EQ(names.size(), 9u);
-    EXPECT_EQ(names[0], "nondeterminism");
-    EXPECT_EQ(names[4], "header-hygiene");
-    EXPECT_EQ(names[5], "hot-alloc");
-    EXPECT_EQ(names[6], "lock-order");
-    EXPECT_EQ(names[7], "guarded-by");
-    EXPECT_EQ(names[8], "hot-path");
-}
-
-// --- hot-alloc -------------------------------------------------------------
-
-TEST(LintHotAlloc, FlagsNewAndStringInAnnotatedBody) {
-    const auto findings = lint_one("src/serve/x.cpp", R"(
-        // adiv-hot
-        void loop() {
-            int* p = new int(7);
-            std::string label = std::to_string(*p);
-        }
-    )");
-    EXPECT_EQ(count_rule(findings, "hot-alloc"), 3u);
-}
-
-TEST(LintHotAlloc, FlagsPushBackOnUnreservedContainer) {
-    const auto findings = lint_one("src/serve/x.cpp", R"(
-        // adiv-hot
-        void drain(std::vector<int>& out) { out.push_back(1); }
-    )");
-    EXPECT_EQ(count_rule(findings, "hot-alloc"), 1u);
-}
-
-TEST(LintHotAlloc, ReservedContainerMayGrow) {
-    const auto findings = lint_one("src/serve/x.cpp", R"(
-        // adiv-hot
-        void drain(std::vector<int>& out) {
-            out.reserve(64);
-            out.push_back(1);
-            out.emplace_back(2);
-        }
-    )");
-    EXPECT_EQ(count_rule(findings, "hot-alloc"), 0u);
-}
-
-TEST(LintHotAlloc, UnannotatedFunctionsAreOutOfScope) {
-    const auto findings = lint_one("src/serve/x.cpp", R"(
-        void cold() {
-            std::string s = std::to_string(42);
-            std::vector<int> v;
-            v.push_back(1);
-        }
-    )");
-    EXPECT_EQ(count_rule(findings, "hot-alloc"), 0u);
-}
-
-TEST(LintHotAlloc, BanEndsAtTheAnnotatedBodysCloseBrace) {
-    const auto findings = lint_one("src/serve/x.cpp", R"(
-        // adiv-hot
-        void hot() { int x = 1; (void)x; }
-        void after() { std::string s = "ok"; (void)s; }
-    )");
-    EXPECT_EQ(count_rule(findings, "hot-alloc"), 0u);
-}
-
-TEST(LintHotAlloc, MentioningTheMarkerInProseDoesNotAnnotate) {
-    const auto findings = lint_one("src/serve/x.cpp", R"(
-        // The loop below is NOT marked `adiv-hot`, this is prose.
-        void cold() { std::string s = "ok"; (void)s; }
-    )");
-    EXPECT_EQ(count_rule(findings, "hot-alloc"), 0u);
-}
-
-TEST(LintHotAlloc, SuppressionCommentAllowsASite) {
-    const auto findings = lint_one("src/serve/x.cpp", R"(
-        // adiv-hot
-        void loop(std::vector<int>& out) {
-            // adiv-lint: allow(hot-alloc) -- one-time growth before the loop
-            out.push_back(0);
-        }
-    )");
-    EXPECT_EQ(count_rule(findings, "hot-alloc"), 0u);
+    const std::vector<std::string> expected = {
+        "nondeterminism", "unordered-iteration", "score-memo", "metric-name",
+        "header-hygiene"};
+    EXPECT_EQ(names, expected);
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
 // adiv_lint: the in-tree invariant linter.
 //
-//   tools/adiv_lint [--json] [--rules r1,r2] [--list-rules] [--callgraph]
-//                   [root]
+//   tools/adiv_lint [--json] [--rules r1,r2] [--list-rules] [root]
 //
 // Scans src/**/*.{hpp,cpp} and tools/*.cpp under the repository root
 // (default: the current directory) for violations of the project invariants
 // documented in src/lint/rules.hpp. Exit status: 0 clean, 1 findings,
 // 2 usage or scan error. `--json` writes a single machine-readable object
 // (findings sorted by (file, line, rule); `schema_version` bumps whenever a
-// field changes meaning). `--callgraph` dumps the resolved whole-tree call
-// graph instead of linting. The default output is one
-// `file:line: [rule] message` line per finding.
+// field changes meaning). The default output is one `file:line: [rule]
+// message` line per finding.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -23,8 +21,7 @@ namespace {
 
 int usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--json] [--rules r1,r2] [--list-rules] "
-                 "[--callgraph] [root]\n",
+                 "usage: %s [--json] [--rules r1,r2] [--list-rules] [root]\n",
                  argv0);
     return 2;
 }
@@ -69,7 +66,6 @@ std::string findings_json(const std::vector<adiv::lint::Finding>& findings,
 
 int main(int argc, char** argv) {
     bool json = false;
-    bool callgraph = false;
     adiv::lint::LintOptions options;
     std::string root = ".";
     bool have_root = false;
@@ -77,8 +73,6 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
-        } else if (arg == "--callgraph") {
-            callgraph = true;
         } else if (arg == "--list-rules") {
             for (const std::string& rule : adiv::lint::rule_names())
                 std::printf("%s\n", rule.c_str());
@@ -99,10 +93,6 @@ int main(int argc, char** argv) {
     }
 
     try {
-        if (callgraph) {
-            std::printf("%s", adiv::lint::dump_tree_callgraph(root).c_str());
-            return 0;
-        }
         const std::vector<adiv::lint::SourceFile> sources =
             adiv::lint::collect_tree_sources(root);
         const std::vector<adiv::lint::Finding> findings =

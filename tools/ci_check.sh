@@ -8,7 +8,7 @@
 #   tools/ci_check.sh --sanitize        # also build + run tests under
 #                                       # ASan/UBSan (build-san/, slower)
 #   tools/ci_check.sh --sanitize thread # also build under TSan (build-tsan/)
-#                                       # and run the parallel-engine tests
+#                                       # and run the whole suite there
 #   tools/ci_check.sh --sanitize all    # both sanitizer passes
 #   tools/ci_check.sh --serve-smoke     # also: train a model, start the
 #                                       # adiv_serve daemon on an ephemeral
@@ -67,18 +67,10 @@
 #                                       # serial replay) with 0 failed
 #                                       # operations. No timing gate.
 #   tools/ci_check.sh --lint            # also: adiv_lint self-scan with every
-#                                       # rule enabled, the interprocedural
-#                                       # concurrency rules (lock-order,
-#                                       # guarded-by, hot-path) included (must
-#                                       # be clean), a --callgraph smoke, and,
+#                                       # rule enabled (must be clean), a
+#                                       # --json schema_version check, and,
 #                                       # when clang-tidy is on PATH,
 #                                       # clang-tidy over src/
-#   tools/ci_check.sh --lint-smoke      # INSTEAD of the full tier-1 ctest:
-#                                       # build just the linter + tests, run
-#                                       # the Lint* suites, the whole-tree
-#                                       # self-scan, and a --json schema
-#                                       # check. The fast inner loop for lint
-#                                       # rule work.
 #
 # All ci_check builds configure with -DADIV_WERROR=ON: warnings that are
 # tolerable interactively are failures at the gate.
@@ -97,7 +89,6 @@ ensemble_smoke=0
 trace_smoke=0
 bench_smoke=0
 lint=0
-lint_smoke=0
 expect_mode=0
 for arg in "$@"; do
     if [ "$expect_mode" -eq 1 ]; then
@@ -124,31 +115,12 @@ for arg in "$@"; do
         --trace-smoke) trace_smoke=1 ;;
         --bench-smoke) bench_smoke=1 ;;
         --lint) lint=1 ;;
-        --lint-smoke) lint_smoke=1 ;;
-        *) echo "usage: tools/ci_check.sh [--sanitize [address|thread|all]] [--serve-smoke] [--obs-smoke] [--profile-smoke] [--shard-smoke] [--ensemble-smoke] [--trace-smoke] [--bench-smoke] [--lint] [--lint-smoke]" >&2
+        *) echo "usage: tools/ci_check.sh [--sanitize [address|thread|all]] [--serve-smoke] [--obs-smoke] [--profile-smoke] [--shard-smoke] [--ensemble-smoke] [--trace-smoke] [--bench-smoke] [--lint]" >&2
            exit 2 ;;
     esac
 done
 # Bare `--sanitize` keeps its historical meaning: address,undefined.
 if [ "$expect_mode" -eq 1 ]; then asan=1; fi
-
-if [ "$lint_smoke" -eq 1 ]; then
-    echo "== lint smoke: linter + Lint suites + self-scan =="
-    cmake -B build -S . -DADIV_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-    cmake --build build -j "$jobs" --target adiv_lint_tool adiv_tests
-    (cd build && ctest --output-on-failure -j "$jobs" -R 'Lint')
-    ./build/tools/adiv_lint .
-    ./build/tools/adiv_lint --json . | grep -q '"schema_version":2' || {
-        echo "lint smoke: --json output carries no schema_version:2" >&2
-        exit 1
-    }
-    ./build/tools/adiv_lint --callgraph . | grep -q 'Server::handle_request' || {
-        echo "lint smoke: --callgraph does not list Server::handle_request" >&2
-        exit 1
-    }
-    echo "== ci_check: OK (lint smoke) =="
-    exit 0
-fi
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . -DADIV_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
@@ -156,10 +128,10 @@ cmake --build build -j "$jobs"
 (cd build && ctest --output-on-failure -j "$jobs" --repeat until-fail:3)
 
 if [ "$lint" -eq 1 ]; then
-    echo "== lint: adiv_lint self-scan (all rules, interprocedural included) =="
+    echo "== lint: adiv_lint self-scan (all rules) =="
     ./build/tools/adiv_lint .
-    ./build/tools/adiv_lint --callgraph . | grep -q 'Server::handle_request' || {
-        echo "lint: --callgraph does not list Server::handle_request" >&2
+    ./build/tools/adiv_lint --json . | grep -q '"schema_version":2' || {
+        echo "lint: --json output carries no schema_version:2" >&2
         exit 1
     }
     if command -v clang-tidy >/dev/null 2>&1; then
@@ -181,27 +153,17 @@ if [ "$asan" -eq 1 ]; then
 fi
 
 if [ "$tsan" -eq 1 ]; then
-    echo "== sanitizer pass: thread (parallel engine tests) =="
+    echo "== sanitizer pass: thread (whole suite) =="
     cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DADIV_SANITIZE=thread -DADIV_WERROR=ON \
         -DADIV_BUILD_BENCH=OFF -DADIV_BUILD_EXAMPLES=OFF
     cmake --build build-tsan -j "$jobs"
-    # The concurrency surface: the pool itself (one FIFO queue), the
-    # scheduler's determinism suite (jobs > 1 plan runs for all detectors),
-    # the engine sinks, the detection server (transports, one reader per
-    # connection, concurrent sessions, connection reaping, a stalled TCP
-    # client, the shard-determinism replay matrix), the live-telemetry
-    # threads (sampler ticks, HTTP scrape listener), the profiling layer
-    # (wait sites shared by writers, profiled mutexes, flight-recorder
-    # ring, stamped server pipeline), the fusion layer's
-    # served surface (ensemble sessions scored by their readers, fused
-    # replay determinism), and the request-tracing surface (sketches
-    # recorded by concurrent readers, traced sessions spanning client
-    # threads and readers), plus the warm-path allocation budget, whose
-    # executable replaces the global operator new.
-    (cd build-tsan && ctest --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|Profiled|FlightRecorder|StageProfile|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E|WarmPathAllocations')
+    # Every case, not a hand-kept list: this pass is the repository's data
+    # race and lock-order check (TSan reports both, and a lock-order
+    # inversion fails the case even when no deadlock happens), so a suite
+    # renamed or added anywhere stays covered. About 2.5 minutes on 4 cores.
+    (cd build-tsan && ctest --output-on-failure -j "$jobs")
 fi
 
 if [ "$serve_smoke" -eq 1 ]; then
