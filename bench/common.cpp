@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 
 namespace adiv::bench {
@@ -52,13 +53,21 @@ Context make_context(const CliParser& cli, bool build_suite,
     ctx.obs = std::make_unique<ObsSession>(cli, std::move(manifest));
 
     std::printf("# engine: jobs=%zu\n", ctx.jobs);
+    // The setup spans are roots beside the plan's engine.plan, so a traced
+    // run's root spans cover its wall clock.
     Stopwatch sw;
-    ctx.corpus = std::make_unique<TrainingCorpus>(TrainingCorpus::generate(ctx.spec));
+    {
+        TraceSpan corpus_span("datagen.corpus");
+        ctx.corpus = std::make_unique<TrainingCorpus>(TrainingCorpus::generate(ctx.spec));
+    }
     std::printf("# corpus: %zu elements, alphabet %zu (%.2fs)\n",
                 ctx.corpus->training().size(), ctx.spec.alphabet_size, sw.lap());
     if (build_suite) {
-        ctx.suite = std::make_unique<EvaluationSuite>(
-            EvaluationSuite::build(*ctx.corpus, ctx.suite_config));
+        {
+            TraceSpan suite_span("experiment.suite");
+            ctx.suite = std::make_unique<EvaluationSuite>(
+                EvaluationSuite::build(*ctx.corpus, ctx.suite_config));
+        }
         std::printf("# suite: %zu test streams (AS %zu..%zu x DW %zu..%zu) (%.2fs)\n",
                     ctx.suite->entry_count(), ctx.suite_config.min_anomaly_size,
                     ctx.suite_config.max_anomaly_size, ctx.suite_config.min_window,

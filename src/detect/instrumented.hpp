@@ -5,8 +5,9 @@
 // `detect.train_events` counters and a `detect.train_us` latency sketch.
 // Per score() call: a "detect.score" span plus `detect.score_calls` /
 // `detect.score_windows` counters and a `detect.score_us` sketch. With
-// the default null trace sink the spans cost two thread-local increments
-// and a clock read, so the decorator is safe to leave on hot paths.
+// the default null trace sink a span formats nothing and costs, once per
+// train() or score() call, a clock read, a virtual call, and one lock of
+// the global-sink mutex with a shared_ptr copy (obs/trace.hpp).
 //
 // Persistence: io/model_io unwraps the decorator and saves the inner
 // detector, so an instrumented detector round-trips like a bare one.

@@ -1,6 +1,5 @@
 #include "detect/registry.hpp"
 
-#include "detect/instrumented.hpp"
 #include "detect/lane_brodley.hpp"
 #include "detect/lookahead_pairs.hpp"
 #include "detect/stide.hpp"
@@ -68,13 +67,6 @@ std::unique_ptr<SequenceDetector> make_detector(DetectorKind kind,
 DetectorFactory factory_for(DetectorKind kind, DetectorSettings settings) {
     return [kind, settings](std::size_t window_length) {
         return make_detector(kind, window_length, settings);
-    };
-}
-
-DetectorFactory instrumented_factory_for(DetectorKind kind,
-                                         DetectorSettings settings) {
-    return [kind, settings](std::size_t window_length) {
-        return instrument(make_detector(kind, window_length, settings));
     };
 }
 

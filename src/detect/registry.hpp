@@ -58,10 +58,4 @@ std::unique_ptr<SequenceDetector> make_detector(DetectorKind kind,
 /// Factory closure over (kind, settings) for the evaluation harness.
 DetectorFactory factory_for(DetectorKind kind, DetectorSettings settings = {});
 
-/// Like factory_for, but each detector is wrapped in the observability
-/// decorator (detect/instrumented.hpp): train/score spans + metrics in the
-/// global registry.
-DetectorFactory instrumented_factory_for(DetectorKind kind,
-                                         DetectorSettings settings = {});
-
 }  // namespace adiv

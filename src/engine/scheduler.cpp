@@ -15,15 +15,18 @@ namespace adiv {
 
 namespace {
 
-/// Builds and trains one (detector, DW) column model.
+/// Builds and trains one (detector, DW) column model; its span is child
+/// `task` of the plan span.
 std::unique_ptr<SequenceDetector> train_column(const ExperimentPlan& plan,
                                                const PlanDetector& detector,
-                                               std::size_t dw) {
+                                               std::size_t dw, TraceContext plan_ids,
+                                               std::size_t task) {
     std::unique_ptr<SequenceDetector> model = detector.factory(dw);
     require(model != nullptr, "detector factory returned null");
     require(model->window_length() == dw,
             "factory produced detector with wrong window length");
-    TraceSpan train_span("experiment.train");
+    TraceSpan train_span("experiment.train", child_context(plan_ids, task),
+                         plan_ids.span_id);
     train_span.attr("detector", detector.name)
         .attr("window", static_cast<std::uint64_t>(dw))
         .attr("events", static_cast<std::uint64_t>(
@@ -32,11 +35,14 @@ std::unique_ptr<SequenceDetector> train_column(const ExperimentPlan& plan,
     return model;
 }
 
-/// Scores one (AS, DW) cell with an already trained column model.
+/// Scores one (AS, DW) cell with an already trained column model; its span
+/// is child `task` of the plan span.
 SpanScore score_cell(const ExperimentPlan& plan, const PlanDetector& detector,
                      const SequenceDetector& model, std::size_t as,
-                     std::size_t dw, Counter& cells_scored, Sketch& cell_us) {
-    TraceSpan cell_span("experiment.cell");
+                     std::size_t dw, Counter& cells_scored, Sketch& cell_us,
+                     TraceContext plan_ids, std::size_t task) {
+    TraceSpan cell_span("experiment.cell", child_context(plan_ids, task),
+                        plan_ids.span_id);
     cell_span.attr("detector", detector.name)
         .attr("anomaly_size", static_cast<std::uint64_t>(as))
         .attr("window", static_cast<std::uint64_t>(dw));
@@ -67,6 +73,11 @@ PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options) {
         .attr("windows", static_cast<std::uint64_t>(ndw))
         .attr("anomaly_sizes", static_cast<std::uint64_t>(nas))
         .attr("jobs", static_cast<std::uint64_t>(jobs));
+    // Each column's training task and its per-AS scoring tasks are children
+    // of the plan span numbered in canonical order, so the trace's tree is
+    // the same for every jobs value.
+    const TraceContext plan_ids = plan_span.context();
+    const std::size_t tasks_per_column = 1 + nas;
     Counter& cells_scored = global_metrics().counter("experiment.cells_scored");
     Sketch& cell_us = global_metrics().sketch("experiment.cell_us");
 
@@ -86,15 +97,16 @@ PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options) {
         for (std::size_t d = 0; d < ndet; ++d) {
             const PlanDetector& detector = plan.detectors()[d];
             for (std::size_t w = 0; w < ndw; ++w) {
+                const std::size_t column_base = (d * ndw + w) * tasks_per_column;
                 const Stopwatch train_watch;
                 const std::unique_ptr<SequenceDetector> model =
-                    train_column(plan, detector, dws[w]);
+                    train_column(plan, detector, dws[w], plan_ids, column_base);
                 timings[d].train_seconds += train_watch.seconds();
                 for (std::size_t a = 0; a < nas; ++a) {
                     const Stopwatch score_watch;
-                    const SpanScore score =
-                        score_cell(plan, detector, *model, as_values[a], dws[w],
-                                   cells_scored, cell_us);
+                    const SpanScore score = score_cell(
+                        plan, detector, *model, as_values[a], dws[w], cells_scored,
+                        cell_us, plan_ids, column_base + 1 + a);
                     timings[d].score_seconds += score_watch.seconds();
                     slots[d][slot_index(a, w)] = score;
                     if (options.progress)
@@ -111,7 +123,6 @@ PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options) {
         std::mutex progress_mutex;
         ThreadPool pool(jobs);
         TaskGroup group(pool);
-        const std::size_t tasks_per_column = 1 + nas;
         for (std::size_t d = 0; d < ndet; ++d) {
             for (std::size_t w = 0; w < ndw; ++w) {
                 const std::size_t column_base =
@@ -122,18 +133,22 @@ PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options) {
                     // Shared by the scoring jobs below; score() is const and
                     // safe for concurrent calls on a trained detector.
                     const std::shared_ptr<const SequenceDetector> model =
-                        train_column(plan, detector, dws[w]);
+                        train_column(plan, detector, dws[w], plan_ids,
+                                     column_base);
                     {
                         const std::lock_guard<std::mutex> lock(timing_mutex);
                         timings[d].train_seconds += train_watch.seconds();
                     }
                     for (std::size_t a = 0; a < nas; ++a) {
-                        group.run_indexed(column_base + 1 + a, [&, d, w, a,
-                                                                model] {
+                        // Captured by value: the scoring task can outlive
+                        // this column task, whose locals [&] would name.
+                        const std::size_t task = column_base + 1 + a;
+                        group.run_indexed(task, [&, d, w, a, task, model] {
                             const Stopwatch score_watch;
                             const SpanScore score = score_cell(
                                 plan, plan.detectors()[d], *model,
-                                as_values[a], dws[w], cells_scored, cell_us);
+                                as_values[a], dws[w], cells_scored, cell_us,
+                                plan_ids, task);
                             slots[d][slot_index(a, w)] = score;
                             const double seconds = score_watch.seconds();
                             {

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <ostream>
@@ -12,12 +13,14 @@ namespace adiv {
 
 namespace {
 
-thread_local int t_span_depth = 0;
-// The thread's current request context, plus the next child index under the
+// The thread's current context, plus the next child index under the
 // context's span — together they make derived span ids a pure function of
-// the request, independent of thread interleaving.
+// what the thread did under that span, independent of other threads.
 thread_local TraceContext t_trace_context;
 thread_local std::uint64_t t_child_index = 0;
+
+// Root spans opened so far; the next root's trace id derives from it.
+std::atomic<std::uint64_t> g_roots_opened{0};
 
 std::mutex& global_sink_mutex() {
     static std::mutex m;
@@ -82,8 +85,6 @@ double trace_clock_seconds() {
     return epoch.seconds();
 }
 
-int current_trace_depth() noexcept { return t_span_depth; }
-
 TraceContext current_trace_context() noexcept { return t_trace_context; }
 
 std::uint64_t derive_span_id(std::uint64_t trace_id, std::uint64_t parent_span,
@@ -92,6 +93,11 @@ std::uint64_t derive_span_id(std::uint64_t trace_id, std::uint64_t parent_span,
     SplitMix64 inner(outer.next() ^ child_index);
     const std::uint64_t id = inner.next();
     return id == 0 ? 1 : id;  // 0 means "absent" everywhere ids travel
+}
+
+TraceContext child_context(TraceContext parent, std::uint64_t index) noexcept {
+    if (!parent.active()) return {};
+    return {parent.trace_id, derive_span_id(parent.trace_id, parent.span_id, index)};
 }
 
 std::string hex16(std::uint64_t value) {
@@ -134,65 +140,55 @@ TraceSpan::TraceSpan(std::string_view name, TraceContext context,
 }
 
 void TraceSpan::open(std::string_view name) {
-    depth_ = t_span_depth++;
     if (!sink_) sink_ = global_trace_sink();
-    emit_ = sink_ && sink_->enabled();
+    emit_ = sink_->enabled();
     if (!emit_) return;
-    // Double gate: ids are derived (and the context pushed) only when the
-    // sink is live AND a context is active — untraced runs never get here.
-    if (!context_.active() && t_trace_context.active()) {
-        parent_span_ = t_trace_context.span_id;
-        context_.trace_id = t_trace_context.trace_id;
-        context_.span_id = derive_span_id(context_.trace_id, parent_span_,
-                                          t_child_index++);
+    if (!context_.active()) {
+        if (t_trace_context.active()) {
+            parent_span_ = t_trace_context.span_id;
+            context_ = child_context(t_trace_context, t_child_index++);
+        } else {
+            parent_span_ = 0;
+            context_.trace_id = derive_span_id(
+                0, 0, g_roots_opened.fetch_add(1, std::memory_order_relaxed));
+            context_.span_id = derive_span_id(context_.trace_id, 0, 0);
+        }
     }
-    if (context_.active()) {
-        saved_context_ = t_trace_context;
-        saved_child_index_ = t_child_index;
-        t_trace_context = context_;
-        t_child_index = 0;
-        pushed_context_ = true;
-    }
+    saved_context_ = t_trace_context;
+    saved_child_index_ = t_child_index;
+    t_trace_context = context_;
+    t_child_index = 0;
     name_ = name;
     start_t_ = trace_clock_seconds();
     JsonWriter w;
     w.begin_object();
     w.key("type").value("span_begin");
     w.key("name").value(name_);
-    w.key("depth").value(static_cast<std::int64_t>(depth_));
     w.key("t").value(start_t_);
-    if (context_.active()) {
-        // Top-level 16-hex strings (not attrs): uint64 JSON numbers lose
-        // precision past 2^53, and traceview's flat reader only sees
-        // top-level fields.
-        w.key("trace").value(hex16(context_.trace_id));
-        w.key("span").value(hex16(context_.span_id));
-        w.key("parent").value(hex16(parent_span_));
-    }
+    // Top-level 16-hex strings (not attrs): uint64 JSON numbers lose
+    // precision past 2^53, and traceview's flat reader only sees top-level
+    // fields.
+    w.key("trace").value(hex16(context_.trace_id));
+    w.key("span").value(hex16(context_.span_id));
+    w.key("parent").value(hex16(parent_span_));
     w.end_object();
     sink_->write_line(w.str());
     watch_.restart();  // exclude our own formatting from the measured span
 }
 
 TraceSpan::~TraceSpan() {
-    --t_span_depth;
-    if (pushed_context_) {
-        t_trace_context = saved_context_;
-        t_child_index = saved_child_index_;
-    }
     if (!emit_) return;
+    t_trace_context = saved_context_;
+    t_child_index = saved_child_index_;
     JsonWriter w;
     w.begin_object();
     w.key("type").value("span_end");
     w.key("name").value(name_);
-    w.key("depth").value(static_cast<std::int64_t>(depth_));
     w.key("t").value(trace_clock_seconds());
     w.key("dur_s").value(watch_.seconds());
-    if (context_.active()) {
-        w.key("trace").value(hex16(context_.trace_id));
-        w.key("span").value(hex16(context_.span_id));
-        w.key("parent").value(hex16(parent_span_));
-    }
+    w.key("trace").value(hex16(context_.trace_id));
+    w.key("span").value(hex16(context_.span_id));
+    w.key("parent").value(hex16(parent_span_));
     if (!attrs_.empty()) {
         w.key("attrs").begin_object();
         for (const auto& [key, token] : attrs_) w.key(key).raw(token);

@@ -3,29 +3,29 @@
 // A TraceSpan brackets a unit of work. On construction it emits a
 // `span_begin` line, on destruction a `span_end` line carrying the wall-time
 // duration (measured with util/Stopwatch) and any key=value attributes
-// attached in between. Nesting depth is tracked per thread, so the flat
-// line stream reconstructs the call tree:
+// attached in between. Every line names its trace, its span and its parent
+// span as 16-hex ids (the root's parent is all zeros), and the ids alone
+// rebuild the call tree, whichever threads the spans ran on:
 //
-//   {"type":"span_begin","name":"experiment.map","depth":0,"t":0.001}
-//   {"type":"span_begin","name":"experiment.train","depth":1,"t":0.002}
-//   {"type":"span_end","name":"experiment.train","depth":1,...,"dur_s":0.41}
-//   ...
+//   {"type":"span_begin","name":"engine.plan","t":0.3,"trace":…,"span":…,"parent":…}
+//   {"type":"span_end","name":"engine.plan","t":0.9,"dur_s":0.6,"trace":…,"attrs":{…}}
 //
-// Lines go to a pluggable TraceSink. The process-global sink defaults to a
-// null sink; when it is null, spans skip all formatting, so instrumentation
-// left in hot paths costs two thread-local increments and a clock read.
+// Each thread has a current TraceContext. A span opened under one is its
+// next child (span id = SplitMix64 over trace, parent id and a per-parent
+// child index) and is the thread's context while it lives; a span opened
+// with none is a root and mints a trace id from the number of root spans
+// the process has opened. A task on another thread opens its span with
+// explicit ids (child_context), so ids never depend on thread interleaving.
+// Request tracing rides the same ids across processes: the client span
+// carries the ids the wire protocol ships, and the daemon installs them
+// (ScopedTraceContext) around the connection reader's handling.
 //
-// Request tracing: a TraceContext (trace id + span id) can accompany the
-// spans. When a context is active on the thread AND the sink is enabled —
-// the double gate that keeps untraced runs on the two-increment fast path —
-// each span derives its own deterministic span id (SplitMix64 over the
-// parent's id and a per-parent child index, so ids are independent of
-// thread interleaving) and emits top-level "trace"/"span"/"parent" fields
-// as 16-hex-digit strings. adiv_traceview --request stitches those lines,
-// across processes, into one causal tree: the client span carries the same
-// ids the wire protocol ships, and the daemon installs the shipped context
-// (ScopedTraceContext) around the connection reader's handling of that
-// request.
+// Lines go to a pluggable TraceSink; the process-global one defaults to a
+// null sink. On a null sink a span formats nothing, derives no id and
+// touches no thread-local state. It still pays a clock read, a virtual
+// enabled() call and, unless the sink is passed in, one lock of the
+// global-sink mutex plus a shared_ptr copy (an atomic increment, and a
+// decrement when the span ends).
 #pragma once
 
 #include <cstdint>
@@ -106,11 +106,8 @@ std::shared_ptr<TraceSink> global_trace_sink();
 /// Seconds since the first call in this process; the spans' shared "t" axis.
 double trace_clock_seconds();
 
-/// Current per-thread span nesting depth (0 outside any span).
-int current_trace_depth() noexcept;
-
-/// Request-scoped trace context: which request a span belongs to (trace_id)
-/// and which span is the current causal parent (span_id). trace_id 0 means
+/// Trace context: which trace a span belongs to (trace_id) and which span
+/// is the current causal parent (span_id). trace_id 0 means
 /// "no context" — the wire protocol and the span lines both use that as the
 /// absent value, so a valid trace id is never 0.
 struct TraceContext {
@@ -128,6 +125,13 @@ TraceContext current_trace_context() noexcept;
 /// and in span lines.
 std::uint64_t derive_span_id(std::uint64_t trace_id, std::uint64_t parent_span,
                              std::uint64_t child_index) noexcept;
+
+/// The ids of child number `index` under `parent`, for a span that must
+/// take its place in the tree from its caller rather than from the thread
+/// that opens it (a task on a worker thread):
+///   TraceSpan span("x.y", child_context(parent, i), parent.span_id);
+/// Inactive, and nothing derived, when `parent` is inactive.
+TraceContext child_context(TraceContext parent, std::uint64_t index) noexcept;
 
 /// 16-hex-digit lowercase rendering of a trace/span id. Ids travel as hex
 /// strings (wire tokens, JSON fields, exemplar labels) because a uint64 as a
@@ -161,8 +165,11 @@ public:
     /// Span with explicit ids: `context` names this span itself (its trace
     /// and span id), `parent_span` its causal parent (0 = root). Used where
     /// the id must match a value that travels elsewhere — the client-side
-    /// request span IS the span id shipped on the wire. The span installs
-    /// `context` as the thread's current context while it lives.
+    /// request span IS the span id shipped on the wire — or where a task's
+    /// place in the tree must not depend on the thread running it. An
+    /// inactive `context` falls back to what the other constructors do.
+    /// Like every emitting span, it is the thread's current context while
+    /// it lives.
     TraceSpan(std::string_view name, TraceContext context,
               std::uint64_t parent_span = 0);
     TraceSpan(const TraceSpan&) = delete;
@@ -185,10 +192,7 @@ public:
     TraceSpan& attr(std::string_view key, double value);
     TraceSpan& attr(std::string_view key, bool value);
 
-    /// The nesting depth this span was opened at.
-    [[nodiscard]] int depth() const noexcept { return depth_; }
-
-    /// This span's trace context ({0,0} when the span is untraced).
+    /// This span's ids ({0,0} when the sink is disabled).
     [[nodiscard]] TraceContext context() const noexcept { return context_; }
 
 private:
@@ -201,15 +205,13 @@ private:
     std::vector<std::pair<std::string, std::string>> attrs_;
     Stopwatch watch_;
     double start_t_ = 0.0;
-    int depth_ = 0;
     bool emit_ = false;
-    // Request-tracing state: this span's own ids, its parent span id, and
-    // the thread-context save slots (restored on destruction).
+    // This span's own ids, its parent span id, and the thread-context save
+    // slots (restored on destruction).
     TraceContext context_;
     std::uint64_t parent_span_ = 0;
     TraceContext saved_context_;
     std::uint64_t saved_child_index_ = 0;
-    bool pushed_context_ = false;
 };
 
 }  // namespace adiv

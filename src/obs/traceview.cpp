@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <map>
 #include <optional>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"  // hex16 / parse_hex16 for --request ids
+#include "obs/trace.hpp"  // hex16 / parse_hex16 for span ids
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -90,8 +91,11 @@ public:
                 s_[i_] == '-' || s_[i_] == '+' || s_[i_] == '.' ||
                 s_[i_] == 'e' || s_[i_] == 'E'))
             ++i_;
-        require_data(i_ > start, "trace line: malformed number");
-        return std::stod(s_.substr(start, i_ - start));
+        double value = 0.0;
+        const auto [end, ec] = std::from_chars(s_.data() + start, s_.data() + i_, value);
+        require_data(ec == std::errc() && end == s_.data() + i_ && std::isfinite(value),
+                     "trace line: malformed number");
+        return value;
     }
 
     void skip_literal(const char* word) {
@@ -187,119 +191,56 @@ const FieldValue* find_number(const FlatObject& fields, const char* key) {
     return it != fields.end() && !it->second.is_string ? &it->second : nullptr;
 }
 
-// --- aggregation -----------------------------------------------------------
-
-/// Completed spans at one depth, waiting for their parent to end.
-struct DepthAccum {
-    double child_total = 0.0;
-    double max_dur = -1.0;
-    std::vector<CriticalPathNode> max_path;  // root-first chain of the
-                                             // longest child at this depth
-};
-
-struct NameAccum {
-    std::uint64_t count = 0;
-    double total = 0.0;
-    double self_total = 0.0;
-    std::vector<double> durations;
-};
-
-/// A span_begin still waiting for its span_end — alive when the writer died.
-struct OpenSpan {
-    std::string name;
-    std::size_t depth = 0;
-    double begin_t = 0.0;
-};
-
-double nearest_rank(const std::vector<double>& sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-    const std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-    return sorted[std::min(index, sorted.size() - 1)];
+/// A 16-hex id field, or 0 when it is absent or malformed.
+std::uint64_t find_id(const FlatObject& fields, const char* key) {
+    std::uint64_t id = 0;
+    const FieldValue* field = find_string(fields, key);
+    return field != nullptr && parse_hex16(field->text, id) ? id : 0;
 }
 
-}  // namespace
+// --- the span tree ----------------------------------------------------------
 
-TraceAnalysis analyze_trace(std::istream& in) {
-    TraceAnalysis analysis;
-    std::map<std::string, NameAccum> by_name;
-    std::vector<DepthAccum> accum;
+/// Streams `in` run by run: a run is the lines from one manifest to the
+/// next, and lines before the first manifest form a headerless run. Calls
+/// `on_run(run, spans)` for every run that has a manifest or a span, with
+/// the manifest's fields in `run` and, in document order, one span per
+/// span_end line and then one per span_begin that never ended, closed at
+/// the run's last t. A nonzero `only_trace` keeps that trace's spans alone.
+template <typename OnRun>
+void read_runs(std::istream& in, std::uint64_t only_trace, std::uint64_t& lines,
+               std::uint64_t& skipped, std::uint64_t& unterminated,
+               OnRun&& on_run) {
     std::optional<RunSummary> run;
-    std::vector<OpenSpan> open;
-    double max_t = 0.0;  // latest "t" seen; the close time for orphans
-
-    const auto record_span = [&](const std::string& name, std::size_t d,
-                                 double duration) {
-        if (!run) run.emplace();  // headerless trace: one anonymous run
-        ++run->spans;
-        double child_total = 0.0;
-        std::vector<CriticalPathNode> path;
-        if (d + 1 < accum.size()) {
-            child_total = accum[d + 1].child_total;
-            path = std::move(accum[d + 1].max_path);
-        }
-        // Interleaved traces (several threads, one stream) can attribute a
-        // sibling's children here; the clamp keeps self-time sane.
-        const double self = std::max(0.0, duration - child_total);
-        path.insert(path.begin(), CriticalPathNode{name, duration, self});
-        accum.resize(d + 1);  // drops consumed deeper levels
-        DepthAccum& mine = accum[d];
-        mine.child_total += duration;
-        if (duration > mine.max_dur) {
-            mine.max_dur = duration;
-            mine.max_path = std::move(path);
-        }
-
-        NameAccum& stats = by_name[name];
-        ++stats.count;
-        stats.total += duration;
-        stats.self_total += self;
-        stats.durations.push_back(duration);
-    };
-
-    // A killed writer leaves span_begin lines with no span_end. Close them
-    // at the last timestamp the stream reached — deepest first, so a dying
-    // call stack aggregates like a normally unwinding one — and count them.
-    const auto close_open_spans = [&] {
-        if (open.empty()) return;
-        std::stable_sort(open.begin(), open.end(),
-                         [](const OpenSpan& a, const OpenSpan& b) {
-                             return a.depth > b.depth;
-                         });
-        for (const OpenSpan& orphan : open) {
-            ++analysis.unterminated;
-            record_span(orphan.name, orphan.depth,
-                        std::max(0.0, max_t - orphan.begin_t));
-        }
-        open.clear();
-    };
-
+    std::vector<SpanNode> spans;
+    std::vector<SpanNode> open;  // begun, not yet ended
+    double last_t = 0.0;
     const auto finish_run = [&] {
-        close_open_spans();
-        if (!run) return;
-        if (!accum.empty()) {
-            run->root_total_s = accum[0].child_total;
-            run->critical_path = std::move(accum[0].max_path);
+        for (SpanNode& orphan : open) {
+            orphan.dur_s = std::max(0.0, last_t - orphan.start_t);
+            spans.push_back(std::move(orphan));
+            ++unterminated;
         }
-        accum.clear();
-        analysis.runs.push_back(std::move(*run));
+        if (run || !spans.empty()) on_run(run ? *run : RunSummary{}, spans);
         run.reset();
+        spans.clear();
+        open.clear();
+        last_t = 0.0;
     };
 
     std::string line;
     while (std::getline(in, line)) {
-        ++analysis.lines;
+        ++lines;
         if (line.empty()) continue;
         FlatObject fields;
         try {
             fields = parse_flat_object(line);
         } catch (const DataError&) {
-            ++analysis.skipped;
+            ++skipped;
             continue;
         }
         const FieldValue* type = find_string(fields, "type");
         if (type == nullptr) {
-            ++analysis.skipped;
+            ++skipped;
             continue;
         }
         if (type->text == "manifest") {
@@ -313,40 +254,122 @@ TraceAnalysis analyze_trace(std::istream& in) {
                 run->timestamp = ts->text;
             continue;
         }
-        if (type->text == "span_begin") {
-            const FieldValue* name = find_string(fields, "name");
-            const FieldValue* depth = find_number(fields, "depth");
-            const FieldValue* t = find_number(fields, "t");
-            if (name == nullptr || depth == nullptr || t == nullptr ||
-                depth->number < 0)
-                continue;  // harmless: aggregation works off span_end
-            max_t = std::max(max_t, t->number);
-            open.push_back(OpenSpan{name->text,
-                                    static_cast<std::size_t>(depth->number),
-                                    t->number});
-            continue;
-        }
-        if (type->text != "span_end") continue;  // metrics_sample etc.
+        const bool begin = type->text == "span_begin";
+        if (!begin && type->text != "span_end") continue;  // metrics_sample etc.
         const FieldValue* name = find_string(fields, "name");
-        const FieldValue* depth = find_number(fields, "depth");
+        const FieldValue* t = find_number(fields, "t");
         const FieldValue* dur = find_number(fields, "dur_s");
-        if (name == nullptr || depth == nullptr || dur == nullptr ||
-            depth->number < 0) {
-            ++analysis.skipped;
+        if (name == nullptr || t == nullptr || (!begin && dur == nullptr)) {
+            if (!begin) ++skipped;  // a begin is only needed for orphans
             continue;
         }
-        if (const FieldValue* t = find_number(fields, "t"))
-            max_t = std::max(max_t, t->number);
-        const auto d = static_cast<std::size_t>(depth->number);
-        // Retire the matching span_begin: most recent (name, depth) pair.
-        for (std::size_t i = open.size(); i > 0; --i)
-            if (open[i - 1].depth == d && open[i - 1].name == name->text) {
+        last_t = std::max(last_t, t->number);
+        if (only_trace != 0 && find_id(fields, "trace") != only_trace) continue;
+        SpanNode node;
+        node.name = name->text;
+        node.span = find_id(fields, "span");
+        node.parent = find_id(fields, "parent");
+        if (begin) {
+            node.start_t = t->number;
+            if (node.span != 0) open.push_back(std::move(node));
+            continue;
+        }
+        node.dur_s = dur->number;
+        node.start_t = t->number - dur->number;
+        for (std::size_t i = open.size(); node.span != 0 && i > 0; --i)
+            if (open[i - 1].span == node.span) {
                 open.erase(open.begin() + static_cast<std::ptrdiff_t>(i - 1));
                 break;
             }
-        record_span(name->text, d, dur->number);
+        spans.push_back(std::move(node));
     }
     finish_run();
+}
+
+/// Links `spans` parent -> child by id, fills each span's children and self
+/// time, and returns the roots. Children and roots are ordered by start.
+std::vector<std::size_t> link_spans(std::vector<SpanNode>& spans) {
+    std::map<std::uint64_t, std::size_t> by_id;  // the first span with each id
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        if (spans[i].span != 0) by_id.emplace(spans[i].span, i);
+    std::vector<double> child_total(spans.size(), 0.0);
+    std::vector<std::size_t> roots;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const auto it = by_id.find(spans[i].parent);
+        if (it == by_id.end() || it->second == i) {
+            roots.push_back(i);
+            continue;
+        }
+        spans[it->second].children.push_back(i);
+        child_total[it->second] += spans[i].dur_s;
+    }
+    const auto by_start = [&](std::size_t a, std::size_t b) {
+        if (spans[a].start_t != spans[b].start_t)
+            return spans[a].start_t < spans[b].start_t;
+        return spans[a].span < spans[b].span;
+    };
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        spans[i].self_s = std::max(0.0, spans[i].dur_s - child_total[i]);
+        std::sort(spans[i].children.begin(), spans[i].children.end(), by_start);
+    }
+    std::sort(roots.begin(), roots.end(), by_start);
+    return roots;
+}
+
+struct NameAccum {
+    std::uint64_t count = 0;
+    double total = 0.0;
+    double self_total = 0.0;
+    std::vector<double> durations;
+};
+
+double nearest_rank(const std::vector<double>& sorted, double q) {
+    if (sorted.empty()) return 0.0;
+    const double rank = std::ceil(q * static_cast<double>(sorted.size()));
+    const std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+    return sorted[std::min(index, sorted.size() - 1)];
+}
+
+std::string unterminated_warning(std::uint64_t unterminated) {
+    if (unterminated == 0) return "";
+    return "\n(warning: " + std::to_string(unterminated) +
+           " span(s) had no span_end; closed at end of trace)\n";
+}
+
+std::string skipped_note(std::uint64_t skipped, std::uint64_t lines) {
+    if (skipped == 0) return "";
+    return "\n(" + std::to_string(skipped) + " of " + std::to_string(lines) +
+           " lines skipped as malformed)\n";
+}
+
+}  // namespace
+
+TraceAnalysis analyze_trace(std::istream& in) {
+    TraceAnalysis analysis;
+    std::map<std::string, NameAccum> by_name;
+    const auto add_run = [&](RunSummary run, std::vector<SpanNode>& spans) {
+        const std::vector<std::size_t> roots = link_spans(spans);
+        run.spans = spans.size();
+        for (const std::size_t root : roots) run.root_total_s += spans[root].dur_s;
+        // The longest root, then each link's longest child (earliest on a tie).
+        for (const std::vector<std::size_t>* next = &roots; !next->empty();) {
+            const SpanNode& link = spans[*std::max_element(
+                next->begin(), next->end(), [&](std::size_t a, std::size_t b) {
+                    return spans[a].dur_s < spans[b].dur_s;
+                })];
+            run.critical_path.push_back({link.name, link.dur_s, link.self_s});
+            next = &link.children;
+        }
+        for (const SpanNode& node : spans) {
+            NameAccum& stats = by_name[node.name];
+            ++stats.count;
+            stats.total += node.dur_s;
+            stats.self_total += node.self_s;
+            stats.durations.push_back(node.dur_s);
+        }
+        analysis.runs.push_back(std::move(run));
+    };
+    read_runs(in, 0, analysis.lines, analysis.skipped, analysis.unterminated, add_run);
 
     for (auto& [name, stats] : by_name) {
         std::sort(stats.durations.begin(), stats.durations.end());
@@ -408,12 +431,8 @@ std::string render_traceview(const TraceAnalysis& analysis) {
                    "\n";
         }
     }
-    if (analysis.unterminated > 0)
-        out += "\n(warning: " + std::to_string(analysis.unterminated) +
-               " span(s) had no span_end; closed at end of trace)\n";
-    if (analysis.skipped > 0)
-        out += "\n(" + std::to_string(analysis.skipped) + " of " +
-               std::to_string(analysis.lines) + " lines skipped as malformed)\n";
+    out += unterminated_warning(analysis.unterminated);
+    out += skipped_note(analysis.skipped, analysis.lines);
     return out;
 }
 
@@ -469,71 +488,15 @@ RequestAnalysis analyze_request(std::istream& in, std::string_view trace_id) {
                  "--request expects a nonzero hex trace id");
     RequestAnalysis analysis;
     analysis.trace_id = hex16(wanted);
-
-    std::map<std::string, std::size_t> by_span;  // span id -> index
-    std::string line;
-    while (std::getline(in, line)) {
-        ++analysis.lines;
-        if (line.empty()) continue;
-        FlatObject fields;
-        try {
-            fields = parse_flat_object(line);
-        } catch (const DataError&) {
-            ++analysis.skipped;
-            continue;
-        }
-        const FieldValue* type = find_string(fields, "type");
-        if (type == nullptr) {
-            ++analysis.skipped;
-            continue;
-        }
-        if (type->text != "span_end") continue;
-        const FieldValue* trace = find_string(fields, "trace");
-        if (trace == nullptr || trace->text != analysis.trace_id)
-            continue;  // untraced span or a different request
-        const FieldValue* name = find_string(fields, "name");
-        const FieldValue* span = find_string(fields, "span");
-        const FieldValue* parent = find_string(fields, "parent");
-        const FieldValue* t = find_number(fields, "t");
-        const FieldValue* dur = find_number(fields, "dur_s");
-        if (name == nullptr || span == nullptr || parent == nullptr ||
-            t == nullptr || dur == nullptr) {
-            ++analysis.skipped;
-            continue;
-        }
-        RequestSpan node;
-        node.name = name->text;
-        node.span = span->text;
-        node.parent = parent->text;
-        node.dur_s = dur->number;
-        node.start_t = t->number - dur->number;
-        node.self_s = dur->number;
-        by_span.emplace(node.span, analysis.spans.size());
-        analysis.spans.push_back(std::move(node));
-    }
-
-    // Link children and subtract direct-child time. Client and daemon run
-    // separate clocks, so self-time uses only same-process children — which
-    // is exactly what the parent link encodes.
-    for (std::size_t i = 0; i < analysis.spans.size(); ++i) {
-        const auto it = by_span.find(analysis.spans[i].parent);
-        if (it == by_span.end() || it->second == i) {
-            analysis.roots.push_back(i);
-            continue;
-        }
-        RequestSpan& parent = analysis.spans[it->second];
-        parent.children.push_back(i);
-        parent.self_s =
-            std::max(0.0, parent.self_s - analysis.spans[i].dur_s);
-    }
-    const auto by_start = [&](std::size_t a, std::size_t b) {
-        if (analysis.spans[a].start_t != analysis.spans[b].start_t)
-            return analysis.spans[a].start_t < analysis.spans[b].start_t;
-        return analysis.spans[a].span < analysis.spans[b].span;
-    };
-    for (RequestSpan& node : analysis.spans)
-        std::sort(node.children.begin(), node.children.end(), by_start);
-    std::sort(analysis.roots.begin(), analysis.roots.end(), by_start);
+    // Client and daemon write separate files, each its own run; the request
+    // links across all of them. Self time still uses only same-process
+    // children, which is exactly what a parent link encodes.
+    read_runs(in, wanted, analysis.lines, analysis.skipped, analysis.unterminated,
+              [&](const RunSummary&, std::vector<SpanNode>& spans) {
+                  for (SpanNode& node : spans)
+                      analysis.spans.push_back(std::move(node));
+              });
+    analysis.roots = link_spans(analysis.spans);
     return analysis;
 }
 
@@ -541,8 +504,8 @@ namespace {
 
 void render_request_node(const RequestAnalysis& analysis, std::size_t index,
                          std::size_t indent, std::string& out) {
-    const RequestSpan& node = analysis.spans[index];
-    out += std::string(2 * indent, ' ') + node.name + "  span=" + node.span +
+    const SpanNode& node = analysis.spans[index];
+    out += std::string(2 * indent, ' ') + node.name + "  span=" + hex16(node.span) +
            " dur_s=" + fixed(node.dur_s, 6) + " self_s=" +
            fixed(node.self_s, 6) + "\n";
     for (const std::size_t child : node.children)
@@ -551,11 +514,11 @@ void render_request_node(const RequestAnalysis& analysis, std::size_t index,
 
 void request_node_to_json(const RequestAnalysis& analysis, std::size_t index,
                           JsonWriter& w) {
-    const RequestSpan& node = analysis.spans[index];
+    const SpanNode& node = analysis.spans[index];
     w.begin_object();
     w.key("name").value(node.name);
-    w.key("span").value(node.span);
-    w.key("parent").value(node.parent);
+    w.key("span").value(hex16(node.span));
+    w.key("parent").value(hex16(node.parent));
     w.key("start_t").value(node.start_t);
     w.key("dur_s").value(node.dur_s);
     w.key("self_s").value(node.self_s);
@@ -577,9 +540,8 @@ std::string render_request(const RequestAnalysis& analysis) {
         for (const std::size_t root : analysis.roots)
             render_request_node(analysis, root, 1, out);
     }
-    if (analysis.skipped > 0)
-        out += "\n(" + std::to_string(analysis.skipped) + " of " +
-               std::to_string(analysis.lines) + " lines skipped as malformed)\n";
+    out += unterminated_warning(analysis.unterminated);
+    out += skipped_note(analysis.skipped, analysis.lines);
     return out;
 }
 

@@ -1,31 +1,39 @@
-// Trace analysis: aggregates a JSON-lines span trace (obs/trace.hpp) into
-// per-span-name statistics and per-run critical paths.
+// Trace analysis: turns a JSON-lines span trace (obs/trace.hpp) into an
+// id-linked tree of spans, then reads that tree two ways.
 //
 // The input is the stream a --trace run writes: `manifest` lines opening
-// each run, `span_begin`/`span_end` pairs carrying name, depth, and wall
-// duration. Aggregation works off the span_end lines alone:
+// each run, `span_begin`/`span_end` pairs carrying name, wall duration and
+// the span's trace/span/parent ids. Both views read the same tree:
 //
-//   * Per name: count, total and self time, exact nearest-rank p50/p95/p99
-//     over the observed durations (exact, not bucketed — the trace holds
-//     every sample, so the tool reproduces percentiles bit-identically from
-//     a pinned fixture).
-//   * Self time subtracts direct-child durations, reconstructed from the
-//     depth column: a span ending at depth d is a child of the next span to
-//     end at depth d-1. The reconstruction is exact for single-threaded
-//     traces; when several threads interleave spans in one stream the
-//     attribution is approximate (clamped at >= 0), which the tool reports
-//     rather than hides.
-//   * Per run (manifest line to manifest line): total root-span time and the
-//     critical path — the chain built by following the longest direct child
-//     from the longest root span down.
+//   * Each span_end line is a span. A span_begin with no span_end (a killed
+//     writer) is a span too, closed at its run's last timestamp, counted in
+//     `unterminated` and called out in a warning.
+//   * A span's parent is the span whose id its "parent" field names. A span
+//     with no parent in the set (including one with no ids, or one naming
+//     itself) is a root. Spans on a parent cycle belong to no root.
+//   * Self time is a span's duration minus its direct children's, clamped
+//     at 0.
 //
-// `adiv_traceview` is a thin CLI over these functions; tests pin both
-// renderings against fixture traces.
+// The span view (analyze_trace) links each run — manifest line to manifest
+// line — on its own, since ids minted by different processes can collide.
+// It reports, per name, count, total and self time and exact nearest-rank
+// p50/p95/p99 (the trace holds every sample, so a pinned fixture
+// reproduces them bit-identically), and per run the summed root time and
+// the critical path: the chain built by following the longest direct child
+// from the longest root down.
+//
+// The request view (analyze_request) keeps the spans of one trace id from
+// all its input — the client's and the daemon's files concatenated — and
+// links them into that request's causal tree.
+//
+// `adiv_traceview` is a thin CLI over these functions; tests pin every
+// rendering against fixture traces.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace adiv {
@@ -54,8 +62,8 @@ struct RunSummary {
     std::string tool;
     std::string detector;
     std::string timestamp;
-    std::uint64_t spans = 0;       ///< span_end lines attributed to this run
-    double root_total_s = 0.0;     ///< summed depth-0 span durations
+    std::uint64_t spans = 0;       ///< spans attributed to this run
+    double root_total_s = 0.0;     ///< summed root-span durations
     std::vector<CriticalPathNode> critical_path;
 };
 
@@ -66,46 +74,32 @@ struct TraceAnalysis {
                                     ///< fields once spans appear
     std::uint64_t lines = 0;        ///< input lines seen
     std::uint64_t skipped = 0;      ///< lines that were not well-formed
-                                    ///< manifest/span_end records
+                                    ///< manifest/span records
     std::uint64_t unterminated = 0; ///< span_begin lines with no span_end
-                                    ///< (killed daemon); closed at EOF with
-                                    ///< the last observed timestamp
 };
 
 /// Streams the trace and aggregates it. Unparseable lines are counted in
-/// `skipped`, never fatal — a live trace may end mid-line. Spans left open
-/// by a killed writer (a span_begin with no matching span_end) are closed
-/// at end of input using the latest timestamp seen, counted in
-/// `unterminated`, and reported as a warning rather than failing the
-/// analysis.
+/// `skipped`, never fatal — a live trace may end mid-line.
 TraceAnalysis analyze_trace(std::istream& in);
 
-// --- request view (adiv_traceview --request) --------------------------------
-//
-// Reconstructs the causal tree of one traced request: every span_end line
-// carrying the requested 16-hex trace id, linked parent -> child through
-// the top-level "span"/"parent" fields the trace writer emits for traced
-// spans (obs/trace.hpp). Client and daemon write to different sinks, so the
-// input is typically a concatenation of both trace files; ids — not depths
-// or threads — do the stitching.
-
-/// One span of a request's causal tree.
-struct RequestSpan {
+/// One span of the id-linked tree.
+struct SpanNode {
     std::string name;
-    std::string span;     ///< 16-hex span id
-    std::string parent;   ///< 16-hex parent id; all zeros for a root
-    double start_t = 0.0; ///< end t minus dur_s (the writer's shared clock)
+    std::uint64_t span = 0;    ///< 0 when the line carried no span id
+    std::uint64_t parent = 0;  ///< 0 when the line named no parent
+    double start_t = 0.0;      ///< start on the writer's clock
     double dur_s = 0.0;
-    double self_s = 0.0;  ///< dur minus direct-child time, clamped >= 0
+    double self_s = 0.0;       ///< dur minus direct-child time, clamped >= 0
     std::vector<std::size_t> children;  ///< indices, ordered by start_t
 };
 
 struct RequestAnalysis {
     std::string trace_id;               ///< normalized 16-hex
-    std::vector<RequestSpan> spans;     ///< document order
-    std::vector<std::size_t> roots;     ///< spans whose parent is absent
+    std::vector<SpanNode> spans;        ///< document order
+    std::vector<std::size_t> roots;     ///< ordered by start_t
     std::uint64_t lines = 0;
     std::uint64_t skipped = 0;
+    std::uint64_t unterminated = 0;     ///< of this trace's spans
 };
 
 /// Streams the trace and keeps only the requested trace's spans.

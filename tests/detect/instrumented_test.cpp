@@ -75,11 +75,5 @@ TEST(InstrumentedDetector, InnerAccessorExposesWrappedDetector) {
     EXPECT_EQ(d->inner().window_length(), 3u);
 }
 
-TEST(InstrumentedDetector, RegistryFactoryProducesInstrumentedDetector) {
-    auto d = instrumented_factory_for(DetectorKind::Stide)(/*window_length=*/4);
-    ASSERT_NE(dynamic_cast<InstrumentedDetector*>(d.get()), nullptr);
-    EXPECT_EQ(d->name(), "stide");
-}
-
 }  // namespace
 }  // namespace adiv

@@ -1,5 +1,6 @@
 // The engine's core guarantee: parallel plan runs produce bit-identical maps
-// to the serial path, for every detector kind, regardless of job count.
+// to the serial path, for every detector kind, regardless of job count — and
+// the same trace tree.
 //
 // The scheduler writes each cell into a pre-sized slot addressed by grid
 // position, so assembly never depends on completion order; this test pins
@@ -7,11 +8,17 @@
 // all eight detectors on a reduced grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "detect/registry.hpp"
 #include "engine/plan.hpp"
 #include "engine/scheduler.hpp"
+#include "obs/trace.hpp"
+#include "obs/traceview.hpp"
 #include "support/corpus_fixture.hpp"
 #include "util/error.hpp"
 
@@ -112,6 +119,63 @@ TEST(EngineDeterminism, ParallelErrorMatchesSerialError) {
         options.jobs = jobs;
         EXPECT_THROW((void)run_plan(plan, options), InvalidArgument)
             << "jobs=" << jobs;
+    }
+}
+
+/// The traced (name, span id, parent id) rows of one stide + markov plan run
+/// at `jobs` under a fixed installed context, sorted, plus the linked spans.
+RequestAnalysis traced_plan(std::size_t jobs) {
+    constexpr std::uint64_t kTrace = 0x5eedULL;
+    std::ostringstream out;
+    auto previous = set_global_trace_sink(std::make_shared<StreamTraceSink>(out));
+    {
+        const ScopedTraceContext scope(TraceContext{kTrace, 0x1ULL});
+        ExperimentPlan plan(reduced_suite());
+        plan.add_detector(DetectorKind::Stide);
+        plan.add_detector(DetectorKind::Markov);
+        EngineOptions options;
+        options.jobs = jobs;
+        (void)run_plan(plan, options);
+    }
+    set_global_trace_sink(std::move(previous));
+    std::istringstream in(out.str());
+    return analyze_request(in, hex16(kTrace));
+}
+
+TEST(EngineDeterminism, TraceTreeIsTheSameForEveryJobCount) {
+    using Row = std::tuple<std::string, std::uint64_t, std::uint64_t>;
+    const auto rows = [](const RequestAnalysis& analysis) {
+        std::vector<Row> out;
+        for (const SpanNode& node : analysis.spans)
+            out.emplace_back(node.name, node.span, node.parent);
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    const RequestAnalysis serial = traced_plan(1);
+    const RequestAnalysis parallel = traced_plan(4);
+    ASSERT_FALSE(serial.spans.empty());
+    EXPECT_EQ(rows(serial), rows(parallel));
+
+    // Every experiment.* span, whichever worker ran it, chains up to the
+    // plan's engine.plan span.
+    for (const RequestAnalysis* analysis : {&serial, &parallel}) {
+        std::map<std::uint64_t, const SpanNode*> by_id;
+        for (const SpanNode& node : analysis->spans) by_id.emplace(node.span, &node);
+        std::size_t experiment_spans = 0;
+        for (const SpanNode& node : analysis->spans) {
+            if (node.name.rfind("experiment.", 0) != 0) continue;
+            ++experiment_spans;
+            const SpanNode* up = &node;
+            for (std::size_t hop = 0; up != nullptr && up->name != "engine.plan"; ++hop) {
+                ASSERT_LT(hop, analysis->spans.size()) << "parent cycle";
+                const auto it = by_id.find(up->parent);
+                up = it == by_id.end() ? nullptr : it->second;
+            }
+            EXPECT_NE(up, nullptr) << node.name << " does not reach engine.plan";
+        }
+        // 2 detectors x 5 windows x (1 training + 4 cells), plus the cells'
+        // experiment.score spans.
+        EXPECT_GE(experiment_spans, 50u);
     }
 }
 

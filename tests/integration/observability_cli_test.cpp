@@ -1,8 +1,9 @@
 // End-to-end check of the acceptance criterion for the observability layer:
 // running `adiv_score --metrics - --trace trace.jsonl` emits the run
-// manifest as the first trace line, at least one nested span pair per scored
-// window batch, and a final metrics dump carrying online.events_consumed,
-// the push-latency percentiles, and the alarm-rate gauge.
+// manifest as the first trace line, a span pair per scored window batch
+// parenting the detector's score spans, and a final metrics dump carrying
+// online.events_consumed, the push-latency percentiles, and the alarm-rate
+// gauge.
 //
 // The tool binaries are located via ADIV_TRAIN_TOOL / ADIV_SCORE_TOOL
 // compile definitions (set from tests/CMakeLists.txt when the tools are part
@@ -13,6 +14,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +57,13 @@ std::size_t count_occurrences(const std::string& text, const std::string& needle
          pos = text.find(needle, pos + needle.size()))
         ++count;
     return count;
+}
+
+/// The 16-hex value of a span line's top-level id field ("" when absent).
+std::string id_field(const std::string& line, const std::string& key) {
+    const std::string prefix = "\"" + key + "\":\"";
+    const std::size_t at = line.find(prefix);
+    return at == std::string::npos ? "" : line.substr(at + prefix.size(), 16);
 }
 
 class ObservabilityCli : public ::testing::Test {
@@ -125,15 +134,25 @@ TEST_F(ObservabilityCli, ScoreEmitsManifestNestedSpansAndMetrics) {
     EXPECT_NE(trace.front().find("\"detector\":\"stide\""), std::string::npos);
     EXPECT_NE(trace.front().find("\"min_window\":6"), std::string::npos);
 
-    // 6000 events in batches of 1000 -> 6 score.batch spans at depth 0, each
-    // holding nested detect.score spans at depth 1.
+    // 6000 events in batches of 1000 -> 6 score.batch root spans, each
+    // parenting the detect.score spans opened inside it.
     const std::string joined = read_file(trace_path);
-    EXPECT_EQ(count_occurrences(
-                  joined, "\"type\":\"span_begin\",\"name\":\"score.batch\",\"depth\":0"),
-              6u);
-    EXPECT_GE(count_occurrences(
-                  joined, "\"type\":\"span_begin\",\"name\":\"detect.score\",\"depth\":1"),
-              6u);
+    const std::string batch_begin = "\"type\":\"span_begin\",\"name\":\"score.batch\"";
+    const std::string score_begin = "\"type\":\"span_begin\",\"name\":\"detect.score\"";
+    std::set<std::string> batch_spans;
+    std::size_t scores = 0;
+    for (const std::string& line : trace) {
+        if (line.find(batch_begin) != std::string::npos) {
+            EXPECT_EQ(id_field(line, "parent"), "0000000000000000") << line;
+            batch_spans.insert(id_field(line, "span"));
+        } else if (line.find(score_begin) != std::string::npos) {
+            ++scores;
+            EXPECT_EQ(batch_spans.count(id_field(line, "parent")), 1u)
+                << "detect.score not parented by a score.batch: " << line;
+        }
+    }
+    EXPECT_EQ(batch_spans.size(), 6u);
+    EXPECT_GE(scores, 6u);
     EXPECT_EQ(count_occurrences(joined, "\"name\":\"score.batch\""),
               count_occurrences(joined, "\"type\":\"span_begin\",\"name\":\"score.batch\"") * 2)
         << "every batch span must close";

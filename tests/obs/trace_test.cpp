@@ -32,7 +32,8 @@ TEST(TraceSpan, EmitsBeginAndEndLines) {
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_NE(lines[0].find("\"type\":\"span_begin\""), std::string::npos);
     EXPECT_NE(lines[0].find("\"name\":\"unit.work\""), std::string::npos);
-    EXPECT_NE(lines[0].find("\"depth\":0"), std::string::npos);
+    EXPECT_NE(lines[0].find("\"parent\":\"0000000000000000\""),
+              std::string::npos);  // a root
     EXPECT_NE(lines[0].find("\"t\":"), std::string::npos);
     EXPECT_NE(lines[1].find("\"type\":\"span_end\""), std::string::npos);
     EXPECT_NE(lines[1].find("\"dur_s\":"), std::string::npos);
@@ -40,31 +41,41 @@ TEST(TraceSpan, EmitsBeginAndEndLines) {
               std::string::npos);
 }
 
-TEST(TraceSpan, NestedSpansTrackDepth) {
+TEST(TraceSpan, NestedSpansChainParentIds) {
     std::ostringstream out;
     auto sink = std::make_shared<StreamTraceSink>(out);
-    EXPECT_EQ(current_trace_depth(), 0);
+    TraceContext outer_ids;
+    TraceContext inner_ids;
     {
         TraceSpan outer(sink, "outer");
-        EXPECT_EQ(outer.depth(), 0);
-        EXPECT_EQ(current_trace_depth(), 1);
+        outer_ids = outer.context();
+        EXPECT_EQ(current_trace_context().span_id, outer_ids.span_id);
         {
             TraceSpan inner(sink, "inner");
-            EXPECT_EQ(inner.depth(), 1);
-            EXPECT_EQ(current_trace_depth(), 2);
+            inner_ids = inner.context();
+            EXPECT_EQ(current_trace_context().span_id, inner_ids.span_id);
         }
-        EXPECT_EQ(current_trace_depth(), 1);
+        EXPECT_EQ(current_trace_context().span_id, outer_ids.span_id);
     }
-    EXPECT_EQ(current_trace_depth(), 0);
+    EXPECT_FALSE(current_trace_context().active());
+    ASSERT_TRUE(outer_ids.active());
+    EXPECT_EQ(inner_ids.trace_id, outer_ids.trace_id);
+    EXPECT_EQ(inner_ids.span_id,
+              derive_span_id(outer_ids.trace_id, outer_ids.span_id, 0));
     const auto lines = lines_of(out.str());
     ASSERT_EQ(lines.size(), 4u);  // begin(outer), begin(inner), end(inner), end(outer)
+    const std::string outer_span = "\"span\":\"" + hex16(outer_ids.span_id) + "\"";
+    const std::string inner_parent =
+        "\"parent\":\"" + hex16(outer_ids.span_id) + "\"";
     EXPECT_NE(lines[0].find("\"name\":\"outer\""), std::string::npos);
+    EXPECT_NE(lines[0].find(outer_span), std::string::npos);
     EXPECT_NE(lines[1].find("\"name\":\"inner\""), std::string::npos);
-    EXPECT_NE(lines[1].find("\"depth\":1"), std::string::npos);
+    EXPECT_NE(lines[1].find(inner_parent), std::string::npos);
     EXPECT_NE(lines[2].find("\"type\":\"span_end\""), std::string::npos);
-    EXPECT_NE(lines[2].find("\"name\":\"inner\""), std::string::npos);
+    EXPECT_NE(lines[2].find(inner_parent), std::string::npos);
     EXPECT_NE(lines[3].find("\"name\":\"outer\""), std::string::npos);
-    EXPECT_NE(lines[3].find("\"depth\":0"), std::string::npos);
+    EXPECT_NE(lines[3].find("\"parent\":\"0000000000000000\""),
+              std::string::npos);
 }
 
 TEST(TraceSpan, AttributeTypesRenderAsJsonTokens) {
@@ -87,16 +98,31 @@ TEST(TraceSpan, AttributeTypesRenderAsJsonTokens) {
     EXPECT_NE(lines[1].find("\"b\":true"), std::string::npos);
 }
 
-TEST(TraceSpan, NullSinkSuppressesOutputButTracksDepth) {
-    auto sink = std::make_shared<NullTraceSink>();
-    EXPECT_FALSE(sink->enabled());
+/// A disabled sink that still records anything written to it.
+class DisabledRecordingSink final : public TraceSink {
+public:
+    void write_line(const std::string& line) override { lines.push_back(line); }
+    [[nodiscard]] bool enabled() const noexcept override { return false; }
+    std::vector<std::string> lines;
+};
+
+TEST(TraceSpan, NullSinkSuppressesOutputAndLeavesContext) {
+    auto sink = std::make_shared<DisabledRecordingSink>();
     {
         TraceSpan span(sink, "silent");
         span.attr("k", "v");  // discarded without formatting
-        EXPECT_EQ(span.depth(), 0);
-        EXPECT_EQ(current_trace_depth(), 1);
+        EXPECT_FALSE(span.context().active());  // no id derived
+        EXPECT_FALSE(current_trace_context().active());
     }
-    EXPECT_EQ(current_trace_depth(), 0);
+    {
+        // Under an installed context too: nothing is derived or installed.
+        const ScopedTraceContext scope(TraceContext{0xeeULL, 0x3ULL});
+        TraceSpan span(sink, "silent");
+        EXPECT_FALSE(span.context().active());
+        EXPECT_EQ(current_trace_context().span_id, 0x3ULL);
+    }
+    EXPECT_FALSE(current_trace_context().active());
+    EXPECT_TRUE(sink->lines.empty());
 }
 
 TEST(TraceSpan, UsesGlobalSinkWhenNoneGiven) {
@@ -253,14 +279,34 @@ TEST(TraceContextApi, TracedSpansEmitTraceSpanParentFields) {
               std::string::npos);
 }
 
-TEST(TraceContextApi, UntracedSpansCarryNoTraceFields) {
+TEST(TraceContextApi, SpanWithoutContextMintsARootTrace) {
     std::ostringstream out;
     auto previous =
         set_global_trace_sink(std::make_shared<StreamTraceSink>(out));
-    { TraceSpan span("plain.work"); }
+    TraceContext first;
+    TraceContext second;
+    {
+        TraceSpan span("plain.work");
+        first = span.context();
+    }
+    {
+        TraceSpan span("plain.work");
+        second = span.context();
+    }
     set_global_trace_sink(std::move(previous));
-    EXPECT_EQ(out.str().find("\"trace\""), std::string::npos);
-    EXPECT_EQ(out.str().find("\"span\":"), std::string::npos);
+    // Each root starts its own nonzero trace; the ids land on both lines.
+    ASSERT_TRUE(first.active());
+    ASSERT_TRUE(second.active());
+    EXPECT_NE(first.trace_id, second.trace_id);
+    EXPECT_EQ(first.span_id, derive_span_id(first.trace_id, 0, 0));
+    const auto lines = lines_of(out.str());
+    ASSERT_EQ(lines.size(), 4u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_NE(lines[i].find("\"trace\":\"" + hex16(first.trace_id) + "\""),
+                  std::string::npos);
+        EXPECT_NE(lines[i].find("\"parent\":\"0000000000000000\""),
+                  std::string::npos);
+    }
 }
 
 TEST(TraceContextApi, DisabledSinkKeepsContextButEmitsNothing) {

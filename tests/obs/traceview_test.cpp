@@ -1,31 +1,50 @@
-// Trace analyzer: self-time reconstruction, exact nearest-rank percentiles,
-// run splitting, and the pinned renderings behind adiv_traceview.
+// Trace analyzer: the id-linked span tree, self time, exact nearest-rank
+// percentiles, run splitting, the request view, and the pinned renderings
+// behind adiv_traceview.
 #include "obs/traceview.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
 namespace {
 
+/// The ids every span line carries, for span `span` under `parent` (0 = a
+/// root) in trace 0xaa.
+std::string ids(std::uint64_t span, std::uint64_t parent) {
+    return ",\"trace\":\"00000000000000aa\",\"span\":\"" + hex16(span) +
+           "\",\"parent\":\"" + hex16(parent) + "\"";
+}
+
+std::string span_begin(const std::string& name, const std::string& t,
+                       std::uint64_t span, std::uint64_t parent) {
+    return "{\"type\":\"span_begin\",\"name\":\"" + name + "\",\"t\":" + t +
+           ids(span, parent) + "}\n";
+}
+
+std::string span_end(const std::string& name, const std::string& t,
+                     const std::string& dur, std::uint64_t span,
+                     std::uint64_t parent) {
+    return "{\"type\":\"span_end\",\"name\":\"" + name + "\",\"t\":" + t +
+           ",\"dur_s\":" + dur + ids(span, parent) + "}\n";
+}
+
 // One complete run: map(2.0s) containing train(0.5s) then score(1.0s).
-const char kNestedTrace[] =
+const std::string kNestedTrace =
     "{\"type\":\"manifest\",\"tool\":\"adiv_score\",\"detector\":\"stide\","
-    "\"timestamp\":\"2026-08-06T00:00:00Z\"}\n"
-    "{\"type\":\"span_begin\",\"name\":\"experiment.map\",\"depth\":0,\"t\":0}\n"
-    "{\"type\":\"span_begin\",\"name\":\"experiment.train\",\"depth\":1,\"t\":0}\n"
-    "{\"type\":\"span_end\",\"name\":\"experiment.train\",\"depth\":1,\"t\":0,"
-    "\"dur_s\":0.5}\n"
-    "{\"type\":\"span_begin\",\"name\":\"experiment.score\",\"depth\":1,"
-    "\"t\":0.5}\n"
-    "{\"type\":\"span_end\",\"name\":\"experiment.score\",\"depth\":1,\"t\":0.5,"
-    "\"dur_s\":1}\n"
-    "{\"type\":\"span_end\",\"name\":\"experiment.map\",\"depth\":0,\"t\":0,"
-    "\"dur_s\":2}\n";
+    "\"timestamp\":\"2026-08-06T00:00:00Z\"}\n" +
+    span_begin("experiment.map", "0", 1, 0) +
+    span_begin("experiment.train", "0", 2, 1) +
+    span_end("experiment.train", "0.5", "0.5", 2, 1) +
+    span_begin("experiment.score", "0.5", 3, 1) +
+    span_end("experiment.score", "1.5", "1", 3, 1) +
+    span_end("experiment.map", "2", "2", 1, 0);
 
 TraceAnalysis analyze(const std::string& text) {
     std::istringstream in(text);
@@ -39,7 +58,7 @@ const SpanStats* span_named(const TraceAnalysis& analysis,
     return nullptr;
 }
 
-TEST(Traceview, ReconstructsSelfTimeFromDepth) {
+TEST(Traceview, ReconstructsSelfTimeFromParentIds) {
     const TraceAnalysis analysis = analyze(kNestedTrace);
     ASSERT_EQ(analysis.spans.size(), 3u);
     EXPECT_EQ(analysis.skipped, 0u);
@@ -81,9 +100,7 @@ TEST(Traceview, NearestRankPercentilesAreExact) {
     // 100 spans with durations 1..100s: nearest-rank pN is exactly N.
     std::string trace;
     for (int i = 1; i <= 100; ++i)
-        trace += "{\"type\":\"span_end\",\"name\":\"loop.iter\",\"depth\":0,"
-                 "\"t\":0,\"dur_s\":" +
-                 std::to_string(i) + "}\n";
+        trace += span_end("loop.iter", "0", std::to_string(i), 0x1000 + i, 0);
     const TraceAnalysis analysis = analyze(trace);
     ASSERT_EQ(analysis.spans.size(), 1u);
     const SpanStats& row = analysis.spans[0];
@@ -96,9 +113,7 @@ TEST(Traceview, NearestRankPercentilesAreExact) {
 }
 
 TEST(Traceview, SingleSpanPercentilesCollapseToThatSpan) {
-    const TraceAnalysis analysis = analyze(
-        "{\"type\":\"span_end\",\"name\":\"a.b\",\"depth\":0,\"t\":0,"
-        "\"dur_s\":0.25}\n");
+    const TraceAnalysis analysis = analyze(span_end("a.b", "0", "0.25", 1, 0));
     ASSERT_EQ(analysis.spans.size(), 1u);
     EXPECT_EQ(analysis.spans[0].p50_s, 0.25);
     EXPECT_EQ(analysis.spans[0].p99_s, 0.25);
@@ -106,11 +121,12 @@ TEST(Traceview, SingleSpanPercentilesCollapseToThatSpan) {
 
 TEST(Traceview, SkipsAttrsObjectsAndUnknownTypes) {
     const TraceAnalysis analysis = analyze(
-        "{\"type\":\"span_end\",\"name\":\"a.b\",\"depth\":0,\"t\":0,"
-        "\"dur_s\":1,\"attrs\":{\"k\":\"v\",\"n\":3,\"flag\":true}}\n"
-        "{\"type\":\"metrics_sample\",\"seq\":0}\n"
-        "{\"type\":\"span_begin\",\"name\":\"a.b\",\"depth\":0,\"t\":0}\n");
+        span_begin("a.b", "0", 1, 0) +
+        "{\"type\":\"span_end\",\"name\":\"a.b\",\"t\":1,\"dur_s\":1" +
+        ids(1, 0) + ",\"attrs\":{\"k\":\"v\",\"n\":3,\"flag\":true}}\n"
+        "{\"type\":\"metrics_sample\",\"seq\":0}\n");
     EXPECT_EQ(analysis.skipped, 0u);
+    EXPECT_EQ(analysis.unterminated, 0u);  // the end retired its begin
     ASSERT_EQ(analysis.spans.size(), 1u);
     EXPECT_EQ(analysis.spans[0].total_s, 1.0);
 }
@@ -119,20 +135,21 @@ TEST(Traceview, MalformedLinesAreCountedNotFatal) {
     const TraceAnalysis analysis = analyze(
         "this is not json\n"
         "{\"no_type\":1}\n"
-        "{\"type\":\"span_end\",\"name\":\"a.b\",\"depth\":0,\"t\":0}\n"  // no dur
-        "{\"type\":\"span_end\",\"name\":\"a.b\",\"depth\":0,\"t\":0,"
-        "\"dur_s\":1}\n"
-        "{\"type\":\"span_end\",\"dur_s\":2,\"depth\":0\n");  // truncated
-    EXPECT_EQ(analysis.lines, 5u);
-    EXPECT_EQ(analysis.skipped, 4u);
+        "{\"type\":\"span_end\",\"name\":\"a.b\",\"t\":0}\n" +  // no dur
+        span_end("a.b", "1", "1", 1, 0) +
+        "{\"type\":\"span_end\",\"name\":\"a.b\",\"t\":-,\"dur_s\":1}\n"
+        "{\"type\":\"span_end\",\"name\":\"a.b\",\"t\":1e999,\"dur_s\":1}\n"
+        "{\"type\":\"span_end\",\"dur_s\":2,\"t\":0\n");  // truncated
+    EXPECT_EQ(analysis.lines, 7u);
+    EXPECT_EQ(analysis.skipped, 6u);
     ASSERT_EQ(analysis.spans.size(), 1u);
     EXPECT_EQ(analysis.spans[0].count, 1u);
 }
 
 TEST(Traceview, HeaderlessTraceYieldsOneAnonymousRun) {
+    // A line with no ids at all (a hand-written or foreign trace) is a root.
     const TraceAnalysis analysis = analyze(
-        "{\"type\":\"span_end\",\"name\":\"a.b\",\"depth\":0,\"t\":0,"
-        "\"dur_s\":1}\n");
+        "{\"type\":\"span_end\",\"name\":\"a.b\",\"t\":1,\"dur_s\":1}\n");
     ASSERT_EQ(analysis.runs.size(), 1u);
     EXPECT_EQ(analysis.runs[0].tool, "");
     EXPECT_EQ(analysis.runs[0].spans, 1u);
@@ -143,9 +160,9 @@ TEST(Traceview, MultipleManifestsSplitRuns) {
     std::string trace = kNestedTrace;
     trace +=
         "{\"type\":\"manifest\",\"tool\":\"adiv_serve\",\"detector\":\"\","
-        "\"timestamp\":\"2026-08-06T00:00:01Z\"}\n"
-        "{\"type\":\"span_end\",\"name\":\"serve.push\",\"depth\":0,\"t\":3,"
-        "\"dur_s\":0.5}\n";
+        "\"timestamp\":\"2026-08-06T00:00:01Z\"}\n" +
+        // Span id 1 again, as a second process may mint it: runs link apart.
+        span_end("serve.push", "3", "0.5", 1, 0);
     const TraceAnalysis analysis = analyze(trace);
     ASSERT_EQ(analysis.runs.size(), 2u);
     EXPECT_EQ(analysis.runs[0].tool, "adiv_score");
@@ -153,6 +170,7 @@ TEST(Traceview, MultipleManifestsSplitRuns) {
     EXPECT_EQ(analysis.runs[1].tool, "adiv_serve");
     EXPECT_EQ(analysis.runs[1].spans, 1u);
     EXPECT_EQ(analysis.runs[1].root_total_s, 0.5);
+    EXPECT_EQ(analysis.runs[0].root_total_s, 2.0);
     // Span statistics aggregate across runs.
     EXPECT_EQ(analysis.spans.size(), 4u);
 }
@@ -210,15 +228,50 @@ TEST(Traceview, EmptyInputRendersPlaceholder) {
               std::string::npos);
 }
 
+TEST(Traceview, InterleavedThreadsChargeEachChildToItsOwnParent) {
+    // Two workers' subtrees interleave in one stream under engine.plan:
+    // leaf.b (thread B) ends before leaf.a (thread A), then each task ends.
+    // The lines also carry the per-thread nesting depth older trace writers
+    // emitted; parents rebuilt from it would charge both leaves to task.a.
+    const auto line = [](const std::string& head, int nesting,
+                         const std::string& tail) {
+        return "{\"type\":\"" + head + "\",\"depth\":" +
+               std::to_string(nesting) + tail + "}\n";
+    };
+    const TraceAnalysis analysis = analyze(
+        line("span_begin\",\"name\":\"engine.plan", 0, ",\"t\":0" + ids(1, 0)) +
+        line("span_begin\",\"name\":\"task.a", 1, ",\"t\":1" + ids(2, 1)) +
+        line("span_begin\",\"name\":\"task.b", 1, ",\"t\":1" + ids(3, 1)) +
+        line("span_begin\",\"name\":\"leaf.a", 2, ",\"t\":1" + ids(4, 2)) +
+        line("span_begin\",\"name\":\"leaf.b", 2, ",\"t\":1" + ids(5, 3)) +
+        line("span_end\",\"name\":\"leaf.b", 2, ",\"t\":2,\"dur_s\":1" + ids(5, 3)) +
+        line("span_end\",\"name\":\"leaf.a", 2, ",\"t\":4,\"dur_s\":3" + ids(4, 2)) +
+        line("span_end\",\"name\":\"task.a", 1, ",\"t\":5,\"dur_s\":4" + ids(2, 1)) +
+        line("span_end\",\"name\":\"task.b", 1, ",\"t\":6,\"dur_s\":5" + ids(3, 1)) +
+        line("span_end\",\"name\":\"engine.plan", 0, ",\"t\":7,\"dur_s\":7" + ids(1, 0)));
+    ASSERT_EQ(analysis.skipped, 0u);
+    EXPECT_EQ(analysis.unterminated, 0u);
+    const SpanStats* task_a = span_named(analysis, "task.a");
+    const SpanStats* task_b = span_named(analysis, "task.b");
+    ASSERT_NE(task_a, nullptr);
+    ASSERT_NE(task_b, nullptr);
+    EXPECT_EQ(task_a->self_s, 1.0);  // 4 minus leaf.a's 3
+    EXPECT_EQ(task_b->self_s, 4.0);  // 5 minus leaf.b's 1
+    ASSERT_EQ(analysis.runs.size(), 1u);
+    EXPECT_EQ(analysis.runs[0].root_total_s, 7.0);
+    const auto& path = analysis.runs[0].critical_path;
+    ASSERT_EQ(path.size(), 3u);
+    EXPECT_EQ(path[0].name, "engine.plan");
+    EXPECT_EQ(path[1].name, "task.b");
+    EXPECT_EQ(path[2].name, "leaf.b");
+}
+
 TEST(Traceview, UnterminatedSpansCloseAtEndOfTrace) {
     // A killed writer: the outer span began at t=1 but never ended. The
     // stream's last timestamp is 4 (the child's end), so the orphan closes
     // with dur 3 and is counted — not dropped, not fatal.
-    const TraceAnalysis analysis = analyze(
-        "{\"type\":\"span_begin\",\"name\":\"serve.session\",\"depth\":0,"
-        "\"t\":1}\n"
-        "{\"type\":\"span_end\",\"name\":\"serve.push\",\"depth\":1,\"t\":4,"
-        "\"dur_s\":2}\n");
+    const TraceAnalysis analysis = analyze(span_begin("serve.session", "1", 1, 0) +
+                                           span_end("serve.push", "4", "2", 2, 1));
     EXPECT_EQ(analysis.unterminated, 1u);
     const SpanStats* orphan = span_named(analysis, "serve.session");
     ASSERT_NE(orphan, nullptr);
@@ -234,14 +287,11 @@ TEST(Traceview, UnterminatedSpansCloseAtEndOfTrace) {
 }
 
 TEST(Traceview, UnterminatedSpansCloseDeepestFirst) {
-    // Both spans die open; closing deepest-first keeps the nesting math
-    // identical to a normal unwind: the outer span absorbs the inner one as
-    // a direct child.
-    const TraceAnalysis analysis = analyze(
-        "{\"type\":\"span_begin\",\"name\":\"outer\",\"depth\":0,\"t\":0}\n"
-        "{\"type\":\"span_begin\",\"name\":\"inner\",\"depth\":1,\"t\":2}\n"
-        "{\"type\":\"span_end\",\"name\":\"leaf\",\"depth\":2,\"t\":5,"
-        "\"dur_s\":1}\n");
+    // Both spans die open; their ids nest them exactly as a normal unwind
+    // would: the outer span absorbs the inner one as a direct child.
+    const TraceAnalysis analysis = analyze(span_begin("outer", "0", 1, 0) +
+                                           span_begin("inner", "2", 2, 1) +
+                                           span_end("leaf", "5", "1", 3, 2));
     EXPECT_EQ(analysis.unterminated, 2u);
     const SpanStats* outer = span_named(analysis, "outer");
     const SpanStats* inner = span_named(analysis, "inner");
@@ -250,6 +300,7 @@ TEST(Traceview, UnterminatedSpansCloseDeepestFirst) {
     EXPECT_EQ(outer->total_s, 5.0);
     EXPECT_EQ(inner->total_s, 3.0);
     EXPECT_EQ(outer->self_s, 2.0);  // 5 minus the closed inner's 3
+    EXPECT_EQ(inner->self_s, 2.0);  // 3 minus the leaf's 1
 }
 
 TEST(Traceview, ManifestBoundaryClosesTheEarlierRunsOrphans) {
@@ -257,16 +308,16 @@ TEST(Traceview, ManifestBoundaryClosesTheEarlierRunsOrphans) {
     // run 2's spans.
     const TraceAnalysis analysis = analyze(
         "{\"type\":\"manifest\",\"tool\":\"a\",\"detector\":\"\","
-        "\"timestamp\":\"T0\"}\n"
-        "{\"type\":\"span_begin\",\"name\":\"dangling\",\"depth\":0,\"t\":1}\n"
+        "\"timestamp\":\"T0\"}\n" +
+        span_begin("dangling", "1", 1, 0) +
         "{\"type\":\"manifest\",\"tool\":\"b\",\"detector\":\"\","
-        "\"timestamp\":\"T1\"}\n"
-        "{\"type\":\"span_end\",\"name\":\"clean\",\"depth\":0,\"t\":9,"
-        "\"dur_s\":1}\n");
+        "\"timestamp\":\"T1\"}\n" +
+        span_end("clean", "9", "1", 2, 1));
     EXPECT_EQ(analysis.unterminated, 1u);
     ASSERT_EQ(analysis.runs.size(), 2u);
     EXPECT_EQ(analysis.runs[0].spans, 1u);  // the closed orphan stays in run 1
     EXPECT_EQ(analysis.runs[1].spans, 1u);
+    EXPECT_EQ(analysis.runs[1].root_total_s, 1.0);  // its parent is in run 1
 }
 
 // --- request view -----------------------------------------------------------
@@ -274,16 +325,16 @@ TEST(Traceview, ManifestBoundaryClosesTheEarlierRunsOrphans) {
 /// A two-process request fixture: client root span (parent all-zeros) with a
 /// daemon child and grandchild, plus one span from a different trace.
 const char kRequestTrace[] =
-    "{\"type\":\"span_end\",\"name\":\"serve.client_push\",\"depth\":0,"
+    "{\"type\":\"span_end\",\"name\":\"serve.client_push\","
     "\"t\":10,\"dur_s\":8,\"trace\":\"00000000000000aa\","
     "\"span\":\"0000000000000001\",\"parent\":\"0000000000000000\"}\n"
-    "{\"type\":\"span_end\",\"name\":\"serve.shard_handle\",\"depth\":0,"
+    "{\"type\":\"span_end\",\"name\":\"serve.shard_handle\","
     "\"t\":9,\"dur_s\":6,\"trace\":\"00000000000000aa\","
     "\"span\":\"0000000000000002\",\"parent\":\"0000000000000001\"}\n"
-    "{\"type\":\"span_end\",\"name\":\"serve.score_push\",\"depth\":1,"
+    "{\"type\":\"span_end\",\"name\":\"serve.score_push\","
     "\"t\":8,\"dur_s\":4,\"trace\":\"00000000000000aa\","
     "\"span\":\"0000000000000003\",\"parent\":\"0000000000000002\"}\n"
-    "{\"type\":\"span_end\",\"name\":\"other.request\",\"depth\":0,\"t\":5,"
+    "{\"type\":\"span_end\",\"name\":\"other.request\",\"t\":5,"
     "\"dur_s\":1,\"trace\":\"00000000000000bb\","
     "\"span\":\"0000000000000009\",\"parent\":\"0000000000000000\"}\n";
 
@@ -298,17 +349,17 @@ TEST(RequestView, StitchesTheCausalTreeAndComputesSelfTime) {
     EXPECT_EQ(analysis.trace_id, "00000000000000aa");
     ASSERT_EQ(analysis.spans.size(), 3u);  // the bb span is filtered out
     ASSERT_EQ(analysis.roots.size(), 1u);
-    const RequestSpan& root = analysis.spans[analysis.roots[0]];
+    const SpanNode& root = analysis.spans[analysis.roots[0]];
     EXPECT_EQ(root.name, "serve.client_push");
     EXPECT_EQ(root.dur_s, 8.0);
     EXPECT_EQ(root.self_s, 2.0);  // 8 minus the daemon child's 6
     EXPECT_EQ(root.start_t, 2.0);  // end t minus dur
     ASSERT_EQ(root.children.size(), 1u);
-    const RequestSpan& shard = analysis.spans[root.children[0]];
+    const SpanNode& shard = analysis.spans[root.children[0]];
     EXPECT_EQ(shard.name, "serve.shard_handle");
     EXPECT_EQ(shard.self_s, 2.0);  // 6 minus the scorer's 4
     ASSERT_EQ(shard.children.size(), 1u);
-    const RequestSpan& score = analysis.spans[shard.children[0]];
+    const SpanNode& score = analysis.spans[shard.children[0]];
     EXPECT_EQ(score.name, "serve.score_push");
     EXPECT_EQ(score.self_s, 4.0);  // leaf: self == dur
     EXPECT_TRUE(score.children.empty());
@@ -317,10 +368,10 @@ TEST(RequestView, StitchesTheCausalTreeAndComputesSelfTime) {
 TEST(RequestView, MultipleRootsSortByStartTime) {
     // Two wire requests of one trace, arriving out of order in the file.
     const std::string text =
-        "{\"type\":\"span_end\",\"name\":\"second\",\"depth\":0,\"t\":9,"
+        "{\"type\":\"span_end\",\"name\":\"second\",\"t\":9,"
         "\"dur_s\":1,\"trace\":\"00000000000000aa\","
         "\"span\":\"0000000000000002\",\"parent\":\"0000000000000000\"}\n"
-        "{\"type\":\"span_end\",\"name\":\"first\",\"depth\":0,\"t\":3,"
+        "{\"type\":\"span_end\",\"name\":\"first\",\"t\":3,"
         "\"dur_s\":1,\"trace\":\"00000000000000aa\","
         "\"span\":\"0000000000000001\",\"parent\":\"0000000000000000\"}\n";
     const RequestAnalysis analysis = analyze_request_text(text, "aa");
@@ -374,7 +425,7 @@ TEST(RequestView, RenderIndentsByDepthAndJsonIsPinned) {
 TEST(RequestView, SelfParentedSpanBecomesARootNotACycle) {
     // A corrupt line naming itself as parent must not recurse forever.
     const std::string text =
-        "{\"type\":\"span_end\",\"name\":\"loop\",\"depth\":0,\"t\":2,"
+        "{\"type\":\"span_end\",\"name\":\"loop\",\"t\":2,"
         "\"dur_s\":1,\"trace\":\"00000000000000aa\","
         "\"span\":\"0000000000000007\",\"parent\":\"0000000000000007\"}\n";
     const RequestAnalysis analysis = analyze_request_text(text, "aa");
@@ -382,6 +433,30 @@ TEST(RequestView, SelfParentedSpanBecomesARootNotACycle) {
     ASSERT_EQ(analysis.roots.size(), 1u);
     EXPECT_EQ(analysis.spans[analysis.roots[0]].name, "loop");
     EXPECT_NE(render_request(analysis).find("loop"), std::string::npos);
+}
+
+TEST(RequestView, UnterminatedSpanIsClosedAtEndOfTrace) {
+    // The client's span ended; the daemon's span under it never did (a
+    // killed daemon). The orphan is closed at the last t seen (10), listed
+    // under its parent, charged to the parent's self time, and counted.
+    const std::string text = span_end("serve.client_push", "10", "8", 1, 0) +
+                             span_begin("serve.shard_handle", "3", 2, 1);
+    const RequestAnalysis analysis = analyze_request_text(text, "aa");
+    ASSERT_EQ(analysis.spans.size(), 2u);
+    ASSERT_EQ(analysis.roots.size(), 1u);
+    const auto& root = analysis.spans[analysis.roots[0]];
+    EXPECT_EQ(root.name, "serve.client_push");
+    ASSERT_EQ(root.children.size(), 1u);
+    const auto& orphan = analysis.spans[root.children[0]];
+    EXPECT_EQ(orphan.name, "serve.shard_handle");
+    EXPECT_EQ(orphan.dur_s, 7.0);  // 10 - 3
+    EXPECT_EQ(root.self_s, 1.0);   // 8 minus the orphan's 7
+    const std::string rendered = render_request(analysis);
+    EXPECT_NE(rendered.find("    serve.shard_handle  span=0000000000000002"),
+              std::string::npos);
+    EXPECT_NE(rendered.find("(warning: 1 span(s) had no span_end; closed at "
+                            "end of trace)"),
+              std::string::npos);
 }
 
 }  // namespace

@@ -78,11 +78,11 @@ RequestAnalysis analyze(const std::string& trace_text,
     return analyze_request(in, hex16(trace_id));
 }
 
-const RequestSpan* only_child_named(const RequestAnalysis& analysis,
-                                    const RequestSpan& parent,
-                                    const std::string& name) {
+const SpanNode* only_child_named(const RequestAnalysis& analysis,
+                                 const SpanNode& parent,
+                                 const std::string& name) {
     if (parent.children.size() != 1) return nullptr;
-    const RequestSpan& child = analysis.spans[parent.children[0]];
+    const SpanNode& child = analysis.spans[parent.children[0]];
     return child.name == name ? &child : nullptr;
 }
 
@@ -98,8 +98,8 @@ TEST(TraceE2E, TracedSessionStitchesIntoOneCausalTree) {
     std::size_t opens = 0;
     std::size_t pushes = 0;
     for (const std::size_t root_index : analysis.roots) {
-        const RequestSpan& root = analysis.spans[root_index];
-        EXPECT_EQ(root.parent, hex16(0));
+        const SpanNode& root = analysis.spans[root_index];
+        EXPECT_EQ(root.parent, 0u);
         if (root.name == "serve.client_open") {
             ++opens;
             // Client verb -> daemon reader handling, same ids both sides.
@@ -108,7 +108,7 @@ TEST(TraceE2E, TracedSessionStitchesIntoOneCausalTree) {
         } else if (root.name == "serve.client_push") {
             ++pushes;
             // Client verb -> connection reader -> scorer: the full causal chain.
-            const RequestSpan* shard =
+            const SpanNode* shard =
                 only_child_named(analysis, root, "serve.shard_handle");
             ASSERT_NE(shard, nullptr);
             EXPECT_NE(only_child_named(analysis, *shard, "serve.score_push"),
@@ -127,15 +127,15 @@ TEST(TraceE2E, EnsemblePushReachesTheFusionScorer) {
         traced_session("stide/6+markov/4;fuse=vote", kTrace, /*pushes=*/1);
     const RequestAnalysis analysis = analyze(text, kTrace);
     // client_push -> shard_handle -> score_push -> fusion.score_members.
-    const RequestSpan* push = nullptr;
+    const SpanNode* push = nullptr;
     for (const std::size_t root_index : analysis.roots)
         if (analysis.spans[root_index].name == "serve.client_push")
             push = &analysis.spans[root_index];
     ASSERT_NE(push, nullptr);
-    const RequestSpan* shard =
+    const SpanNode* shard =
         only_child_named(analysis, *push, "serve.shard_handle");
     ASSERT_NE(shard, nullptr);
-    const RequestSpan* score =
+    const SpanNode* score =
         only_child_named(analysis, *shard, "serve.score_push");
     ASSERT_NE(score, nullptr);
     EXPECT_NE(only_child_named(analysis, *score, "fusion.score_members"),
@@ -149,8 +149,8 @@ TEST(TraceE2E, SpanIdsAreDeterministicAcrossIdenticalRuns) {
     // ids derive from (trace, parent, child index), never from time or
     // thread identity.
     const auto shape = [](const RequestAnalysis& analysis) {
-        std::vector<std::tuple<std::string, std::string, std::string>> rows;
-        for (const RequestSpan& span : analysis.spans)
+        std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>> rows;
+        for (const SpanNode& span : analysis.spans)
             rows.emplace_back(span.name, span.span, span.parent);
         std::sort(rows.begin(), rows.end());
         return rows;
@@ -208,7 +208,7 @@ TEST(TraceE2E, LastSpanIdNamesTheMostRecentWireSpan) {
     const RequestAnalysis analysis = analyze(capture.text(), kTrace);
     const auto is_push_root = [&](std::size_t index) {
         return analysis.spans[index].name == "serve.client_push" &&
-               analysis.spans[index].span == hex16(last);
+               analysis.spans[index].span == last;
     };
     EXPECT_TRUE(std::any_of(analysis.roots.begin(), analysis.roots.end(),
                             is_push_root));

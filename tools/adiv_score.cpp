@@ -205,15 +205,22 @@ int main(int argc, char** argv) {
             if (jobs > 1 && detector->window_local() && windows >= 2 * jobs) {
                 // Parallel path: overlapping chunks, responses spliced by
                 // window position. window_local() guarantees chunk seams
-                // change nothing.
+                // change nothing. Each chunk's span is child number
+                // w0 / chunk_windows of score.parallel, whichever worker
+                // runs it.
                 responses.resize(windows);
                 const std::size_t chunk_windows = (windows + jobs - 1) / jobs;
+                TraceSpan parallel_span("score.parallel");
+                const TraceContext parallel_ids = parallel_span.context();
                 ThreadPool pool(jobs);
                 TaskGroup group(pool);
                 for (std::size_t w0 = 0; w0 < windows; w0 += chunk_windows) {
                     const std::size_t count = std::min(chunk_windows, windows - w0);
                     group.run([&, w0, count] {
-                        TraceSpan chunk_span("score.chunk");
+                        TraceSpan chunk_span(
+                            "score.chunk",
+                            child_context(parallel_ids, w0 / chunk_windows),
+                            parallel_ids.span_id);
                         chunk_span.attr("first_window", static_cast<std::uint64_t>(w0))
                             .attr("windows", static_cast<std::uint64_t>(count));
                         const EventStream chunk = test.slice(w0, count + dw - 1);

@@ -4,19 +4,20 @@
 //   adiv_traceview --json run.trace.jsonl other.trace.jsonl
 //   some_tool --trace - 2>&1 | adiv_traceview -
 //
-// Prints one row per span name — count, total time, self time (total minus
-// direct children, reconstructed from the depth column), and exact
-// nearest-rank p50/p95/p99/max — sorted by total time; then one section per
-// run manifest with its critical path (the longest-child chain under the
-// longest root span). --json emits the same content as one JSON document,
-// spans sorted by name. Malformed lines are counted and reported, never
-// fatal, so a trace cut off mid-line still analyzes.
+// Both views read one tree: spans linked to their parents by the ids every
+// traced span carries (obs/traceview.hpp). The span view prints one row per
+// span name — count, total time, self time (total minus direct children),
+// and exact nearest-rank p50/p95/p99/max — sorted by total time; then one
+// section per run manifest with its summed root time and critical path
+// (the longest-child chain under the longest root span). --json emits the
+// same content as one JSON document, spans sorted by name. Malformed lines
+// are counted, never fatal, and spans that never ended are closed at their
+// run's last timestamp and counted, so a cut-off trace still analyzes.
 //
 // --request TRACEID switches to the request view: the causal tree of one
-// traced request (see obs/trace.hpp), stitched across files by the 16-hex
-// trace/span/parent ids — pass both the client's and the daemon's trace
-// files and the client verb span parents the daemon's handling spans.
-// Combines with --json.
+// traced request, linked across files — pass both the client's and the
+// daemon's trace files and the client verb span parents the daemon's
+// handling spans. Combines with --json.
 //
 //   adiv_traceview --request 9b2f... client.jsonl daemon.jsonl
 #include <cstdio>

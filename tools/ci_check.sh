@@ -18,7 +18,10 @@
 #                                       # experiment (--trace + periodic
 #                                       # --metrics-interval snapshots),
 #                                       # analyze the trace with
-#                                       # adiv_traceview, scrape a live
+#                                       # adiv_traceview (one tree: the
+#                                       # plan parents its workers' spans,
+#                                       # and the setup spans plus the plan
+#                                       # are the run's roots), scrape a live
 #                                       # daemon (METRICS verb + HTTP
 #                                       # GET /metrics, exposition validated),
 #                                       # then churn 2,100 scrapes and 5,100
@@ -227,8 +230,22 @@ if [ "$obs_smoke" -eq 1 ]; then
     grep -q 'critical path:' "$smoke_dir/traceview.txt" || {
         echo "obs smoke: traceview found no critical path" >&2; exit 1; }
     ./build/tools/adiv_traceview --json "$smoke_dir/trace.jsonl" \
-        | grep -q '"skipped":0' || {
+        > "$smoke_dir/traceview.json"
+    grep -q '"skipped":0' "$smoke_dir/traceview.json" || {
         echo "obs smoke: traceview skipped lines of its own trace" >&2; exit 1; }
+    # One tree: the plan parents its workers' spans, and the run's roots are
+    # the setup spans plus the plan.
+    python3 - "$smoke_dir/traceview.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+spans = {row["name"]: row for row in doc["spans"]}
+plan = spans["engine.plan"]
+roots = sum(spans[n]["total_s"] for n in ("datagen.corpus", "experiment.suite", "engine.plan"))
+if not plan["self_s"] < plan["total_s"]:
+    sys.exit("obs smoke: engine.plan has no child spans")
+if abs(doc["runs"][0]["root_total_s"] - roots) > 1e-6:
+    sys.exit("obs smoke: the run's roots are not datagen.corpus, experiment.suite, engine.plan")
+PY
 
     echo "-- obs smoke: daemon scrape (METRICS verb + HTTP GET /metrics) --"
     ./build/tools/adiv_train --demo-trace "$smoke_dir/demo.trace"
