@@ -70,7 +70,7 @@ BENCHMARK_CAPTURE(BM_DetectorTrain, markov, DetectorKind::Markov)
 BENCHMARK_CAPTURE(BM_DetectorTrain, lane_brodley, DetectorKind::LaneBrodley)
     ->Arg(2)->Arg(6)->Arg(15)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DetectorTrain, neural_net, DetectorKind::NeuralNet)
-    ->Arg(2)->Arg(6)->Unit(benchmark::kMillisecond);
+    ->Arg(2)->Arg(6)->Arg(15)->Unit(benchmark::kMillisecond);
 
 void BM_DetectorScore(benchmark::State& state, DetectorKind kind) {
     const auto dw = static_cast<std::size_t>(state.range(0));

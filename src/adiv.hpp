@@ -35,6 +35,7 @@
 #include "seq/alphabet.hpp"
 #include "seq/conditional_model.hpp"
 #include "seq/ngram.hpp"
+#include "seq/ngram_map.hpp"
 #include "seq/ngram_table.hpp"
 #include "seq/stats.hpp"
 #include "seq/stream.hpp"

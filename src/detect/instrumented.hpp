@@ -6,8 +6,8 @@
 // Per score() call: a "detect.score" span plus `detect.score_calls` /
 // `detect.score_windows` counters and a `detect.score_us` sketch. With
 // the default null trace sink a span formats nothing and costs, once per
-// train() or score() call, a clock read, a virtual call, and one lock of
-// the global-sink mutex with a shared_ptr copy (obs/trace.hpp).
+// train() or score() call, a clock read and one atomic load, no lock
+// (obs/trace.hpp).
 //
 // Persistence: io/model_io unwraps the decorator and saves the inner
 // detector, so an instrumented detector round-trips like a bare one.

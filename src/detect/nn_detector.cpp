@@ -29,18 +29,17 @@ void NnDetector::train(const EventStream& training) {
     const ConditionalModel model(training, context_len);
     codec_.emplace(alphabet);  // the model checked DW against its capacity
 
-    std::vector<MlpSample> batch;
-    const auto distributions = model.distributions();
-    batch.reserve(distributions.size());
-    for (const ContextDistribution& dist : distributions) {
-        MlpSample sample;
-        sample.input = one_hot_context(dist.context, alphabet);
-        sample.target.resize(alphabet);
+    // One packed sample per distinct context, in distributions() order: its
+    // one-hot positions, its continuation distribution, its log weight.
+    MlpBatch batch(one_hot_size(context_len, alphabet), alphabet);
+    const std::vector<double> ones(context_len, 1.0);
+    std::vector<double> target(alphabet);
+    for (const ContextDistribution& dist : model.distributions()) {
         for (std::size_t c = 0; c < alphabet; ++c)
-            sample.target[c] = static_cast<double>(dist.next_counts[c]) /
-                               static_cast<double>(dist.total);
-        sample.weight = std::log2(1.0 + static_cast<double>(dist.total));
-        batch.push_back(std::move(sample));
+            target[c] = static_cast<double>(dist.next_counts[c]) /
+                        static_cast<double>(dist.total);
+        batch.add(one_hot_indices(dist.context, alphabet), ones, target,
+                  std::log2(1.0 + static_cast<double>(dist.total)));
     }
 
     MlpConfig net_config;

@@ -12,6 +12,10 @@ namespace adiv {
 /// inside the alphabet.
 std::vector<double> one_hot_context(SymbolView context, std::size_t alphabet_size);
 
+/// The positions of one_hot_context(context, alphabet_size)'s ones,
+/// ascending: k*N + context[k] for each k.
+std::vector<std::size_t> one_hot_indices(SymbolView context, std::size_t alphabet_size);
+
 /// Input-vector size for contexts of the given length.
 inline std::size_t one_hot_size(std::size_t context_length,
                                 std::size_t alphabet_size) noexcept {

@@ -9,11 +9,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     require(rows > 0 && cols > 0, "matrix dimensions must be positive");
 }
 
-void Matrix::randomize(Rng& rng, double scale) {
-    require(scale >= 0.0, "randomize scale must be non-negative");
-    for (double& v : data_) v = rng.uniform(-scale, scale);
-}
-
 void Matrix::multiply(std::span<const double> x, std::span<double> y) const {
     require(x.size() == cols_ && y.size() == rows_, "matrix multiply shape mismatch");
     for (std::size_t r = 0; r < rows_; ++r) {
@@ -28,19 +23,9 @@ void Matrix::multiply_transposed(std::span<const double> x,
                                  std::span<double> y) const {
     require(x.size() == rows_ && y.size() == cols_,
             "matrix transposed-multiply shape mismatch");
-    for (std::size_t c = 0; c < cols_; ++c) y[c] = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double xr = x[r];
-        if (xr == 0.0) continue;
-        const double* w = &data_[r * cols_];
-        for (std::size_t c = 0; c < cols_; ++c) y[c] += w[c] * xr;
-    }
-}
-
-void Matrix::add_scaled(const Matrix& other, double alpha) {
-    require(rows_ == other.rows_ && cols_ == other.cols_,
-            "matrix add shape mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
+    for (double& v : y) v = 0.0;
+    for (std::size_t r = 0; r < rows_; ++r)
+        if (x[r] != 0.0) axpy(x[r], row(r), y);
 }
 
 }  // namespace adiv

@@ -7,9 +7,28 @@
 #include <span>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace adiv {
+
+namespace detail {
+/// The loop behind axpy(). GCC's -O2 vectorizer takes it only as written:
+/// `__restrict` on parameters (it ignores restrict-qualified locals), so no
+/// run-time overlap check is needed, and an even main trip count, because
+/// that cost model allows no scalar epilogue; an odd last element is done
+/// on its own.
+inline void axpy_n(double alpha, const double* __restrict x, double* __restrict y,
+                   std::size_t n) noexcept {
+    const std::size_t even = n & ~std::size_t{1};
+    for (std::size_t i = 0; i < even; ++i) y[i] += alpha * x[i];
+    if (even != n) y[even] += alpha * x[even];
+}
+}  // namespace detail
+
+/// y += alpha * x, element by element; x and y must not overlap and x must
+/// hold at least y.size() elements. Each element is one multiply and one
+/// add of its own, so vectorizing the loop changes no result bit.
+inline void axpy(double alpha, std::span<const double> x, std::span<double> y) noexcept {
+    detail::axpy_n(alpha, x.data(), y.data(), y.size());
+}
 
 class Matrix {
 public:
@@ -40,17 +59,12 @@ public:
         for (double& v : data_) v = value;
     }
 
-    /// Fills with uniform values in [-scale, scale]; used for weight init.
-    void randomize(Rng& rng, double scale);
-
     /// y = W x (y sized rows()). Requires x.size() == cols().
     void multiply(std::span<const double> x, std::span<double> y) const;
 
-    /// y = W^T x (y sized cols()). Requires x.size() == rows().
+    /// y = W^T x (y sized cols()), as one axpy per row whose x is nonzero:
+    /// y[c] sums its terms in row order. Requires x.size() == rows().
     void multiply_transposed(std::span<const double> x, std::span<double> y) const;
-
-    /// this += alpha * other. Requires identical shape.
-    void add_scaled(const Matrix& other, double alpha);
 
 private:
     std::size_t rows_ = 0;

@@ -23,6 +23,24 @@ namespace {
 double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
 }  // namespace
 
+MlpBatch::MlpBatch(std::size_t input_size, std::size_t output_size)
+    : input_size_(input_size), output_size_(output_size) {}
+
+void MlpBatch::add(std::span<const std::size_t> indices, std::span<const double> values,
+                   std::span<const double> target, double weight) {
+    require(values.size() == indices.size(), "sample needs one value per input index");
+    for (std::size_t k = 0; k < indices.size(); ++k)
+        require(indices[k] < input_size_ && (k == 0 || indices[k - 1] < indices[k]),
+                "sample input indices must ascend and stay below the input size");
+    require(target.size() == output_size_, "sample target size mismatch");
+    require(weight > 0.0, "sample weight must be positive");
+    indices_.insert(indices_.end(), indices.begin(), indices.end());
+    values_.insert(values_.end(), values.begin(), values.end());
+    offsets_.push_back(indices_.size());
+    targets_.insert(targets_.end(), target.begin(), target.end());
+    weights_.push_back(weight);
+}
+
 Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
     require(config_.layer_sizes.size() >= 2,
             "network needs at least input and output layers");
@@ -31,6 +49,7 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
     require(config_.learning_rate > 0.0, "learning rate must be positive");
     require(config_.momentum >= 0.0 && config_.momentum < 1.0,
             "momentum must be in [0,1)");
+    require(config_.init_scale >= 0.0, "init scale must be non-negative");
 
     Rng rng(config_.seed);
     layers_.reserve(config_.layer_sizes.size() - 1);
@@ -38,37 +57,36 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
         Layer layer;
         const std::size_t in = config_.layer_sizes[i];
         const std::size_t out = config_.layer_sizes[i + 1];
-        layer.weights = Matrix(out, in);
-        layer.weights.randomize(rng, config_.init_scale);
+        layer.weights = Matrix(in, out);
+        // Drawn in parameters() order (row-major out x in), so a seed gives
+        // the same network whatever the storage layout.
+        for (std::size_t r = 0; r < out; ++r)
+            for (std::size_t c = 0; c < in; ++c)
+                layer.weights.at(c, r) =
+                    rng.uniform(-config_.init_scale, config_.init_scale);
         layer.bias.assign(out, 0.0);
-        layer.weight_velocity = Matrix(out, in);
+        layer.weight_velocity = Matrix(in, out);
         layer.bias_velocity.assign(out, 0.0);
         layers_.push_back(std::move(layer));
     }
 }
 
-void Mlp::forward_internal(std::span<const double> input, Workspace& ws) const {
-    require(input.size() == input_size(), "input size mismatch");
-    ws.nonzero.clear();
-    for (std::size_t c = 0; c < input.size(); ++c)
-        if (input[c] != 0.0) ws.nonzero.push_back(c);
+void Mlp::forward_internal(std::span<const std::size_t> indices,
+                           std::span<const double> values, Workspace& ws) const {
     ws.activations.resize(layers_.size());
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const Layer& layer = layers_[i];
         std::vector<double>& z = ws.activations[i];
-        z.resize(layer.weights.rows());
+        z.resize(layer.weights.cols());
         if (i == 0) {
-            // Bit-identical to weights.multiply(input, z): each skipped term
-            // w * 0 is an exact +-0, and adding +-0 to a sum that starts at
-            // +0 changes nothing (finite weights, no FMA contraction).
-            for (std::size_t r = 0; r < z.size(); ++r) {
-                const auto w = layer.weights.row(r);
-                double acc = 0.0;
-                for (const std::size_t c : ws.nonzero) acc += w[c] * input[c];
-                z[r] = acc;
-            }
+            // Bit-identical to the dense product: each skipped term w * 0 is
+            // an exact +-0, and adding +-0 to a sum that starts at +0 changes
+            // nothing (finite weights, no FMA contraction).
+            std::fill(z.begin(), z.end(), 0.0);
+            for (std::size_t k = 0; k < indices.size(); ++k)
+                axpy(values[k], layer.weights.row(indices[k]), z);
         } else {
-            layer.weights.multiply(ws.activations[i - 1], z);
+            layer.weights.multiply_transposed(ws.activations[i - 1], z);
         }
         for (std::size_t r = 0; r < z.size(); ++r) z[r] += layer.bias[r];
         if (i + 1 == layers_.size()) {
@@ -80,98 +98,101 @@ void Mlp::forward_internal(std::span<const double> input, Workspace& ws) const {
 }
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
+    require(input.size() == input_size(), "input size mismatch");
     Workspace ws;
-    forward_internal(input, ws);
+    for (std::size_t c = 0; c < input.size(); ++c) {
+        if (input[c] == 0.0) continue;
+        ws.indices.push_back(c);
+        ws.values.push_back(input[c]);
+    }
+    forward_internal(ws.indices, ws.values, ws);
     return std::move(ws.activations.back());
 }
 
-double Mlp::loss(std::span<const MlpSample> batch) const {
-    require(!batch.empty(), "loss over empty batch");
+void Mlp::check_batch(const MlpBatch& batch) const {
+    require(batch.size() > 0, "empty batch");
+    require(batch.input_size() == input_size() && batch.output_size() == output_size(),
+            "batch shape does not match the network");
+}
+
+double Mlp::loss(const MlpBatch& batch) const {
+    check_batch(batch);
     double total_weight = 0.0;
     double total_loss = 0.0;
     Workspace ws;
-    for (const MlpSample& sample : batch) {
-        forward_internal(sample.input, ws);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        forward_internal(batch.indices(i), batch.values(i), ws);
         const std::vector<double>& y = ws.activations.back();
+        const auto target = batch.target(i);
         double ce = 0.0;
         for (std::size_t c = 0; c < y.size(); ++c) {
-            if (sample.target[c] > 0.0)
-                ce -= sample.target[c] * std::log(std::max(y[c], 1e-300));
+            if (target[c] > 0.0) ce -= target[c] * std::log(std::max(y[c], 1e-300));
         }
-        total_loss += sample.weight * ce;
-        total_weight += sample.weight;
+        total_loss += batch.weight(i) * ce;
+        total_weight += batch.weight(i);
     }
     return total_loss / total_weight;
 }
 
-double Mlp::train_epoch(std::span<const MlpSample> batch) {
-    require(!batch.empty(), "training over empty batch");
-
-    std::vector<Matrix> weight_grads;
-    std::vector<std::vector<double>> bias_grads;
-    weight_grads.reserve(layers_.size());
-    bias_grads.reserve(layers_.size());
-    for (const Layer& layer : layers_) {
-        weight_grads.emplace_back(layer.weights.rows(), layer.weights.cols());
-        bias_grads.emplace_back(layer.bias.size(), 0.0);
+void Mlp::step(const MlpBatch& batch, Workspace& ws, double* loss) {
+    if (ws.weight_grads.empty()) {
+        for (const Layer& layer : layers_) {
+            ws.weight_grads.emplace_back(layer.weights.rows(), layer.weights.cols());
+            ws.bias_grads.emplace_back(layer.bias.size(), 0.0);
+        }
+    } else {
+        for (Matrix& g : ws.weight_grads) g.fill(0.0);
+        for (std::vector<double>& g : ws.bias_grads) std::fill(g.begin(), g.end(), 0.0);
     }
 
+    // Each gradient element gains one term per sample, in batch order, as in
+    // the row-major network. Skipping a zero delta there added nothing: a
+    // +-0 term leaves a sum that starts at +0 unchanged.
     double total_weight = 0.0;
     double total_loss = 0.0;
-    Workspace ws;
-    std::vector<double> delta;
-    std::vector<double> prev_delta;
-    for (const MlpSample& sample : batch) {
-        require(sample.input.size() == input_size(), "sample input size mismatch");
-        require(sample.target.size() == output_size(), "sample target size mismatch");
-        require(sample.weight > 0.0, "sample weight must be positive");
-        forward_internal(sample.input, ws);
+    std::vector<double>& delta = ws.delta;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto indices = batch.indices(i);
+        const auto values = batch.values(i);
+        const auto target = batch.target(i);
+        const double weight = batch.weight(i);
+        forward_internal(indices, values, ws);
         const std::vector<double>& y = ws.activations.back();
-        for (std::size_t c = 0; c < y.size(); ++c)
-            if (sample.target[c] > 0.0)
-                total_loss -=
-                    sample.weight * sample.target[c] * std::log(std::max(y[c], 1e-300));
-        total_weight += sample.weight;
+        if (loss != nullptr) {
+            for (std::size_t c = 0; c < y.size(); ++c)
+                if (target[c] > 0.0)
+                    total_loss -= weight * target[c] * std::log(std::max(y[c], 1e-300));
+        }
+        total_weight += weight;
 
         // Softmax + cross-entropy: output delta is (y - t), scaled by weight.
         delta.resize(y.size());
-        for (std::size_t c = 0; c < y.size(); ++c)
-            delta[c] = sample.weight * (y[c] - sample.target[c]);
+        for (std::size_t c = 0; c < y.size(); ++c) delta[c] = weight * (y[c] - target[c]);
 
         for (std::size_t li = layers_.size() - 1; li > 0; --li) {
             const std::vector<double>& in_act = ws.activations[li - 1];
-            Matrix& wg = weight_grads[li];
-            std::vector<double>& bg = bias_grads[li];
-            for (std::size_t r = 0; r < delta.size(); ++r) {
-                const double d = delta[r];
-                if (d == 0.0) continue;
-                auto row = wg.row(r);
-                for (std::size_t c = 0; c < in_act.size(); ++c)
-                    row[c] += d * in_act[c];
-                bg[r] += d;
-            }
-            prev_delta.resize(in_act.size());
-            layers_[li].weights.multiply_transposed(delta, prev_delta);
-            for (std::size_t c = 0; c < prev_delta.size(); ++c)
-                prev_delta[c] *= in_act[c] * (1.0 - in_act[c]);  // sigmoid'
-            std::swap(delta, prev_delta);
+            Matrix& wg = ws.weight_grads[li];
+            for (std::size_t c = 0; c < in_act.size(); ++c)
+                axpy(in_act[c], delta, wg.row(c));
+            std::vector<double>& bg = ws.bias_grads[li];
+            for (std::size_t r = 0; r < delta.size(); ++r) bg[r] += delta[r];
+            ws.prev_delta.resize(in_act.size());
+            layers_[li].weights.multiply(delta, ws.prev_delta);
+            for (std::size_t c = 0; c < in_act.size(); ++c)
+                ws.prev_delta[c] *= in_act[c] * (1.0 - in_act[c]);  // sigmoid'
+            std::swap(delta, ws.prev_delta);
         }
-        // Layer 0: only the input's nonzero columns take gradient. d * 0 is
-        // an exact +-0, which leaves the +0-initialized sums unchanged.
-        for (std::size_t r = 0; r < delta.size(); ++r) {
-            const double d = delta[r];
-            if (d == 0.0) continue;
-            auto row = weight_grads[0].row(r);
-            for (const std::size_t c : ws.nonzero) row[c] += d * sample.input[c];
-            bias_grads[0][r] += d;
-        }
+        // Layer 0: only the input's nonzero rows take gradient.
+        for (std::size_t k = 0; k < indices.size(); ++k)
+            axpy(values[k], delta, ws.weight_grads[0].row(indices[k]));
+        for (std::size_t r = 0; r < delta.size(); ++r) ws.bias_grads[0][r] += delta[r];
     }
 
     const double step = config_.learning_rate / total_weight;
     for (std::size_t li = 0; li < layers_.size(); ++li) {
         Layer& layer = layers_[li];
         auto vel = layer.weight_velocity.flat();
-        auto grad = weight_grads[li].flat();
+        auto grad = ws.weight_grads[li].flat();
         auto w = layer.weights.flat();
         for (std::size_t i = 0; i < vel.size(); ++i) {
             vel[i] = config_.momentum * vel[i] - step * grad[i];
@@ -179,23 +200,34 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
         }
         for (std::size_t r = 0; r < layer.bias.size(); ++r) {
             layer.bias_velocity[r] =
-                config_.momentum * layer.bias_velocity[r] - step * bias_grads[li][r];
+                config_.momentum * layer.bias_velocity[r] - step * ws.bias_grads[li][r];
             layer.bias[r] += layer.bias_velocity[r];
         }
     }
-    return total_loss / total_weight;
+    if (loss != nullptr) *loss = total_loss / total_weight;
 }
 
-double Mlp::train(std::span<const MlpSample> batch, std::size_t epochs) {
-    for (std::size_t e = 0; e < epochs; ++e) train_epoch(batch);
+double Mlp::train_epoch(const MlpBatch& batch) {
+    check_batch(batch);
+    Workspace ws;
+    double pre_step_loss = 0.0;
+    step(batch, ws, &pre_step_loss);
+    return pre_step_loss;
+}
+
+double Mlp::train(const MlpBatch& batch, std::size_t epochs) {
+    check_batch(batch);
+    Workspace ws;
+    for (std::size_t e = 0; e < epochs; ++e) step(batch, ws, nullptr);
     return loss(batch);
 }
 
 std::vector<double> Mlp::parameters() const {
     std::vector<double> out;
     for (const Layer& layer : layers_) {
-        const auto flat = layer.weights.flat();
-        out.insert(out.end(), flat.begin(), flat.end());
+        for (std::size_t r = 0; r < layer.weights.cols(); ++r)
+            for (std::size_t c = 0; c < layer.weights.rows(); ++c)
+                out.push_back(layer.weights.at(c, r));
         out.insert(out.end(), layer.bias.begin(), layer.bias.end());
     }
     return out;
@@ -204,13 +236,11 @@ std::vector<double> Mlp::parameters() const {
 void Mlp::set_parameters(std::span<const double> params) {
     std::size_t offset = 0;
     for (Layer& layer : layers_) {
-        auto flat = layer.weights.flat();
-        require(offset + flat.size() + layer.bias.size() <= params.size(),
+        Matrix& w = layer.weights;
+        require(offset + w.flat().size() + layer.bias.size() <= params.size(),
                 "parameter vector too short");
-        std::copy(params.begin() + static_cast<std::ptrdiff_t>(offset),
-                  params.begin() + static_cast<std::ptrdiff_t>(offset + flat.size()),
-                  flat.begin());
-        offset += flat.size();
+        for (std::size_t r = 0; r < w.cols(); ++r)
+            for (std::size_t c = 0; c < w.rows(); ++c) w.at(c, r) = params[offset++];
         std::copy(params.begin() + static_cast<std::ptrdiff_t>(offset),
                   params.begin() +
                       static_cast<std::ptrdiff_t>(offset + layer.bias.size()),

@@ -8,6 +8,14 @@
 // SOFT targets (the empirical distribution of continuations for a context)
 // and weights (how often the context occurs), so the whole training stream is
 // compressed into its distinct contexts without changing the optimum.
+//
+// Layout: each layer's weights are stored input-major (row c holds input c's
+// outgoing weights), and training reads a packed batch that keeps only each
+// sample's nonzero inputs. Every forward product and every weight-gradient
+// accumulation is then an axpy over a contiguous row, and each weight's sum
+// still takes its terms in the order of the plain row-major network, so the
+// results match that network bit for bit. parameters() keeps the row-major
+// out x in order.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +36,45 @@ struct MlpConfig {
     std::uint64_t seed = 7;       ///< weight-init seed
 };
 
-/// One weighted training sample with a soft target distribution.
-struct MlpSample {
-    std::vector<double> input;    ///< size = input layer
-    std::vector<double> target;   ///< size = output layer; sums to 1
-    double weight = 1.0;          ///< relative contribution to the batch loss
+/// Weighted training samples with soft target distributions, packed: each
+/// sample keeps only its nonzero inputs (the detectors feed one-hot
+/// contexts, mostly zeros) as ascending (index, value) pairs, and targets and
+/// weights sit in flat arrays.
+class MlpBatch {
+public:
+    MlpBatch(std::size_t input_size, std::size_t output_size);
+
+    /// Appends a sample whose nonzero inputs are values[k] at indices[k].
+    /// Requires ascending indices below input_size(), as many values as
+    /// indices, output_size() targets (a distribution) and a positive weight.
+    void add(std::span<const std::size_t> indices, std::span<const double> values,
+             std::span<const double> target, double weight);
+
+    [[nodiscard]] std::size_t size() const noexcept { return weights_.size(); }
+    [[nodiscard]] std::size_t input_size() const noexcept { return input_size_; }
+    [[nodiscard]] std::size_t output_size() const noexcept { return output_size_; }
+
+    /// Sample i's nonzero input indices (ascending) and their values.
+    [[nodiscard]] std::span<const std::size_t> indices(std::size_t i) const noexcept {
+        return std::span(indices_).subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
+    }
+    [[nodiscard]] std::span<const double> values(std::size_t i) const noexcept {
+        return std::span(values_).subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
+    }
+    [[nodiscard]] std::span<const double> target(std::size_t i) const noexcept {
+        return std::span(targets_).subspan(i * output_size_, output_size_);
+    }
+    /// Relative contribution of sample i to the batch loss.
+    [[nodiscard]] double weight(std::size_t i) const noexcept { return weights_[i]; }
+
+private:
+    std::size_t input_size_;
+    std::size_t output_size_;
+    std::vector<std::size_t> offsets_{0};  // sample i: [offsets_[i], offsets_[i + 1])
+    std::vector<std::size_t> indices_;
+    std::vector<double> values_;
+    std::vector<double> targets_;  // size() x output_size()
+    std::vector<double> weights_;
 };
 
 class Mlp {
@@ -51,36 +93,50 @@ public:
     [[nodiscard]] std::vector<double> forward(std::span<const double> input) const;
 
     /// Weighted mean cross-entropy of the batch under current weights.
-    [[nodiscard]] double loss(std::span<const MlpSample> batch) const;
+    [[nodiscard]] double loss(const MlpBatch& batch) const;
 
     /// One full-batch gradient step with momentum; returns the pre-step loss.
-    double train_epoch(std::span<const MlpSample> batch);
+    double train_epoch(const MlpBatch& batch);
 
-    /// Runs `epochs` epochs; returns the final loss().
-    double train(std::span<const MlpSample> batch, std::size_t epochs);
+    /// Runs `epochs` steps, computing no per-step loss; returns the final
+    /// loss().
+    double train(const MlpBatch& batch, std::size_t epochs);
 
-    /// Flattened weights (for gradient checking and tests).
+    /// Flattened weights, per layer the out x in weights row-major and then
+    /// the biases (for gradient checking, tests and saved models).
     [[nodiscard]] std::vector<double> parameters() const;
     void set_parameters(std::span<const double> params);
 
 private:
     struct Layer {
-        Matrix weights;        // out x in
+        Matrix weights;  // in x out: row c holds input c's outgoing weights
         std::vector<double> bias;
         Matrix weight_velocity;
         std::vector<double> bias_velocity;
     };
 
-    /// Per-sample scratch, reused across samples so a pass allocates
-    /// nothing once warm.
+    /// Scratch reused across samples and steps, so a pass allocates nothing
+    /// once warm.
     struct Workspace {
-        std::vector<std::size_t> nonzero;  // input indices with x != 0, ascending
+        std::vector<std::size_t> indices;  // forward(): the input's nonzeros
+        std::vector<double> values;
         std::vector<std::vector<double>> activations;  // [i] = layer i's output
+        std::vector<Matrix> weight_grads;              // shaped like the weights
+        std::vector<std::vector<double>> bias_grads;
+        std::vector<double> delta;
+        std::vector<double> prev_delta;
     };
 
-    /// Forward pass for one input. Layer 0 reads only the input's nonzero
-    /// entries (the detectors feed one-hot contexts, mostly zeros).
-    void forward_internal(std::span<const double> input, Workspace& ws) const;
+    /// Forward pass for one input given by its nonzero entries.
+    void forward_internal(std::span<const std::size_t> indices,
+                          std::span<const double> values, Workspace& ws) const;
+
+    /// One full-batch step; when `loss` is non-null, stores the pre-step
+    /// loss there.
+    void step(const MlpBatch& batch, Workspace& ws, double* loss);
+
+    /// Requires the batch to be non-empty and shaped for this network.
+    void check_batch(const MlpBatch& batch) const;
 
     MlpConfig config_;
     std::vector<Layer> layers_;

@@ -22,6 +22,10 @@ thread_local std::uint64_t t_child_index = 0;
 // Root spans opened so far; the next root's trace id derives from it.
 std::atomic<std::uint64_t> g_roots_opened{0};
 
+// The installed global sink's enabled(), so a span on the default null sink
+// skips the mutex and the shared_ptr copy. Written under global_sink_mutex().
+std::atomic<bool> g_global_sink_enabled{false};
+
 std::mutex& global_sink_mutex() {
     static std::mutex m;
     return m;
@@ -71,6 +75,7 @@ std::shared_ptr<TraceSink> open_trace_sink(const std::string& spec) {
 std::shared_ptr<TraceSink> set_global_trace_sink(std::shared_ptr<TraceSink> sink) {
     if (!sink) sink = std::make_shared<NullTraceSink>();
     const std::lock_guard<std::mutex> lock(global_sink_mutex());
+    g_global_sink_enabled.store(sink->enabled());
     std::swap(global_sink_slot(), sink);
     return sink;  // the previous sink
 }
@@ -140,7 +145,10 @@ TraceSpan::TraceSpan(std::string_view name, TraceContext context,
 }
 
 void TraceSpan::open(std::string_view name) {
-    if (!sink_) sink_ = global_trace_sink();
+    if (!sink_) {
+        if (!g_global_sink_enabled.load()) return;  // emit_ stays false
+        sink_ = global_trace_sink();
+    }
     emit_ = sink_->enabled();
     if (!emit_) return;
     if (!context_.active()) {

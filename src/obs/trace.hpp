@@ -21,11 +21,11 @@
 // (ScopedTraceContext) around the connection reader's handling.
 //
 // Lines go to a pluggable TraceSink; the process-global one defaults to a
-// null sink. On a null sink a span formats nothing, derives no id and
-// touches no thread-local state. It still pays a clock read, a virtual
-// enabled() call and, unless the sink is passed in, one lock of the
-// global-sink mutex plus a shared_ptr copy (an atomic increment, and a
-// decrement when the span ends).
+// null sink. On a null sink a span formats nothing, derives no id, touches
+// no thread-local state and takes no lock: it costs a clock read (its
+// Stopwatch member) and, opened without a sink while the global one is
+// null, one atomic load of a flag that set_global_trace_sink() keeps, or,
+// opened with a null sink passed in, one virtual enabled() call.
 #pragma once
 
 #include <cstdint>
@@ -99,7 +99,9 @@ private:
 std::shared_ptr<TraceSink> open_trace_sink(const std::string& spec);
 
 /// Global sink used by spans constructed without an explicit sink. Passing
-/// nullptr restores the null sink. Returns the previous sink.
+/// nullptr restores the null sink. Returns the previous sink. The new sink's
+/// enabled() is read once, here: a span opened without a sink while it was
+/// false goes to no sink at all.
 std::shared_ptr<TraceSink> set_global_trace_sink(std::shared_ptr<TraceSink> sink);
 std::shared_ptr<TraceSink> global_trace_sink();
 

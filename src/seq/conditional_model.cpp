@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "seq/ngram_table.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -16,16 +17,17 @@ ConditionalModel::ConditionalModel(const EventStream& train, std::size_t context
     require_data(train.size() >= context_length + 1,
                  "training stream shorter than one context+continuation window");
 
-    const SymbolView all = train.view();
-    const NgramKey mask = codec_.mask_for(context_length_);
-    NgramKey key = codec_.encode(all.subspan(0, context_length_));
-    for (std::size_t pos = context_length_; pos < all.size(); ++pos) {
-        Entry& entry = by_context_[key];
-        if (entry.next_counts.empty()) entry.next_counts.assign(alphabet_size_, 0);
-        ++entry.next_counts[all[pos]];
-        ++entry.total;
-        key = codec_.slide(key, all[pos], mask);
-    }
+    // A (context+1)-gram's key is its context's key shifted up by one symbol,
+    // with the continuation in the low bits.
+    const NgramTable grams = NgramTable::from_stream(train, context_length_ + 1);
+    const unsigned bits = codec_.bits_per_symbol();
+    const NgramKey symbol_mask = (NgramKey{1} << bits) - 1;
+    grams.for_each([&](NgramKey gram, std::uint64_t count) {
+        const std::size_t row = row_for(gram >> bits);
+        next_counts_[row * alphabet_size_ + static_cast<std::size_t>(gram & symbol_mask)] +=
+            count;
+        totals_[row] += count;
+    });
 }
 
 ConditionalModel::ConditionalModel(
@@ -46,65 +48,83 @@ ConditionalModel::ConditionalModel(
         for (std::uint64_t c : dist.next_counts) sum += c;
         require(sum == dist.total && sum > 0,
                 "distribution total does not match its continuation counts");
-        Entry& entry = by_context_[codec_.encode(dist.context)];
-        require(entry.next_counts.empty(), "duplicate context in distributions");
-        entry.next_counts = dist.next_counts;
-        entry.total = dist.total;
+        const std::size_t rows = totals_.size();
+        const std::size_t row = row_for(codec_.encode(dist.context));
+        require(row == rows, "duplicate context in distributions");
+        std::copy(dist.next_counts.begin(), dist.next_counts.end(),
+                  next_counts_.begin() + static_cast<std::ptrdiff_t>(row * alphabet_size_));
+        totals_[row] = dist.total;
     }
-    require_data(!by_context_.empty(), "cannot restore an empty model");
+    require_data(!totals_.empty(), "cannot restore an empty model");
+}
+
+std::size_t ConditionalModel::row_for(NgramKey context) {
+    const std::size_t known = row_of_.size();
+    std::uint64_t& row = row_of_[context];
+    if (row_of_.size() != known) {
+        row = totals_.size();
+        totals_.push_back(0);
+        next_counts_.resize(next_counts_.size() + alphabet_size_, 0);
+    }
+    return static_cast<std::size_t>(row);
+}
+
+const std::uint64_t* ConditionalModel::find_row(SymbolView context) const {
+    require(context.size() == context_length_, "context length mismatch");
+    return row_of_.find(codec_.encode(context));
 }
 
 double ConditionalModel::probability(SymbolView context, Symbol next) const {
-    require(context.size() == context_length_, "context length mismatch");
-    const auto it = by_context_.find(codec_.encode(context));
-    if (it == by_context_.end()) return 0.0;
-    return static_cast<double>(it->second.next_counts[next]) /
-           static_cast<double>(it->second.total);
+    const std::uint64_t* row = find_row(context);
+    if (row == nullptr) return 0.0;
+    return static_cast<double>(next_counts_[*row * alphabet_size_ + next]) /
+           static_cast<double>(totals_[*row]);
 }
 
 double ConditionalModel::probability_smoothed(SymbolView context, Symbol next,
                                               double alpha) const {
-    require(context.size() == context_length_, "context length mismatch");
+    const std::uint64_t* row = find_row(context);
     require(alpha >= 0.0, "smoothing pseudo-count must be non-negative");
-    const auto it = by_context_.find(codec_.encode(context));
     const double numerator_count =
-        it == by_context_.end() ? 0.0 : static_cast<double>(it->second.next_counts[next]);
+        row == nullptr ? 0.0
+                       : static_cast<double>(next_counts_[*row * alphabet_size_ + next]);
     const double denominator_count =
-        it == by_context_.end() ? 0.0 : static_cast<double>(it->second.total);
+        row == nullptr ? 0.0 : static_cast<double>(totals_[*row]);
     const double denom = denominator_count + alpha * static_cast<double>(alphabet_size_);
     if (denom == 0.0) return 0.0;
     return (numerator_count + alpha) / denom;
 }
 
 std::uint64_t ConditionalModel::context_count(SymbolView context) const {
-    require(context.size() == context_length_, "context length mismatch");
-    const auto it = by_context_.find(codec_.encode(context));
-    return it == by_context_.end() ? 0 : it->second.total;
+    const std::uint64_t* row = find_row(context);
+    return row == nullptr ? 0 : totals_[*row];
 }
 
 std::uint64_t ConditionalModel::continuation_count(SymbolView context, Symbol next) const {
-    require(context.size() == context_length_, "context length mismatch");
-    const auto it = by_context_.find(codec_.encode(context));
-    return it == by_context_.end() ? 0 : it->second.next_counts[next];
+    const std::uint64_t* row = find_row(context);
+    return row == nullptr ? 0 : next_counts_[*row * alphabet_size_ + next];
 }
 
 std::vector<ContextDistribution> ConditionalModel::distributions() const {
-    std::vector<std::pair<NgramKey, const Entry*>> keyed;
-    keyed.reserve(by_context_.size());
-    // Hash order never escapes: the keyed vector is fully sorted below.
-    // adiv-lint: allow(unordered-iteration, "hash order never escapes: the keyed vector is fully sorted below")
-    for (const auto& [key, entry] : by_context_) keyed.emplace_back(key, &entry);
-    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
-        if (a.second->total != b.second->total) return a.second->total > b.second->total;
+    std::vector<std::pair<NgramKey, std::size_t>> keyed;  // (context, row)
+    keyed.reserve(totals_.size());
+    row_of_.for_each([&](NgramKey context, std::uint64_t row) {
+        keyed.emplace_back(context, static_cast<std::size_t>(row));
+    });
+    std::sort(keyed.begin(), keyed.end(), [&](const auto& a, const auto& b) {
+        if (totals_[a.second] != totals_[b.second])
+            return totals_[a.second] > totals_[b.second];
         return a.first < b.first;
     });
     std::vector<ContextDistribution> out;
     out.reserve(keyed.size());
-    for (const auto& [key, entry] : keyed) {
+    for (const auto& [context, row] : keyed) {
+        const auto first =
+            next_counts_.begin() + static_cast<std::ptrdiff_t>(row * alphabet_size_);
         ContextDistribution dist;
-        dist.context = codec_.decode(key, context_length_);
-        dist.next_counts = entry->next_counts;
-        dist.total = entry->total;
+        dist.context = codec_.decode(context, context_length_);
+        dist.next_counts.assign(first, first + static_cast<std::ptrdiff_t>(alphabet_size_));
+        dist.total = totals_[row];
         out.push_back(std::move(dist));
     }
     return out;

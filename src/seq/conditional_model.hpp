@@ -7,14 +7,17 @@
 // verify that the junctions inside a synthesized anomaly are conditionally
 // rare). P(next | context) = count(context·next) / count(context), with
 // optional Laplace smoothing for the ablation experiments.
+//
+// Training counts the stream's (context+1)-grams in an NgramTable, the
+// substrate's one counting loop, and regroups them by context: one row of
+// continuation counts per distinct context, found through an NgramMap.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "seq/ngram.hpp"
-#include "seq/ngram_table.hpp"
+#include "seq/ngram_map.hpp"
 #include "seq/stream.hpp"
 
 namespace adiv {
@@ -66,19 +69,22 @@ public:
 
     /// Number of distinct contexts observed.
     [[nodiscard]] std::size_t distinct_contexts() const noexcept {
-        return by_context_.size();
+        return totals_.size();
     }
 
 private:
+    /// The context's row, appending an all-zero row when it is new.
+    std::size_t row_for(NgramKey context);
+    /// The context's row, or nullptr when it was never seen. Requires
+    /// context.size() == context_length().
+    [[nodiscard]] const std::uint64_t* find_row(SymbolView context) const;
+
     std::size_t context_length_;
     std::size_t alphabet_size_;
     NgramCodec codec_;
-    // context key -> (total, per-symbol continuation counts)
-    struct Entry {
-        std::uint64_t total = 0;
-        std::vector<std::uint64_t> next_counts;
-    };
-    std::unordered_map<NgramKey, Entry, NgramKeyHash> by_context_;
+    NgramMap row_of_;                         // context key -> row
+    std::vector<std::uint64_t> totals_;       // [row] = count(context)
+    std::vector<std::uint64_t> next_counts_;  // [row * alphabet + next]
 };
 
 }  // namespace adiv

@@ -47,11 +47,6 @@ std::uint64_t NgramTable::count(SymbolView gram) const {
     return count_key(codec_.encode(gram));
 }
 
-std::uint64_t NgramTable::count_key(NgramKey key) const {
-    const auto it = counts_.find(key);
-    return it == counts_.end() ? 0 : it->second;
-}
-
 double NgramTable::relative_frequency(SymbolView gram) const {
     return total_ == 0 ? 0.0
                        : static_cast<double>(count(gram)) / static_cast<double>(total_);
@@ -65,14 +60,14 @@ double NgramTable::relative_frequency_key(NgramKey key) const {
 
 void NgramTable::for_each(
     const std::function<void(NgramKey, std::uint64_t)>& fn) const {
-    // Callback order is unspecified (documented in the header); callers fold
-    // commutatively. Order-sensitive consumers use items_by_count().
-    // adiv-lint: allow(unordered-iteration, "callback order is documented unspecified; callers fold commutatively")
-    for (const auto& [key, count] : counts_) fn(key, count);
+    counts_.for_each(fn);
 }
 
 std::vector<std::pair<Sequence, std::uint64_t>> NgramTable::items_by_count() const {
-    std::vector<std::pair<NgramKey, std::uint64_t>> keyed(counts_.begin(), counts_.end());
+    std::vector<std::pair<NgramKey, std::uint64_t>> keyed;
+    keyed.reserve(counts_.size());
+    counts_.for_each(
+        [&](NgramKey key, std::uint64_t count) { keyed.emplace_back(key, count); });
     std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
         if (a.second != b.second) return a.second > b.second;
         return a.first < b.first;

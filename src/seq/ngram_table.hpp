@@ -4,16 +4,16 @@
 // anomaly machinery: Stide asks membership, the Markov and NN detectors ask
 // conditional counts, the MFS builder asks rarity, and the injector asks
 // whether boundary windows are common. One table holds counts for a single
-// window length n; conditional probabilities combine an n-table with an
-// (n-1)-table (see ConditionalModel).
+// window length n, in one flat NgramMap; conditional probabilities regroup
+// an (n+1)-table by its n-symbol prefixes (see ConditionalModel).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "seq/ngram.hpp"
+#include "seq/ngram_map.hpp"
 #include "seq/stream.hpp"
 #include "seq/types.hpp"
 
@@ -42,7 +42,10 @@ public:
 
     /// Occurrences of the window; 0 when absent.
     [[nodiscard]] std::uint64_t count(SymbolView gram) const;
-    [[nodiscard]] std::uint64_t count_key(NgramKey key) const;
+    [[nodiscard]] std::uint64_t count_key(NgramKey key) const noexcept {
+        const std::uint64_t* count = counts_.find(key);
+        return count == nullptr ? 0 : *count;
+    }
 
     [[nodiscard]] bool contains(SymbolView gram) const { return count(gram) > 0; }
     [[nodiscard]] bool contains_key(NgramKey key) const { return count_key(key) > 0; }
@@ -57,8 +60,9 @@ public:
     [[nodiscard]] double relative_frequency(SymbolView gram) const;
     [[nodiscard]] double relative_frequency_key(NgramKey key) const;
 
-    /// Invokes fn(key, count) for every distinct window. Iteration order is
-    /// unspecified; decode keys via codec() when the symbols are needed.
+    /// Invokes fn(key, count) once for every distinct window, in an order
+    /// that is deterministic but unrelated to the keys (NgramMap slot order);
+    /// decode keys via codec() when the symbols are needed.
     void for_each(const std::function<void(NgramKey, std::uint64_t)>& fn) const;
 
     /// Materialized (window, count) pairs, sorted by descending count then by
@@ -69,7 +73,7 @@ private:
     NgramCodec codec_;
     std::size_t length_;
     std::uint64_t total_ = 0;
-    std::unordered_map<NgramKey, std::uint64_t, NgramKeyHash> counts_;
+    NgramMap counts_;
 };
 
 }  // namespace adiv

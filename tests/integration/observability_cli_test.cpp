@@ -5,9 +5,9 @@
 // online.events_consumed, the push-latency percentiles, and the alarm-rate
 // gauge.
 //
-// The tool binaries are located via ADIV_TRAIN_TOOL / ADIV_SCORE_TOOL
-// compile definitions (set from tests/CMakeLists.txt when the tools are part
-// of the build); without them the tests skip.
+// The tool binaries are located via ADIV_TRAIN_TOOL / ADIV_SCORE_TOOL /
+// ADIV_TRACEVIEW_TOOL compile definitions (set from tests/CMakeLists.txt when
+// the tools are part of the build); without them the tests skip.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -26,7 +26,7 @@
 namespace adiv {
 namespace {
 
-#if defined(ADIV_TRAIN_TOOL) && defined(ADIV_SCORE_TOOL)
+#if defined(ADIV_TRAIN_TOOL) && defined(ADIV_SCORE_TOOL) && defined(ADIV_TRACEVIEW_TOOL)
 
 std::string quoted(const std::string& path) { return "'" + path + "'"; }
 
@@ -211,10 +211,37 @@ TEST_F(ObservabilityCli, ParallelScoringMatchesSerialCsv) {
         << "chunked parallel scoring must splice to the exact serial responses";
 }
 
+TEST(TraceviewCli, CountsOnlyTheLinesItsInputHas) {
+    // One span_end line with a malformed number, with and without its final
+    // newline: one line read, one skipped, whichever way the file ends.
+    const std::string line =
+        R"({"type":"span_end","name":"x","t":-,"dur_s":1,"trace":"00000000000000aa",)"
+        R"("span":"0000000000000001","parent":"0000000000000000"})";
+    const std::string dir = test::temp_dir();
+    for (const bool newline : {true, false}) {
+        const std::string trace =
+            dir + (newline ? "one_line.jsonl" : "one_line_bare.jsonl");
+        {
+            std::ofstream out(trace);
+            out << line << (newline ? "\n" : "");
+        }
+        const std::string table = dir + "one_line_table.txt";
+        const std::string json = dir + "one_line_json.txt";
+        const std::string tool = std::string(ADIV_TRACEVIEW_TOOL) + " " + quoted(trace);
+        ASSERT_EQ(run_command(tool + " > " + quoted(table)), 0);
+        ASSERT_EQ(run_command(tool + " --json > " + quoted(json)), 0);
+        EXPECT_NE(read_file(table).find("(1 of 1 lines skipped as malformed)"),
+                  std::string::npos)
+            << read_file(table);
+        EXPECT_NE(read_file(json).find("\"lines\":1,\"skipped\":1"), std::string::npos)
+            << read_file(json);
+    }
+}
+
 #else  // tool paths not provided by the build
 
 TEST(ObservabilityCli, DISABLED_ToolsNotBuilt) {
-    GTEST_SKIP() << "adiv_train/adiv_score were not part of this build";
+    GTEST_SKIP() << "adiv_train/adiv_score/adiv_traceview were not part of this build";
 }
 
 #endif

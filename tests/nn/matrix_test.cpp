@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace adiv {
@@ -67,31 +69,27 @@ TEST(Matrix, MultiplyTransposedComputesVecMat) {
     EXPECT_DOUBLE_EQ(y[2], 15.0);
 }
 
-TEST(Matrix, AddScaledAccumulates) {
-    Matrix a(2, 2, 1.0);
-    const Matrix b(2, 2, 3.0);
-    a.add_scaled(b, 0.5);
-    EXPECT_DOUBLE_EQ(a.at(0, 0), 2.5);
-    EXPECT_DOUBLE_EQ(a.at(1, 1), 2.5);
+TEST(Matrix, MultiplyTransposedSkipsZeroInputs) {
+    Matrix m(3, 2, 1.0);
+    m.at(1, 0) = std::numeric_limits<double>::infinity();  // 0 * inf would be NaN
+    const std::vector<double> x{2.0, 0.0, -1.0};
+    std::vector<double> y{7.0, 7.0};  // overwritten, not accumulated into
+    m.multiply_transposed(x, y);
+    EXPECT_DOUBLE_EQ(y[0], 1.0);
+    EXPECT_DOUBLE_EQ(y[1], 1.0);
 }
 
-TEST(Matrix, AddScaledShapeMismatchThrows) {
-    Matrix a(2, 2);
-    const Matrix b(2, 3);
-    EXPECT_THROW(a.add_scaled(b, 1.0), InvalidArgument);
-}
-
-TEST(Matrix, RandomizeStaysInRangeAndIsDeterministic) {
-    Matrix a(4, 4), b(4, 4);
-    Rng r1(5), r2(5);
-    a.randomize(r1, 0.3);
-    b.randomize(r2, 0.3);
-    for (std::size_t r = 0; r < 4; ++r) {
-        for (std::size_t c = 0; c < 4; ++c) {
-            EXPECT_GE(a.at(r, c), -0.3);
-            EXPECT_LE(a.at(r, c), 0.3);
-            EXPECT_DOUBLE_EQ(a.at(r, c), b.at(r, c));
+TEST(Axpy, AddsScaledVectorIncludingAnOddTail) {
+    for (const std::size_t n : {0u, 1u, 2u, 5u, 16u}) {
+        std::vector<double> x(n), y(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            x[i] = 0.5 + static_cast<double>(i);
+            y[i] = static_cast<double>(i * i);
         }
+        axpy(-2.0, x, y);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_DOUBLE_EQ(y[i], static_cast<double>(i * i) - 2.0 * x[i])
+                << n << " " << i;
     }
 }
 

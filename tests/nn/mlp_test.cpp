@@ -23,17 +23,40 @@ MlpConfig xor_config() {
     return cfg;
 }
 
-std::vector<MlpSample> xor_batch() {
+/// A training sample written densely; pack() keeps its nonzero inputs.
+struct DenseSample {
+    std::vector<double> input;
+    std::vector<double> target;
+    double weight = 1.0;
+};
+
+MlpBatch pack(const std::vector<DenseSample>& samples) {
+    MlpBatch batch(samples.front().input.size(), samples.front().target.size());
+    for (const DenseSample& s : samples) {
+        std::vector<std::size_t> indices;
+        std::vector<double> values;
+        for (std::size_t c = 0; c < s.input.size(); ++c) {
+            if (s.input[c] == 0.0) continue;
+            indices.push_back(c);
+            values.push_back(s.input[c]);
+        }
+        batch.add(indices, values, s.target, s.weight);
+    }
+    return batch;
+}
+
+std::vector<DenseSample> xor_samples() {
     auto sample = [](double a, double b, std::size_t cls) {
-        MlpSample s;
+        DenseSample s;
         s.input = {a, b};
         s.target = {0.0, 0.0};
         s.target[cls] = 1.0;
-        s.weight = 1.0;
         return s;
     };
     return {sample(0, 0, 0), sample(0, 1, 1), sample(1, 0, 1), sample(1, 1, 0)};
 }
+
+MlpBatch xor_batch() { return pack(xor_samples()); }
 
 TEST(Softmax, NormalizesAndOrders) {
     std::vector<double> v{1.0, 2.0, 3.0};
@@ -88,9 +111,8 @@ TEST(Mlp, TrainingReducesLoss) {
 
 TEST(Mlp, LearnsXor) {
     Mlp net(xor_config());
-    const auto batch = xor_batch();
-    net.train(batch, 2000);
-    for (const auto& s : batch) {
+    net.train(xor_batch(), 2000);
+    for (const auto& s : xor_samples()) {
         const auto y = net.forward(s.input);
         const std::size_t predicted = y[0] > y[1] ? 0 : 1;
         const std::size_t expected = s.target[0] > s.target[1] ? 0 : 1;
@@ -106,12 +128,8 @@ TEST(Mlp, FitsSoftTargets) {
     cfg.learning_rate = 1.0;
     cfg.seed = 11;
     Mlp net(cfg);
-    std::vector<MlpSample> batch(1);
-    batch[0].input = {1.0};
-    batch[0].target = {0.7, 0.3};
-    batch[0].weight = 1.0;
-    net.train(batch, 3000);
-    const auto y = net.forward(batch[0].input);
+    net.train(pack({{{1.0}, {0.7, 0.3}, 1.0}}), 3000);
+    const auto y = net.forward(std::vector<double>{1.0});
     EXPECT_NEAR(y[0], 0.7, 0.02);
     EXPECT_NEAR(y[1], 0.3, 0.02);
 }
@@ -123,14 +141,7 @@ TEST(Mlp, WeightsScaleSampleInfluence) {
     cfg.learning_rate = 1.0;
     cfg.seed = 13;
     Mlp net(cfg);
-    std::vector<MlpSample> batch(2);
-    batch[0].input = {1.0};
-    batch[0].target = {1.0, 0.0};
-    batch[0].weight = 9.0;
-    batch[1].input = {1.0};
-    batch[1].target = {0.0, 1.0};
-    batch[1].weight = 1.0;
-    net.train(batch, 3000);
+    net.train(pack({{{1.0}, {1.0, 0.0}, 9.0}, {{1.0}, {0.0, 1.0}, 1.0}}), 3000);
     const auto y = net.forward(std::vector<double>{1.0});
     EXPECT_NEAR(y[0], 0.9, 0.03);  // optimum = weighted mean of targets
 }
@@ -199,16 +210,72 @@ TEST(Mlp, GradientMatchesFiniteDifference) {
 
 TEST(Mlp, EmptyBatchThrows) {
     Mlp net(xor_config());
-    const std::vector<MlpSample> empty;
+    const MlpBatch empty(2, 2);
     EXPECT_THROW((void)net.train_epoch(empty), InvalidArgument);
     EXPECT_THROW((void)net.loss(empty), InvalidArgument);
 }
 
 TEST(Mlp, NonPositiveSampleWeightThrows) {
+    MlpBatch batch(2, 2);
+    const std::vector<std::size_t> indices{0};
+    const std::vector<double> values{1.0};
+    const std::vector<double> target{1.0, 0.0};
+    EXPECT_THROW(batch.add(indices, values, target, 0.0), InvalidArgument);
+    EXPECT_THROW(batch.add(indices, values, target, -1.0), InvalidArgument);
+    EXPECT_EQ(batch.size(), 0u);
+}
+
+TEST(Mlp, BatchShapeMismatchThrows) {
     Mlp net(xor_config());
-    auto batch = xor_batch();
-    batch[0].weight = 0.0;
-    EXPECT_THROW((void)net.train_epoch(batch), InvalidArgument);
+    MlpBatch wide(3, 2);
+    wide.add(std::vector<std::size_t>{2}, std::vector<double>{1.0},
+             std::vector<double>{1.0, 0.0}, 1.0);
+    EXPECT_THROW((void)net.train_epoch(wide), InvalidArgument);
+    EXPECT_THROW((void)net.loss(wide), InvalidArgument);
+}
+
+TEST(MlpBatch, PacksNonzeroInputsTargetsAndWeights) {
+    const MlpBatch batch = pack({{{0.0, 2.0, 0.0, 3.0}, {0.25, 0.75}, 2.0},
+                                 {{0.0, 0.0, 0.0, 0.0}, {1.0, 0.0}, 0.5}});
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_EQ(batch.input_size(), 4u);
+    EXPECT_EQ(batch.output_size(), 2u);
+    EXPECT_EQ(std::vector<std::size_t>(batch.indices(0).begin(), batch.indices(0).end()),
+              (std::vector<std::size_t>{1, 3}));
+    EXPECT_EQ(std::vector<double>(batch.values(0).begin(), batch.values(0).end()),
+              (std::vector<double>{2.0, 3.0}));
+    EXPECT_TRUE(batch.indices(1).empty());
+    EXPECT_EQ(batch.target(1)[0], 1.0);
+    EXPECT_EQ(batch.weight(0), 2.0);
+    EXPECT_EQ(batch.weight(1), 0.5);
+}
+
+TEST(MlpBatch, RejectsMalformedSamples) {
+    MlpBatch batch(4, 2);
+    const std::vector<double> target{1.0, 0.0};
+    const std::vector<double> two{1.0, 1.0};
+    EXPECT_THROW(batch.add(std::vector<std::size_t>{2, 1}, two, target, 1.0),
+                 InvalidArgument);  // not ascending
+    EXPECT_THROW(batch.add(std::vector<std::size_t>{1, 1}, two, target, 1.0),
+                 InvalidArgument);  // repeated
+    EXPECT_THROW(batch.add(std::vector<std::size_t>{1, 4}, two, target, 1.0),
+                 InvalidArgument);  // past the input layer
+    EXPECT_THROW(batch.add(std::vector<std::size_t>{1}, two, target, 1.0),
+                 InvalidArgument);  // one value per index
+    EXPECT_THROW(batch.add(std::vector<std::size_t>{1}, std::vector<double>{1.0},
+                           std::vector<double>{1.0}, 1.0),
+                 InvalidArgument);  // target size
+    EXPECT_EQ(batch.size(), 0u);
+}
+
+TEST(Mlp, TrainIsRepeatedTrainEpochBitForBit) {
+    // train() skips the per-step loss; the steps themselves are the same.
+    Mlp stepped(xor_config()), trained(xor_config());
+    const MlpBatch batch = xor_batch();
+    for (int e = 0; e < 25; ++e) (void)stepped.train_epoch(batch);
+    const double final_loss = trained.train(batch, 25);
+    EXPECT_EQ(trained.parameters(), stepped.parameters());
+    EXPECT_EQ(final_loss, stepped.loss(batch));
 }
 
 TEST(Mlp, DeepNetworkTrains) {
@@ -225,9 +292,11 @@ TEST(Mlp, DeepNetworkTrains) {
 
 // --- One-hot inputs against a dense reference -----------------------------
 //
-// Mlp's first layer reads only the input's nonzero entries. The reference
-// below is the plain dense network written with Matrix::multiply; the two
-// must agree bit for bit, because each term the one-hot path skips is w * 0.
+// Mlp stores its weights input-major, trains on packed batches and reads
+// only the input's nonzero entries. The reference below is the plain dense
+// row-major network written with Matrix::multiply; the two must agree bit for
+// bit, because each weight's sum takes its terms in the same order and each
+// term the one-hot path skips is w * 0.
 
 constexpr std::size_t kContext = 7;  // long enough that summation order shows
 constexpr std::size_t kAlphabet = 4;
@@ -254,13 +323,13 @@ Mlp one_hot_net() {
     return net;
 }
 
-std::vector<MlpSample> one_hot_batch() {
-    std::vector<MlpSample> batch;
+std::vector<DenseSample> one_hot_samples() {
+    std::vector<DenseSample> batch;
     for (std::size_t i = 0; i < 6; ++i) {
         Sequence context(kContext);
         for (std::size_t k = 0; k < kContext; ++k)
             context[k] = static_cast<Symbol>((i + 3 * k + k * k) % kAlphabet);
-        MlpSample s;
+        DenseSample s;
         s.input = one_hot_context(context, kAlphabet);
         s.target.assign(kAlphabet, 0.0);
         s.target[(i + 3) % kAlphabet] = 0.75;
@@ -317,14 +386,14 @@ struct DenseNet {
 
     /// One full-batch momentum step from zero velocity, every weight's
     /// gradient accumulated densely; returns the pre-step loss.
-    double epoch(const std::vector<MlpSample>& batch, const MlpConfig& cfg) {
+    double epoch(const std::vector<DenseSample>& batch, const MlpConfig& cfg) {
         Matrix g0(w0.rows(), w0.cols());
         Matrix g1(w1.rows(), w1.cols());
         std::vector<double> gb0(kHidden, 0.0);
         std::vector<double> gb1(kAlphabet, 0.0);
         double total_loss = 0.0;
         double total_weight = 0.0;
-        for (const MlpSample& s : batch) {
+        for (const DenseSample& s : batch) {
             std::vector<double> h;
             const std::vector<double> y = forward(s.input, h);
             for (std::size_t c = 0; c < kAlphabet; ++c)
@@ -365,7 +434,7 @@ struct DenseNet {
 TEST(MlpOneHot, ForwardMatchesDenseReferenceBitForBit) {
     const Mlp net = one_hot_net();
     const DenseNet dense(net.parameters());
-    for (const MlpSample& s : one_hot_batch()) {
+    for (const DenseSample& s : one_hot_samples()) {
         std::vector<double> hidden;
         EXPECT_EQ(bits(net.forward(s.input)), bits(dense.forward(s.input, hidden)));
     }
@@ -373,12 +442,12 @@ TEST(MlpOneHot, ForwardMatchesDenseReferenceBitForBit) {
 
 TEST(MlpOneHot, TrainEpochMatchesDenseReferenceBitForBit) {
     const MlpConfig cfg = one_hot_config();
-    const auto batch = one_hot_batch();
+    const auto samples = one_hot_samples();
     Mlp net = one_hot_net();
     const std::vector<double> before = net.parameters();
     DenseNet dense(before);
-    const double loss = net.train_epoch(batch);
-    const double dense_loss = dense.epoch(batch, cfg);
+    const double loss = net.train_epoch(pack(samples));
+    const double dense_loss = dense.epoch(samples, cfg);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), std::bit_cast<std::uint64_t>(dense_loss));
     EXPECT_EQ(bits(net.parameters()), bits(dense.parameters()));
     // The stepped weights really moved, so the comparison is not vacuous.

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/temp_dir.hpp"
@@ -149,6 +151,41 @@ TEST(GlobalTraceSink, DefaultsToNullAndSwapsAtomically) {
     EXPECT_FALSE(global_trace_sink()->enabled());
     set_global_trace_sink(before);
     EXPECT_EQ(prev2.get(), before.get());
+}
+
+TEST(GlobalTraceSink, SwapsWhileThreadsOpenSpans) {
+    // Four threads open spans without a sink while the global sink flips
+    // between a stream sink and the null sink (the TSan pass runs this). A
+    // span writes both its lines to the sink it opened on, so the stream
+    // sink's lines pair up however the swaps fall.
+    std::ostringstream out;
+    const auto stream = std::make_shared<StreamTraceSink>(out);
+    auto previous = set_global_trace_sink(nullptr);
+    std::atomic<int> running{4};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&running] {
+            for (int i = 0; i < 2000; ++i) {
+                TraceSpan span("swap.work");
+                span.attr("i", i);
+            }
+            --running;
+        });
+    for (int swaps = 0; running.load() > 0; ++swaps) {
+        set_global_trace_sink(swaps % 2 == 0 ? stream : nullptr);
+        std::this_thread::yield();
+    }
+    for (std::thread& thread : threads) thread.join();
+    set_global_trace_sink(std::move(previous));
+    std::size_t begins = 0;
+    std::size_t ends = 0;
+    for (const std::string& line : lines_of(out.str())) {
+        EXPECT_NE(line.find("\"name\":\"swap.work\""), std::string::npos) << line;
+        if (line.find("\"type\":\"span_begin\"") != std::string::npos) ++begins;
+        if (line.find("\"type\":\"span_end\"") != std::string::npos) ++ends;
+    }
+    EXPECT_EQ(begins, ends);
+    EXPECT_LE(begins, 8000u);
 }
 
 TEST(OpenTraceSink, SpecSelectsImplementation) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "seq/ngram_table.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace adiv {
 namespace {
@@ -95,6 +99,62 @@ TEST(ConditionalModel, DistributionTotalsSumNextCounts) {
         for (auto c : d.next_counts) sum += c;
         EXPECT_EQ(sum, d.total);
     }
+}
+
+TEST(ConditionalModel, CountsAreTheLongerGramTableRegroupedByContext) {
+    for (const std::size_t alphabet : {2u, 8u, 256u}) {
+        Rng rng(alphabet);
+        Sequence events(3000);
+        for (Symbol& s : events) s = static_cast<Symbol>(rng.below(alphabet));
+        const EventStream stream(alphabet, std::move(events));
+        const std::size_t max_context = NgramCodec(alphabet).max_length() - 1;
+        for (const std::size_t k : {std::size_t{1}, std::size_t{3}, max_context}) {
+            SCOPED_TRACE("alphabet " + std::to_string(alphabet) + ", context " +
+                         std::to_string(k));
+            const ConditionalModel model(stream, k);
+            const NgramTable grams = NgramTable::from_stream(stream, k + 1);
+            std::map<Sequence, std::uint64_t> context_totals;
+            for (const auto& [gram, count] : grams.items_by_count()) {
+                const Sequence context(gram.begin(), gram.end() - 1);
+                ASSERT_EQ(model.continuation_count(context, gram.back()), count);
+                context_totals[context] += count;
+            }
+            ASSERT_EQ(model.distinct_contexts(), context_totals.size());
+            for (const auto& [context, total] : context_totals)
+                ASSERT_EQ(model.context_count(context), total);
+            const auto dists = model.distributions();
+            ASSERT_EQ(dists.size(), context_totals.size());
+            for (const ContextDistribution& d : dists)
+                ASSERT_EQ(d.total, context_totals[d.context]);
+        }
+    }
+}
+
+TEST(ConditionalModel, RestoredModelAnswersLikeTheTrainedOne) {
+    const EventStream stream(4, {0, 1, 2, 3, 0, 1, 3, 2, 0, 1, 2, 3, 3, 0});
+    const ConditionalModel trained(stream, 2);
+    const ConditionalModel restored(4, 2, trained.distributions());
+    EXPECT_EQ(restored.distinct_contexts(), trained.distinct_contexts());
+    for (Symbol a = 0; a < 4; ++a)
+        for (Symbol b = 0; b < 4; ++b)
+            for (Symbol next = 0; next < 4; ++next)
+                EXPECT_EQ(restored.continuation_count(Sequence{a, b}, next),
+                          trained.continuation_count(Sequence{a, b}, next));
+    const auto a = trained.distributions();
+    const auto b = restored.distributions();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].context, b[i].context);
+        EXPECT_EQ(a[i].next_counts, b[i].next_counts);
+    }
+}
+
+TEST(ConditionalModel, DuplicateRestoredContextThrows) {
+    ContextDistribution d;
+    d.context = Sequence{1};
+    d.next_counts = {1, 0};
+    d.total = 1;
+    EXPECT_THROW(ConditionalModel(2, 1, {d, d}), InvalidArgument);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace adiv {
 namespace {
@@ -101,6 +105,75 @@ TEST(NgramTable, AccumulatesAcrossMultipleStreams) {
     EXPECT_EQ(t.total(), 4u);
     EXPECT_EQ(t.count(Sequence{0, 1}), 2u);
     EXPECT_EQ(t.count(Sequence{1, 0}), 2u);
+}
+
+/// A stream over the alphabet with a run of 2*run zeros and a run of
+/// 2*run top symbols between random stretches, so every length up to `run`
+/// sees the all-zero window and the window whose key uses the top bits.
+EventStream runs_and_noise(std::size_t alphabet, std::size_t run, std::uint64_t seed) {
+    Rng rng(seed);
+    Sequence events;
+    const auto noise = [&](std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            events.push_back(static_cast<Symbol>(rng.below(alphabet)));
+    };
+    noise(300);
+    events.insert(events.end(), 2 * run, 0);
+    noise(400);
+    events.insert(events.end(), 2 * run, static_cast<Symbol>(alphabet - 1));
+    noise(300);
+    return EventStream(alphabet, std::move(events));
+}
+
+TEST(NgramTable, MatchesBruteForceRecountAtEveryLength) {
+    for (const std::size_t alphabet : {2u, 8u, 256u}) {
+        const NgramCodec codec(alphabet);
+        const EventStream stream = runs_and_noise(alphabet, codec.max_length(), alphabet);
+        const SymbolView all = stream.view();
+        for (std::size_t length = 1; length <= codec.max_length(); ++length) {
+            SCOPED_TRACE("alphabet " + std::to_string(alphabet) + ", length " +
+                         std::to_string(length));
+            std::map<Sequence, std::uint64_t> expected;
+            for (std::size_t pos = 0; pos + length <= all.size(); ++pos)
+                ++expected[Sequence(all.begin() + static_cast<std::ptrdiff_t>(pos),
+                                    all.begin() +
+                                        static_cast<std::ptrdiff_t>(pos + length))];
+            const NgramTable table = NgramTable::from_stream(stream, length);
+            ASSERT_EQ(table.total(), all.size() - length + 1);
+            ASSERT_EQ(table.distinct(), expected.size());
+            for (const auto& [gram, count] : expected) ASSERT_EQ(table.count(gram), count);
+            EXPECT_EQ(table.count(Sequence(length, 0)), expected[Sequence(length, 0)]);
+            EXPECT_GT(table.count(Sequence(length, static_cast<Symbol>(alphabet - 1))), 0u);
+
+            // for_each visits each distinct window exactly once.
+            std::map<Sequence, std::uint64_t> visited;
+            table.for_each([&](NgramKey key, std::uint64_t count) {
+                EXPECT_TRUE(visited.emplace(codec.decode(key, length), count).second);
+            });
+            ASSERT_EQ(visited, expected);
+
+            // items_by_count: descending count, ties by key (= lexicographic).
+            const auto items = table.items_by_count();
+            ASSERT_EQ(items.size(), expected.size());
+            for (std::size_t i = 1; i < items.size(); ++i) {
+                const bool ordered = items[i - 1].second > items[i].second ||
+                                     (items[i - 1].second == items[i].second &&
+                                      items[i - 1].first < items[i].first);
+                ASSERT_TRUE(ordered) << "at item " << i;
+            }
+        }
+    }
+}
+
+TEST(NgramTable, LongRandomStreamGrowsTheTableManyTimes) {
+    // ~1000 distinct 12-grams over 8 symbols: the slot array grows from 16
+    // to at least 2048 slots, and every count survives the rehashes.
+    const EventStream stream = runs_and_noise(8, 12, 99);
+    const NgramTable table = NgramTable::from_stream(stream, 12);
+    EXPECT_GT(table.distinct(), 900u);
+    std::uint64_t sum = 0;
+    table.for_each([&](NgramKey, std::uint64_t count) { sum += count; });
+    EXPECT_EQ(sum, table.total());
 }
 
 }  // namespace

@@ -45,14 +45,19 @@ int main(int argc, char** argv) {
                 "TRACE.jsonl ... ('-' = stdin)");
         std::stringstream merged;
         for (const std::string& path : inputs) {
+            std::ostringstream text;
             if (path == "-") {
-                merged << std::cin.rdbuf();
+                text << std::cin.rdbuf();
             } else {
                 std::ifstream in(path);
                 require_data(in.good(), "cannot open '" + path + "'");
-                merged << in.rdbuf();
+                text << in.rdbuf();
             }
-            merged << '\n';  // keep file boundaries from gluing two lines
+            const std::string content = text.str();
+            merged << content;
+            // End an unterminated last line, so two files never glue, and add
+            // no line the input does not have.
+            if (!content.empty() && content.back() != '\n') merged << '\n';
         }
         if (const std::string request = cli.get("request"); !request.empty()) {
             const RequestAnalysis analysis = analyze_request(merged, request);
