@@ -90,8 +90,9 @@ void banner(const std::string& title) {
 }
 
 PlanRun run_and_render(const Context& ctx, const ExperimentPlan& plan) {
-    ChartSink sink(std::cout);
-    return run_plan(plan, ctx.engine_options(), sink);
+    PlanRun run = run_plan(plan, ctx.engine_options());
+    render_plan_run(std::cout, run);
+    return run;
 }
 
 PlanRun run_quiet(const Context& ctx, const ExperimentPlan& plan) {

@@ -12,8 +12,8 @@
 #include "anomaly/suite.hpp"
 #include "datagen/corpus.hpp"
 #include "engine/plan.hpp"
+#include "engine/render.hpp"
 #include "engine/scheduler.hpp"
-#include "engine/sink.hpp"
 #include "obs/session.hpp"
 #include "util/cli.hpp"
 
@@ -57,8 +57,8 @@ std::unique_ptr<Context> context_from_args(const std::string& program,
 /// Prints a section header to stdout.
 void banner(const std::string& title);
 
-/// Runs the plan with the context's --jobs setting and renders every map to
-/// stdout through a ChartSink (chart, outcome counts, CSV block, summary).
+/// Runs the plan with the context's --jobs setting and renders it to stdout
+/// (render_plan_run: chart, outcome counts, CSV block per map, plan line).
 PlanRun run_and_render(const Context& ctx, const ExperimentPlan& plan);
 
 /// Runs the plan with the context's --jobs setting, no rendering.

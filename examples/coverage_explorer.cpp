@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
     settings.nn.probability_floor = cli.get_double("floor");
     settings.nn.epochs = static_cast<std::size_t>(cli.get_int("nn-epochs"));
 
-    const PerformanceMap map = run_map_experiment(
-        suite, to_string(kind), factory_for(kind, settings));
+    ExperimentPlan plan(suite);
+    plan.add_detector(to_string(kind), factory_for(kind, settings));
+    const PerformanceMap map = run_plan(plan).maps.front();
 
     if (cli.get_flag("csv")) {
         map.write_csv(std::cout);

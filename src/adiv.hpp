@@ -25,11 +25,11 @@
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 #include "util/text_serial.hpp"
-#include "util/thread_pool.hpp"
 
 // Sequence substrate
 #include "seq/alphabet.hpp"
@@ -90,10 +90,10 @@
 #include "core/perf_map.hpp"
 #include "core/response.hpp"
 
-// Experiment engine: plan / scheduler / sink layers
+// Experiment engine: plan / scheduler / render
 #include "engine/plan.hpp"
+#include "engine/render.hpp"
 #include "engine/scheduler.hpp"
-#include "engine/sink.hpp"
 
 // Fusion: online ensemble scoring with principled fused thresholds
 #include "fusion/ensemble_scorer.hpp"

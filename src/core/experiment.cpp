@@ -17,8 +17,4 @@ SpanScore score_entry(const SequenceDetector& detector,
     return classify_span(responses, entry.stream.span);
 }
 
-// run_map_experiment is defined in src/engine/compat.cpp: it wraps a
-// one-detector ExperimentPlan so existing callers pick up the engine's
-// scheduler (and its --jobs parallelism) without a signature change.
-
 }  // namespace adiv

@@ -1,39 +1,17 @@
-// The experiment runner: deploys one detector across the whole evaluation
-// suite and assembles its performance map (step 5 of the methodology).
+// One cell of the map experiment (step 5 of the methodology): a trained
+// detector scored on one suite test stream, its incident-span responses
+// classified into the map cell.
 //
-// For each detector window the detector is trained once on the corpus
-// training stream and scored on every anomaly-size test stream of that
-// window; each stream's incident-span responses are classified into the
-// corresponding map cell.
-//
-// run_map_experiment is a thin wrapper over the experiment engine
-// (engine/plan.hpp + engine/scheduler.hpp); its definition lives in
-// src/engine/compat.cpp. Multi-detector grids and result sinks are the
-// engine's ExperimentPlan / run_plan API.
+// The whole experiment — train once per (detector, DW) column, score every
+// anomaly size of that window — is the engine's ExperimentPlan / run_plan
+// (engine/plan.hpp, engine/scheduler.hpp).
 #pragma once
-
-#include <functional>
-#include <string>
 
 #include "anomaly/suite.hpp"
 #include "core/perf_map.hpp"
 #include "detect/detector.hpp"
 
 namespace adiv {
-
-/// Optional progress hook: called after each (AS, DW) cell is scored.
-using ExperimentProgress = std::function<void(
-    std::size_t anomaly_size, std::size_t window_length, const SpanScore&)>;
-
-/// Runs the full map experiment for one detector family.
-/// `detector_name` labels the map; `factory` builds the detector per window.
-/// `jobs` is the worker-thread count (1 = serial, 0 = hardware concurrency);
-/// the map is bit-identical regardless of the value.
-PerformanceMap run_map_experiment(const EvaluationSuite& suite,
-                                  const std::string& detector_name,
-                                  const DetectorFactory& factory,
-                                  const ExperimentProgress& progress = {},
-                                  std::size_t jobs = 1);
 
 /// Scores a single suite entry with an already trained detector. The
 /// detector's window length must equal the entry's.

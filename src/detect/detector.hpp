@@ -20,11 +20,12 @@
 // Concurrency contract: train() is exclusive — no other call may run on the
 // instance while it trains. After train() returns, score() and the const
 // observers (name, window_length, alphabet_size) are safe to call
-// concurrently from multiple threads on the same instance; the experiment
-// engine (src/engine) relies on this to fan one trained model out across
-// scoring workers. Implementations must not mutate unguarded state inside
-// score() — caches behind `mutable` members must be internally synchronized
-// (see score_memo.hpp) and must never change observable responses.
+// concurrently from multiple threads on the same instance; the detection
+// server's sessions (src/serve) and adiv_score --jobs chunks rely on this to
+// share one trained model. Implementations must not mutate unguarded state
+// inside score() — caches behind `mutable` members must be internally
+// synchronized (see score_memo.hpp) and must never change observable
+// responses.
 #pragma once
 
 #include <cstddef>

@@ -4,8 +4,8 @@
 // The plan replaces the ad-hoc per-binary loops that used to rebuild the
 // AS x DW performance map one detector and one window at a time: a bench
 // binary now *describes* the sweep (which detectors, which axes) and hands
-// it to the scheduler (engine/scheduler.hpp), which extracts the train/score
-// dependency structure and runs it on a thread pool. Axes default to the
+// it to the scheduler (engine/scheduler.hpp), which runs one train-then-score
+// task per (detector, DW) column on parallel_for. Axes default to the
 // suite's full grid; restricting them runs a sub-grid without rebuilding the
 // suite.
 #pragma once

@@ -1,48 +1,37 @@
-// The plan scheduler: executes an ExperimentPlan on a fixed-size thread
-// pool and assembles one PerformanceMap per plan detector.
+// The plan scheduler: executes an ExperimentPlan and assembles one
+// PerformanceMap per plan detector.
 //
-// Dependency structure: for every (detector, DW) column the scheduler runs
-// one training job (build the detector via the factory, train it on the
-// corpus training stream); when the model is ready, the column fans out into
-// one scoring job per anomaly size, all sharing the trained instance —
-// SequenceDetector::score() is const and safe for concurrent calls on the
-// same trained detector (see detect/detector.hpp).
+// Each (detector, DW) column is one task: build the detector via the
+// factory, train it on the corpus training stream, score the column's cells
+// in AS order, then drop the model. The tasks run on parallel_for
+// (util/parallel.hpp), so at most `jobs` models are alive at once, and at
+// jobs == 1 the plan runs on the calling thread in canonical order.
 //
 // Determinism: every cell result lands in a pre-sized slot addressed by its
 // (detector, AS, DW) grid position, never by completion order, and detector
 // training is independent of interleaving, so the assembled maps are
-// bit-identical to the serial path for any job count. Failures are
-// deterministic too: the first error in canonical plan order is rethrown
-// (jobs=1 and jobs=N report the same exception).
-//
-// jobs == 1 runs inline on the calling thread in canonical order — exactly
-// the historical serial loop — so run_map_experiment (core/experiment.hpp)
-// is a thin wrapper over a one-detector plan.
+// bit-identical for any job count. Failures are deterministic too: the
+// first error in canonical plan order is rethrown (jobs=1 and jobs=N report
+// the same exception).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/perf_map.hpp"
 #include "engine/plan.hpp"
 
 namespace adiv {
 
 struct EngineOptions {
-    /// Worker threads; 1 = inline serial execution, 0 = hardware concurrency
-    /// (ThreadPool::default_jobs()).
+    /// Worker threads, the caller included; 1 = serial on the caller,
+    /// 0 = hardware concurrency (default_jobs()).
     std::size_t jobs = 1;
-
-    /// Optional per-cell hook. At jobs == 1 it fires in canonical order; at
-    /// jobs > 1 invocation order is nondeterministic but calls are
-    /// serialized, so the hook itself needs no locking.
-    ExperimentProgress progress;
 };
 
-/// Aggregate wall time spent in one detector's jobs. At jobs > 1 the
-/// components overlap across workers, so they sum CPU-side cost and do not
-/// add up to plan wall time.
+/// Aggregate wall time spent in one detector's columns. At jobs > 1 the
+/// columns overlap across workers, so they sum CPU-side cost and do not add
+/// up to plan wall time.
 struct MapTiming {
     double train_seconds = 0.0;
     double score_seconds = 0.0;
@@ -65,16 +54,9 @@ struct PlanRun {
     PlanSummary summary;
 };
 
-class ResultSink;
-
 /// Runs the plan and returns every map. Throws the first error in canonical
 /// plan order (invalid plan, factory failures, scoring failures).
 PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options = {});
-
-/// As above, then reports to the sink: map_ready() per detector in plan
-/// order, plan_finished() once — deterministic regardless of job count.
-PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options,
-                 ResultSink& sink);
 
 /// Resolves a CLI-style job count: 0 -> hardware concurrency, otherwise n.
 std::size_t resolve_jobs(std::size_t requested) noexcept;

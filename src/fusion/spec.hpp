@@ -6,8 +6,7 @@
 //
 //     [model=]<member>+<member>[+<member>...][;key=value...]
 //
-// Members are ordinary catalog targets (registered names or, where the
-// catalog allows, model file paths). Options:
+// Members are ordinary catalog targets (registered model names). Options:
 //
 //     fuse=union|intersect|vote|ds   fusion rule          (default union)
 //     fa=<float>    target ensemble false-alarm rate for vote  (0.01)

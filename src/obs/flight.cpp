@@ -13,24 +13,20 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 }
 
 void FlightRecorder::record(FlightRecord record) noexcept {
-    const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
+    // Only this thread writes next_ and the slot versions, so plain
+    // load-then-store needs no read-modify-write.
+    const std::uint64_t seq = next_.load(std::memory_order_relaxed);
+    next_.store(seq + 1, std::memory_order_relaxed);
     record.seq = seq;
     Slot& slot = slots_[seq % capacity_];
-    std::uint64_t version = slot.version.load(std::memory_order_relaxed);
-    // Claim the slot: even -> odd. A failed claim means another writer is
-    // mid-write on the same slot (we lapped the ring onto it); drop rather
-    // than wait — the ring is a diagnostic, not a log.
-    if ((version & 1U) != 0 ||
-        !slot.version.compare_exchange_strong(version, version + 1,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
+    const std::uint64_t version = slot.version.load(std::memory_order_relaxed);
+    slot.version.store(version + 1, std::memory_order_relaxed);  // odd: mid-write
     std::uint64_t words[kWords];
     std::memcpy(words, &record, sizeof record);
+    // Release word stores: a reader whose acquire load sees any new word
+    // also sees the odd version on its re-check, and drops the slot.
     for (std::size_t i = 0; i < kWords; ++i)
-        slot.words[i].store(words[i], std::memory_order_relaxed);
+        slot.words[i].store(words[i], std::memory_order_release);
     // Publish: odd -> even. The release edge orders the word stores before
     // the version becomes readable again.
     slot.version.store(version + 2, std::memory_order_release);

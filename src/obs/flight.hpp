@@ -6,15 +6,14 @@
 // --dump-on-signal, so a wedged or slow daemon explains its recent past
 // without a restart and without having had tracing on.
 //
-// Concurrency: record() is wait-free for the writer (one CAS plus word
-// stores) and never blocks a reader; snapshot() is a seqlock-style read
-// that drops slots caught mid-write. All payload traffic goes through
-// word-sized atomics, so concurrent record/snapshot is data-race-free by
-// construction (TSan-clean), at the price of a torn slot being dropped
-// rather than retried — acceptable for a diagnostic ring. Writers claim a
-// slot by bumping its version even; a writer that loses the claim race (a
-// faster writer lapped the ring onto the same slot) drops its record and
-// counts it.
+// Concurrency: each ring has one writer — the reader thread of the
+// session's connection, the only thread that handles its requests — and
+// any number of readers (DUMP, --dump-on-signal). record() is wait-free and
+// never blocks a reader; snapshot() is a seqlock-style read that drops
+// slots caught mid-write. All payload traffic goes through word-sized
+// atomics, so record/snapshot is data-race-free by construction
+// (TSan-clean), at the price of a torn slot being dropped rather than
+// retried — acceptable for a diagnostic ring.
 #pragma once
 
 #include <array>
@@ -73,15 +72,14 @@ static_assert(sizeof(FlightRecord) % sizeof(std::uint64_t) == 0);
 class FlightRecorder {
 public:
     /// `capacity` slots (>= 1); the ring keeps the most recent `capacity`
-    /// records that did not lose a claim race.
+    /// records.
     explicit FlightRecorder(std::size_t capacity = 64);
 
     FlightRecorder(const FlightRecorder&) = delete;
     FlightRecorder& operator=(const FlightRecorder&) = delete;
 
     /// Appends a record (its seq field is overwritten with the global
-    /// index). Wait-free; drops the record when a concurrent writer holds
-    /// the target slot.
+    /// index). Wait-free. Only one thread may call it; see the header.
     void record(FlightRecord record) noexcept;
 
     /// The currently readable records, seq-ascending. Slots mid-write are
@@ -91,14 +89,9 @@ public:
 
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-    /// Records attempted so far (equals the next seq to be assigned).
+    /// Records appended so far (equals the next seq to be assigned).
     [[nodiscard]] std::uint64_t recorded() const noexcept {
         return next_.load(std::memory_order_relaxed);
-    }
-
-    /// Records dropped to a lost claim race.
-    [[nodiscard]] std::uint64_t dropped() const noexcept {
-        return dropped_.load(std::memory_order_relaxed);
     }
 
 private:
@@ -115,7 +108,6 @@ private:
     std::size_t capacity_;
     std::unique_ptr<Slot[]> slots_;
     std::atomic<std::uint64_t> next_{0};
-    std::atomic<std::uint64_t> dropped_{0};
 };
 
 /// Deterministic text rendering, one line per record in the given order:

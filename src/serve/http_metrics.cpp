@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "obs/openmetrics.hpp"
 #include "util/error.hpp"
 
 namespace adiv::serve {
@@ -81,6 +80,27 @@ std::string serve_one_http_request(Transport& transport,
     wait_at_most_the_time_left();
     transport.write_all(response.data(), response.size());
     return response;
+}
+
+OpenMetricsDocument scrape_metrics(const std::string& host, std::uint16_t port) {
+    std::unique_ptr<Transport> transport = tcp_connect(host, port, kScrapeTimeoutMs);
+    transport->set_timeout(kScrapeTimeoutMs);
+    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    transport->write_all(request.data(), request.size());
+    std::string response;
+    char buffer[4096];
+    for (;;) {  // the listener closes the connection after one response
+        const std::size_t n = transport->read_some(buffer, sizeof buffer);
+        if (n == 0) break;
+        response.append(buffer, n);
+    }
+    transport->close();
+    if (response.rfind("HTTP/1.0 200", 0) != 0)
+        throw DataError("expected HTTP/1.0 200, got '" +
+                        response.substr(0, response.find('\r')) + "'");
+    const std::size_t body = response.find("\r\n\r\n");
+    require_data(body != std::string::npos, "response has no header/body split");
+    return parse_openmetrics(response.substr(body + 4));
 }
 
 HttpMetricsListener::HttpMetricsListener(std::uint16_t port,

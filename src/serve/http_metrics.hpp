@@ -21,6 +21,9 @@
 // its one background thread, under a fixed whole-request deadline, so a
 // scrape leaves no thread behind and an idle or byte-dripping client holds
 // the loop for at most kHttpRequestDeadline.
+//
+// scrape_metrics is the client side, shared by adiv_loadgen --scrape-http
+// and adiv_top.
 #pragma once
 
 #include <atomic>
@@ -32,6 +35,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "obs/openmetrics.hpp"
 #include "serve/transport.hpp"
 
 namespace adiv::serve {
@@ -53,6 +57,17 @@ inline constexpr std::chrono::milliseconds kHttpRequestDeadline{1000};
 /// throws DataError. Does not close the transport.
 std::string serve_one_http_request(Transport& transport,
                                    const MetricsRegistry& metrics);
+
+/// The bound on a scrape's connect and on each of its reads: a wedged daemon
+/// fails a scrape in seconds, not when the kernel gives up.
+inline constexpr int kScrapeTimeoutMs = 5000;
+
+/// One `GET /metrics` against host:port: requires an `HTTP/1.0 200` answer
+/// and returns its body parsed (and validated) as OpenMetrics. Throws
+/// DataError on any other answer, a malformed body, or a connect or read
+/// that exceeds kScrapeTimeoutMs.
+[[nodiscard]] OpenMetricsDocument scrape_metrics(const std::string& host,
+                                                 std::uint16_t port);
 
 /// Background accept loop over a TcpListener: each accepted connection gets
 /// one request served on the loop's thread and is closed. Construction

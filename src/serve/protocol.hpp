@@ -9,8 +9,7 @@
 // request order):
 //
 //   OPEN <target>          start a session; target names a model the server
-//                          has registered ("default", "markov/6", or — when
-//                          the server allows it — a model-file path), or an
+//                          has registered ("default", "markov/6"), or an
 //                          ensemble spec fusing several registered models
 //                          ("stide/6+markov/6;fuse=ds"; the spec grammar is
 //                          fusion/spec.hpp). Specs are single tokens, so the

@@ -37,7 +37,6 @@ std::string_view verb_of(RequestType type) noexcept {
 
 Server::Server(ServerConfig config, MetricsRegistry& metrics)
     : metrics_(&metrics),
-      catalog_(config.allow_model_paths),
       sessions_(catalog_,
                 SessionConfig{config.scorer_buffer, config.flight_capacity,
                               resolve_shards(config.shards)},

@@ -81,8 +81,6 @@ namespace adiv::serve {
 struct ServerConfig {
     /// OnlineScorer buffer capacity per session; 0 = scorer default (4*DW).
     std::size_t scorer_buffer = 0;
-    /// Permit OPEN targets that are model-file paths (loaded and cached).
-    bool allow_model_paths = false;
     /// Flight-recorder slots per session (the DUMP verb's window).
     std::size_t flight_capacity = 64;
     /// Session-table shards; 0 = hardware concurrency.

@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "io/model_io.hpp"
 #include "obs/openmetrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -34,23 +33,11 @@ void ModelCatalog::add(const std::string& name,
 }
 
 std::shared_ptr<const SequenceDetector> ModelCatalog::resolve(
-    const std::string& target) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (const auto it = models_.find(target); it != models_.end())
-            return it->second;
-    }
-    require(allow_paths_, "unknown model '" + target + "'");
-    // Load outside the lock (disk IO), then publish; a racing resolve of the
-    // same path may load twice — both loads yield equivalent models.
-    std::shared_ptr<const SequenceDetector> model = load_detector_file(target);
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (models_.empty()) models_["default"] = model;
-        const auto [it, inserted] = models_.emplace(target, model);
-        if (!inserted) model = it->second;
-    }
-    return model;
+    const std::string& target) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = models_.find(target);
+    if (it == models_.end()) throw InvalidArgument("unknown model '" + target + "'");
+    return it->second;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Session state for the detection server.
 //
-// ModelCatalog owns the trained detectors, loaded once (via io/model_io or
-// registered directly) and shared read-only across every session — the
-// concurrency contract in detect/detector.hpp makes concurrent score() calls
-// on one trained instance safe, so N sessions over one model cost one model.
+// ModelCatalog owns the trained detectors, registered at start-up
+// (adiv_serve --model loads them via io/model_io) and shared read-only
+// across every session — the concurrency contract in detect/detector.hpp
+// makes concurrent score() calls on one trained instance safe, so N
+// sessions over one model cost one model.
 //
 // SessionManager turns protocol requests into responses over per-session
 // OnlineScorer state. The session table is partitioned into K independent
@@ -56,24 +57,19 @@ namespace adiv::serve {
 /// Named, trained, immutable detectors shared across sessions.
 class ModelCatalog {
 public:
-    /// When allow_paths is true, resolve() falls back to loading unknown
-    /// targets as model files from disk (cached under their path).
-    explicit ModelCatalog(bool allow_paths = false) : allow_paths_(allow_paths) {}
-
     /// Registers a model under a name; the detector must be trained.
     /// The first registered model also becomes "default".
     void add(const std::string& name,
              std::shared_ptr<const SequenceDetector> model);
 
-    /// Resolves an OPEN target: a registered name, or (when allowed) a model
-    /// file path. Throws InvalidArgument for unknown targets.
-    std::shared_ptr<const SequenceDetector> resolve(const std::string& target);
+    /// Resolves an OPEN target: a registered name. Throws InvalidArgument
+    /// for unknown targets.
+    std::shared_ptr<const SequenceDetector> resolve(const std::string& target) const;
 
 private:
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<const SequenceDetector>>
         models_;  // guarded by mutex_
-    bool allow_paths_;
 };
 
 struct SessionConfig {
@@ -124,7 +120,8 @@ public:
     }
 
     /// Appends one record to the session's flight ring; a no-op for unknown
-    /// (already-closed) sessions. Called by the server after each reply.
+    /// (already-closed) sessions. Called by the server after each reply, on
+    /// the session's connection reader: the ring's one writer.
     void record_flight(std::uint64_t session_id, const FlightRecord& record);
 
     /// Every live session's flight ring rendered as text, one

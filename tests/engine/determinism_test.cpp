@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -93,19 +97,6 @@ TEST(EngineDeterminism, SummaryCountsAreIndependentOfJobs) {
     EXPECT_GT(parallel.summary.cells_per_second, 0.0);
 }
 
-TEST(EngineDeterminism, ProgressSeesEveryCellUnderParallelRuns) {
-    ExperimentPlan plan(reduced_suite());
-    plan.add_detector(DetectorKind::Stide);
-    plan.add_detector(DetectorKind::Markov);
-    EngineOptions options;
-    options.jobs = 4;
-    std::vector<std::pair<std::size_t, std::size_t>> seen;  // serialized hook
-    options.progress = [&seen](std::size_t as, std::size_t dw,
-                               const SpanScore&) { seen.emplace_back(as, dw); };
-    (void)run_plan(plan, options);
-    EXPECT_EQ(seen.size(), plan.cell_count());
-}
-
 TEST(EngineDeterminism, ParallelErrorMatchesSerialError) {
     // A factory that fails for one window must surface the same error type
     // from any job count (canonical-index rethrow).
@@ -120,6 +111,91 @@ TEST(EngineDeterminism, ParallelErrorMatchesSerialError) {
         EXPECT_THROW((void)run_plan(plan, options), InvalidArgument)
             << "jobs=" << jobs;
     }
+}
+
+TEST(EngineDeterminism, ParallelErrorMessageMatchesSerial) {
+    // Two columns fail with different messages; the lower one fails later,
+    // so at jobs=4 the higher column's failure arrives first. Every job
+    // count must still report the lower column's error, as the serial loop
+    // does.
+    const DetectorFactory broken = [](std::size_t dw) {
+        if (dw == 3) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            throw DataError("column DW=3 failed");
+        }
+        if (dw == 5) throw DataError("column DW=5 failed");
+        return make_detector(DetectorKind::Stide, dw);
+    };
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        ExperimentPlan plan(reduced_suite());
+        plan.add_detector("broken", broken);
+        EngineOptions options;
+        options.jobs = jobs;
+        try {
+            (void)run_plan(plan, options);
+            ADD_FAILURE() << "jobs=" << jobs << ": run_plan must throw";
+        } catch (const DataError& e) {
+            EXPECT_STREQ(e.what(), "column DW=3 failed") << "jobs=" << jobs;
+        }
+    }
+}
+
+/// Counts the live instances of the detectors it wraps.
+class LiveCounted final : public SequenceDetector {
+public:
+    LiveCounted(std::unique_ptr<SequenceDetector> inner, std::atomic<int>& live,
+                std::atomic<int>& peak)
+        : inner_(std::move(inner)), live_(live) {
+        const int now = live_.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+    }
+    ~LiveCounted() override { live_.fetch_sub(1); }
+    LiveCounted(const LiveCounted&) = delete;
+    LiveCounted& operator=(const LiveCounted&) = delete;
+
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+    [[nodiscard]] std::size_t window_length() const override {
+        return inner_->window_length();
+    }
+    void train(const EventStream& training) override { inner_->train(training); }
+    [[nodiscard]] std::size_t alphabet_size() const override {
+        return inner_->alphabet_size();
+    }
+    [[nodiscard]] std::vector<double> score(const EventStream& test) const override {
+        return inner_->score(test);
+    }
+    [[nodiscard]] bool window_local() const noexcept override {
+        return inner_->window_local();
+    }
+
+private:
+    std::unique_ptr<SequenceDetector> inner_;
+    std::atomic<int>& live_;
+};
+
+TEST(EngineScheduler, AtMostJobsTrainedModelsAreAliveAtOnce) {
+    // Each column's model lives only while its own task trains and scores
+    // it, so the four paper detectors x DW 2..6 (20 columns) never hold
+    // more than `jobs` models.
+    constexpr std::size_t kJobs = 4;
+    std::atomic<int> live{0};
+    std::atomic<int> peak{0};
+    DetectorSettings settings;
+    settings.nn.epochs = 100;
+    ExperimentPlan plan(reduced_suite());
+    for (DetectorKind kind : paper_detectors())
+        plan.add_detector(to_string(kind), [&, kind](std::size_t dw) {
+            return std::unique_ptr<SequenceDetector>(std::make_unique<LiveCounted>(
+                factory_for(kind, settings)(dw), live, peak));
+        });
+    EngineOptions options;
+    options.jobs = kJobs;
+    (void)run_plan(plan, options);
+    EXPECT_EQ(live.load(), 0);
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), static_cast<int>(kJobs));
 }
 
 /// The traced (name, span id, parent id) rows of one stide + markov plan run

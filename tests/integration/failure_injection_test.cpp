@@ -5,8 +5,9 @@
 
 #include "anomaly/mfs_builder.hpp"
 #include "anomaly/suite.hpp"
-#include "core/experiment.hpp"
 #include "detect/registry.hpp"
+#include "engine/plan.hpp"
+#include "engine/scheduler.hpp"
 #include "support/corpus_fixture.hpp"
 #include "util/error.hpp"
 
@@ -75,20 +76,19 @@ TEST(FailureInjection, UntrainedDetectorsRefuseToScore) {
 }
 
 TEST(FailureInjection, ExperimentRejectsNullFactory) {
-    const DetectorFactory broken = [](std::size_t) {
+    ExperimentPlan plan(test::small_suite());
+    plan.add_detector("broken", [](std::size_t) {
         return std::unique_ptr<SequenceDetector>{};
-    };
-    EXPECT_THROW(
-        (void)run_map_experiment(test::small_suite(), "broken", broken),
-        InvalidArgument);
+    });
+    EXPECT_THROW((void)run_plan(plan), InvalidArgument);
 }
 
 TEST(FailureInjection, ExperimentRejectsWrongWindowFactory) {
-    const DetectorFactory wrong = [](std::size_t) {
+    ExperimentPlan plan(test::small_suite());
+    plan.add_detector("wrong", [](std::size_t) {
         return make_detector(DetectorKind::Stide, 3);  // ignores requested DW
-    };
-    EXPECT_THROW((void)run_map_experiment(test::small_suite(), "wrong", wrong),
-                 InvalidArgument);
+    });
+    EXPECT_THROW((void)run_plan(plan), InvalidArgument);
 }
 
 TEST(FailureInjection, EmptyTrainingStreamRejectedByDetectors) {

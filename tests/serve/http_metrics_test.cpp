@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
@@ -154,6 +155,39 @@ TEST(HttpMetrics, ListenerAnswersScrapesOverTcp) {
 
     listener.stop();
     listener.stop();  // idempotent
+}
+
+TEST(HttpMetrics, ScrapeMetricsParsesALiveScrapeAndRejectsOtherAnswers) {
+    MetricsRegistry reg;
+    reg.counter("serve.events_pushed").add(13);
+    {
+        HttpMetricsListener listener(0, reg);
+        const OpenMetricsDocument doc = scrape_metrics("127.0.0.1", listener.port());
+        EXPECT_EQ(doc.value("adiv_serve_events_pushed_total"), 13.0);
+    }
+
+    // A peer that answers anything but HTTP/1.0 200 and an OpenMetrics body
+    // is an error, not a document.
+    const std::vector<std::string> answers = {
+        "HTTP/1.0 404 Not Found\r\nConnection: close\r\n\r\nno such target\n",
+        "HTTP/1.0 200 OK\r\nConnection: close\r\n\r\nnot openmetrics\n",
+        "SSH-2.0-OpenSSH\r\n",
+    };
+    TcpListener peer(0);
+    std::thread answerer([&] {
+        for (const std::string& answer : answers) {
+            std::unique_ptr<Transport> conn = peer.accept(5000);
+            if (!conn) return;
+            char buffer[256];
+            (void)conn->read_some(buffer, sizeof buffer);
+            conn->write_all(answer.data(), answer.size());
+            conn->close();
+        }
+    });
+    for (const std::string& answer : answers)
+        EXPECT_THROW((void)scrape_metrics("127.0.0.1", peer.port()), DataError)
+            << answer;
+    answerer.join();
 }
 
 TEST(HttpMetrics, SequentialScrapesLeaveNoThreadBehind) {

@@ -276,44 +276,16 @@ std::vector<std::string> scrape_check(const LoadSpec& spec) {
     return errors;
 }
 
-/// Connect/read bound for the metrics probes: a wedged daemon must fail the
-/// run in seconds, not hold it until the kernel gives up.
-constexpr int kScrapeTimeoutMs = 5000;
-
 /// One raw HTTP GET against the daemon's --metrics-port: status must be 200
-/// and the body must parse as OpenMetrics. Both the connect and every read
-/// are bounded by kScrapeTimeoutMs.
+/// and the body must parse as OpenMetrics (serve::scrape_metrics).
 std::vector<std::string> scrape_http_check(const std::string& host,
                                            std::uint16_t port) {
-    std::vector<std::string> errors;
     try {
-        std::unique_ptr<serve::Transport> transport =
-            serve::tcp_connect(host, port, kScrapeTimeoutMs);
-        transport->set_timeout(kScrapeTimeoutMs);
-        const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-        transport->write_all(request.data(), request.size());
-        std::string response;
-        char buffer[4096];
-        for (;;) {
-            const std::size_t n = transport->read_some(buffer, sizeof buffer);
-            if (n == 0) break;
-            response.append(buffer, n);
-        }
-        transport->close();
-        if (response.rfind("HTTP/1.0 200", 0) != 0) {
-            errors.push_back("scrape-http: expected HTTP/1.0 200, got '" +
-                             response.substr(0, response.find('\r')) + "'");
-        } else {
-            const std::size_t body = response.find("\r\n\r\n");
-            if (body == std::string::npos)
-                errors.push_back("scrape-http: response has no header/body split");
-            else
-                parse_openmetrics(response.substr(body + 4));  // throws if bad
-        }
+        (void)serve::scrape_metrics(host, port);
     } catch (const std::exception& e) {
-        errors.push_back(std::string("scrape-http: ") + e.what());
+        return {std::string("scrape-http: ") + e.what()};
     }
-    return errors;
+    return {};
 }
 
 struct RunResult {

@@ -18,9 +18,9 @@
 // anything that speaks the serve wire format; the summary moves to stderr.
 //
 // --jobs N scores window-local detectors in parallel: the stream is split
-// into chunks overlapping by DW-1 elements, each chunk is scored on a worker
-// thread, and the responses are spliced back by window position — bit-equal
-// to the serial pass. Detectors that condition on the whole prefix (the HMM)
+// into N chunks overlapping by DW-1 elements, the chunks are scored on up to
+// N threads (parallel_for, util/parallel.hpp), and the responses are spliced
+// back by window position — bit-equal to the serial pass. Detectors that condition on the whole prefix (the HMM)
 // ignore --jobs and score serially, as does --input - (the stream has no
 // end to split at).
 //
@@ -205,31 +205,25 @@ int main(int argc, char** argv) {
             if (jobs > 1 && detector->window_local() && windows >= 2 * jobs) {
                 // Parallel path: overlapping chunks, responses spliced by
                 // window position. window_local() guarantees chunk seams
-                // change nothing. Each chunk's span is child number
-                // w0 / chunk_windows of score.parallel, whichever worker
-                // runs it.
+                // change nothing. Chunk c's span is child c of
+                // score.parallel, whichever thread runs it.
                 responses.resize(windows);
                 const std::size_t chunk_windows = (windows + jobs - 1) / jobs;
+                const std::size_t chunks = (windows + chunk_windows - 1) / chunk_windows;
                 TraceSpan parallel_span("score.parallel");
                 const TraceContext parallel_ids = parallel_span.context();
-                ThreadPool pool(jobs);
-                TaskGroup group(pool);
-                for (std::size_t w0 = 0; w0 < windows; w0 += chunk_windows) {
+                parallel_for(chunks, jobs, [&](std::size_t c) {
+                    const std::size_t w0 = c * chunk_windows;
                     const std::size_t count = std::min(chunk_windows, windows - w0);
-                    group.run([&, w0, count] {
-                        TraceSpan chunk_span(
-                            "score.chunk",
-                            child_context(parallel_ids, w0 / chunk_windows),
-                            parallel_ids.span_id);
-                        chunk_span.attr("first_window", static_cast<std::uint64_t>(w0))
-                            .attr("windows", static_cast<std::uint64_t>(count));
-                        const EventStream chunk = test.slice(w0, count + dw - 1);
-                        const std::vector<double> scores = detector->score(chunk);
-                        std::copy(scores.begin(), scores.end(),
-                                  responses.begin() + static_cast<std::ptrdiff_t>(w0));
-                    });
-                }
-                group.wait();
+                    TraceSpan chunk_span("score.chunk", child_context(parallel_ids, c),
+                                         parallel_ids.span_id);
+                    chunk_span.attr("first_window", static_cast<std::uint64_t>(w0))
+                        .attr("windows", static_cast<std::uint64_t>(count));
+                    const EventStream chunk = test.slice(w0, count + dw - 1);
+                    const std::vector<double> scores = detector->score(chunk);
+                    std::copy(scores.begin(), scores.end(),
+                              responses.begin() + static_cast<std::ptrdiff_t>(w0));
+                });
             } else {
                 OnlineScorer scorer(*detector);
                 responses.reserve(windows);

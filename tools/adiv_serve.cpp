@@ -1,9 +1,9 @@
 // adiv_serve: the long-lived detection daemon.
 //
+//   adiv_train --detector stide --window 6 --out monitor.adiv
 //   adiv_serve --model monitor.adiv --port 7007
-//   adiv_serve --detector stide --dw 6 --input server.trace --port 0
 //
-// Loads (or trains) a detector once, then serves the adiv_serve wire
+// Loads trained detectors once, then serves the adiv_serve wire
 // protocol (src/serve/protocol.hpp) on 127.0.0.1: clients OPEN a session,
 // PUSH events through a per-session OnlineScorer, and receive one response
 // per completed window — plus STATS / DRAIN / CLOSE. The model is shared
@@ -21,13 +21,12 @@
 // bound port is printed on its own "metrics on" line. The same exposition
 // is available in-protocol via the METRICS verb on the main port.
 //
-// --model registers each file's detector (comma-separated list) as
-// "<name>/<DW>", the first also as "default". --detector KIND --dw N trains
-// on --input (a trace/stream file) or, when --input is absent, on a freshly
-// generated paper corpus (--training-length events). Sessions then OPEN
-// "default", a specific name, or an ensemble spec over several registered
-// names — e.g. "stide/6+markov/6;fuse=ds" (see src/fusion/spec.hpp) — whose
-// events are scored by every member and fused per window.
+// --model (required) registers each file's detector (comma-separated list)
+// as "<name>/<DW>", the first also as "default"; adiv_train writes the
+// files. Sessions then OPEN "default", a specific name, or an ensemble spec
+// over several registered names — e.g. "stide/6+markov/6;fuse=ds" (see
+// src/fusion/spec.hpp) — whose events are scored by every member and fused
+// per window. OPEN never reads a file: the daemon serves what it loaded.
 //
 // --profile turns on the hot-path profile (requires an ADIV_PROFILE build):
 // every request's stage times go into the serve.stage.* sketches and the
@@ -39,7 +38,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 
 #include "adiv.hpp"
 
@@ -55,17 +53,8 @@ void handle_dump_signal(int) { g_dump.store(true); }
 int main(int argc, char** argv) {
     CliParser cli("adiv_serve", "serve online anomaly detection over TCP");
     cli.add_option("model", "",
-                   "trained model file(s) from adiv_train, comma-separated");
-    cli.add_option("detector", "",
-                   "train this kind instead of loading --model: stide | t-stide "
-                   "| markov | lane-brodley | neural-net | hmm | rule | "
-                   "lookahead-pairs");
-    cli.add_option("dw", "6", "detector window for --detector");
-    cli.add_option("input", "",
-                   "training trace/stream for --detector (default: generated "
-                   "paper corpus)");
-    cli.add_option("training-length", "200000",
-                   "generated-corpus length for --detector without --input");
+                   "trained model file(s) from adiv_train, comma-separated "
+                   "(required)");
     cli.add_option("port", "0", "listen port on 127.0.0.1 (0 = ephemeral)");
     cli.add_option("metrics-port", "",
                    "also serve HTTP GET /metrics (OpenMetrics) on this "
@@ -73,7 +62,6 @@ int main(int argc, char** argv) {
     cli.add_option("jobs", "0",
                    "session-table shards (0 = hardware concurrency)");
     cli.add_option("buffer", "0", "per-session scorer buffer (0 = 4*DW)");
-    cli.add_flag("allow-paths", "let OPEN name model files on disk");
     cli.add_flag("profile",
                  "enable wait-site and per-event stage profiling "
                  "(ADIV_PROFILE builds)");
@@ -88,7 +76,6 @@ int main(int argc, char** argv) {
         serve::ServerConfig config;
         config.shards = static_cast<std::size_t>(cli.get_int("jobs"));
         config.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
-        config.allow_model_paths = cli.get_flag("allow-paths");
         config.flight_capacity = static_cast<std::size_t>(cli.get_int("flight"));
         if (cli.get_flag("profile")) {
             require(profiling_compiled(),
@@ -100,36 +87,17 @@ int main(int argc, char** argv) {
         // --model accepts a comma-separated list so one daemon can serve
         // ensemble sessions over several trained detectors; every entry is
         // registered as "<name>/<DW>" and the first also as "default".
+        const std::string paths = cli.get("model");
+        require(!paths.empty(), "--model is required (train one with adiv_train)");
         std::vector<std::shared_ptr<const SequenceDetector>> models;
-        if (const std::string paths = cli.get("model"); !paths.empty()) {
-            std::size_t pos = 0;
-            while (pos <= paths.size()) {
-                const std::size_t comma = std::min(paths.find(',', pos), paths.size());
-                const std::string path = paths.substr(pos, comma - pos);
-                require(!path.empty(), "--model has an empty path");
-                models.push_back(load_detector_file(path));
-                if (comma == paths.size()) break;
-                pos = comma + 1;
-            }
-        } else {
-            const std::string kind_name = cli.get("detector");
-            require(!kind_name.empty(), "--model or --detector is required");
-            const std::size_t dw = static_cast<std::size_t>(cli.get_int("dw"));
-            auto detector = make_detector(detector_kind_from_string(kind_name), dw);
-            if (const std::string input = cli.get("input"); !input.empty()) {
-                std::ifstream probe(input);
-                require_data(probe.good(), "cannot open '" + input + "'");
-                std::string tag;
-                probe >> tag;
-                detector->train(tag == "adiv-trace" ? load_trace_file(input).second
-                                                    : load_stream_file(input));
-            } else {
-                CorpusSpec spec;
-                spec.training_length =
-                    static_cast<std::size_t>(cli.get_int("training-length"));
-                detector->train(TrainingCorpus::generate(spec).training());
-            }
-            models.push_back(std::move(detector));
+        std::size_t pos = 0;
+        while (pos <= paths.size()) {
+            const std::size_t comma = std::min(paths.find(',', pos), paths.size());
+            const std::string path = paths.substr(pos, comma - pos);
+            require(!path.empty(), "--model has an empty path");
+            models.push_back(load_detector_file(path));
+            if (comma == paths.size()) break;
+            pos = comma + 1;
         }
         std::string model_names;
         for (const auto& model : models) {

@@ -30,32 +30,6 @@ using namespace adiv;
 
 namespace {
 
-/// Connect/read bound: a dashboard must degrade to an error line, not hang.
-constexpr int kScrapeTimeoutMs = 5000;
-
-/// One GET /metrics round-trip; returns the validated document.
-OpenMetricsDocument fetch_metrics(const std::string& host, std::uint16_t port) {
-    std::unique_ptr<serve::Transport> transport =
-        serve::tcp_connect(host, port, kScrapeTimeoutMs);
-    transport->set_timeout(kScrapeTimeoutMs);
-    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-    transport->write_all(request.data(), request.size());
-    std::string response;
-    char buffer[4096];
-    for (;;) {
-        const std::size_t n = transport->read_some(buffer, sizeof buffer);
-        if (n == 0) break;
-        response.append(buffer, n);
-    }
-    transport->close();
-    require_data(response.rfind("HTTP/1.0 200", 0) == 0,
-                 "expected HTTP/1.0 200, got '" +
-                     response.substr(0, response.find('\r')) + "'");
-    const std::size_t body = response.find("\r\n\r\n");
-    require_data(body != std::string::npos, "response has no header/body split");
-    return parse_openmetrics(response.substr(body + 4));
-}
-
 /// A summary family folded out of its quantile/_sum/_count samples.
 struct SummaryRow {
     double p50 = 0.0;
@@ -205,7 +179,7 @@ int main(int argc, char** argv) {
             std::string body;
             try {
                 const OpenMetricsDocument doc =
-                    fetch_metrics(host, static_cast<std::uint16_t>(port));
+                    serve::scrape_metrics(host, static_cast<std::uint16_t>(port));
                 const Frame frame = fold_frame(doc, clock.seconds());
                 body = render_frame(
                     frame, have_previous ? &previous : nullptr, endpoint);

@@ -16,8 +16,10 @@
 #                                       # (verified), SIGTERM-drain it
 #   tools/ci_check.sh --obs-smoke       # also: run a small instrumented map
 #                                       # experiment (--trace + periodic
-#                                       # --metrics-interval snapshots),
-#                                       # analyze the trace with
+#                                       # --metrics-interval snapshots;
+#                                       # its -- csv -- block must equal a
+#                                       # --jobs 1 run's), analyze the trace
+#                                       # with
 #                                       # adiv_traceview (one tree: the
 #                                       # plan parents its workers' spans,
 #                                       # and the setup spans plus the plan
@@ -224,6 +226,20 @@ if [ "$obs_smoke" -eq 1 ]; then
         echo "obs smoke: sampler wrote no snapshot lines" >&2; exit 1; }
     head -1 "$smoke_dir/trace.jsonl" | grep -q '"type":"manifest"' || {
         echo "obs smoke: trace does not start with a manifest" >&2; exit 1; }
+    # Maps do not depend on the jobs value: the same map at --jobs 1 must
+    # print the same -- csv -- block.
+    ./build/bench/fig5_stide_map --training-length 20000 --background 512 \
+        --max-anomaly 3 --max-window 4 --jobs 1 > "$smoke_dir/map_j1.log"
+    for j in 1 2; do
+        log="$smoke_dir/map_j$j.log"
+        [ "$j" -eq 2 ] && log="$smoke_dir/map.log"
+        sed -n '/^-- csv --$/,/^# plan:/p' "$log" | grep -v '^# plan:' \
+            > "$smoke_dir/csv_j$j.txt"
+    done
+    grep -q '^stide,' "$smoke_dir/csv_j1.txt" || {
+        echo "obs smoke: the --jobs 1 map printed no csv rows" >&2; exit 1; }
+    cmp -s "$smoke_dir/csv_j1.txt" "$smoke_dir/csv_j2.txt" || {
+        echo "obs smoke: --jobs 1 and --jobs 2 printed different maps" >&2; exit 1; }
 
     echo "-- obs smoke: adiv_traceview over the run's trace --"
     ./build/tools/adiv_traceview "$smoke_dir/trace.jsonl" > "$smoke_dir/traceview.txt"
