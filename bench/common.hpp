@@ -24,10 +24,8 @@ struct Context {
     SuiteConfig suite_config;
     /// Resolved --jobs value (never 0): worker threads for plan runs.
     std::size_t jobs = 1;
-    /// Installed before corpus generation when --metrics/--trace are given;
-    /// --metrics-interval additionally samples the registry into a JSON-lines
-    /// series while the experiment runs. Dumps the final metrics (stopping
-    /// the sampler first) when the context is destroyed.
+    /// Installed before corpus generation when --metrics/--trace are given.
+    /// Dumps the final metrics when the context is destroyed.
     std::unique_ptr<ObsSession> obs;
     std::unique_ptr<TrainingCorpus> corpus;
     std::unique_ptr<EvaluationSuite> suite;

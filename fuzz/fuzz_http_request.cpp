@@ -1,5 +1,5 @@
 // Fuzz target for the HTTP scrape endpoint's request-head parser
-// (serve/http_metrics.hpp), which faces the network: http_metrics_response
+// (serve/http_metrics.hpp), which faces the network: http_response_for
 // on the raw bytes, and the one-request server (serve_one_http_request) over
 // a loopback pair, so the header-accumulation loop and its 16 KB cap run
 // too. Whatever the bytes, every response must be a well-formed reply: it
@@ -44,7 +44,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     metrics.counter("serve.events_pushed").add(1);
     metrics.sketch("serve.stage.total_us").record(static_cast<double>(size));
     const std::string_view bytes(reinterpret_cast<const char*>(data), size);
-    check_response(adiv::serve::http_metrics_response(bytes, metrics));
+    check_response(adiv::serve::http_response_for(bytes, metrics));
 
     // The input is everything the client ever sends: write it, then close,
     // so the server's reads see end-of-stream after the last byte.

@@ -14,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/sampler.hpp"
 #include "obs/sketch.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"

@@ -103,16 +103,23 @@ HmmDetector HmmDetector::load_model(std::istream& in) {
     HmmDetector detector(window, config);
     detector.training_ll_ = read_double(in, "training log-likelihood");
 
-    std::vector<double> pi(config.states);
-    for (double& v : pi) v = read_double(in, "initial probability");
-    Matrix a(config.states, config.states);
+    // A matrix is shaped only after its values are read, so its size comes
+    // from values actually in the file, never from the header alone.
+    const auto read_matrix = [&in](std::size_t rows, std::size_t cols,
+                                   std::string_view what) {
+        std::vector<double> values;
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < cols; ++c)
+                values.push_back(read_double(in, what));
+        Matrix m(rows, cols);
+        std::copy(values.begin(), values.end(), m.flat().begin());
+        return m;
+    };
+    std::vector<double> pi;
     for (std::size_t i = 0; i < config.states; ++i)
-        for (std::size_t j = 0; j < config.states; ++j)
-            a.at(i, j) = read_double(in, "transition probability");
-    Matrix b(config.states, alphabet);
-    for (std::size_t i = 0; i < config.states; ++i)
-        for (std::size_t k = 0; k < alphabet; ++k)
-            b.at(i, k) = read_double(in, "emission probability");
+        pi.push_back(read_double(in, "initial probability"));
+    Matrix a = read_matrix(config.states, config.states, "transition probability");
+    Matrix b = read_matrix(config.states, alphabet, "emission probability");
 
     HmmConfig hmm_config;
     hmm_config.states = config.states;

@@ -105,12 +105,12 @@ LaneBrodleyDetector LaneBrodleyDetector::load_model(std::istream& in) {
     detector.codec_.emplace(alphabet);
     require(window <= detector.codec_->max_length(),
             "window length exceeds codec capacity");
-    detector.database_.reserve(windows * window);
-    for (std::size_t i = 0; i < windows * window; ++i) {
-        const auto s = static_cast<Symbol>(read_u64(in, "database symbol"));
-        require_data(s < alphabet, "database symbol outside alphabet");
-        detector.database_.push_back(s);
-    }
+    for (std::size_t i = 0; i < windows; ++i)
+        for (std::size_t k = 0; k < window; ++k) {
+            const auto s = static_cast<Symbol>(read_u64(in, "database symbol"));
+            require_data(s < alphabet, "database symbol outside alphabet");
+            detector.database_.push_back(s);
+        }
     return detector;
 }
 

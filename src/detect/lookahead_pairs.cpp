@@ -11,9 +11,18 @@ LookaheadPairsDetector::LookaheadPairsDetector(std::size_t window_length)
             "lookahead-pairs window length must be at least 2 (one offset)");
 }
 
+void LookaheadPairsDetector::reset_table(std::size_t alphabet_size) {
+    std::size_t flags = 0;
+    require(!__builtin_mul_overflow(window_length_ - 1, alphabet_size, &flags) &&
+                !__builtin_mul_overflow(flags, alphabet_size, &flags) &&
+                flags <= seen_.max_size(),
+            "lookahead-pairs table size overflows");
+    alphabet_size_ = alphabet_size;
+    seen_.assign(flags, false);
+}
+
 void LookaheadPairsDetector::train(const EventStream& training) {
-    alphabet_size_ = training.alphabet_size();
-    seen_.assign((window_length_ - 1) * alphabet_size_ * alphabet_size_, false);
+    reset_table(training.alphabet_size());
     for_each_window(training, window_length_, [&](std::size_t, SymbolView w) {
         for (std::size_t k = 1; k < window_length_; ++k)
             seen_[index(k, w[0], w[k])] = true;
@@ -68,8 +77,7 @@ LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
     const std::size_t alphabet = read_size(in, "alphabet size");
     const std::size_t pairs = read_size(in, "pair count");
     LookaheadPairsDetector detector(window);
-    detector.alphabet_size_ = alphabet;
-    detector.seen_.assign((window - 1) * alphabet * alphabet, false);
+    detector.reset_table(alphabet);
     for (std::size_t i = 0; i < pairs; ++i) {
         const std::size_t k = read_size(in, "pair offset");
         require_data(k >= 1 && k < window, "pair offset outside window");

@@ -54,6 +54,11 @@ private:
     /// at lookahead offset k. Dense: (DW-1) * A^2 bits.
     std::vector<bool> seen_;
 
+    /// Sets the alphabet and clears seen_ to its (DW-1) * A^2 flags. Throws
+    /// InvalidArgument when that count overflows: a wrapped size would leave
+    /// index() pointing past the table's end.
+    void reset_table(std::size_t alphabet_size);
+
     [[nodiscard]] std::size_t index(std::size_t offset, Symbol first,
                                     Symbol follower) const noexcept {
         return ((offset - 1) * alphabet_size_ + first) * alphabet_size_ + follower;

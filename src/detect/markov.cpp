@@ -70,18 +70,17 @@ MarkovDetector MarkovDetector::load_model(std::istream& in) {
     const std::size_t contexts = read_size(in, "context count");
     MarkovDetector detector(window, config);
 
-    std::vector<ContextDistribution> distributions(contexts);
-    for (ContextDistribution& dist : distributions) {
-        dist.context.resize(window - 1);
-        for (Symbol& s : dist.context) {
-            s = static_cast<Symbol>(read_u64(in, "context symbol"));
+    std::vector<ContextDistribution> distributions;
+    for (std::size_t i = 0; i < contexts; ++i) {
+        ContextDistribution& dist = distributions.emplace_back();
+        for (std::size_t k = 0; k + 1 < window; ++k) {
+            const auto s = static_cast<Symbol>(read_u64(in, "context symbol"));
             require_data(s < alphabet, "context symbol outside alphabet");
+            dist.context.push_back(s);
         }
-        dist.next_counts.resize(alphabet);
-        dist.total = 0;
-        for (std::uint64_t& c : dist.next_counts) {
-            c = read_u64(in, "continuation count");
-            dist.total += c;
+        for (std::size_t c = 0; c < alphabet; ++c) {
+            dist.next_counts.push_back(read_u64(in, "continuation count"));
+            dist.total += dist.next_counts.back();
         }
     }
     detector.model_.emplace(alphabet, window - 1, distributions);

@@ -133,11 +133,16 @@ NnDetector NnDetector::load_model(std::istream& in) {
     net_config.momentum = config.momentum;
     net_config.init_scale = config.init_scale;
     net_config.seed = config.seed;
-    detector.net_.emplace(net_config);
 
+    // The parameters come first, and their number must match the shape: the
+    // net is sized from values actually read, never from the header alone.
     const std::size_t param_count = read_size(in, "parameter count");
-    std::vector<double> params(param_count);
-    for (double& p : params) p = read_double(in, "parameter");
+    std::vector<double> params;
+    for (std::size_t i = 0; i < param_count; ++i)
+        params.push_back(read_double(in, "parameter"));
+    require_data(params.size() == Mlp::parameter_count(net_config.layer_sizes),
+                 "parameter count does not match the network shape");
+    detector.net_.emplace(net_config);
     detector.net_->set_parameters(params);
     return detector;
 }

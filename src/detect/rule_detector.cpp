@@ -227,11 +227,12 @@ RuleDetector RuleDetector::load_model(std::istream& in) {
     RuleDetector detector(window, config);
     detector.alphabet_size_ = alphabet;
 
-    std::vector<SequenceRule> rules(rule_count);
-    for (SequenceRule& rule : rules) {
+    std::vector<SequenceRule> rules;
+    for (std::size_t i = 0; i < rule_count; ++i) {
+        SequenceRule& rule = rules.emplace_back();
         const std::size_t conditions = read_size(in, "condition count");
-        rule.conditions.resize(conditions);
-        for (RuleCondition& c : rule.conditions) {
+        for (std::size_t k = 0; k < conditions; ++k) {
+            RuleCondition& c = rule.conditions.emplace_back();
             c.position = read_size(in, "condition position");
             require_data(c.position < window - 1, "condition position outside context");
             c.value = static_cast<Symbol>(read_u64(in, "condition value"));

@@ -42,7 +42,6 @@ EventStream load_stream(std::istream& in) {
     const std::size_t alphabet = read_size(in, "alphabet size");
     const std::size_t length = read_size(in, "stream length");
     Sequence events;
-    events.reserve(length);
     for (std::size_t i = 0; i < length; ++i)
         events.push_back(static_cast<Symbol>(read_u64(in, "stream symbol")));
     return EventStream(alphabet, std::move(events));
@@ -82,12 +81,10 @@ std::pair<Alphabet, EventStream> load_trace(std::istream& in) {
     const std::size_t alphabet_size = read_size(in, "alphabet size");
     const std::size_t length = read_size(in, "trace length");
     std::vector<std::string> names;
-    names.reserve(alphabet_size);
     for (std::size_t i = 0; i < alphabet_size; ++i)
         names.push_back(read_token(in, "alphabet name"));
     Alphabet alphabet(names);
     Sequence events;
-    events.reserve(length);
     for (std::size_t i = 0; i < length; ++i)
         events.push_back(alphabet.id(read_token(in, "trace symbol")));
     return {std::move(alphabet), EventStream(alphabet_size, std::move(events))};

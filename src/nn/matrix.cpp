@@ -5,8 +5,13 @@
 namespace adiv {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {
+    : rows_(rows), cols_(cols) {
     require(rows > 0 && cols > 0, "matrix dimensions must be positive");
+    // A product that wraps would allocate a small buffer behind a large
+    // shape, and at() would then write past its end.
+    require(cols <= data_.max_size() / rows,
+            "matrix element count overflows");
+    data_.assign(rows * cols, fill);
 }
 
 void Matrix::multiply(std::span<const double> x, std::span<double> y) const {

@@ -33,6 +33,8 @@ inline void axpy(double alpha, std::span<const double> x, std::span<double> y) n
 class Matrix {
 public:
     Matrix() = default;
+    /// Throws InvalidArgument for a zero dimension or a shape whose element
+    /// count does not fit a vector.
     Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
     [[nodiscard]] std::size_t rows() const noexcept { return rows_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "util/error.hpp"
@@ -231,6 +232,20 @@ std::vector<double> Mlp::parameters() const {
         out.insert(out.end(), layer.bias.begin(), layer.bias.end());
     }
     return out;
+}
+
+std::size_t Mlp::parameter_count(std::span<const std::size_t> layer_sizes) {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i + 1 < layer_sizes.size(); ++i) {
+        // (in + 1) * out: the layer's weights plus its biases.
+        std::size_t layer = 0;
+        require(layer_sizes[i] < SIZE_MAX &&
+                    !__builtin_mul_overflow(layer_sizes[i] + 1,
+                                            layer_sizes[i + 1], &layer) &&
+                    !__builtin_add_overflow(total, layer, &total),
+                "network parameter count overflows");
+    }
+    return total;
 }
 
 void Mlp::set_parameters(std::span<const double> params) {

@@ -107,6 +107,11 @@ public:
     [[nodiscard]] std::vector<double> parameters() const;
     void set_parameters(std::span<const double> params);
 
+    /// parameters().size() for a network of the given layer sizes, computed
+    /// without building one. Throws InvalidArgument when it overflows.
+    [[nodiscard]] static std::size_t parameter_count(
+        std::span<const std::size_t> layer_sizes);
+
 private:
     struct Layer {
         Matrix weights;  // in x out: row c holds input c's outgoing weights

@@ -181,9 +181,10 @@ OpenMetricsDocument parse_openmetrics(std::string_view text) {
                 saw_eof = true;
                 continue;
             }
-            std::size_t word = line.find(' ', 2);
+            // "# KEYWORD ..."; a bare "#" is a comment with no keyword.
+            const std::size_t word = line.find(' ', 2);
             const std::string keyword =
-                word == std::string::npos ? line.substr(2) : line.substr(2, word - 2);
+                line.size() < 2 ? std::string() : line.substr(2, word - 2);
             if (keyword == "TYPE") {
                 require_data(word != std::string::npos, at + ": truncated TYPE");
                 const std::size_t name_end = line.find(' ', word + 1);

@@ -20,8 +20,9 @@
 //
 // parse_openmetrics() is the matching self-check: it re-parses an exposition
 // into samples and validates the grammar (TYPE before samples, counter
-// `_total` suffixes, finite counter values, terminal `# EOF`). The loadgen
-// --scrape probe and the CI obs-smoke step both go through it.
+// `_total` suffixes, finite counter values, terminal `# EOF`). Every scrape
+// client goes through it: serve::scrape_metrics, behind adiv_top and
+// adiv_loadgen --scrape-http.
 #pragma once
 
 #include <optional>

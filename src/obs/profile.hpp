@@ -7,8 +7,8 @@
 //   <site>.contended   counter, passes that actually blocked
 //   <site>.wait_us     sketch over the blocked passes' wait times
 //
-// — so wait-site data rides the existing OpenMetrics / sampler / METRICS
-// paths for free, and the registry is the one place a profile is read.
+// — so wait-site data rides the existing --metrics dump and GET /metrics
+// scrape for free, and the registry is the one place a profile is read.
 // Two idioms cover every profiled site:
 //
 //   * StageTimer, the one stamp: `const StageTimer t(field);` adds the

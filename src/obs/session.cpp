@@ -14,18 +14,11 @@ void add_observability_options(CliParser& cli) {
     cli.add_option("trace", "",
                    "stream JSON-lines trace spans to PATH ('-' = stderr, "
                    "'null' = measure but discard)");
-    cli.add_option("metrics-interval", "0",
-                   "sample the metrics registry every MS milliseconds into a "
-                   "JSON-lines series (0 = off)");
-    cli.add_option("metrics-samples", "",
-                   "destination for --metrics-interval snapshots (default: "
-                   "'<--metrics PATH>.samples.jsonl')");
 }
 
 ObsSession::ObsSession(const CliParser& cli, RunManifest manifest)
     : manifest_(std::move(manifest)), metrics_spec_(cli.get("metrics")) {
     install(cli.get("trace"));
-    start_sampler(cli.get_int("metrics-interval"), cli.get("metrics-samples"));
 }
 
 ObsSession::ObsSession(const std::string& metrics_spec,
@@ -40,28 +33,6 @@ void ObsSession::install(const std::string& trace_spec) {
     previous_sink_ = set_global_trace_sink(sink_);
     installed_ = true;
     if (sink_->enabled()) sink_->write_line(manifest_json_line(manifest_));
-}
-
-std::string ObsSession::resolve_samples_spec(const std::string& samples_spec,
-                                             const std::string& metrics_spec) {
-    if (!samples_spec.empty()) return samples_spec;
-    require(!metrics_spec.empty() && metrics_spec != "-",
-            "--metrics-interval needs --metrics-samples PATH or a file-backed "
-            "--metrics PATH to derive the snapshot destination from");
-    return metrics_spec + ".samples.jsonl";
-}
-
-void ObsSession::start_sampler(std::int64_t interval_ms,
-                               const std::string& samples_spec) {
-    require(interval_ms >= 0, "--metrics-interval must be >= 0");
-    if (interval_ms == 0) return;
-    samples_sink_ =
-        open_trace_sink(resolve_samples_spec(samples_spec, metrics_spec_));
-    TelemetrySamplerConfig config;
-    config.interval = std::chrono::milliseconds(interval_ms);
-    sampler_ = std::make_unique<TelemetrySampler>(global_metrics(),
-                                                  samples_sink_, config);
-    sampler_->start();
 }
 
 bool ObsSession::tracing() const noexcept { return sink_ && sink_->enabled(); }
@@ -86,9 +57,6 @@ void ObsSession::dump_metrics() {
 
 ObsSession::~ObsSession() {
     try {
-        // Stop sampling first so the final snapshot precedes (and agrees
-        // with) the final dump.
-        if (sampler_) sampler_->stop();
         dump_metrics();
     } catch (...) {
         // A failed metrics dump must not terminate the program from a dtor.

@@ -15,12 +15,10 @@
 // (stdout) and machine JSON (the --metrics file, or stdout for "-").
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "obs/manifest.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 
@@ -30,10 +28,6 @@ namespace adiv {
 ///   --metrics PATH            final metrics dump; "-" = stdout (table + JSON)
 ///   --trace PATH              JSON-lines span trace; "-" = stderr,
 ///                             "null" = discard
-///   --metrics-interval MS     periodic registry snapshots every MS
-///                             milliseconds (0 = off)
-///   --metrics-samples PATH    snapshot destination; defaults to
-///                             "<--metrics path>.samples.jsonl"
 void add_observability_options(CliParser& cli);
 
 class ObsSession {
@@ -61,27 +55,14 @@ public:
     [[nodiscard]] bool metrics_requested() const noexcept {
         return !metrics_spec_.empty();
     }
-    [[nodiscard]] bool sampling() const noexcept { return sampler_ != nullptr; }
-
-    /// Resolves the snapshot destination for a --metrics-interval run:
-    /// an explicit --metrics-samples spec wins; otherwise the series lands
-    /// next to the --metrics file as "<path>.samples.jsonl". Throws
-    /// InvalidArgument when neither yields a concrete path. Exposed so the
-    /// derivation rule is testable without spinning a sampler thread.
-    static std::string resolve_samples_spec(const std::string& samples_spec,
-                                            const std::string& metrics_spec);
 
 private:
     void install(const std::string& trace_spec);
-    void start_sampler(std::int64_t interval_ms,
-                       const std::string& samples_spec);
 
     RunManifest manifest_;
     std::string metrics_spec_;
     std::shared_ptr<TraceSink> sink_;
     std::shared_ptr<TraceSink> previous_sink_;
-    std::shared_ptr<TraceSink> samples_sink_;
-    std::unique_ptr<TelemetrySampler> sampler_;
     bool installed_ = false;
     bool dumped_ = false;
 };

@@ -42,7 +42,7 @@
 namespace adiv {
 
 /// Point-in-time digest of a sketch: the one quantile digest every
-/// renderer (table, JSON, OpenMetrics, sampler) reports.
+/// renderer (table, JSON, OpenMetrics) reports.
 struct SketchSummary {
     std::uint64_t count = 0;
     double sum = 0.0;   ///< exact to 1e-3 of the recorded unit

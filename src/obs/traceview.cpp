@@ -255,7 +255,7 @@ void read_runs(std::istream& in, std::uint64_t only_trace, std::uint64_t& lines,
             continue;
         }
         const bool begin = type->text == "span_begin";
-        if (!begin && type->text != "span_end") continue;  // metrics_sample etc.
+        if (!begin && type->text != "span_end") continue;  // other record types
         const FieldValue* name = find_string(fields, "name");
         const FieldValue* t = find_number(fields, "t");
         const FieldValue* dur = find_number(fields, "dur_s");

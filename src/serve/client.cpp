@@ -83,15 +83,6 @@ Response Client::stats() {
     return response;
 }
 
-std::string Client::metrics() {
-    Request request;
-    request.type = RequestType::Metrics;
-    Response response = checked(request);
-    require_data(response.type == ResponseType::Metrics,
-                 "unexpected response to METRICS");
-    return std::move(response.exposition);
-}
-
 SessionCounts Client::drain() {
     Request request;
     request.type = RequestType::Drain;
@@ -107,7 +98,7 @@ std::string Client::dump() {
     Response response = checked(request);
     require_data(response.type == ResponseType::Dumped,
                  "unexpected response to DUMP");
-    return std::move(response.exposition);
+    return std::move(response.body);
 }
 
 SessionCounts Client::close_session() {

@@ -44,9 +44,6 @@ public:
     OpenInfo open(const std::string& target);
     std::vector<double> push(SymbolView events);
     Response stats();
-    /// The server's metrics registry as OpenMetrics exposition text; works
-    /// with or without an open session.
-    std::string metrics();
     SessionCounts drain();
     /// The session's flight-recorder ring as rendered text (DUMP verb);
     /// requires an open session.

@@ -30,8 +30,8 @@ std::string plain_response(std::string_view status, std::string_view body) {
 
 }  // namespace
 
-std::string http_metrics_response(std::string_view request_head,
-                                  const MetricsRegistry& metrics) {
+std::string http_response_for(std::string_view request_head,
+                              const MetricsRegistry& metrics) {
     // Only the request line matters: "<METHOD> <target> HTTP/<version>".
     const std::size_t line_end =
         std::min(request_head.find('\r'), request_head.find('\n'));
@@ -76,7 +76,7 @@ std::string serve_one_http_request(Transport& transport,
         if (n == 0) break;
         head.append(buffer, n);
     }
-    const std::string response = http_metrics_response(head, metrics);
+    const std::string response = http_response_for(head, metrics);
     wait_at_most_the_time_left();
     transport.write_all(response.data(), response.size());
     return response;

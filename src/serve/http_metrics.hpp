@@ -1,8 +1,8 @@
 // HTTP/1.0 scrape endpoint for the detection server's metrics registry.
 //
-// Prometheus-style collectors speak HTTP, not the adiv frame protocol, so
-// the daemon can expose the same OpenMetrics exposition the METRICS verb
-// returns on a second, plain-HTTP port:
+// The daemon's one live view of its registry: Prometheus-style collectors,
+// adiv_top and adiv_loadgen --scrape-http all read the OpenMetrics
+// exposition (obs/openmetrics.hpp) on a second, plain-HTTP port:
 //
 //   GET /metrics HTTP/1.0        -> 200, Content-Type: application/
 //                                   openmetrics-text; version=1.0.0
@@ -43,8 +43,8 @@ namespace adiv::serve {
 /// Builds the full HTTP response (status line, headers, body) for one
 /// request head. `request_head` is everything up to the end of the header
 /// block; only the request line is examined.
-[[nodiscard]] std::string http_metrics_response(std::string_view request_head,
-                                                const MetricsRegistry& metrics);
+[[nodiscard]] std::string http_response_for(std::string_view request_head,
+                                            const MetricsRegistry& metrics);
 
 /// The time budget of one scrape: reading its request head, then writing
 /// its response (see serve_one_http_request for how waits are bounded).

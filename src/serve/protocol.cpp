@@ -74,7 +74,6 @@ namespace {
 constexpr std::string_view kOpen = "OPEN";
 constexpr std::string_view kPush = "PUSH";
 constexpr std::string_view kStats = "STATS";
-constexpr std::string_view kMetrics = "METRICS";
 constexpr std::string_view kDrain = "DRAIN";
 constexpr std::string_view kDump = "DUMP";
 constexpr std::string_view kClose = "CLOSE";
@@ -166,9 +165,6 @@ Request parse_request_stream(std::string_view payload) {
     } else if (verb == kStats) {
         request.type = RequestType::Stats;
         require_done(in, kStats);
-    } else if (verb == kMetrics) {
-        request.type = RequestType::Metrics;
-        require_done(in, kMetrics);
     } else if (verb == kDrain) {
         request.type = RequestType::Drain;
         require_done(in, kDrain);
@@ -208,8 +204,6 @@ std::string serialize(const Request& request) {
         }
         case RequestType::Stats:
             return std::string(kStats);
-        case RequestType::Metrics:
-            return std::string(kMetrics);
         case RequestType::Drain:
             return std::string(kDrain);
         case RequestType::Dump:
@@ -254,16 +248,15 @@ void serialize_into(const Response& response, std::string& payload) {
             payload += ' ';
             append_u64(payload, response.active_sessions);
             return;
-        case ResponseType::Metrics:
         case ResponseType::Dumped:
             // The byte count delimits the raw body: it starts after the
             // single space following the count and runs exactly that many
             // bytes (newlines included — the frame length covers them).
-            payload += response.type == ResponseType::Metrics ? kMetrics : kDumped;
+            payload += kDumped;
             payload += ' ';
-            append_u64(payload, response.exposition.size());
+            append_u64(payload, response.body.size());
             payload += ' ';
-            payload += response.exposition;
+            payload += response.body;
             return;
         case ResponseType::Drained:
         case ResponseType::Closed:
@@ -358,29 +351,27 @@ Response parse_response(std::string_view payload) {
         response.counts.alarms = read_u64(in, "alarms");
         response.active_sessions = read_size(in, "active sessions");
         require_done(in, kStats);
-    } else if (verb == kMetrics || verb == kDumped) {
-        response.type =
-            verb == kMetrics ? ResponseType::Metrics : ResponseType::Dumped;
+    } else if (verb == kDumped) {
+        response.type = ResponseType::Dumped;
         // Raw-byte field: parsed off the payload directly, because the
         // body embeds spaces and newlines that token extraction would
         // destroy.
-        const std::string name(verb);
         const std::size_t verb_end = payload.find(' ');
         require_data(verb_end != std::string_view::npos,
-                     name + " is missing its byte count");
+                     "DUMPED is missing its byte count");
         const std::size_t size_end = payload.find(' ', verb_end + 1);
         require_data(size_end != std::string_view::npos,
-                     name + " is missing its body");
+                     "DUMPED is missing its body");
         std::size_t nbytes = 0;
         const char* first = payload.data() + verb_end + 1;
         const char* last = payload.data() + size_end;
         const auto [end, ec] = std::from_chars(first, last, nbytes);
         require_data(ec == std::errc() && end == last,
-                     name + " byte count is not a number");
+                     "DUMPED byte count is not a number");
         const std::string_view body = payload.substr(size_end + 1);
         require_data(body.size() == nbytes,
-                     name + " byte count disagrees with its body");
-        response.exposition = std::string(body);
+                     "DUMPED byte count disagrees with its body");
+        response.body = std::string(body);
     } else if (verb == kDrained || verb == kClosed) {
         response.type =
             verb == kDrained ? ResponseType::Drained : ResponseType::Closed;

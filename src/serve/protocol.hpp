@@ -22,9 +22,6 @@
 //   (trace id : client span id) carrying the request's trace context; the
 //   daemon parents its handling spans under it. Absent token = untraced.
 //   STATS                  session + server counters, no state change
-//   METRICS                the server's metrics registry as an OpenMetrics
-//                          exposition; allowed before OPEN (scrape clients
-//                          never open a session)
 //   DRAIN                  barrier: everything pushed before this point has
 //                          been scored and its responses delivered
 //   DUMP                   the session's flight-recorder ring (last K
@@ -39,13 +36,12 @@
 //                                   stream order; 17-significant-digit
 //                                   decimal, so doubles round-trip exactly
 //   STATS <events> <windows> <alarms> <active-sessions>
-//   METRICS <nbytes> <exposition>   raw OpenMetrics text; nbytes covers the
-//                                   bytes after the single separator space
-//                                   (the exposition embeds newlines, which
-//                                   the frame length already accounts for)
 //   DRAINED <events> <windows> <alarms>
-//   DUMPED <nbytes> <text>          raw flight-recorder rendering; the same
-//                                   raw-byte-field shape as METRICS
+//   DUMPED <nbytes> <text>          raw flight-recorder rendering; nbytes
+//                                   covers the bytes after the single
+//                                   separator space (the text embeds
+//                                   newlines, which the frame length already
+//                                   accounts for)
 //   CLOSED <events> <windows> <alarms>
 //   ERR <message...>                message runs to the end of the payload
 //
@@ -53,6 +49,9 @@
 // the byte stream has lost sync and the connection must close. Record-level
 // errors (unknown verb, bad symbol) are answered with ERR and the session
 // survives.
+//
+// The daemon's metrics registry is not on this protocol: it is scraped over
+// HTTP (GET /metrics, serve/http_metrics.hpp).
 #pragma once
 
 #include <cstdint>
@@ -105,7 +104,7 @@ private:
     std::size_t pos_ = 0;
 };
 
-enum class RequestType { Open, Push, Stats, Metrics, Drain, Dump, Close };
+enum class RequestType { Open, Push, Stats, Drain, Dump, Close };
 
 struct Request {
     RequestType type = RequestType::Stats;
@@ -126,9 +125,7 @@ struct SessionCounts {
     std::uint64_t alarms = 0;   // responses at/above kMaximalResponse
 };
 
-enum class ResponseType {
-    Opened, Scores, Stats, Metrics, Drained, Dumped, Closed, Error
-};
+enum class ResponseType { Opened, Scores, Stats, Drained, Dumped, Closed, Error };
 
 struct Response {
     ResponseType type = ResponseType::Error;
@@ -142,8 +139,8 @@ struct Response {
     // Stats / Drained / Closed
     SessionCounts counts;
     std::size_t active_sessions = 0;  // Stats only
-    // Metrics / Dumped: raw body text (OpenMetrics exposition, flight dump)
-    std::string exposition;
+    // Dumped: raw body text (the flight-recorder rendering)
+    std::string body;
     // Error
     std::string message;
 };

@@ -17,7 +17,7 @@ std::size_t resolve_shards(std::size_t shards) {
 }
 
 // A connection's output buffer is flushed once it passes this, so a read
-// full of METRICS or DUMP requests cannot hold megabytes of replies.
+// full of DUMP requests cannot hold megabytes of replies.
 constexpr std::size_t kFlushBytes = 64 * 1024;
 
 std::string_view verb_of(RequestType type) noexcept {
@@ -25,7 +25,6 @@ std::string_view verb_of(RequestType type) noexcept {
         case RequestType::Open: return "OPEN";
         case RequestType::Push: return "PUSH";
         case RequestType::Stats: return "STATS";
-        case RequestType::Metrics: return "METRICS";
         case RequestType::Drain: return "DRAIN";
         case RequestType::Dump: return "DUMP";
         case RequestType::Close: return "CLOSE";
@@ -36,8 +35,7 @@ std::string_view verb_of(RequestType type) noexcept {
 }  // namespace
 
 Server::Server(ServerConfig config, MetricsRegistry& metrics)
-    : metrics_(&metrics),
-      sessions_(catalog_,
+    : sessions_(catalog_,
                 SessionConfig{config.scorer_buffer, config.flight_capacity,
                               resolve_shards(config.shards)},
                 metrics),
@@ -212,8 +210,7 @@ void Server::handle_request(Reader& reader, std::string_view payload,
     const bool session_verb =
         reader.has_session && request.type != RequestType::Open;
     // Session verbs score into the reused response; the reader's own
-    // answers (OPEN, METRICS before a session, errors) are cold and build
-    // a fresh one.
+    // answers (OPEN, errors) are cold and build a fresh one.
     Response cold;
     {
         const StageTimer score(stamps.score_us);
@@ -229,36 +226,34 @@ void Server::handle_request(Reader& reader, std::string_view payload,
                 handle_span.emplace("serve.shard_handle");
             }
             // A warm PUSH allocates only inside its scorer (tests/alloc
-            // counts it); the verbs that do allocate (error text, METRICS,
-            // DUMP, STATS) are cold admin traffic.
+            // counts it); the verbs that do allocate (error text, DUMP,
+            // STATS) are cold admin traffic.
             sessions_.handle_into(reader.session_id, request, reader.response);
         } else {
             cold = answer_sessionless(reader, request);
         }
     }
     const Response& response = session_verb ? reader.response : cold;
-    const std::uint64_t session_id = reader.has_session ? reader.session_id : 0;
     // A CLOSE ends the binding: a request behind it is answered "no open
-    // session".
-    if (session_verb && request.type == RequestType::Close)
+    // session", and nothing more lands in the closed session's flight ring.
+    if (session_verb && request.type == RequestType::Close) {
         reader.has_session = false;
+        reader.flight.reset();
+    }
     {
         const StageTimer reply_timer(stamps.reply_us);
         reply(reader, response);
     }
     if (frame_t > 0.0)
-        record_stages(request, stamps, frame_t, session_id, response);
+        record_stages(request, stamps, frame_t, reader.flight.get(), response);
 }
 
 Response Server::answer_sessionless(Reader& reader, const Request& request) {
     // Requests the reader answers without a session: OPEN (the reader owns
-    // the connection -> session binding), METRICS before any session
-    // (scrape clients never open one), and session verbs without a
-    // session. All are cold paths — allocation here is fine.
+    // the connection -> session binding) and session verbs without a
+    // session. Both are cold paths — allocation here is fine.
     if (request.type != RequestType::Open)
-        return request.type == RequestType::Metrics
-                   ? metrics_response(*metrics_)
-                   : error_response("no open session");
+        return error_response("no open session");
     // Double gate: traced request AND live sink, so untraced runs skip the
     // global-sink lookup entirely.
     std::optional<ScopedTraceContext> trace_scope;
@@ -270,9 +265,11 @@ Response Server::answer_sessionless(Reader& reader, const Request& request) {
     if (reader.has_session)
         return error_response("session already open (CLOSE it first)");
     try {
-        Response response = sessions_.open(request.target);
+        std::shared_ptr<FlightRecorder> flight;
+        Response response = sessions_.open(request.target, &flight);
         reader.session_id = response.session_id;
         reader.has_session = true;
+        reader.flight = std::move(flight);
         return response;
     } catch (const std::exception& open_error) {
         return error_response(open_error.what());
@@ -296,7 +293,7 @@ void Server::flush(Reader& reader) {
 }
 
 void Server::record_stages(const Request& request, StageStamps& stamps,
-                           double frame_t, std::uint64_t session_id,
+                           double frame_t, FlightRecorder* flight,
                            const Response& response) {
     // total = frame completion -> reply framed, plus the recv time that
     // preceded the frame. Every stage is a disjoint sub-interval, so
@@ -314,7 +311,7 @@ void Server::record_stages(const Request& request, StageStamps& stamps,
     stage_reply_us_.record(stamps.reply_us, trace, span);
     stage_total_us_.record(stamps.total_us, trace, span);
     const bool ok = response.type != ResponseType::Error;
-    if (session_id != 0) {
+    if (flight != nullptr) {
         FlightRecord record;
         record.set_verb(verb_of(request.type));
         record.set_outcome(ok ? "ok" : "err");
@@ -326,7 +323,7 @@ void Server::record_stages(const Request& request, StageStamps& stamps,
         record.score_us = static_cast<float>(stamps.score_us);
         record.reply_us = static_cast<float>(stamps.reply_us);
         record.total_us = static_cast<float>(stamps.total_us);
-        sessions_.record_flight(session_id, record);
+        flight->record(record);
     }
 }
 

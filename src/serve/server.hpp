@@ -5,9 +5,9 @@
 //   * Every connection gets one reader thread. It reads frames, parses each
 //     request in place, handles it, and frames the reply into the
 //     connection's output buffer — one request at a time, in arrival order.
-//     OPEN, METRICS before a session and session verbs without a session
-//     are answered by the reader itself (cold paths); every other request
-//     goes to SessionManager::handle_into on the reader's thread.
+//     OPEN and session verbs without a session are answered by the reader
+//     itself (cold paths); every other request goes to
+//     SessionManager::handle_into on the reader's thread.
 //   * Ordering and replay: no protocol verb names a session id, so a
 //     session is reachable only from the connection that opened it, and
 //     only that connection's reader ever touches its scorer. The reader
@@ -17,8 +17,8 @@
 //     they are produced; none is ever held back.
 //   * One send per read: the output buffer is flushed with one write_all
 //     once the reader has handled every frame of one read_some, and
-//     whenever it passes kFlushBytes (a read full of METRICS or DUMP
-//     requests cannot hold megabytes of replies).
+//     whenever it passes kFlushBytes (a read full of DUMP requests cannot
+//     hold megabytes of replies).
 //   * Backpressure: a reader that is scoring or sending is not reading, so
 //     TCP flow control reaches the client with no queue in between. A
 //     client that stops reading its replies stalls only its own reader —
@@ -51,9 +51,10 @@
 // reply stage durations (reply is the append to the output buffer; the
 // end-of-read send falls after total, in no stage), recorded into
 // serve.stage.* quantile sketches (obs/sketch.hpp) and appended to the
-// session's flight ring. The registry is the whole profile: every request
-// lands in the sketches, which --metrics, METRICS, GET /metrics and adiv_top
-// read. Traced requests (a trace= context on the wire) additionally leave
+// session's flight ring, which the reader took at OPEN and writes as its one
+// writer (no table lookup per request). The registry is the whole profile:
+// every request lands in the sketches, which --metrics, GET /metrics and
+// adiv_top read. Traced requests (a trace= context on the wire) additionally leave
 // their trace/span ids as the sketch exemplars, and the reader brackets
 // their handling in serve.open_handle / serve.shard_handle /
 // serve.score_push spans parented under the client's wire span. Wait site
@@ -70,6 +71,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "serve/protocol.hpp"
@@ -156,6 +158,9 @@ private:
         Transport& transport;
         bool has_session = false;
         std::uint64_t session_id = 0;
+        // The open session's flight ring, taken at OPEN and dropped at
+        // CLOSE; profiled requests append to it without a table lookup.
+        std::shared_ptr<FlightRecorder> flight;
         Request request;
         Response response;
         std::string payload;  // one serialized reply
@@ -170,11 +175,10 @@ private:
     void reply(Reader& reader, const Response& response);
     void flush(Reader& reader);
     void record_stages(const Request& request, StageStamps& stamps,
-                       double frame_t, std::uint64_t session_id,
+                       double frame_t, FlightRecorder* flight,
                        const Response& response);
     void reap_locked();
 
-    MetricsRegistry* metrics_;
     ModelCatalog catalog_;
     SessionManager sessions_;
     Counter& connections_accepted_;

@@ -4,19 +4,11 @@
 #include <optional>
 #include <utility>
 
-#include "obs/openmetrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
 namespace adiv::serve {
-
-Response metrics_response(const MetricsRegistry& metrics) {
-    Response response;
-    response.type = ResponseType::Metrics;
-    response.exposition = metrics_to_openmetrics(metrics);
-    return response;
-}
 
 // ---------------------------------------------------------------------------
 // ModelCatalog
@@ -57,7 +49,7 @@ void reset_response(Response& response) {
     response.scores.clear();
     response.counts = SessionCounts{};
     response.active_sessions = 0;
-    response.exposition.clear();
+    response.body.clear();
     response.message.clear();
 }
 
@@ -93,7 +85,8 @@ std::size_t SessionManager::shard_of(std::uint64_t session_id) const noexcept {
     return static_cast<std::size_t>(x % shards_.size());
 }
 
-Response SessionManager::open(const std::string& target) {
+Response SessionManager::open(const std::string& target,
+                              std::shared_ptr<FlightRecorder>* flight) {
     const std::uint64_t session_id =
         next_id_.fetch_add(1, std::memory_order_relaxed);
     Response response;
@@ -126,6 +119,8 @@ Response SessionManager::open(const std::string& target) {
         response.window = session->model->window_length();
         response.alphabet = session->model->alphabet_size();
     }
+    if (flight)
+        *flight = std::shared_ptr<FlightRecorder>(session, &session->flight);
     Shard& shard = *shards_[shard_of(session_id)];
     {
         const std::lock_guard<ProfiledMutex> lock(shard.mutex);
@@ -192,12 +187,6 @@ void SessionManager::handle_into(std::uint64_t session_id,
             out.counts = counts_of(*session);
             out.active_sessions = active_sessions();
             return;
-        case RequestType::Metrics:
-            // Same answer with or without a session: METRICS reads the
-            // shared registry, not per-session state.
-            out.type = ResponseType::Metrics;
-            out.exposition = metrics_to_openmetrics(*metrics_);
-            return;
         case RequestType::Drain:
             // The connection's reader handles its requests one at a time,
             // in arrival order, so everything this session sent before this
@@ -207,7 +196,7 @@ void SessionManager::handle_into(std::uint64_t session_id,
             return;
         case RequestType::Dump:
             out.type = ResponseType::Dumped;
-            out.exposition = render_flight_records(session->flight.snapshot());
+            out.body = render_flight_records(session->flight.snapshot());
             return;
         case RequestType::Close: {
             out.type = ResponseType::Closed;
@@ -225,12 +214,6 @@ void SessionManager::disconnect(std::uint64_t session_id) {
     Shard& shard = *shards_[shard_of(session_id)];
     const std::lock_guard<ProfiledMutex> lock(shard.mutex);
     close_locked_erase(shard, session_id);
-}
-
-void SessionManager::record_flight(std::uint64_t session_id,
-                                   const FlightRecord& record) {
-    if (const std::shared_ptr<Session> session = find(session_id))
-        session->flight.record(record);
 }
 
 std::string SessionManager::dump_all() const {

@@ -82,11 +82,6 @@ struct SessionConfig {
     std::size_t shards = 1;
 };
 
-/// The METRICS verb's response: the registry rendered as an OpenMetrics
-/// exposition. A free function so the scrape path is unit-testable without
-/// a catalog, sessions, or sockets.
-[[nodiscard]] Response metrics_response(const MetricsRegistry& metrics);
-
 /// Per-session OnlineScorer state over catalog models; request dispatch.
 class SessionManager {
 public:
@@ -95,16 +90,21 @@ public:
 
     /// Creates a session over the resolved target; the response carries
     /// its id (ids are unique, not dense: a failed open uses one up).
-    /// Throws InvalidArgument for unknown targets.
-    [[nodiscard]] Response open(const std::string& target);
+    /// When `flight` is given it receives the session's flight ring, which
+    /// the caller then appends to as the ring's one writer (the server's
+    /// reader for the connection that opened the session). Throws
+    /// InvalidArgument for unknown targets.
+    [[nodiscard]] Response open(
+        const std::string& target,
+        std::shared_ptr<FlightRecorder>* flight = nullptr);
 
     [[nodiscard]] std::size_t shard_count() const noexcept {
         return shards_.size();
     }
 
     /// Handles a PUSH / STATS / DRAIN / DUMP / CLOSE for an existing session,
-    /// writing into a caller-owned Response whose buffers (scores,
-    /// exposition, message) keep their capacity across calls — the
+    /// writing into a caller-owned Response whose buffers (scores, body,
+    /// message) keep their capacity across calls — the
     /// connection reader's allocation-free steady state. Answers ERR (never
     /// throws) for protocol-level problems: unknown session, out-of-alphabet
     /// events. A rejected PUSH leaves the session state untouched (events
@@ -118,11 +118,6 @@ public:
     [[nodiscard]] std::size_t active_sessions() const noexcept {
         return live_sessions_.load(std::memory_order_relaxed);
     }
-
-    /// Appends one record to the session's flight ring; a no-op for unknown
-    /// (already-closed) sessions. Called by the server after each reply, on
-    /// the session's connection reader: the ring's one writer.
-    void record_flight(std::uint64_t session_id, const FlightRecord& record);
 
     /// Every live session's flight ring rendered as text, one
     /// "session <id>" header per session in id order — the

@@ -4,12 +4,17 @@
 // The format is whitespace-separated tokens with literal tags; doubles are
 // written with 17 significant digits, which round-trips IEEE-754 doubles
 // exactly. Readers throw DataError with the offending tag on any mismatch,
-// so a truncated or corrupted file fails loudly.
+// so a truncated or corrupted file fails loudly. A count read from a file
+// bounds a loop, never an allocation: loaders grow their containers as the
+// items arrive, so a corrupt header ends in DataError when the input runs
+// out, not in a huge reserve.
 #pragma once
 
+#include <cstdint>
 #include <iomanip>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -28,7 +33,7 @@ inline void write_double(std::ostream& out, double value) {
 inline std::string read_token(std::istream& in, std::string_view what) {
     std::string token;
     if (!(in >> token))
-        throw DataError("model file truncated while reading " + std::string(what));
+        throw DataError("input truncated while reading " + std::string(what));
     return token;
 }
 
@@ -36,26 +41,29 @@ inline std::string read_token(std::istream& in, std::string_view what) {
 inline void expect_tag(std::istream& in, std::string_view tag) {
     std::string token;
     if (!(in >> token))
-        throw DataError("model file truncated while reading tag '" +
+        throw DataError("input truncated while reading tag '" +
                         std::string(tag) + "'");
     if (token != tag)
-        throw DataError("model file corrupt: expected '" + std::string(tag) +
+        throw DataError("input corrupt: expected '" + std::string(tag) +
                         "', found '" + token + "'");
 }
 
-/// Reads an unsigned integer token.
+/// Reads an unsigned integer token of decimal digits. std::stoull alone
+/// would also take a leading sign, and read "-1" as 2^64 - 1.
 inline std::uint64_t read_u64(std::istream& in, std::string_view what) {
     const std::string token = read_token(in, what);
-    try {
-        std::size_t consumed = 0;
-        const std::uint64_t value = std::stoull(token, &consumed);
-        if (consumed != token.size())
-            throw DataError("trailing junk in " + std::string(what));
-        return value;
-    } catch (const std::logic_error&) {
-        throw DataError("model file corrupt: '" + token + "' is not a valid " +
-                        std::string(what));
+    if (token[0] >= '0' && token[0] <= '9') {
+        try {
+            std::size_t consumed = 0;
+            const std::uint64_t value = std::stoull(token, &consumed);
+            if (consumed != token.size())
+                throw DataError("trailing junk in " + std::string(what));
+            return value;
+        } catch (const std::out_of_range&) {
+        }
     }
+    throw DataError("input corrupt: '" + token + "' is not a valid " +
+                    std::string(what));
 }
 
 /// Reads a size_t token.
@@ -73,7 +81,7 @@ inline double read_double(std::istream& in, std::string_view what) {
             throw DataError("trailing junk in " + std::string(what));
         return value;
     } catch (const std::logic_error&) {
-        throw DataError("model file corrupt: '" + token + "' is not a valid " +
+        throw DataError("input corrupt: '" + token + "' is not a valid " +
                         std::string(what));
     }
 }

@@ -136,6 +136,13 @@ TEST(OpenMetricsParse, RejectsMissingEof) {
                  DataError);
 }
 
+TEST(OpenMetricsParse, BareHashLineIsAComment) {
+    // A scrape cut right after a comment's '#' is a missing # EOF, not an
+    // out-of-range read of the comment's keyword.
+    EXPECT_TRUE(parse_openmetrics("#\n# EOF\n").samples.empty());
+    EXPECT_THROW((void)parse_openmetrics("# TYPE c counter\n#"), DataError);
+}
+
 TEST(OpenMetricsParse, RejectsContentAfterEof) {
     EXPECT_THROW(
         (void)parse_openmetrics("# EOF\n# TYPE c counter\nc_total 1\n"),

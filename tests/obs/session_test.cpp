@@ -1,5 +1,5 @@
-// ObsSession wiring: sink install specs, global-sink restoration, sampler
-// startup from CLI flags, and the snapshot-destination derivation rule.
+// ObsSession wiring: sink install specs, global-sink restoration and the
+// final metrics dump.
 #include "obs/session.hpp"
 
 #include <gtest/gtest.h>
@@ -26,32 +26,12 @@ std::vector<std::string> file_lines(const std::string& path) {
     return lines;
 }
 
-TEST(ObsSessionSpec, ExplicitSamplesSpecWins) {
-    EXPECT_EQ(ObsSession::resolve_samples_spec("series.jsonl", "metrics.json"),
-              "series.jsonl");
-    EXPECT_EQ(ObsSession::resolve_samples_spec("series.jsonl", ""),
-              "series.jsonl");
-}
-
-TEST(ObsSessionSpec, DerivesSamplesPathFromMetricsPath) {
-    EXPECT_EQ(ObsSession::resolve_samples_spec("", "out/metrics.json"),
-              "out/metrics.json.samples.jsonl");
-}
-
-TEST(ObsSessionSpec, RejectsUnderivableSamplesDestination) {
-    EXPECT_THROW((void)ObsSession::resolve_samples_spec("", ""),
-                 InvalidArgument);
-    EXPECT_THROW((void)ObsSession::resolve_samples_spec("", "-"),
-                 InvalidArgument);
-}
-
 TEST(ObsSessionInstall, EmptyTraceSpecLeavesGlobalSinkAlone) {
     const std::shared_ptr<TraceSink> before = global_trace_sink();
     {
         ObsSession session("", "", make_manifest("adiv_test"));
         EXPECT_FALSE(session.tracing());
         EXPECT_FALSE(session.metrics_requested());
-        EXPECT_FALSE(session.sampling());
         EXPECT_EQ(global_trace_sink(), before);
     }
     EXPECT_EQ(global_trace_sink(), before);
@@ -102,35 +82,6 @@ TEST(ObsSessionInstall, UnwritableTracePathThrowsDataError) {
         ObsSession("", "/nonexistent_adiv_dir/trace.jsonl",
                    make_manifest("adiv_test")),
         DataError);
-}
-
-TEST(ObsSessionCli, MetricsIntervalStartsSamplerAndWritesSeries) {
-    const std::string samples =
-        test::temp_path("adiv_session_samples.jsonl");
-    CliParser cli("adiv_test", "test");
-    add_observability_options(cli);
-    const char* argv[] = {"adiv_test", "--metrics-interval=20",
-                          "--metrics-samples", samples.c_str()};
-    ASSERT_TRUE(cli.parse(4, argv));
-    {
-        ObsSession session(cli, make_manifest("adiv_test"));
-        EXPECT_TRUE(session.sampling());
-        global_metrics().counter("test.session_events").add(1);
-    }  // dtor stops the sampler, which flushes a final sample
-    const std::vector<std::string> lines = file_lines(samples);
-    ASSERT_GE(lines.size(), 1u);
-    for (const std::string& line : lines)
-        EXPECT_NE(line.find("\"type\":\"metrics_sample\""), std::string::npos);
-    EXPECT_NE(lines.back().find("test.session_events"), std::string::npos);
-}
-
-TEST(ObsSessionCli, ZeroIntervalMeansNoSampler) {
-    CliParser cli("adiv_test", "test");
-    add_observability_options(cli);
-    const char* argv[] = {"adiv_test"};
-    ASSERT_TRUE(cli.parse(1, argv));
-    ObsSession session(cli, make_manifest("adiv_test"));
-    EXPECT_FALSE(session.sampling());
 }
 
 TEST(ObsSessionMetrics, DumpWritesJsonFile) {

@@ -57,7 +57,7 @@ TEST(HttpMetrics, GetMetricsReturnsExposition) {
     MetricsRegistry reg;
     reg.counter("serve.events_pushed").add(7);
     const std::string response =
-        http_metrics_response("GET /metrics HTTP/1.0\r\n\r\n", reg);
+        http_response_for("GET /metrics HTTP/1.0\r\n\r\n", reg);
     EXPECT_EQ(status_line(response), "HTTP/1.0 200 OK");
     EXPECT_EQ(header_value(response, "Content-Type"),
               "application/openmetrics-text; version=1.0.0; charset=utf-8");
@@ -71,7 +71,7 @@ TEST(HttpMetrics, GetMetricsReturnsExposition) {
 
 TEST(HttpMetrics, TrailingSlashAlsoMatches) {
     const MetricsRegistry reg;
-    EXPECT_EQ(status_line(http_metrics_response(
+    EXPECT_EQ(status_line(http_response_for(
                   "GET /metrics/ HTTP/1.1\r\nHost: x\r\n\r\n", reg)),
               "HTTP/1.0 200 OK");
 }
@@ -79,7 +79,7 @@ TEST(HttpMetrics, TrailingSlashAlsoMatches) {
 TEST(HttpMetrics, UnknownTargetIs404) {
     const MetricsRegistry reg;
     const std::string response =
-        http_metrics_response("GET /other HTTP/1.0\r\n\r\n", reg);
+        http_response_for("GET /other HTTP/1.0\r\n\r\n", reg);
     EXPECT_EQ(status_line(response), "HTTP/1.0 404 Not Found");
     EXPECT_EQ(header_value(response, "Content-Length"),
               std::to_string(body_of(response).size()));
@@ -88,15 +88,15 @@ TEST(HttpMetrics, UnknownTargetIs404) {
 TEST(HttpMetrics, NonGetMethodIs405) {
     const MetricsRegistry reg;
     EXPECT_EQ(status_line(
-                  http_metrics_response("POST /metrics HTTP/1.0\r\n\r\n", reg)),
+                  http_response_for("POST /metrics HTTP/1.0\r\n\r\n", reg)),
               "HTTP/1.0 405 Method Not Allowed");
 }
 
 TEST(HttpMetrics, MalformedRequestLineIs400) {
     const MetricsRegistry reg;
-    EXPECT_EQ(status_line(http_metrics_response("garbage", reg)),
+    EXPECT_EQ(status_line(http_response_for("garbage", reg)),
               "HTTP/1.0 400 Bad Request");
-    EXPECT_EQ(status_line(http_metrics_response("", reg)),
+    EXPECT_EQ(status_line(http_response_for("", reg)),
               "HTTP/1.0 400 Bad Request");
 }
 

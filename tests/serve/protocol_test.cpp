@@ -216,41 +216,6 @@ TEST(Responses, RejectsMalformedRecords) {
     EXPECT_THROW((void)parse_response("OPENED 1 stide"), DataError);
 }
 
-TEST(Metrics, RequestRoundTrips) {
-    const Request parsed = parse_request(serialize(Request{RequestType::Metrics}));
-    EXPECT_EQ(parsed.type, RequestType::Metrics);
-    EXPECT_THROW((void)parse_request("METRICS now"), DataError);  // trailing junk
-}
-
-TEST(Metrics, ResponseCarriesExpositionVerbatim) {
-    // The exposition body is length-prefixed inside the payload, so embedded
-    // newlines and spaces — the whole point of the format — survive.
-    Response response;
-    response.type = ResponseType::Metrics;
-    response.exposition =
-        "# TYPE adiv_serve_events_pushed counter\n"
-        "adiv_serve_events_pushed_total 42\n"
-        "# EOF\n";
-    const Response parsed = parse_response(serialize(response));
-    ASSERT_EQ(parsed.type, ResponseType::Metrics);
-    EXPECT_EQ(parsed.exposition, response.exposition);
-}
-
-TEST(Metrics, EmptyExpositionRoundTrips) {
-    Response response;
-    response.type = ResponseType::Metrics;
-    const Response parsed = parse_response(serialize(response));
-    EXPECT_EQ(parsed.type, ResponseType::Metrics);
-    EXPECT_EQ(parsed.exposition, "");
-}
-
-TEST(Metrics, ResponseRejectsSizeMismatch) {
-    EXPECT_THROW((void)parse_response("METRICS 10 short"), DataError);
-    EXPECT_THROW((void)parse_response("METRICS 2 too long"), DataError);
-    EXPECT_THROW((void)parse_response("METRICS banana x"), DataError);
-    EXPECT_THROW((void)parse_response("METRICS"), DataError);
-}
-
 TEST(Dump, RequestRoundTrips) {
     const Request parsed = parse_request(serialize(Request{RequestType::Dump}));
     EXPECT_EQ(parsed.type, RequestType::Dump);
@@ -258,11 +223,11 @@ TEST(Dump, RequestRoundTrips) {
 }
 
 TEST(Dump, ResponseCarriesFlightRecordsVerbatim) {
-    // DUMPED shares METRICS' length-prefixed raw-body shape, so the
+    // DUMPED's body is length-prefixed inside the payload, so the
     // newline-separated record lines survive untouched.
     Response response;
     response.type = ResponseType::Dumped;
-    response.exposition =
+    response.body =
         "seq=6 verb=PUSH outcome=ok events=64 scores=59 recv_us=1.000 "
         "parse_us=2.250 score_us=100.125 reply_us=4.000 "
         "total_us=120.500\n"
@@ -271,7 +236,7 @@ TEST(Dump, ResponseCarriesFlightRecordsVerbatim) {
         "total_us=0.000\n";
     const Response parsed = parse_response(serialize(response));
     ASSERT_EQ(parsed.type, ResponseType::Dumped);
-    EXPECT_EQ(parsed.exposition, response.exposition);
+    EXPECT_EQ(parsed.body, response.body);
 }
 
 TEST(Dump, EmptyDumpRoundTrips) {
@@ -279,7 +244,7 @@ TEST(Dump, EmptyDumpRoundTrips) {
     response.type = ResponseType::Dumped;
     const Response parsed = parse_response(serialize(response));
     EXPECT_EQ(parsed.type, ResponseType::Dumped);
-    EXPECT_EQ(parsed.exposition, "");
+    EXPECT_EQ(parsed.body, "");
 }
 
 TEST(Dump, ResponseRejectsSizeMismatch) {

@@ -152,7 +152,7 @@ TEST_F(ServeEnsemble, FusionMetricsFlowThroughTheRegistry) {
     EXPECT_EQ(metrics_.counter("fusion.sessions_opened").value(), 1u);
     EXPECT_GT(metrics_.counter("fusion.fused_windows").value(), 0u);
     // The per-member threshold gauges exist and sit inside [0, 1].
-    const std::string exposition = client.metrics();
+    const std::string exposition = metrics_to_openmetrics(metrics_);
     EXPECT_NE(exposition.find("fusion_sessions_opened"), std::string::npos);
     EXPECT_NE(exposition.find("fusion_threshold_m0"), std::string::npos);
     EXPECT_NE(exposition.find("fusion_threshold_m1"), std::string::npos);

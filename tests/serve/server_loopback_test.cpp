@@ -3,8 +3,8 @@
 // OnlineScorer replay, response ordering, DRAIN semantics, error handling,
 // graceful shutdown, and the reader-per-connection model (one send per read,
 // request order across a reopen, a blocked scorer that holds only its own
-// connection, finished connections reaped). No sockets — every test is
-// hermetic.
+// connection, finished connections reaped). No sockets but one: the HTTP
+// scrape of the server's registry listens on an ephemeral localhost port.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <chrono>
 #include <future>
 #include <latch>
+#include <optional>
 #include <semaphore>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "detect/registry.hpp"
 #include "obs/openmetrics.hpp"
 #include "serve/client.hpp"
+#include "serve/http_metrics.hpp"
 #include "support/corpus_fixture.hpp"
 #include "support/proc_status.hpp"
 
@@ -473,24 +475,38 @@ TEST(ServerLoopback, StatsReportsSessionAndServerCounters) {
     EXPECT_EQ(stats.active_sessions, 1u);
 }
 
-TEST(ServerLoopback, MetricsVerbWorksBeforeAnySessionOpens) {
-    MetricsRegistry metrics;
-    metrics.counter("serve.warmup_events").add(5);
-    Server server({}, metrics);
-
-    // METRICS is session-free: a bare monitoring connection never OPENs.
-    Client client(connect(server));
-    const OpenMetricsDocument doc = parse_openmetrics(client.metrics());
-    EXPECT_EQ(doc.value("adiv_serve_warmup_events_total"), 5.0);
-    client.disconnect();
-    server.wait_connections_closed();
-}
-
-TEST(ServerLoopback, MetricsVerbReflectsSessionTraffic) {
+TEST(ServerLoopback, MetricsIsAnUnknownVerbAndTheConnectionScoresOn) {
     MetricsRegistry metrics;
     Server server({}, metrics);
     const auto model = trained(DetectorKind::Stide, 6);
     server.add_model("stide/6", model);
+
+    // The registry is scraped over HTTP, not this protocol: METRICS is an
+    // unknown verb like any other, answered with ERR, and the connection
+    // it arrived on goes on to open and score a session as usual.
+    Client client(connect(server));
+    write_frame(client.transport(), "METRICS");
+    FrameDecoder decoder;
+    const std::optional<std::string> reply =
+        read_frame(client.transport(), decoder);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, "ERR unknown request verb 'METRICS'");
+
+    client.open("stide/6");
+    const EventStream events = test::small_corpus().generate_heldout(300, 5);
+    EXPECT_EQ(client.push(events.view()), replay(*model, events.view()));
+    EXPECT_EQ(client.drain().events, events.size());
+    client.close_session();
+    client.disconnect();
+    server.wait_connections_closed();
+}
+
+TEST(ServerLoopback, HttpScrapeReflectsSessionTraffic) {
+    MetricsRegistry metrics;
+    Server server({}, metrics);
+    const auto model = trained(DetectorKind::Stide, 6);
+    server.add_model("stide/6", model);
+    HttpMetricsListener listener(0, metrics);
 
     Client client(connect(server));
     client.open("stide/6");
@@ -498,7 +514,7 @@ TEST(ServerLoopback, MetricsVerbReflectsSessionTraffic) {
     client.push(events.view());
     client.drain();
 
-    const OpenMetricsDocument doc = parse_openmetrics(client.metrics());
+    const OpenMetricsDocument doc = scrape_metrics("127.0.0.1", listener.port());
     EXPECT_EQ(doc.type_of("adiv_serve_events_pushed"), "counter");
     EXPECT_EQ(doc.value("adiv_serve_events_pushed_total"),
               static_cast<double>(events.size()));

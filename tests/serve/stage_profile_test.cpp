@@ -123,8 +123,11 @@ TEST(StageProfile, StampsEveryStageAndKeepsTheSumInvariant) {
               total.sum + 1e-3 * 6.0 * static_cast<double>(total.count));
 
     // The session's shard lock is the manager's wait site, registered in the
-    // server's registry, and the profiled session passed through it.
-    EXPECT_GT(counter_of(snap, "serve.shard.table.acquires"), 0u);
+    // server's registry. Each of the 12 requests (OPEN, 8 PUSH, DRAIN, DUMP,
+    // CLOSE) passes through it once and CLOSE's erase once more; the
+    // profiler records into the flight ring the reader took at OPEN, so it
+    // adds no pass of its own.
+    EXPECT_EQ(counter_of(snap, "serve.shard.table.acquires"), 13u);
 
     // The flight ring replays the most recent requests, PUSHes included.
     ASSERT_FALSE(dump.empty());

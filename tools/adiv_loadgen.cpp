@@ -16,11 +16,10 @@
 // status nonzero; a clean verified run ends its summary line with
 // "(verified bit-identical)".
 //
-// --scrape drives the METRICS verb concurrently with the load: a scraper
-// connection pulls the OpenMetrics exposition twice mid-run, parses both,
-// and fails the run when any counter moves backwards between scrapes.
-// --scrape-http PORT does the same end-to-end over the daemon's HTTP
-// GET /metrics endpoint (no curl needed in CI).
+// --scrape-http PORT scrapes the daemon's GET /metrics endpoint (its
+// --metrics-port) concurrently with the load: a scraper thread pulls the
+// OpenMetrics exposition twice mid-run, parses both, and fails the run when
+// any counter moves backwards between scrapes (no curl needed in CI).
 //
 // Every client call is timed into a per-session mergeable quantile sketch
 // (obs/sketch.hpp), so each run also reports client-side latency per verb
@@ -61,7 +60,7 @@ struct LoadSpec {
     std::string target = "default";
     std::uint64_t seed = 20050628;
     bool verify = false;
-    bool scrape = false;  // concurrent METRICS scrapes during the run
+    std::uint16_t scrape_port = 0;  // --scrape-http: GET /metrics mid-run
     bool dump = false;    // pull the flight recorder (DUMP) before CLOSE
     bool trace = false;   // mint per-session trace ids (--trace)
     std::size_t scorer_buffer = 0;  // must match the server's --buffer
@@ -241,51 +240,35 @@ SessionOutcome run_session(const LoadSpec& spec, std::size_t index,
     return outcome;
 }
 
-/// Scrapes the server's METRICS verb twice while load runs: both expositions
-/// must parse as OpenMetrics and every `_total` counter must be monotone
-/// non-decreasing between the scrapes.
-std::vector<std::string> scrape_check(const LoadSpec& spec) {
+/// Scrapes the daemon's GET /metrics twice while load runs: both
+/// expositions must parse as OpenMetrics and every `_total` counter must be
+/// monotone non-decreasing between the scrapes.
+std::vector<std::string> scrape_http_check(const LoadSpec& spec) {
     std::vector<std::string> errors;
     try {
-        serve::Client client(serve::tcp_connect(spec.host, spec.port));
-        const OpenMetricsDocument before = parse_openmetrics(client.metrics());
+        const OpenMetricsDocument before =
+            serve::scrape_metrics(spec.host, spec.scrape_port);
         std::this_thread::sleep_for(std::chrono::milliseconds(80));
-        const OpenMetricsDocument after = parse_openmetrics(client.metrics());
+        const OpenMetricsDocument after =
+            serve::scrape_metrics(spec.host, spec.scrape_port);
         for (const auto& sample : before.samples) {
-            constexpr std::string_view kTotal = "_total";
-            if (sample.name.size() <= kTotal.size() ||
-                sample.name.compare(sample.name.size() - kTotal.size(),
-                                    kTotal.size(), kTotal) != 0)
-                continue;
+            if (!sample.name.ends_with("_total")) continue;
             const std::optional<double> later =
                 after.value(sample.name, sample.labels);
             if (!later) {
-                errors.push_back("scrape: counter " + sample.name +
+                errors.push_back("scrape-http: counter " + sample.name +
                                  " vanished between scrapes");
             } else if (*later < sample.value) {
-                errors.push_back("scrape: counter " + sample.name +
+                errors.push_back("scrape-http: counter " + sample.name +
                                  " moved backwards (" +
                                  std::to_string(sample.value) + " -> " +
                                  std::to_string(*later) + ")");
             }
         }
-        client.disconnect();
     } catch (const std::exception& e) {
-        errors.push_back(std::string("scrape: ") + e.what());
+        errors.push_back(std::string("scrape-http: ") + e.what());
     }
     return errors;
-}
-
-/// One raw HTTP GET against the daemon's --metrics-port: status must be 200
-/// and the body must parse as OpenMetrics (serve::scrape_metrics).
-std::vector<std::string> scrape_http_check(const std::string& host,
-                                           std::uint16_t port) {
-    try {
-        (void)serve::scrape_metrics(host, port);
-    } catch (const std::exception& e) {
-        return {std::string("scrape-http: ") + e.what()};
-    }
-    return {};
 }
 
 struct RunResult {
@@ -293,6 +276,7 @@ struct RunResult {
     std::size_t total_events = 0;
     std::uint64_t total_alarms = 0;
     std::vector<std::string> errors;
+    std::vector<std::string> scrape_errors;  // --scrape-http only
     /// Per-session sketches merged across every session, by verb. Merging
     /// is associative, so the digest is independent of session join order.
     std::map<std::string, QuantileSketch> latency_us;
@@ -305,7 +289,7 @@ struct RunResult {
 /// Runs `spec.sessions` concurrent sessions, one TCP connection each.
 RunResult run_load(const LoadSpec& spec, const ReplayFn& local_replay) {
     std::vector<SessionOutcome> outcomes(spec.sessions);
-    std::vector<std::string> scrape_errors;
+    RunResult result;
     Stopwatch sw;
     {
         std::vector<std::thread> threads;
@@ -317,12 +301,12 @@ RunResult run_load(const LoadSpec& spec, const ReplayFn& local_replay) {
         // The scraper rides alongside the load so the exposition is pulled
         // while counters are actually moving.
         std::thread scraper;
-        if (spec.scrape)
-            scraper = std::thread([&] { scrape_errors = scrape_check(spec); });
+        if (spec.scrape_port != 0)
+            scraper = std::thread(
+                [&] { result.scrape_errors = scrape_http_check(spec); });
         for (auto& t : threads) t.join();
         if (scraper.joinable()) scraper.join();
     }
-    RunResult result;
     result.seconds = sw.seconds();
     for (const auto& outcome : outcomes) {
         result.total_events += outcome.events;
@@ -332,8 +316,6 @@ RunResult run_load(const LoadSpec& spec, const ReplayFn& local_replay) {
         for (const auto& [verb, sketch] : outcome.latency_us)
             result.latency_us[verb].merge_from(sketch);
     }
-    result.errors.insert(result.errors.end(), scrape_errors.begin(),
-                         scrape_errors.end());
     return result;
 }
 
@@ -375,12 +357,10 @@ int main(int argc, char** argv) {
     cli.add_flag("verify",
                  "bit-compare served scores against a local serial replay "
                  "(requires --model)");
-    cli.add_flag("scrape",
-                 "pull METRICS twice mid-run; fail on unparseable exposition "
-                 "or non-monotone counters");
     cli.add_option("scrape-http", "",
-                   "also GET /metrics from the daemon's --metrics-port at "
-                   "this port");
+                   "GET /metrics twice mid-run from the daemon's "
+                   "--metrics-port at this port; fail on unparseable "
+                   "exposition or non-monotone counters");
     cli.add_flag("dump",
                  "pull each session's flight recorder (DUMP) before CLOSE; "
                  "fail unless it replays as seq= records (needs a profiling "
@@ -399,7 +379,12 @@ int main(int argc, char** argv) {
         spec.target = cli.get("target");
         spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
         spec.verify = cli.get_flag("verify");
-        spec.scrape = cli.get_flag("scrape");
+        if (!cli.get("scrape-http").empty()) {
+            const std::int64_t scrape_port = cli.get_int("scrape-http");
+            require(scrape_port > 0 && scrape_port <= 65535,
+                    "--scrape-http needs a port (1..65535)");
+            spec.scrape_port = static_cast<std::uint16_t>(scrape_port);
+        }
         spec.dump = cli.get_flag("dump");
         spec.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
         require(spec.sessions > 0, "--sessions must be positive");
@@ -445,7 +430,8 @@ int main(int argc, char** argv) {
         if (spec.verify)
             replay = make_replayer(spec.target, model_map, spec.scorer_buffer);
         const RunResult result = run_load(spec, replay);
-        bool failed = !result.errors.empty();
+        const bool failed =
+            !result.errors.empty() || !result.scrape_errors.empty();
         std::printf("%zu session(s) x %zu events: %zu events in %.2fs — "
                     "%.0f events/s, %llu alarms%s\n",
                     spec.sessions, spec.events_per_session,
@@ -456,18 +442,11 @@ int main(int argc, char** argv) {
         print_latency_summary(result);
         for (const auto& error : result.errors)
             std::fprintf(stderr, "adiv_loadgen: %s\n", error.c_str());
-        if (const std::string scrape_port = cli.get("scrape-http");
-            !scrape_port.empty()) {
-            const std::vector<std::string> http_errors = scrape_http_check(
-                spec.host, static_cast<std::uint16_t>(std::stoul(scrape_port)));
-            for (const auto& error : http_errors) {
-                std::fprintf(stderr, "adiv_loadgen: %s\n", error.c_str());
-                failed = true;
-            }
-            if (http_errors.empty())
-                std::printf("GET /metrics on port %s: valid OpenMetrics\n",
-                            scrape_port.c_str());
-        }
+        for (const auto& error : result.scrape_errors)
+            std::fprintf(stderr, "adiv_loadgen: %s\n", error.c_str());
+        if (spec.scrape_port != 0 && result.scrape_errors.empty())
+            std::printf("GET /metrics on port %u: valid OpenMetrics\n",
+                        static_cast<unsigned>(spec.scrape_port));
         return failed ? 1 : 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "adiv_loadgen: %s\n", e.what());

@@ -17,9 +17,9 @@
 // flush, connections close, exit 0.
 //
 // --metrics-port N additionally serves `GET /metrics` (plain HTTP/1.0,
-// OpenMetrics text) on a second port for Prometheus-style scrapers; the
-// bound port is printed on its own "metrics on" line. The same exposition
-// is available in-protocol via the METRICS verb on the main port.
+// OpenMetrics text) on a second port for Prometheus-style scrapers,
+// adiv_top and adiv_loadgen --scrape-http; the bound port is printed on its
+// own "metrics on" line. It is the daemon's one live view of its registry.
 //
 // --model (required) registers each file's detector (comma-separated list)
 // as "<name>/<DW>", the first also as "default"; adiv_train writes the
@@ -31,8 +31,8 @@
 // --profile turns on the hot-path profile (requires an ADIV_PROFILE build):
 // every request's stage times go into the serve.stage.* sketches and the
 // shard locks' waits into the serve.shard.table.* instruments, all read
-// through the metrics registry — --metrics at drain, the METRICS verb,
-// GET /metrics, or adiv_top live. --dump-on-signal makes SIGUSR1 print
+// through the metrics registry — --metrics at drain, or GET /metrics and
+// adiv_top live. --dump-on-signal makes SIGUSR1 print
 // every session's flight-recorder ring (last --flight events each) to
 // stderr without disturbing the run.
 #include <atomic>

@@ -15,18 +15,17 @@
 #                                       # port, drive it with adiv_loadgen
 #                                       # (verified), SIGTERM-drain it
 #   tools/ci_check.sh --obs-smoke       # also: run a small instrumented map
-#                                       # experiment (--trace + periodic
-#                                       # --metrics-interval snapshots;
-#                                       # its -- csv -- block must equal a
-#                                       # --jobs 1 run's), analyze the trace
-#                                       # with
-#                                       # adiv_traceview (one tree: the
-#                                       # plan parents its workers' spans,
-#                                       # and the setup spans plus the plan
-#                                       # are the run's roots), scrape a live
-#                                       # daemon (METRICS verb + HTTP
-#                                       # GET /metrics, exposition validated),
-#                                       # then churn 2,100 scrapes and 5,100
+#                                       # experiment (--trace + a --metrics
+#                                       # dump; its -- csv -- block must
+#                                       # equal a --jobs 1 run's), analyze
+#                                       # the trace with adiv_traceview (one
+#                                       # tree: the plan parents its workers'
+#                                       # spans, and the setup spans plus the
+#                                       # plan are the run's roots), scrape a
+#                                       # live daemon's HTTP GET /metrics
+#                                       # twice mid-load (exposition
+#                                       # validated, counters monotone), then
+#                                       # churn 2,100 scrapes and 5,100
 #                                       # protocol connections: daemon
 #                                       # threads and VmRSS must stay flat
 #   tools/ci_check.sh --profile-smoke   # also: a --profile daemon driven
@@ -214,16 +213,13 @@ if [ "$obs_smoke" -eq 1 ]; then
     serve_pid=""
     trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
 
-    echo "-- obs smoke: small map experiment with live telemetry --"
+    echo "-- obs smoke: small map experiment with a trace and a metrics dump --"
     ./build/bench/fig5_stide_map --training-length 20000 --background 512 \
         --max-anomaly 3 --max-window 4 --jobs 2 \
         --metrics "$smoke_dir/metrics.json" \
-        --trace "$smoke_dir/trace.jsonl" \
-        --metrics-interval 50 > "$smoke_dir/map.log"
+        --trace "$smoke_dir/trace.jsonl" > "$smoke_dir/map.log"
     [ -s "$smoke_dir/metrics.json" ] || {
         echo "obs smoke: no final metrics dump" >&2; exit 1; }
-    grep -q '"type":"metrics_sample"' "$smoke_dir/metrics.json.samples.jsonl" || {
-        echo "obs smoke: sampler wrote no snapshot lines" >&2; exit 1; }
     head -1 "$smoke_dir/trace.jsonl" | grep -q '"type":"manifest"' || {
         echo "obs smoke: trace does not start with a manifest" >&2; exit 1; }
     # Maps do not depend on the jobs value: the same map at --jobs 1 must
@@ -263,7 +259,7 @@ if abs(doc["runs"][0]["root_total_s"] - roots) > 1e-6:
     sys.exit("obs smoke: the run's roots are not datagen.corpus, experiment.suite, engine.plan")
 PY
 
-    echo "-- obs smoke: daemon scrape (METRICS verb + HTTP GET /metrics) --"
+    echo "-- obs smoke: daemon scrape (HTTP GET /metrics during load) --"
     ./build/tools/adiv_train --demo-trace "$smoke_dir/demo.trace"
     ./build/tools/adiv_train --detector stide --window 6 \
         --input "$smoke_dir/demo.trace" --out "$smoke_dir/model.adiv"
@@ -283,11 +279,11 @@ PY
     done
     [ -n "$port" ] && [ -n "$http_port" ] || {
         echo "obs smoke: daemon never reported its ports" >&2; exit 1; }
-    # --scrape pulls the METRICS verb twice mid-run (exposition must parse,
-    # counters must be monotone); --scrape-http validates the HTTP endpoint's
-    # exposition end to end. Both run while sessions are actively scoring.
+    # --scrape-http pulls GET /metrics twice while sessions are actively
+    # scoring: both expositions must parse and every counter must be
+    # monotone between them.
     ./build/tools/adiv_loadgen --port "$port" --model "$smoke_dir/model.adiv" \
-        --sessions 4 --events 20000 --scrape --scrape-http "$http_port" \
+        --sessions 4 --events 20000 --scrape-http "$http_port" \
         > "$smoke_dir/loadgen.log"
     grep -q 'valid OpenMetrics' "$smoke_dir/loadgen.log" || {
         echo "obs smoke: loadgen scrape did not validate" >&2; exit 1; }
