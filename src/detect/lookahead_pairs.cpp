@@ -1,5 +1,8 @@
 #include "detect/lookahead_pairs.hpp"
 
+#include <algorithm>
+#include <ostream>
+
 #include "util/error.hpp"
 #include "util/text_serial.hpp"
 
@@ -11,21 +14,12 @@ LookaheadPairsDetector::LookaheadPairsDetector(std::size_t window_length)
             "lookahead-pairs window length must be at least 2 (one offset)");
 }
 
-void LookaheadPairsDetector::reset_table(std::size_t alphabet_size) {
-    std::size_t flags = 0;
-    require(!__builtin_mul_overflow(window_length_ - 1, alphabet_size, &flags) &&
-                !__builtin_mul_overflow(flags, alphabet_size, &flags) &&
-                flags <= seen_.max_size(),
-            "lookahead-pairs table size overflows");
-    alphabet_size_ = alphabet_size;
-    seen_.assign(flags, false);
-}
-
 void LookaheadPairsDetector::train(const EventStream& training) {
-    reset_table(training.alphabet_size());
+    alphabet_size_ = training.alphabet_size();
+    seen_ = NgramMap();
     for_each_window(training, window_length_, [&](std::size_t, SymbolView w) {
         for (std::size_t k = 1; k < window_length_; ++k)
-            seen_[index(k, w[0], w[k])] = true;
+            (void)seen_[pair_key(k, w[0], w[k])];
     });
     trained_ = true;
 }
@@ -39,7 +33,7 @@ std::vector<double> LookaheadPairsDetector::score(const EventStream& test) const
     for_each_window(test, window_length_, [&](std::size_t, SymbolView w) {
         double response = 0.0;
         for (std::size_t k = 1; k < window_length_; ++k) {
-            if (!seen_[index(k, w[0], w[k])]) {
+            if (seen_.find(pair_key(k, w[0], w[k])) == nullptr) {
                 response = 1.0;
                 break;
             }
@@ -56,20 +50,22 @@ std::size_t LookaheadPairsDetector::alphabet_size() const {
 
 std::size_t LookaheadPairsDetector::pair_count() const {
     require(trained_, "lookahead-pairs detector is not trained");
-    std::size_t count = 0;
-    for (bool b : seen_)
-        if (b) ++count;
-    return count;
+    return seen_.size();
 }
 
 void LookaheadPairsDetector::save_model(std::ostream& out) const {
     require(trained_, "cannot save an untrained lookahead-pairs model");
-    out << window_length_ << ' ' << alphabet_size_ << ' ' << pair_count() << '\n';
-    for (std::size_t k = 1; k < window_length_; ++k)
-        for (Symbol first = 0; first < alphabet_size_; ++first)
-            for (Symbol follower = 0; follower < alphabet_size_; ++follower)
-                if (seen_[index(k, first, follower)])
-                    out << k << ' ' << first << ' ' << follower << '\n';
+    // Sorted keys are (offset, first, follower) order, the order a dense
+    // scan over the pair space would write them in.
+    std::vector<NgramKey> keys;
+    keys.reserve(seen_.size());
+    seen_.for_each([&](NgramKey key, std::uint64_t) { keys.push_back(key); });
+    std::sort(keys.begin(), keys.end());
+    out << window_length_ << ' ' << alphabet_size_ << ' ' << keys.size() << '\n';
+    for (const NgramKey key : keys)
+        out << static_cast<std::uint64_t>(key >> 64) << ' '
+            << static_cast<Symbol>(key >> 32) << ' ' << static_cast<Symbol>(key)
+            << '\n';
 }
 
 LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
@@ -77,7 +73,9 @@ LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
     const std::size_t alphabet = read_size(in, "alphabet size");
     const std::size_t pairs = read_size(in, "pair count");
     LookaheadPairsDetector detector(window);
-    detector.reset_table(alphabet);
+    detector.alphabet_size_ = alphabet;
+    // The set grows with the pairs actually read, never with what the
+    // header declares.
     for (std::size_t i = 0; i < pairs; ++i) {
         const std::size_t k = read_size(in, "pair offset");
         require_data(k >= 1 && k < window, "pair offset outside window");
@@ -86,7 +84,7 @@ LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
             static_cast<Symbol>(read_u64(in, "pair follower symbol"));
         require_data(first < alphabet && follower < alphabet,
                      "pair symbol outside alphabet");
-        detector.seen_[detector.index(k, first, follower)] = true;
+        (void)detector.seen_[pair_key(k, first, follower)];
     }
     detector.trained_ = true;
     return detector;

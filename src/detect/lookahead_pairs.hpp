@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "detect/detector.hpp"
+#include "seq/ngram_map.hpp"
 
 namespace adiv {
 
@@ -50,18 +51,17 @@ private:
     std::size_t window_length_;
     std::size_t alphabet_size_ = 0;
     bool trained_ = false;
-    /// seen_[(k-1) * A * A + first * A + follower] — pair (first, w[k]) seen
-    /// at lookahead offset k. Dense: (DW-1) * A^2 bits.
-    std::vector<bool> seen_;
+    /// The (offset k, first, w[k]) triples seen, as a set: each key is
+    /// pair_key() of a triple, its value unused. It holds only the pairs
+    /// training saw (or a model file lists), whatever the window and
+    /// alphabet.
+    NgramMap seen_;
 
-    /// Sets the alphabet and clears seen_ to its (DW-1) * A^2 flags. Throws
-    /// InvalidArgument when that count overflows: a wrapped size would leave
-    /// index() pointing past the table's end.
-    void reset_table(std::size_t alphabet_size);
-
-    [[nodiscard]] std::size_t index(std::size_t offset, Symbol first,
-                                    Symbol follower) const noexcept {
-        return ((offset - 1) * alphabet_size_ + first) * alphabet_size_ + follower;
+    /// Packs a triple into one key; key order is (offset, first, follower)
+    /// order.
+    [[nodiscard]] static NgramKey pair_key(std::size_t offset, Symbol first,
+                                           Symbol follower) noexcept {
+        return (NgramKey{offset} << 64) | (NgramKey{first} << 32) | follower;
     }
 };
 

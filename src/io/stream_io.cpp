@@ -34,17 +34,28 @@ void save_stream(const EventStream& stream, std::ostream& out) {
     out << '\n';
 }
 
+StreamHeader read_stream_header(std::istream& in, std::string_view tag) {
+    const bool trace = tag == "adiv-trace";
+    const std::uint64_t version = read_u64(in, "format version");
+    if (version != kFormatVersion)
+        throw DataError("unsupported " + std::string(tag) + " format version " +
+                        std::to_string(version));
+    StreamHeader header;
+    header.alphabet_size = read_size(in, "alphabet size");
+    header.length = read_size(in, trace ? "trace length" : "stream length");
+    if (trace)
+        for (std::size_t i = 0; i < header.alphabet_size; ++i)
+            header.names.push_back(read_token(in, "alphabet name"));
+    return header;
+}
+
 EventStream load_stream(std::istream& in) {
     expect_tag(in, "adiv-stream");
-    const std::uint64_t version = read_u64(in, "format version");
-    require_data(version == kFormatVersion,
-                 "unsupported adiv-stream format version " + std::to_string(version));
-    const std::size_t alphabet = read_size(in, "alphabet size");
-    const std::size_t length = read_size(in, "stream length");
+    const StreamHeader header = read_stream_header(in, "adiv-stream");
     Sequence events;
-    for (std::size_t i = 0; i < length; ++i)
+    for (std::size_t i = 0; i < header.length; ++i)
         events.push_back(static_cast<Symbol>(read_u64(in, "stream symbol")));
-    return EventStream(alphabet, std::move(events));
+    return EventStream(header.alphabet_size, std::move(events));
 }
 
 void save_stream_file(const EventStream& stream, const std::string& path) {
@@ -75,19 +86,12 @@ void save_trace(const Alphabet& alphabet, const EventStream& stream,
 
 std::pair<Alphabet, EventStream> load_trace(std::istream& in) {
     expect_tag(in, "adiv-trace");
-    const std::uint64_t version = read_u64(in, "format version");
-    require_data(version == kFormatVersion,
-                 "unsupported adiv-trace format version " + std::to_string(version));
-    const std::size_t alphabet_size = read_size(in, "alphabet size");
-    const std::size_t length = read_size(in, "trace length");
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < alphabet_size; ++i)
-        names.push_back(read_token(in, "alphabet name"));
-    Alphabet alphabet(names);
+    const StreamHeader header = read_stream_header(in, "adiv-trace");
+    Alphabet alphabet(header.names);
     Sequence events;
-    for (std::size_t i = 0; i < length; ++i)
+    for (std::size_t i = 0; i < header.length; ++i)
         events.push_back(alphabet.id(read_token(in, "trace symbol")));
-    return {std::move(alphabet), EventStream(alphabet_size, std::move(events))};
+    return {std::move(alphabet), EventStream(header.alphabet_size, std::move(events))};
 }
 
 void save_trace_file(const Alphabet& alphabet, const EventStream& stream,

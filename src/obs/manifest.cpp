@@ -1,13 +1,9 @@
 #include "obs/manifest.hpp"
 
 #include <atomic>
-#include <cctype>
 #include <ctime>
-#include <istream>
-#include <ostream>
 
 #include "obs/json.hpp"
-#include "util/text_serial.hpp"
 
 #ifndef ADIV_BUILD_TYPE
 #define ADIV_BUILD_TYPE "unknown"
@@ -78,81 +74,6 @@ std::string manifest_json_line(const RunManifest& m) {
     w.key("max_window").value(static_cast<std::uint64_t>(m.max_window));
     w.end_object();
     return w.str();
-}
-
-namespace {
-
-// Strings in the tagged text format are single tokens; spaces would split.
-// Manifest strings are tool/detector/build identifiers, which never contain
-// whitespace, but guard with an escape ('_' for space) so a surprising value
-// still round-trips losslessly enough to fail loudly on read if mangled.
-std::string token_or_placeholder(const std::string& value) {
-    if (value.empty()) return "-";
-    std::string out = value;
-    for (char& c : out)
-        if (std::isspace(static_cast<unsigned char>(c))) c = '_';
-    return out;
-}
-
-std::string read_string_token(std::istream& in, const std::string& what) {
-    const std::string token = read_token(in, what);
-    return token == "-" ? std::string() : token;
-}
-
-}  // namespace
-
-void save_manifest(const RunManifest& m, std::ostream& out) {
-    out << "adiv-manifest 1\n";
-    out << "tool " << token_or_placeholder(m.tool) << '\n';
-    out << "detector " << token_or_placeholder(m.detector) << '\n';
-    out << "build_type " << token_or_placeholder(m.build_type) << '\n';
-    out << "timestamp " << token_or_placeholder(m.timestamp) << '\n';
-    out << "seed " << m.seed << '\n';
-    out << "alphabet_size " << m.alphabet_size << '\n';
-    out << "training_length " << m.training_length << '\n';
-    out << "deviation_rate ";
-    write_double(out, m.deviation_rate);
-    out << '\n';
-    out << "deviation_targets " << m.deviation_targets << '\n';
-    out << "rare_threshold ";
-    write_double(out, m.rare_threshold);
-    out << '\n';
-    out << "anomaly_sizes " << m.min_anomaly_size << ' ' << m.max_anomaly_size << '\n';
-    out << "windows " << m.min_window << ' ' << m.max_window << '\n';
-}
-
-RunManifest load_manifest(std::istream& in) {
-    expect_tag(in, "adiv-manifest");
-    const std::uint64_t version = read_u64(in, "manifest version");
-    require_data(version == 1, "unsupported manifest version");
-    RunManifest m;
-    expect_tag(in, "tool");
-    m.tool = read_string_token(in, "tool");
-    expect_tag(in, "detector");
-    m.detector = read_string_token(in, "detector");
-    expect_tag(in, "build_type");
-    m.build_type = read_string_token(in, "build_type");
-    expect_tag(in, "timestamp");
-    m.timestamp = read_string_token(in, "timestamp");
-    expect_tag(in, "seed");
-    m.seed = read_u64(in, "seed");
-    expect_tag(in, "alphabet_size");
-    m.alphabet_size = read_size(in, "alphabet_size");
-    expect_tag(in, "training_length");
-    m.training_length = read_size(in, "training_length");
-    expect_tag(in, "deviation_rate");
-    m.deviation_rate = read_double(in, "deviation_rate");
-    expect_tag(in, "deviation_targets");
-    m.deviation_targets = read_size(in, "deviation_targets");
-    expect_tag(in, "rare_threshold");
-    m.rare_threshold = read_double(in, "rare_threshold");
-    expect_tag(in, "anomaly_sizes");
-    m.min_anomaly_size = read_size(in, "min_anomaly_size");
-    m.max_anomaly_size = read_size(in, "max_anomaly_size");
-    expect_tag(in, "windows");
-    m.min_window = read_size(in, "min_window");
-    m.max_window = read_size(in, "max_window");
-    return m;
 }
 
 }  // namespace adiv

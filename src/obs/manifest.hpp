@@ -1,17 +1,14 @@
 // Run manifests: the reproducibility record emitted at the head of every
-// trace stream and metrics dump.
+// trace stream.
 //
 // A manifest pins everything needed to regenerate a run's outputs: the
 // corpus parameters and seed, the detector under test, the AS/DW sweep
-// ranges, the build type, and a wall-clock timestamp. It is emitted as the
-// first JSON line of a trace file (so any CSV or map written alongside is
-// reproducible from its manifest alone) and round-trips through the same
-// line-oriented text serializer the model files use, for archival next to
-// persisted models.
+// ranges, the build type, and a wall-clock timestamp. It leaves a run only
+// as the first JSON line of a trace file, so any CSV or map written
+// alongside is reproducible from its manifest alone.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 namespace adiv {
@@ -60,9 +57,5 @@ std::string build_type_string();
 
 /// One JSON line: {"type":"manifest",...}.
 std::string manifest_json_line(const RunManifest& manifest);
-
-/// Text-serializer round-trip (util/text_serial format, tagged fields).
-void save_manifest(const RunManifest& manifest, std::ostream& out);
-RunManifest load_manifest(std::istream& in);
 
 }  // namespace adiv

@@ -1,8 +1,9 @@
 // NgramMap: a flat open-addressing map from packed window keys to 64-bit
 // values, the one count table of the sequence substrate.
 //
-// NgramTable counts windows in it, and ConditionalModel indexes its contexts
-// with it. Slots live in one power-of-two array and collide by linear
+// NgramTable counts windows in it, ConditionalModel indexes its contexts
+// with it, and the lookahead-pairs detector keeps its seen pairs in it as a
+// set. Slots live in one power-of-two array and collide by linear
 // probing, so counting a stream touches one or two adjacent slots per event
 // instead of chasing a heap node. Every key is legal, including the all-zero
 // window and keys that use the top bits of the 128-bit key, so a slot marks

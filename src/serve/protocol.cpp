@@ -339,8 +339,8 @@ Response parse_response(std::string_view payload) {
         require_done(in, kOpened);
     } else if (verb == kScores) {
         response.type = ResponseType::Scores;
+        // Grown as read: the count is the peer's claim, not an allocation.
         const std::size_t count = read_size(in, "score count");
-        response.scores.reserve(count);
         for (std::size_t i = 0; i < count; ++i)
             response.scores.push_back(read_double(in, "score"));
         require_done(in, kScores);

@@ -36,7 +36,8 @@ std::string_view verb_of(RequestType type) noexcept {
 
 Server::Server(ServerConfig config, MetricsRegistry& metrics)
     : sessions_(catalog_,
-                SessionConfig{config.scorer_buffer, config.flight_capacity,
+                // Every session's scorer keeps its default buffer (4*DW).
+                SessionConfig{0, config.flight_capacity,
                               resolve_shards(config.shards)},
                 metrics),
       connections_accepted_(metrics.counter("serve.connections_accepted")),

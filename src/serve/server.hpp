@@ -31,7 +31,8 @@
 // writes into a reused Response, and replies are framed into an output
 // buffer that keeps its capacity across flushes. A warm PUSH allocates only
 // what its scorer does; WarmPathAllocations.ServedPushPaysAConstantPerBatch
-// (tests/alloc) counts it through a Server over loopback transports.
+// (tests/alloc) counts it through a Server over a socketpair, on the same
+// socket transport the daemon's TCP connections use.
 //
 // Draining and shutdown: shutdown() stops accepting and closes every
 // connection's *input* side only. Each reader then handles the bytes it
@@ -81,8 +82,6 @@
 namespace adiv::serve {
 
 struct ServerConfig {
-    /// OnlineScorer buffer capacity per session; 0 = scorer default (4*DW).
-    std::size_t scorer_buffer = 0;
     /// Flight-recorder slots per session (the DUMP verb's window).
     std::size_t flight_capacity = 64;
     /// Session-table shards; 0 = hardware concurrency.
@@ -106,7 +105,7 @@ public:
 
     [[nodiscard]] ModelCatalog& catalog() noexcept { return catalog_; }
 
-    /// Adopts one established connection (loopback end, accepted socket)
+    /// Adopts one established connection (socketpair end, accepted socket)
     /// and reaps the connections that have ended since the last call.
     /// Returns false when the server is already shutting down (the transport
     /// is closed in that case).

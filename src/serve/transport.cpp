@@ -11,129 +11,21 @@
 
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 
 #include "util/error.hpp"
 
 namespace adiv::serve {
 
-// ---------------------------------------------------------------------------
-// Loopback
-// ---------------------------------------------------------------------------
-
 namespace {
 
-/// One direction of a loopback connection: a byte queue with blocking reads.
-class LoopbackChannel {
+/// One connected stream socket: an accepted or connected TCP socket, or one
+/// end of a Unix socketpair. Nothing here depends on the address family.
+class SocketTransport final : public Transport {
 public:
-    void write(const char* data, std::size_t size) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_) return;  // peer is gone; discard like a broken pipe
-            data_.append(data, size);
-        }
-        readable_.notify_one();
-    }
+    explicit SocketTransport(int fd) : fd_(fd) {}
 
-    std::size_t read_some(char* buffer, std::size_t capacity) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        readable_.wait(lock, [this] { return closed_ || !data_.empty(); });
-        if (data_.empty()) return 0;
-        const std::size_t n = std::min(capacity, data_.size());
-        std::memcpy(buffer, data_.data(), n);
-        data_.erase(0, n);
-        return n;
-    }
-
-    /// Buffered bytes stay readable after close; reads return 0 once empty.
-    void close() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            closed_ = true;
-        }
-        readable_.notify_all();
-    }
-
-private:
-    std::mutex mutex_;
-    std::condition_variable readable_;
-    std::string data_;
-    bool closed_ = false;
-};
-
-class LoopbackTransport final : public Transport {
-public:
-    LoopbackTransport(std::shared_ptr<LoopbackChannel> in,
-                      std::shared_ptr<LoopbackChannel> out)
-        : in_(std::move(in)), out_(std::move(out)) {}
-
-    ~LoopbackTransport() override { close(); }
-
-    std::size_t read_some(char* buffer, std::size_t capacity) override {
-        return in_->read_some(buffer, capacity);
-    }
-
-    void write_all(const char* data, std::size_t size) override {
-        out_->write(data, size);
-    }
-
-    void shutdown_input() override { in_->close(); }
-
-    void close() override {
-        in_->close();
-        out_->close();
-    }
-
-private:
-    std::shared_ptr<LoopbackChannel> in_;
-    std::shared_ptr<LoopbackChannel> out_;
-};
-
-}  // namespace
-
-std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
-make_loopback_pair() {
-    auto forward = std::make_shared<LoopbackChannel>();
-    auto backward = std::make_shared<LoopbackChannel>();
-    return {std::make_unique<LoopbackTransport>(forward, backward),
-            std::make_unique<LoopbackTransport>(backward, forward)};
-}
-
-// ---------------------------------------------------------------------------
-// Frame helpers
-// ---------------------------------------------------------------------------
-
-void write_frame(Transport& transport, std::string_view payload) {
-    const std::string frame = encode_frame(payload);
-    transport.write_all(frame.data(), frame.size());
-}
-
-std::optional<std::string> read_frame(Transport& transport, FrameDecoder& decoder) {
-    for (;;) {
-        if (auto payload = decoder.next()) return payload;
-        char buffer[4096];
-        const std::size_t n = transport.read_some(buffer, sizeof buffer);
-        if (n == 0) {
-            require_data(decoder.idle(), "connection closed mid-frame");
-            return std::nullopt;
-        }
-        decoder.feed({buffer, n});
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class TcpTransport final : public Transport {
-public:
-    explicit TcpTransport(int fd) : fd_(fd) {}
-
-    ~TcpTransport() override { close(); }
+    ~SocketTransport() override { close(); }
 
     std::size_t read_some(char* buffer, std::size_t capacity) override {
         for (;;) {
@@ -145,11 +37,11 @@ public:
             // SO_RCVTIMEO expiry (set_timeout): a hung peer is a
             // failure, not end-of-stream — the caller's probe must abort.
             if (errno == EAGAIN || errno == EWOULDBLOCK)
-                throw DataError("tcp recv timed out");
+                throw DataError("recv timed out");
             // A vanished peer or a concurrent local close() both read as
             // end-of-stream, not failure.
             if (errno == ECONNRESET || errno == EBADF) return 0;
-            throw DataError(std::string("tcp recv failed: ") + std::strerror(errno));
+            throw DataError(std::string("recv failed: ") + std::strerror(errno));
         }
     }
 
@@ -161,10 +53,13 @@ public:
             const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
             if (n < 0) {
                 if (errno == EINTR) continue;
+                // SO_SNDTIMEO expiry: the peer stopped reading and the
+                // socket buffer stayed full for the whole timeout.
+                if (errno == EAGAIN || errno == EWOULDBLOCK)
+                    throw DataError("send timed out");
                 // Peer closed: drop the rest, as documented on Transport.
                 if (errno == EPIPE || errno == ECONNRESET || errno == EBADF) return;
-                throw DataError(std::string("tcp send failed: ") +
-                                std::strerror(errno));
+                throw DataError(std::string("send failed: ") + std::strerror(errno));
             }
             sent += static_cast<std::size_t>(n);
         }
@@ -208,6 +103,41 @@ sockaddr_in loopback_address(std::uint16_t port) {
 }
 
 }  // namespace
+
+std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
+make_loopback_pair() {
+    int fds[2];
+    require_data(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0,
+                 std::string("socketpair failed: ") + std::strerror(errno));
+    return {std::make_unique<SocketTransport>(fds[0]),
+            std::make_unique<SocketTransport>(fds[1])};
+}
+
+// ---------------------------------------------------------------------------
+// Frame helpers
+// ---------------------------------------------------------------------------
+
+void write_frame(Transport& transport, std::string_view payload) {
+    const std::string frame = encode_frame(payload);
+    transport.write_all(frame.data(), frame.size());
+}
+
+std::optional<std::string> read_frame(Transport& transport, FrameDecoder& decoder) {
+    for (;;) {
+        if (auto payload = decoder.next()) return payload;
+        char buffer[4096];
+        const std::size_t n = transport.read_some(buffer, sizeof buffer);
+        if (n == 0) {
+            require_data(decoder.idle(), "connection closed mid-frame");
+            return std::nullopt;
+        }
+        decoder.feed({buffer, n});
+    }
+}
+
+// ---------------------------------------------------------------------------
+// TCP
+// ---------------------------------------------------------------------------
 
 TcpListener::TcpListener(std::uint16_t port, int backlog) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -254,7 +184,7 @@ std::unique_ptr<Transport> TcpListener::accept(int timeout_ms) {
     }
     const int nodelay = 1;
     ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
-    return std::make_unique<TcpTransport>(client);
+    return std::make_unique<SocketTransport>(client);
 }
 
 void TcpListener::close() {
@@ -262,11 +192,6 @@ void TcpListener::close() {
         ::close(fd_);
         fd_ = -1;
     }
-}
-
-std::unique_ptr<Transport> tcp_connect(const std::string& host,
-                                       std::uint16_t port) {
-    return tcp_connect(host, port, /*timeout_ms=*/0);
 }
 
 std::unique_ptr<Transport> tcp_connect(const std::string& host,
@@ -309,7 +234,7 @@ std::unique_ptr<Transport> tcp_connect(const std::string& host,
     }
     const int nodelay = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
-    return std::make_unique<TcpTransport>(fd);
+    return std::make_unique<SocketTransport>(fd);
 }
 
 }  // namespace adiv::serve

@@ -1,18 +1,29 @@
-// Byte transports for the detection server: a bidirectional stream
-// abstraction with two implementations.
+// Byte transports for the detection server: a bidirectional byte stream
+// with one implementation, a connected stream socket.
 //
-//   * LoopbackTransport — an in-process pipe pair (mutex + condvar byte
-//     queues). make_loopback_pair() returns the two ends; what one end
-//     writes, the other reads. Every protocol, session, and concurrency
-//     test runs hermetically over these.
-//   * TcpTransport / TcpListener — POSIX TCP on 127.0.0.1. The listener
+//   * make_loopback_pair() returns the two ends of an AF_UNIX socketpair;
+//     what one end writes, the other reads. The in-process server,
+//     allocation and concurrency tests, and the HTTP fuzz target, run over
+//     these.
+//   * TcpListener / tcp_connect — POSIX TCP on 127.0.0.1. The listener
 //     binds an ephemeral port when asked for port 0 and reports the actual
 //     port, so daemons and CI scripts never race over a fixed number.
+//
+// Both wrap their descriptor in the same transport, so the tests, the
+// fuzzer, the tools and the daemon move every byte through one recv/send
+// path, and a socketpair behaves as TCP does: a write blocks once the
+// peer's socket buffer is full, and set_timeout() bounds reads and writes.
 //
 // The read side distinguishes "no more bytes ever" (read_some returns 0)
 // from transport failure (DataError). shutdown_input() closes only the
 // incoming direction: the peer's reads still drain, and our pending writes
 // still flush — the primitive behind graceful server drain.
+//
+// Descriptors are reused as soon as they are closed, so a transport is
+// closed only by the thread that reads it, or after that reader has
+// stopped. Another thread may call shutdown_input() only while the reader
+// is live (Server::shutdown does so under its mutex, which the reader holds
+// to close its transport).
 #pragma once
 
 #include <cstdint>
@@ -50,14 +61,13 @@ public:
     /// DataError — probes (loadgen --scrape-http, adiv_top) use this so a
     /// hung daemon fails them fast instead of wedging them, and the HTTP
     /// scrape endpoint so a hung scraper cannot hold its accept thread.
-    /// Default: unsupported, silently ignored (loopback reads are always
-    /// paired with a writer in tests).
-    virtual void set_timeout(int /*timeout_ms*/) {}
+    virtual void set_timeout(int timeout_ms) = 0;
 };
 
-/// Two connected in-process endpoints; bytes written to one are read from
-/// the other. Both ends are safe for one concurrent reader plus one
-/// concurrent writer each.
+/// Two connected in-process endpoints (an AF_UNIX socketpair); bytes
+/// written to one are read from the other. Both ends are safe for one
+/// concurrent reader plus one concurrent writer each. Throws DataError when
+/// the socketpair cannot be made.
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>
 make_loopback_pair();
 
@@ -93,14 +103,11 @@ private:
     std::uint16_t port_ = 0;
 };
 
-/// Connects to a TCP server. Throws DataError when the connection fails.
-std::unique_ptr<Transport> tcp_connect(const std::string& host, std::uint16_t port);
-
-/// As tcp_connect(), but gives up after timeout_ms (non-blocking connect +
-/// poll) instead of waiting out the kernel's multi-minute SYN retries;
-/// timeout_ms <= 0 means wait forever. Throws DataError on failure or
-/// timeout.
+/// Connects to a TCP server. A positive timeout_ms gives up after that
+/// long (non-blocking connect + poll) instead of waiting out the kernel's
+/// multi-minute SYN retries; timeout_ms <= 0 waits forever. Throws
+/// DataError on failure or timeout.
 std::unique_ptr<Transport> tcp_connect(const std::string& host,
-                                       std::uint16_t port, int timeout_ms);
+                                       std::uint16_t port, int timeout_ms = 0);
 
 }  // namespace adiv::serve

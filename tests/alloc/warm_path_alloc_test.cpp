@@ -15,14 +15,16 @@
 // a vector) multiplies by the frame length and fails it.
 //
 // The served case sends pre-encoded PUSH frames through a Server over a
-// loopback transport and holds its reader to the session's budget: the
+// socketpair (make_loopback_pair, the socket transport the daemon's TCP
+// connections use) and holds its reader to the session's budget: the
 // server's own work for a warm PUSH (decode, parse, reply framing, the send,
 // and with profiling on the stage sketches and the flight ring) adds no
 // allocation. It counts what every other thread allocated between the
 // client's write and the reply's arrival: the process-wide delta minus the
-// test thread's own. The count is exact, because the reader allocates before
-// its write of the reply releases the loopback channel's mutex, which the
-// client takes to read it. ci_check.sh's TSan pass runs this file too.
+// test thread's own. The count is exact, because the reader's allocations
+// for a request precede its send of the reply, and the client's read of
+// the reply returns only after that send. ci_check.sh's TSan pass runs this
+// file too.
 //
 // The HMM detector is left out. It is not window-local, so OnlineScorer
 // scores it through the per-event fallback, which builds one stream per

@@ -211,6 +211,24 @@ TEST_F(ObservabilityCli, ParallelScoringMatchesSerialCsv) {
         << "chunked parallel scoring must splice to the exact serial responses";
 }
 
+TEST_F(ObservabilityCli, StdinHeaderIsReadAsItGrows) {
+    // A trace header on stdin that names far more symbols than it carries:
+    // the names are read until the input runs out, so the declared alphabet
+    // is never allocated and the run ends in the reader's DataError.
+    for (const std::string declared : {"2305843009213693952", "1099511627776"}) {
+        SCOPED_TRACE(declared);
+        const std::string err_path = *dir_ + "stdin_header_stderr.txt";
+        const int rc = run_command(
+            "printf 'adiv-trace 1 " + declared + " 3\\na b c\\n' | " +
+            std::string(ADIV_SCORE_TOOL) + " --model " +
+            quoted(*dir_ + "model.adiv") + " --input - > /dev/null 2> " +
+            quoted(err_path));
+        EXPECT_EQ(rc, 1);
+        EXPECT_EQ(read_file(err_path),
+                  "adiv_score: input truncated while reading alphabet name\n");
+    }
+}
+
 TEST(TraceviewCli, CountsOnlyTheLinesItsInputHas) {
     // One span_end line with a malformed number, with and without its final
     // newline: one line read, one skipped, whichever way the file ends.

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "util/error.hpp"
-
 namespace adiv {
 namespace {
 
@@ -52,58 +48,6 @@ TEST(RunManifest, InjectedClockPinsTimestamps) {
 TEST(RunManifest, Iso8601FormatsEpochSeconds) {
     EXPECT_EQ(iso8601_utc(0), "1970-01-01T00:00:00Z");
     EXPECT_EQ(iso8601_utc(1119916800), "2005-06-28T00:00:00Z");  // DSN 2005
-}
-
-TEST(RunManifest, TextSerializerRoundTrip) {
-    const RunManifest m = sample_manifest();
-    std::ostringstream out;
-    save_manifest(m, out);
-    std::istringstream in(out.str());
-    const RunManifest r = load_manifest(in);
-    EXPECT_EQ(r.tool, m.tool);
-    EXPECT_EQ(r.detector, m.detector);
-    EXPECT_EQ(r.build_type, m.build_type);
-    EXPECT_EQ(r.timestamp, m.timestamp);
-    EXPECT_EQ(r.seed, m.seed);
-    EXPECT_EQ(r.alphabet_size, m.alphabet_size);
-    EXPECT_EQ(r.training_length, m.training_length);
-    EXPECT_DOUBLE_EQ(r.deviation_rate, m.deviation_rate);
-    EXPECT_EQ(r.deviation_targets, m.deviation_targets);
-    EXPECT_DOUBLE_EQ(r.rare_threshold, m.rare_threshold);
-    EXPECT_EQ(r.min_anomaly_size, m.min_anomaly_size);
-    EXPECT_EQ(r.max_anomaly_size, m.max_anomaly_size);
-    EXPECT_EQ(r.min_window, m.min_window);
-    EXPECT_EQ(r.max_window, m.max_window);
-}
-
-TEST(RunManifest, EmptyStringsRoundTripAsEmpty) {
-    RunManifest m;  // all strings empty, all numbers zero
-    std::ostringstream out;
-    save_manifest(m, out);
-    std::istringstream in(out.str());
-    const RunManifest r = load_manifest(in);
-    EXPECT_EQ(r.tool, "");
-    EXPECT_EQ(r.detector, "");
-    EXPECT_EQ(r.build_type, "");
-    EXPECT_EQ(r.timestamp, "");
-}
-
-TEST(RunManifest, WhitespaceInStringsIsNeutralized) {
-    // Strings are single tokens in the text format; embedded whitespace is
-    // mapped to '_' so the record still parses.
-    RunManifest m = sample_manifest();
-    m.detector = "my detector";
-    std::ostringstream out;
-    save_manifest(m, out);
-    std::istringstream in(out.str());
-    EXPECT_EQ(load_manifest(in).detector, "my_detector");
-}
-
-TEST(RunManifest, LoadRejectsWrongHeader) {
-    std::istringstream bad_tag("adiv-model 1\n");
-    EXPECT_THROW((void)load_manifest(bad_tag), DataError);
-    std::istringstream bad_version("adiv-manifest 2\n");
-    EXPECT_THROW((void)load_manifest(bad_version), DataError);
 }
 
 TEST(RunManifest, JsonLineShape) {

@@ -1,9 +1,9 @@
-// End-to-end server behavior over in-process loopback transports: session
+// End-to-end server behavior over in-process socketpairs: session
 // lifecycle, concurrent multi-session scoring bit-identical to a serial
 // OnlineScorer replay, response ordering, DRAIN semantics, error handling,
 // graceful shutdown, and the reader-per-connection model (one send per read,
 // request order across a reopen, a blocked scorer that holds only its own
-// connection, finished connections reaped). No sockets but one: the HTTP
+// connection, finished connections reaped). No TCP socket but one: the HTTP
 // scrape of the server's registry listens on an ephemeral localhost port.
 #include "serve/server.hpp"
 
@@ -91,6 +91,7 @@ public:
     }
     void shutdown_input() override { inner_->shutdown_input(); }
     void close() override { inner_->close(); }
+    void set_timeout(int timeout_ms) override { inner_->set_timeout(timeout_ms); }
 
 private:
     std::unique_ptr<Transport> inner_;
@@ -539,8 +540,8 @@ TEST(ServerLoopback, OneReadIsAnsweredWithOneSend) {
     ASSERT_TRUE(server.attach(
         std::make_unique<CountingTransport>(std::move(server_end), writes)));
 
-    // OPEN, 20 PUSH frames of 10 events and DRAIN in one loopback append,
-    // under the reader's 16 KB buffer, so one read_some sees all of it.
+    // OPEN, 20 PUSH frames of 10 events and DRAIN in one write, under the
+    // reader's 16 KB buffer, so one read_some sees all of it.
     const EventStream events = test::small_corpus().generate_heldout(200, 41);
     std::string burst = frame(RequestType::Open, {}, "stide/6");
     for (std::size_t pos = 0; pos < events.size(); pos += 10)

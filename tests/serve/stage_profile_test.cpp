@@ -1,4 +1,4 @@
-// The profiled serve pipeline end to end over loopback transports: stage
+// The profiled serve pipeline end to end over in-process socketpairs: stage
 // sketches fill while profiling is on and stay empty while it is off, the
 // stage-sum <= total invariant holds both in the registry's sketch sums and
 // in every flight record, and the DUMP verb replays each session's flight

@@ -1,11 +1,14 @@
-// Transport semantics, loopback and TCP: EOF vs failure, half-close,
-// buffered bytes surviving a close, frame helpers over a byte stream.
+// Transport semantics over a socketpair (make_loopback_pair) and TCP: EOF
+// vs failure, half-close, buffered bytes surviving a close, read and write
+// timeouts, frame helpers over a byte stream.
 #include "serve/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -69,6 +72,45 @@ TEST(Loopback, ReadBlocksUntilDataArrives) {
     EXPECT_EQ(b->read_some(&byte, 1), 1u);  // blocks until the writer runs
     EXPECT_EQ(byte, 'x');
     writer.join();
+}
+
+TEST(Loopback, ReadTimeoutTurnsASilentPeerIntoDataError) {
+    auto [a, b] = make_loopback_pair();
+    b->set_timeout(50);
+    char byte = 0;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)b->read_some(&byte, 1), DataError);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+    // 0 restores blocking: a write that comes later than the old timeout
+    // is still read.
+    b->set_timeout(0);
+    std::thread writer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        a->write_all("x", 1);
+    });
+    EXPECT_EQ(b->read_some(&byte, 1), 1u);
+    EXPECT_EQ(byte, 'x');
+    writer.join();
+}
+
+TEST(Loopback, WriteTimeoutThrowsOnceThePeerStopsReading) {
+    // b never reads: the socket buffer fills, and the blocked send gives up
+    // after the timeout instead of waiting forever.
+    auto [a, b] = make_loopback_pair();
+    a->set_timeout(50);
+    const std::vector<char> bytes(16 * 1024 * 1024, 'z');
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(a->write_all(bytes.data(), bytes.size()), DataError);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(Loopback, WriteAfterPeerClosedIsDiscarded) {
+    auto [a, b] = make_loopback_pair();
+    b->close();
+    EXPECT_NO_THROW(a->write_all("into the void", 13));
+    char byte;
+    EXPECT_EQ(a->read_some(&byte, 1), 0u);
 }
 
 TEST(FrameHelpers, RoundTripOverLoopback) {

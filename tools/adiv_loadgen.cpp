@@ -63,7 +63,6 @@ struct LoadSpec {
     std::uint16_t scrape_port = 0;  // --scrape-http: GET /metrics mid-run
     bool dump = false;    // pull the flight recorder (DUMP) before CLOSE
     bool trace = false;   // mint per-session trace ids (--trace)
-    std::size_t scorer_buffer = 0;  // must match the server's --buffer
 };
 
 /// Deterministic per-session trace id: a pure function of (seed, session),
@@ -125,9 +124,9 @@ using ModelMap =
 /// Builds the --verify replayer for an OPEN target over the locally loaded
 /// models: ensemble specs replay through a fresh fusion::EnsembleScorer,
 /// plain targets through a per-event OnlineScorer — both of which the
-/// server's own scoring must match bit for bit.
-ReplayFn make_replayer(const std::string& target, const ModelMap& models,
-                       std::size_t scorer_buffer) {
+/// server's own scoring must match bit for bit. Both use the scorer's
+/// default buffer, as the daemon's sessions do.
+ReplayFn make_replayer(const std::string& target, const ModelMap& models) {
     const auto resolve = [&](const std::string& name) {
         const auto it = models.find(name);
         require(it != models.end(), "--verify: target member '" + name +
@@ -139,16 +138,16 @@ ReplayFn make_replayer(const std::string& target, const ModelMap& models,
         std::vector<std::shared_ptr<const SequenceDetector>> members;
         members.reserve(espec.members.size());
         for (const auto& name : espec.members) members.push_back(resolve(name));
-        return [espec, members, scorer_buffer](const Sequence& events) {
-            fusion::EnsembleScorer replay(espec, members, scorer_buffer);
+        return [espec, members](const Sequence& events) {
+            fusion::EnsembleScorer replay(espec, members);
             std::vector<double> expected;
             replay.push_batch(events.data(), events.size(), expected);
             return expected;
         };
     }
     const std::shared_ptr<const SequenceDetector> model = resolve(target);
-    return [model, scorer_buffer](const Sequence& events) {
-        OnlineScorer replay(*model, scorer_buffer);
+    return [model](const Sequence& events) {
+        OnlineScorer replay(*model);
         std::vector<double> expected;
         expected.reserve(events.size());
         for (const Symbol s : events)
@@ -348,8 +347,6 @@ int main(int argc, char** argv) {
                    "OPEN target: a model name, or an ensemble spec such as "
                    "\"stide/6+markov/6;fuse=ds\"");
     cli.add_option("seed", "20050628", "base seed; session i uses seed+i");
-    cli.add_option("buffer", "0",
-                   "scorer buffer (must match the server's --buffer)");
     cli.add_option("trace", "",
                    "request tracing: write client verb spans here, stamp "
                    "every OPEN/PUSH with a deterministic per-session trace "
@@ -386,7 +383,6 @@ int main(int argc, char** argv) {
             spec.scrape_port = static_cast<std::uint16_t>(scrape_port);
         }
         spec.dump = cli.get_flag("dump");
-        spec.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
         require(spec.sessions > 0, "--sessions must be positive");
         require(spec.batch > 0, "--batch must be positive");
 
@@ -428,7 +424,7 @@ int main(int argc, char** argv) {
 
         ReplayFn replay;
         if (spec.verify)
-            replay = make_replayer(spec.target, model_map, spec.scorer_buffer);
+            replay = make_replayer(spec.target, model_map);
         const RunResult result = run_load(spec, replay);
         const bool failed =
             !result.errors.empty() || !result.scrape_errors.empty();

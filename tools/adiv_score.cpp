@@ -41,7 +41,6 @@
 #include <limits>
 
 #include "adiv.hpp"
-#include "util/text_serial.hpp"
 
 using namespace adiv;
 
@@ -115,20 +114,11 @@ int main(int argc, char** argv) {
             bool bounded = false;
             std::optional<Symbol> first;
             if (tag == "adiv-stream" || tag == "adiv-trace") {
-                const std::uint64_t version = read_u64(in, "format version");
-                require_data(version == 1, "unsupported " + tag +
-                                               " format version " +
-                                               std::to_string(version));
-                alphabet_size = read_size(in, "alphabet size");
-                remaining = read_size(in, "stream length");
+                const StreamHeader header = read_stream_header(in, tag);
+                alphabet_size = header.alphabet_size;
+                remaining = header.length;
                 bounded = true;
-                if (tag == "adiv-trace") {
-                    std::vector<std::string> names;
-                    names.reserve(alphabet_size);
-                    for (std::size_t i = 0; i < alphabet_size; ++i)
-                        names.push_back(read_token(in, "alphabet name"));
-                    alphabet.emplace(names);
-                }
+                if (tag == "adiv-trace") alphabet.emplace(header.names);
             } else {
                 std::uint64_t id = 0;
                 const auto [end, ec] =

@@ -33,8 +33,8 @@
 // shard locks' waits into the serve.shard.table.* instruments, all read
 // through the metrics registry — --metrics at drain, or GET /metrics and
 // adiv_top live. --dump-on-signal makes SIGUSR1 print
-// every session's flight-recorder ring (last --flight events each) to
-// stderr without disturbing the run.
+// every session's flight-recorder ring (its last 64 requests) to stderr
+// without disturbing the run.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -61,12 +61,9 @@ int main(int argc, char** argv) {
                    "127.0.0.1 port (0 = ephemeral; empty = off)");
     cli.add_option("jobs", "0",
                    "session-table shards (0 = hardware concurrency)");
-    cli.add_option("buffer", "0", "per-session scorer buffer (0 = 4*DW)");
     cli.add_flag("profile",
                  "enable wait-site and per-event stage profiling "
                  "(ADIV_PROFILE builds)");
-    cli.add_option("flight", "64",
-                   "per-session flight-recorder capacity (last K events)");
     cli.add_flag("dump-on-signal",
                  "print all flight recorders to stderr on SIGUSR1");
     add_observability_options(cli);
@@ -75,8 +72,6 @@ int main(int argc, char** argv) {
 
         serve::ServerConfig config;
         config.shards = static_cast<std::size_t>(cli.get_int("jobs"));
-        config.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
-        config.flight_capacity = static_cast<std::size_t>(cli.get_int("flight"));
         if (cli.get_flag("profile")) {
             require(profiling_compiled(),
                     "--profile needs an ADIV_PROFILE build (reconfigure with "
