@@ -70,7 +70,6 @@
 #include "detect/nn_detector.hpp"
 #include "detect/registry.hpp"
 #include "detect/rule_detector.hpp"
-#include "detect/score_memo.hpp"
 #include "detect/stide.hpp"
 #include "detect/tstide.hpp"
 

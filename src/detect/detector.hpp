@@ -17,15 +17,16 @@
 // as context and its last element as the predicted event, so their response
 // for position p is about the same DW elements as Stide's and L&B's.
 //
-// Concurrency contract: train() is exclusive — no other call may run on the
-// instance while it trains. After train() returns, score() and the const
+// Concurrency contract: train() (or a load_model()) is exclusive — no other
+// call may run on the instance while it builds. After it returns, the model
+// is immutable: score() reads only what train() or load_model() wrote, and
+// keeps any scratch it needs local to the call. So score() and the const
 // observers (name, window_length, alphabet_size) are safe to call
-// concurrently from multiple threads on the same instance; the detection
-// server's sessions (src/serve) and adiv_score --jobs chunks rely on this to
-// share one trained model. Implementations must not mutate unguarded state
-// inside score() — caches behind `mutable` members must be internally
-// synchronized (see score_memo.hpp) and must never change observable
-// responses.
+// concurrently from multiple threads on the same instance without a lock;
+// the detection server's connections (src/serve), the experiment engine and
+// adiv_score --jobs chunks rely on this to share one trained model. A
+// detector holds no `mutable` members (the detector-mutable lint rule
+// checks this under src/detect/).
 #pragma once
 
 #include <cstddef>

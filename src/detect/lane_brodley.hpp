@@ -13,6 +13,12 @@
 // The run-length bias is exactly what blinds this detector to minimal
 // foreign sequences: a foreign window mismatching a normal one in a single
 // edge element still scores DW(DW-1)/2, a "slight dip" from normal.
+//
+// Scoring reads only what train() or load_model() wrote. A window identical
+// to a normal one, the common case, is found in a set of the packed normal
+// windows and scores the maximum without a scan; any other window is
+// compared against every normal window exactly, in a scan over a
+// position-major copy of the database that the compiler vectorizes.
 #pragma once
 
 #include <iosfwd>
@@ -22,13 +28,15 @@
 #include <vector>
 
 #include "detect/detector.hpp"
-#include "detect/score_memo.hpp"
 #include "seq/ngram.hpp"
+#include "seq/ngram_map.hpp"
 
 namespace adiv {
 
 /// The L&B run-weighted similarity between two same-length windows.
-/// Range [0, n(n+1)/2] for length n. Requires a.size() == b.size().
+/// Range [0, n(n+1)/2] for length n. Requires a.size() == b.size(). The
+/// detector's database scan computes the same value for many windows at
+/// once; this is its reference.
 std::uint64_t lane_brodley_similarity(SymbolView a, SymbolView b);
 
 /// Maximum similarity value for windows of the given length: n(n+1)/2.
@@ -57,21 +65,32 @@ public:
     [[nodiscard]] std::size_t alphabet_size() const override;
 
     /// Similarity of one window to the closest normal window (the detector's
-    /// raw metric, before conversion to a response). Throws before train().
+    /// raw metric, before conversion to a response). Throws before train()
+    /// and for a window of the wrong length or outside the alphabet.
     [[nodiscard]] std::uint64_t max_similarity_to_normal(SymbolView window) const;
 
     /// Number of distinct normal windows stored.
     [[nodiscard]] std::size_t normal_database_size() const;
 
 private:
+    /// Appends one normal window to the set and to the database.
+    void add_normal(SymbolView window);
+
+    /// max_similarity_to_normal() without its checks.
+    [[nodiscard]] std::uint64_t similarity(SymbolView window) const noexcept;
+
     std::size_t window_length_;
     std::optional<NgramCodec> codec_;
-    /// Distinct normal windows, concatenated (each window_length_ long).
+    /// The distinct normal windows, packed: a window found here is identical
+    /// to a normal window and scores the maximum without a scan.
+    NgramMap known_;
+    /// The normal windows in training order, position-major in blocks of
+    /// four (lane_brodley.cpp): block b's run k holds symbol k of each of its
+    /// windows, so the scan compares one test symbol with a block's symbols
+    /// in one vector. Lanes past the last window repeat the first window of
+    /// their block, which leaves every maximum unchanged.
     std::vector<Symbol> database_;
-    /// Memo of window key -> max similarity; test streams repeat windows
-    /// heavily, so this turns the database scan into a hash lookup. Cleared
-    /// on retrain; mutex-guarded, so concurrent score() calls stay safe.
-    mutable ScoreMemo<NgramKey, std::uint64_t, NgramKeyHash> memo_;
+    std::size_t database_size_ = 0;  // windows in database_
 };
 
 }  // namespace adiv

@@ -79,11 +79,8 @@ LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
     for (std::size_t i = 0; i < pairs; ++i) {
         const std::size_t k = read_size(in, "pair offset");
         require_data(k >= 1 && k < window, "pair offset outside window");
-        const auto first = static_cast<Symbol>(read_u64(in, "pair first symbol"));
-        const auto follower =
-            static_cast<Symbol>(read_u64(in, "pair follower symbol"));
-        require_data(first < alphabet && follower < alphabet,
-                     "pair symbol outside alphabet");
+        const Symbol first = read_symbol(in, alphabet, "pair first symbol");
+        const Symbol follower = read_symbol(in, alphabet, "pair follower symbol");
         (void)detector.seen_[pair_key(k, first, follower)];
     }
     detector.trained_ = true;

@@ -73,11 +73,8 @@ MarkovDetector MarkovDetector::load_model(std::istream& in) {
     std::vector<ContextDistribution> distributions;
     for (std::size_t i = 0; i < contexts; ++i) {
         ContextDistribution& dist = distributions.emplace_back();
-        for (std::size_t k = 0; k + 1 < window; ++k) {
-            const auto s = static_cast<Symbol>(read_u64(in, "context symbol"));
-            require_data(s < alphabet, "context symbol outside alphabet");
-            dist.context.push_back(s);
-        }
+        for (std::size_t k = 0; k + 1 < window; ++k)
+            dist.context.push_back(read_symbol(in, alphabet, "context symbol"));
         for (std::size_t c = 0; c < alphabet; ++c) {
             dist.next_counts.push_back(read_u64(in, "continuation count"));
             dist.total += dist.next_counts.back();

@@ -14,6 +14,13 @@
 // grow logarithmically with context frequency. The optimum of this weighted
 // cross-entropy is the same conditional table; the log weighting only speeds
 // convergence on rare contexts.
+//
+// Scoring reads only what train() or load_model() wrote: the net's output
+// distribution for every distinct training context, tabulated once, and for
+// a context outside that table one forward pass into score()'s own scratch.
+// Both come from the net's single forward pass, so a window's response is
+// the same bits whichever path it takes. A saved model lists its training
+// contexts after the parameters, so load_model() rebuilds the same table.
 #pragma once
 
 #include <iosfwd>
@@ -23,9 +30,9 @@
 #include <vector>
 
 #include "detect/detector.hpp"
-#include "detect/score_memo.hpp"
 #include "nn/mlp.hpp"
 #include "seq/ngram.hpp"
+#include "seq/ngram_map.hpp"
 
 namespace adiv {
 
@@ -66,24 +73,40 @@ public:
     [[nodiscard]] double training_loss() const;
 
     /// Predicted next-symbol distribution for a DW-1 context (diagnostics;
-    /// uncached, one forward pass per call).
+    /// one forward pass per call, never the table).
     [[nodiscard]] std::vector<double> predict(SymbolView context) const;
 
-private:
     /// Predicted probability of a DW-window's last symbol given the rest:
-    /// the memoized quantity score() quantizes.
+    /// the quantity score() quantizes, from the table for a training context
+    /// and from a forward pass otherwise. Throws before train().
     [[nodiscard]] double continuation_probability(SymbolView window) const;
+
+    /// Number of distinct training contexts tabulated.
+    [[nodiscard]] std::size_t context_count() const noexcept { return contexts_.size(); }
+
+private:
+    /// Room for one forward pass on score()'s stack; see nn_detector.cpp.
+    class ForwardScratch;
+
+    /// continuation_probability() without its checks.
+    [[nodiscard]] double probability(SymbolView window, ForwardScratch& scratch) const;
+
+    /// Appends a context's output distribution to the table. Throws
+    /// DataError for a context already in it.
+    void tabulate(SymbolView context);
 
     std::size_t window_length_;
     NnDetectorConfig config_;
     ResponseQuantizer quantizer_;
-    std::optional<NgramCodec> codec_;  // training alphabet; packs memo keys
+    std::optional<NgramCodec> codec_;  // training alphabet; packs contexts
     std::optional<Mlp> net_;
     double training_loss_ = 0.0;
-    /// Continuation probabilities memoized by packed DW-window; test streams
-    /// repeat windows heavily, and a hit copies one double. Cleared on
-    /// retrain; mutex-guarded, so concurrent score() calls stay safe.
-    mutable ScoreMemo<NgramKey, double, NgramKeyHash> memo_;
+    /// Row of outputs_ for each distinct training context, keyed by the
+    /// packed context; rows are numbered in training (and file) order.
+    NgramMap contexts_;
+    /// The net's output distribution for each tabulated context, one row of
+    /// alphabet_size() probabilities per context.
+    std::vector<double> outputs_;
 };
 
 }  // namespace adiv

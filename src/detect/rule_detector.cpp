@@ -235,11 +235,9 @@ RuleDetector RuleDetector::load_model(std::istream& in) {
             RuleCondition& c = rule.conditions.emplace_back();
             c.position = read_size(in, "condition position");
             require_data(c.position < window - 1, "condition position outside context");
-            c.value = static_cast<Symbol>(read_u64(in, "condition value"));
-            require_data(c.value < alphabet, "condition value outside alphabet");
+            c.value = read_symbol(in, alphabet, "condition value");
         }
-        rule.prediction = static_cast<Symbol>(read_u64(in, "rule prediction"));
-        require_data(rule.prediction < alphabet, "rule prediction outside alphabet");
+        rule.prediction = read_symbol(in, alphabet, "rule prediction");
         rule.confidence = read_double(in, "rule confidence");
         rule.support = read_u64(in, "rule support");
     }

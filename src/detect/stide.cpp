@@ -59,10 +59,7 @@ StideDetector StideDetector::load_model(std::istream& in) {
     NgramTable table(alphabet, window);
     Sequence gram(window);
     for (std::size_t i = 0; i < distinct; ++i) {
-        for (Symbol& s : gram) {
-            s = static_cast<Symbol>(read_u64(in, "gram symbol"));
-            require_data(s < alphabet, "gram symbol outside alphabet");
-        }
+        for (Symbol& s : gram) s = read_symbol(in, alphabet, "gram symbol");
         table.add(gram, read_u64(in, "gram count value"));
     }
     detector.normal_.emplace(std::move(table));

@@ -54,7 +54,7 @@ EventStream load_stream(std::istream& in) {
     const StreamHeader header = read_stream_header(in, "adiv-stream");
     Sequence events;
     for (std::size_t i = 0; i < header.length; ++i)
-        events.push_back(static_cast<Symbol>(read_u64(in, "stream symbol")));
+        events.push_back(read_symbol(in, header.alphabet_size, "stream symbol"));
     return EventStream(header.alphabet_size, std::move(events));
 }
 

@@ -153,16 +153,9 @@ void check_unordered_iteration(const ParsedFile& data,
     }
 }
 
-// --- rule: score-memo ------------------------------------------------------
+// --- rule: detector-mutable ------------------------------------------------
 
-bool synchronized_type(const std::string& name) {
-    static const std::set<std::string> kGuarded{
-        "ScoreMemo", "mutex",     "shared_mutex", "atomic",
-        "atomic_flag", "once_flag", "condition_variable"};
-    return kGuarded.count(name) > 0;
-}
-
-void check_score_memo(const ParsedFile& data, std::vector<Finding>& out) {
+void check_detector_mutable(const ParsedFile& data, std::vector<Finding>& out) {
     if (data.path.find("detect/") == std::string::npos) return;
     const std::vector<Tok>& toks = data.toks;
     for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -171,21 +164,12 @@ void check_score_memo(const ParsedFile& data, std::vector<Finding>& out) {
         if (is_punct(toks, i + 1, "{") || is_punct(toks, i + 1, "-") ||
             is_punct(toks, i + 1, ")") || is_ident(toks, i + 1, "noexcept"))
             continue;
-        bool guarded = false;
-        for (std::size_t j = i + 1; j < toks.size() && j < i + 60; ++j) {
-            if (is_punct(toks, j, ";")) break;
-            if (toks[j].kind == TokKind::Identifier &&
-                synchronized_type(toks[j].text)) {
-                guarded = true;
-                break;
-            }
-        }
-        if (!guarded)
-            out.push_back(
-                {"score-memo", data.path, toks[i].line,
-                 "mutable member in a detector without ScoreMemo/mutex/atomic "
-                 "guarding: concurrent score() calls (detect/detector.hpp "
-                 "contract) would race on it"});
+        out.push_back(
+            {"detector-mutable", data.path, toks[i].line,
+             "mutable member in a detector: score() reads only what train() "
+             "or load_model() wrote (detect/detector.hpp contract), so "
+             "concurrent score() calls share nothing that changes; keep "
+             "per-call scratch local to score()"});
     }
 }
 
@@ -324,7 +308,7 @@ bool suppressed(const ParsedFile& data, const Finding& finding) {
 }  // namespace
 
 std::vector<std::string> rule_names() {
-    return {"nondeterminism", "unordered-iteration", "score-memo",
+    return {"nondeterminism", "unordered-iteration", "detector-mutable",
             "metric-name", "header-hygiene"};
 }
 
@@ -358,7 +342,7 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& sources,
         if (enabled.count("unordered-iteration") > 0)
             check_unordered_iteration(data, names_by_stem[stem_of(data.path)],
                                       raw);
-        if (enabled.count("score-memo") > 0) check_score_memo(data, raw);
+        if (enabled.count("detector-mutable") > 0) check_detector_mutable(data, raw);
         if (enabled.count("metric-name") > 0) check_metric_name(data, raw);
         if (enabled.count("header-hygiene") > 0) check_pragma_once(data, raw);
         for (Finding& finding : raw)

@@ -21,11 +21,14 @@
 //                        reproducibility bug. Loops that fold commutatively
 //                        or sort afterwards carry a suppression stating so.
 //
-//   score-memo           `mutable` members in src/detect/ must be ScoreMemo,
-//                        a mutex, or an atomic. The detector concurrency
-//                        contract (detect/detector.hpp) allows concurrent
-//                        score() on one trained instance; a bare mutable
-//                        cache breaks it.
+//   detector-mutable     No `mutable` member under src/detect/, of any
+//                        type. The detector contract (detect/detector.hpp)
+//                        has score() read only what train() or load_model()
+//                        wrote, so concurrent score() calls on one shared
+//                        model take no lock; a mutable cache, guarded or
+//                        not, breaks that. TSan sees only the races the
+//                        tests happen to run concurrently; this sees the
+//                        declaration.
 //
 //   metric-name          String literals passed to counter()/gauge()/
 //                        sketch(), naming a TraceSpan, or naming a
@@ -76,7 +79,7 @@ struct Finding {
 };
 
 /// One source file to scan. `path` is repo-relative with '/' separators;
-/// rules use it for scoping (e.g. score-memo applies under src/detect/).
+/// rules use it for scoping (e.g. detector-mutable applies under src/detect/).
 struct SourceFile {
     std::string path;
     std::string text;

@@ -69,16 +69,17 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
         layer.weight_velocity = Matrix(in, out);
         layer.bias_velocity.assign(out, 0.0);
         layers_.push_back(std::move(layer));
+        output_offsets_.push_back(output_offsets_.back() + out);
     }
 }
 
-void Mlp::forward_internal(std::span<const std::size_t> indices,
-                           std::span<const double> values, Workspace& ws) const {
-    ws.activations.resize(layers_.size());
+std::span<const double> Mlp::forward(std::span<const std::size_t> indices,
+                                     std::span<const double> values,
+                                     std::span<double> scratch) const {
+    require(scratch.size() >= forward_scratch_size(), "forward scratch too small");
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const Layer& layer = layers_[i];
-        std::vector<double>& z = ws.activations[i];
-        z.resize(layer.weights.cols());
+        const std::span<double> z = layer_output(scratch, i);
         if (i == 0) {
             // Bit-identical to the dense product: each skipped term w * 0 is
             // an exact +-0, and adding +-0 to a sum that starts at +0 changes
@@ -87,7 +88,7 @@ void Mlp::forward_internal(std::span<const std::size_t> indices,
             for (std::size_t k = 0; k < indices.size(); ++k)
                 axpy(values[k], layer.weights.row(indices[k]), z);
         } else {
-            layer.weights.multiply_transposed(ws.activations[i - 1], z);
+            layer.weights.multiply_transposed(layer_output(scratch, i - 1), z);
         }
         for (std::size_t r = 0; r < z.size(); ++r) z[r] += layer.bias[r];
         if (i + 1 == layers_.size()) {
@@ -96,18 +97,21 @@ void Mlp::forward_internal(std::span<const std::size_t> indices,
             for (double& v : z) v = sigmoid(v);
         }
     }
+    return layer_output(scratch, layers_.size() - 1);
 }
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
     require(input.size() == input_size(), "input size mismatch");
-    Workspace ws;
+    std::vector<std::size_t> indices;
+    std::vector<double> values;
     for (std::size_t c = 0; c < input.size(); ++c) {
         if (input[c] == 0.0) continue;
-        ws.indices.push_back(c);
-        ws.values.push_back(input[c]);
+        indices.push_back(c);
+        values.push_back(input[c]);
     }
-    forward_internal(ws.indices, ws.values, ws);
-    return std::move(ws.activations.back());
+    std::vector<double> scratch(forward_scratch_size());
+    const std::span<const double> y = forward(indices, values, scratch);
+    return {y.begin(), y.end()};
 }
 
 void Mlp::check_batch(const MlpBatch& batch) const {
@@ -120,10 +124,10 @@ double Mlp::loss(const MlpBatch& batch) const {
     check_batch(batch);
     double total_weight = 0.0;
     double total_loss = 0.0;
-    Workspace ws;
+    std::vector<double> scratch(forward_scratch_size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        forward_internal(batch.indices(i), batch.values(i), ws);
-        const std::vector<double>& y = ws.activations.back();
+        const std::span<const double> y =
+            forward(batch.indices(i), batch.values(i), scratch);
         const auto target = batch.target(i);
         double ce = 0.0;
         for (std::size_t c = 0; c < y.size(); ++c) {
@@ -137,6 +141,7 @@ double Mlp::loss(const MlpBatch& batch) const {
 
 void Mlp::step(const MlpBatch& batch, Workspace& ws, double* loss) {
     if (ws.weight_grads.empty()) {
+        ws.activations.resize(forward_scratch_size());
         for (const Layer& layer : layers_) {
             ws.weight_grads.emplace_back(layer.weights.rows(), layer.weights.cols());
             ws.bias_grads.emplace_back(layer.bias.size(), 0.0);
@@ -157,8 +162,7 @@ void Mlp::step(const MlpBatch& batch, Workspace& ws, double* loss) {
         const auto values = batch.values(i);
         const auto target = batch.target(i);
         const double weight = batch.weight(i);
-        forward_internal(indices, values, ws);
-        const std::vector<double>& y = ws.activations.back();
+        const std::span<const double> y = forward(indices, values, ws.activations);
         if (loss != nullptr) {
             for (std::size_t c = 0; c < y.size(); ++c)
                 if (target[c] > 0.0)
@@ -171,7 +175,8 @@ void Mlp::step(const MlpBatch& batch, Workspace& ws, double* loss) {
         for (std::size_t c = 0; c < y.size(); ++c) delta[c] = weight * (y[c] - target[c]);
 
         for (std::size_t li = layers_.size() - 1; li > 0; --li) {
-            const std::vector<double>& in_act = ws.activations[li - 1];
+            const std::span<const double> in_act =
+                layer_output(ws.activations, li - 1);
             Matrix& wg = ws.weight_grads[li];
             for (std::size_t c = 0; c < in_act.size(); ++c)
                 axpy(in_act[c], delta, wg.row(c));

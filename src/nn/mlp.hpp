@@ -92,6 +92,20 @@ public:
     /// Softmax class probabilities for one input.
     [[nodiscard]] std::vector<double> forward(std::span<const double> input) const;
 
+    /// Doubles of scratch one forward pass writes: every layer's output.
+    [[nodiscard]] std::size_t forward_scratch_size() const noexcept {
+        return output_offsets_.back();
+    }
+
+    /// Softmax class probabilities for one input given by its nonzero
+    /// entries (ascending indices below input_size(), one value each),
+    /// computed in `scratch`, at least forward_scratch_size() doubles, which
+    /// the result views. Allocates nothing. forward() and training run this
+    /// same pass, so its result matches theirs bit for bit.
+    std::span<const double> forward(std::span<const std::size_t> indices,
+                                    std::span<const double> values,
+                                    std::span<double> scratch) const;
+
     /// Weighted mean cross-entropy of the batch under current weights.
     [[nodiscard]] double loss(const MlpBatch& batch) const;
 
@@ -123,18 +137,19 @@ private:
     /// Scratch reused across samples and steps, so a pass allocates nothing
     /// once warm.
     struct Workspace {
-        std::vector<std::size_t> indices;  // forward(): the input's nonzeros
-        std::vector<double> values;
-        std::vector<std::vector<double>> activations;  // [i] = layer i's output
-        std::vector<Matrix> weight_grads;              // shaped like the weights
+        std::vector<double> activations;   // the forward pass's scratch
+        std::vector<Matrix> weight_grads;  // shaped like the weights
         std::vector<std::vector<double>> bias_grads;
         std::vector<double> delta;
         std::vector<double> prev_delta;
     };
 
-    /// Forward pass for one input given by its nonzero entries.
-    void forward_internal(std::span<const std::size_t> indices,
-                          std::span<const double> values, Workspace& ws) const;
+    /// Layer i's output within a forward pass's scratch.
+    [[nodiscard]] std::span<double> layer_output(std::span<double> scratch,
+                                                 std::size_t i) const noexcept {
+        return scratch.subspan(output_offsets_[i],
+                               output_offsets_[i + 1] - output_offsets_[i]);
+    }
 
     /// One full-batch step; when `loss` is non-null, stores the pre-step
     /// loss there.
@@ -145,6 +160,9 @@ private:
 
     MlpConfig config_;
     std::vector<Layer> layers_;
+    /// Layer i's output sits at [output_offsets_[i], output_offsets_[i + 1])
+    /// of a forward pass's scratch.
+    std::vector<std::size_t> output_offsets_{0};
 };
 
 /// Numerically stable softmax over logits, in place.

@@ -2,8 +2,9 @@
 // values, the one count table of the sequence substrate.
 //
 // NgramTable counts windows in it, ConditionalModel indexes its contexts
-// with it, and the lookahead-pairs detector keeps its seen pairs in it as a
-// set. Slots live in one power-of-two array and collide by linear
+// with it, the lookahead-pairs detector keeps its seen pairs and Lane &
+// Brodley its training windows in it as sets, and the neural net maps each
+// training context to its row of output distributions. Slots live in one power-of-two array and collide by linear
 // probing, so counting a stream touches one or two adjacent slots per event
 // instead of chasing a heap node. Every key is legal, including the all-zero
 // window and keys that use the top bits of the 128-bit key, so a slot marks

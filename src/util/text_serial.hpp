@@ -48,11 +48,10 @@ inline void expect_tag(std::istream& in, std::string_view tag) {
                         "', found '" + token + "'");
 }
 
-/// Reads an unsigned integer token of decimal digits. std::stoull alone
+/// Parses an unsigned integer token of decimal digits. std::stoull alone
 /// would also take a leading sign, and read "-1" as 2^64 - 1.
-inline std::uint64_t read_u64(std::istream& in, std::string_view what) {
-    const std::string token = read_token(in, what);
-    if (token[0] >= '0' && token[0] <= '9') {
+inline std::uint64_t parse_u64(const std::string& token, std::string_view what) {
+    if (!token.empty() && token[0] >= '0' && token[0] <= '9') {
         try {
             std::size_t consumed = 0;
             const std::uint64_t value = std::stoull(token, &consumed);
@@ -66,9 +65,32 @@ inline std::uint64_t read_u64(std::istream& in, std::string_view what) {
                     std::string(what));
 }
 
+/// Reads an unsigned integer token (see parse_u64).
+inline std::uint64_t read_u64(std::istream& in, std::string_view what) {
+    return parse_u64(read_token(in, what), what);
+}
+
 /// Reads a size_t token.
 inline std::size_t read_size(std::istream& in, std::string_view what) {
     return static_cast<std::size_t>(read_u64(in, what));
+}
+
+/// Parses a symbol id (a 32-bit Symbol, seq/types.hpp) and requires it to
+/// be below `alphabet_size`. The check runs on the 64-bit value, before the
+/// narrowing, so an id of 2^32 + 1 is rejected rather than read as 1.
+inline std::uint32_t parse_symbol(const std::string& token,
+                                  std::uint64_t alphabet_size,
+                                  std::string_view what) {
+    const std::uint64_t id = parse_u64(token, what);
+    if (id >= alphabet_size)
+        throw DataError(std::string(what) + " outside alphabet");
+    return static_cast<std::uint32_t>(id);
+}
+
+/// Reads a symbol id token (see parse_symbol).
+inline std::uint32_t read_symbol(std::istream& in, std::uint64_t alphabet_size,
+                                 std::string_view what) {
+    return parse_symbol(read_token(in, what), alphabet_size, what);
 }
 
 /// Reads a double token.

@@ -6,13 +6,15 @@
 //
 // Each case pushes a held-out stream three times through a scorer, in
 // frames, and counts the allocations of every frame of the third pass. The
-// first two passes fill the detectors' memos (the windows spanning the seam
-// between passes included) and grow every reused buffer to its working
-// size, so the third pass shows what each PUSH pays at steady state. The
-// budget: a small constant per batch that does not grow with the batch
-// length (64- vs 512-event frames). A per-event allocation anywhere below
-// the scorer (a contract check formatting its message, a memo hit copying
-// a vector) multiplies by the frame length and fails it.
+// first two passes grow every reused buffer to its working size, so the
+// third pass shows what each PUSH pays at steady state. The budget: a small
+// constant per batch that does not grow with the batch length (64- vs
+// 512-event frames). A per-event allocation anywhere below the scorer (a
+// contract check formatting its message, a cache storing a window) multiplies
+// by the frame length and fails it. Windows never seen before are held to
+// the same budget: after one warm pass, the first pass over a uniform stream
+// (nearly every window novel: a Lane & Brodley database scan, a neural-net
+// forward pass) is counted too.
 //
 // The served case sends pre-encoded PUSH frames through a Server over a
 // socketpair (make_loopback_pair, the socket transport the daemon's TCP
@@ -98,7 +100,7 @@ const std::string kVoteSpec =
     "stide/6+markov/6+lane-brodley/6+neural-net/6;fuse=vote";
 
 /// A held-out stream from the corpus process with 1% uniform events, so
-/// the cold passes see novel windows (memo misses) as served traffic does.
+/// every pass sees novel windows as served traffic does.
 const Sequence& heldout() {
     static const Sequence stream = [] {
         Sequence events = test::small_corpus().generate_heldout(kStreamLength, 71).events();
@@ -202,6 +204,35 @@ TEST(WarmPathAllocations, WindowLocalScorerPaysAConstantPerBatch) {
         EXPECT_LE(worst[0], kScorerAllocsPerBatch) << "64-event frames";
         EXPECT_LE(worst[1], kScorerAllocsPerBatch) << "512-event frames";
         EXPECT_LE(worst[1], worst[0]) << "allocations grow with batch length";
+    }
+}
+
+TEST(WarmPathAllocations, NovelWindowsAllocateNothing) {
+    const std::size_t alphabet = test::small_corpus().training().alphabet_size();
+    Sequence uniform(kStreamLength);
+    Rng rng(73);
+    for (Symbol& s : uniform) s = static_cast<Symbol>(rng.below(alphabet));
+    for (const DetectorKind kind : {DetectorKind::LaneBrodley, DetectorKind::NeuralNet}) {
+        SCOPED_TRACE(to_string(kind));
+        for (const std::size_t frame : kFrames) {
+            MetricsRegistry metrics;
+            OnlineScorer scorer(*detector_of(kind), 0, metrics);
+            std::vector<double> out;
+            const auto push = [&](const Sequence& stream, std::size_t at) {
+                out.clear();
+                return scorer.push_batch(stream.data() + at,
+                                         std::min(frame, stream.size() - at), out);
+            };
+            for (std::size_t at = 0; at < heldout().size(); at += frame)
+                push(heldout(), at);
+            std::size_t worst = 0;
+            for (std::size_t at = 0; at < uniform.size(); at += frame) {
+                const std::size_t before = own_allocations();
+                push(uniform, at);
+                worst = std::max(worst, own_allocations() - before);
+            }
+            EXPECT_LE(worst, kScorerAllocsPerBatch) << frame << "-event frames";
+        }
     }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "seq/ngram_table.hpp"
 #include "support/corpus_fixture.hpp"
 #include "util/error.hpp"
 
@@ -109,12 +113,57 @@ TEST(LaneBrodley, DatabaseSizeCountsDistinctWindows) {
 }
 
 TEST(LaneBrodley, MemoDoesNotChangeResults) {
+    // Scoring reads only the trained model, so a second pass repeats the
+    // first exactly.
     LaneBrodleyDetector d(4);
     d.train(cycle_train());
     const EventStream test(4, {0, 1, 2, 3, 0, 1, 2, 3});
     const auto r1 = d.score(test);
-    const auto r2 = d.score(test);  // second pass hits the memo
+    const auto r2 = d.score(test);
     EXPECT_EQ(r1, r2);
+}
+
+TEST(LaneBrodley, ScanMatchesTheReferenceOnEveryWindow) {
+    // Every window of a stream with 1% uniform events, known or novel: the
+    // detector's similarity is the maximum of lane_brodley_similarity over
+    // the distinct training windows, and its response follows from it.
+    struct Case {
+        EventStream training;
+        EventStream test;
+        std::size_t window;
+    };
+    const EventStream& corpus = test::small_corpus().training();
+    const EventStream heldout = test::with_uniform_events(
+        test::small_corpus().generate_heldout(1'000, 31), 0.01, 32);
+    // A 300-symbol alphabet packs 9 bits a symbol, so 14 is its longest window.
+    const EventStream wide = test::stepping_stream(300, 20'000, 33);
+    const EventStream wide_test =
+        test::with_uniform_events(test::stepping_stream(300, 1'000, 34), 0.01, 35);
+    const Case cases[] = {{corpus, heldout, 2},      {corpus, heldout, 6},
+                          {corpus, heldout, 15},     {wide, wide_test, 2},
+                          {wide, wide_test, 6},      {wide, wide_test, 14}};
+    for (const Case& c : cases) {
+        SCOPED_TRACE("alphabet " + std::to_string(c.training.alphabet_size()) +
+                     ", DW " + std::to_string(c.window));
+        LaneBrodleyDetector d(c.window);
+        d.train(c.training);
+        const auto normal = NgramTable::from_stream(c.training, c.window).items_by_count();
+        const std::uint64_t full = lane_brodley_max_similarity(c.window);
+        const std::vector<double> responses = d.score(c.test);
+        std::size_t novel = 0;
+        for_each_window(c.test, c.window, [&](std::size_t p, SymbolView w) {
+            std::uint64_t best = 0;
+            for (const auto& [gram, count] : normal)
+                best = std::max(best, lane_brodley_similarity(w, gram));
+            if (best < full) ++novel;
+            EXPECT_EQ(d.max_similarity_to_normal(w), best) << "window " << p;
+            EXPECT_EQ(responses[p], 1.0 - static_cast<double>(best) /
+                                              static_cast<double>(full))
+                << "window " << p;
+        });
+        EXPECT_GT(novel, 0u);
+        EXPECT_LT(novel, responses.size());
+    }
 }
 
 TEST(LaneBrodley, RetrainClearsMemo) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "seq/conditional_model.hpp"
+#include "seq/ngram_map.hpp"
 #include "support/corpus_fixture.hpp"
 #include "util/error.hpp"
 
@@ -133,6 +138,66 @@ TEST(NnDetector, PinnedLossAndResponsesAtDw6) {
     EXPECT_EQ(r[4], 0x1.6c11ec789b08p-7);
     EXPECT_EQ(r[6], 1.0);
     EXPECT_EQ(r[8], 0x1.7213e0c5afep-10);
+}
+
+TEST(NnDetector, TableAndNovelPathsMatchPredict) {
+    // Every window of a stream with 1% uniform events: a training context
+    // answers from the table and any other from a forward pass, and both
+    // must equal predict(context)[last] bit for bit, before and after a
+    // save/load round trip.
+    struct Case {
+        EventStream training;
+        EventStream test;
+        std::size_t window;
+    };
+    const EventStream& corpus = test::small_corpus().training();
+    const EventStream heldout = test::with_uniform_events(
+        test::small_corpus().generate_heldout(1'000, 41), 0.01, 42);
+    const EventStream wide = test::stepping_stream(300, 20'000, 43);
+    const EventStream wide_test =
+        test::with_uniform_events(test::stepping_stream(300, 1'000, 44), 0.01, 45);
+    const Case cases[] = {{corpus, heldout, 2},
+                          {corpus, heldout, 6},
+                          {corpus, heldout, 15},
+                          {wide, wide_test, 6}};
+    NnDetectorConfig config = fast_config();
+    config.epochs = 20;  // the test is about paths, not about fit
+    const ResponseQuantizer quantizer{config.probability_floor};
+    std::size_t novel = 0;  // windows whose context is not a training context
+    for (const Case& c : cases) {
+        SCOPED_TRACE("alphabet " + std::to_string(c.training.alphabet_size()) +
+                     ", DW " + std::to_string(c.window));
+        NnDetector d(c.window, config);
+        d.train(c.training);
+        std::ostringstream saved;
+        d.save_model(saved);
+        std::istringstream in(saved.str());
+        const NnDetector loaded = NnDetector::load_model(in);
+        EXPECT_EQ(loaded.context_count(), d.context_count());
+
+        NgramMap trained_contexts;
+        const ConditionalModel model(c.training, c.window - 1);
+        const NgramCodec codec(c.training.alphabet_size());
+        for (const ContextDistribution& dist : model.distributions())
+            (void)trained_contexts[codec.encode(dist.context)];
+        EXPECT_EQ(d.context_count(), trained_contexts.size());
+
+        const std::vector<double> responses = d.score(c.test);
+        EXPECT_EQ(loaded.score(c.test), responses);
+        const std::size_t novel_before = novel;
+        for_each_window(c.test, c.window, [&](std::size_t p, SymbolView w) {
+            const SymbolView context = w.first(c.window - 1);
+            if (trained_contexts.find(codec.encode(context)) == nullptr) ++novel;
+            const double expected = d.predict(context)[w.back()];
+            EXPECT_EQ(d.continuation_probability(w), expected) << "window " << p;
+            EXPECT_EQ(loaded.continuation_probability(w), expected) << "window " << p;
+            EXPECT_EQ(responses[p], quantizer.response_for_probability(expected))
+                << "window " << p;
+        });
+        EXPECT_LT(novel - novel_before, responses.size());
+    }
+    // At DW 2 every context is one symbol, and training saw them all.
+    EXPECT_GT(novel, 0u);
 }
 
 TEST(NnDetector, NameAndWindow) {

@@ -229,6 +229,21 @@ TEST_F(ObservabilityCli, StdinHeaderIsReadAsItGrows) {
     }
 }
 
+TEST_F(ObservabilityCli, StdinSymbolIdIsCheckedBeforeNarrowing) {
+    // 2^32 would narrow to symbol 0 and score as the window 0 1 2 3; it is
+    // an id outside the model's alphabet, first token or not.
+    for (const std::string input : {"4294967296 1 2 3", "1 2 4294967296 3"}) {
+        SCOPED_TRACE(input);
+        const std::string err_path = *dir_ + "stdin_symbol_stderr.txt";
+        const int rc = run_command("printf '" + input + "\\n' | " +
+                                   std::string(ADIV_SCORE_TOOL) + " --model " +
+                                   quoted(*dir_ + "model.adiv") +
+                                   " --input - > /dev/null 2> " + quoted(err_path));
+        EXPECT_EQ(rc, 1);
+        EXPECT_EQ(read_file(err_path), "adiv_score: symbol id outside alphabet\n");
+    }
+}
+
 TEST(TraceviewCli, CountsOnlyTheLinesItsInputHas) {
     // One span_end line with a malformed number, with and without its final
     // newline: one line read, one skipped, whichever way the file ends.

@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/online.hpp"
+#include "detect/nn_detector.hpp"
 #include "support/corpus_fixture.hpp"
 #include "support/temp_dir.hpp"
 #include "util/error.hpp"
@@ -117,6 +120,93 @@ TEST(ModelIo, RejectsTruncatedBody) {
 TEST(ModelIo, RejectsOutOfAlphabetSymbols) {
     std::istringstream in("adiv-model 1 stide 2 8 1 9 9 5");
     EXPECT_THROW((void)load_detector(in), DataError);
+}
+
+TEST(ModelIo, RejectsSymbolIdsThatWrapIn32Bits) {
+    // 4294967297 is 2^32 + 1, which a narrowing cast would read as symbol 1
+    // (a lookahead pair (1, 1, 2) in the first model). Every loader checks
+    // the id against the alphabet before it narrows.
+    for (const char* text : {
+             "adiv-model 1 lookahead-pairs 4 8 1\n1 4294967297 2\n",
+             "adiv-model 1 stide 2 8 1\n4294967297 1 5\n",
+             "adiv-model 1 t-stide 0.001 2 8 1\n4294967297 1 5\n",
+             "adiv-model 1 markov 2 8 0.005 0 1\n4294967297 1 1 1 1 1 1 1 1\n",
+             "adiv-model 1 lane-brodley 2 8 1\n4294967297 1\n",
+             "adiv-model 1 rule 3 8 0.9 2 10 0.005 1\n0 4294967297 0.5 10\n"}) {
+        SCOPED_TRACE(text);
+        std::istringstream in(text);
+        EXPECT_THROW((void)load_detector(in), DataError);
+    }
+}
+
+/// A trained neural-net model file, split before its context section: the
+/// text up to and including the parameters, and the context lines.
+struct NnModelText {
+    std::string head;
+    std::vector<std::string> contexts;
+};
+
+NnModelText nn_model_text(std::size_t window) {
+    auto d = make_detector(DetectorKind::NeuralNet, window);
+    d->train(test::small_corpus().training());
+    std::ostringstream out;
+    save_detector(*d, out);
+    std::istringstream in(out.str());
+    NnModelText text;
+    std::string line;
+    std::vector<std::string> lines;
+    while (std::getline(in, line)) lines.push_back(line);
+    // The envelope, then a header line ending in the parameter count, one
+    // line per parameter, and the context count.
+    EXPECT_GE(lines.size(), 2u);
+    const std::size_t params = std::stoull(lines[1].substr(lines[1].rfind(' ') + 1));
+    const std::size_t count_line = 2 + params;
+    EXPECT_LT(count_line, lines.size());
+    EXPECT_EQ(lines[count_line], std::to_string(lines.size() - count_line - 1));
+    for (std::size_t i = 0; i < count_line; ++i) text.head += lines[i] + "\n";
+    text.contexts.assign(lines.begin() + static_cast<std::ptrdiff_t>(count_line) + 1,
+                         lines.end());
+    return text;
+}
+
+std::string with_contexts(const NnModelText& text, const std::string& count,
+                          const std::vector<std::string>& contexts) {
+    std::string out = text.head + count + "\n";
+    for (const std::string& context : contexts) out += context + "\n";
+    return out;
+}
+
+TEST(ModelIo, NeuralNetFileListsItsTrainingContexts) {
+    const NnModelText text = nn_model_text(4);
+    ASSERT_FALSE(text.contexts.empty());
+    const std::string full =
+        with_contexts(text, std::to_string(text.contexts.size()), text.contexts);
+    std::istringstream in(full);
+    const auto loaded = load_detector(in);
+    EXPECT_EQ(dynamic_cast<const NnDetector&>(*loaded).context_count(),
+              text.contexts.size());
+    std::ostringstream again;
+    save_detector(*loaded, again);
+    EXPECT_EQ(again.str(), full);
+}
+
+TEST(ModelIo, NeuralNetRejectsBadContextSections) {
+    const NnModelText text = nn_model_text(2);
+    ASSERT_GE(text.contexts.size(), 2u);
+    std::vector<std::string> wrapped = text.contexts;
+    wrapped[0] = "4294967297";  // 2^32 + 1
+    std::vector<std::string> twice = text.contexts;
+    twice[1] = twice[0];
+    for (const std::string& bad : {
+             // A declared count far beyond the lines present: read as they
+             // come, never reserved.
+             with_contexts(text, "2305843009213693952", text.contexts),
+             with_contexts(text, std::to_string(text.contexts.size()), wrapped),
+             with_contexts(text, std::to_string(text.contexts.size()), twice),
+             text.head}) {
+        std::istringstream in(bad);
+        EXPECT_THROW((void)load_detector(in), DataError);
+    }
 }
 
 TEST(ModelIo, FileHelpersRoundTrip) {

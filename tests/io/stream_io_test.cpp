@@ -53,6 +53,13 @@ TEST(StreamIo, RejectsOutOfAlphabetSymbol) {
     EXPECT_THROW((void)load_stream(in), DataError);
 }
 
+TEST(StreamIo, RejectsSymbolIdThatWrapsIn32Bits) {
+    // 2^32 + 1 must not be read as symbol 1 (which would make the first
+    // window the known window 1 2 3 4).
+    std::istringstream in("adiv-stream 1 8 6\n4294967297 2 3 4 5 6\n");
+    EXPECT_THROW((void)load_stream(in), DataError);
+}
+
 TEST(StreamIo, FileHelpersRoundTrip) {
     const EventStream original(8, {3, 1, 4, 1, 5});
     const std::string path = test::temp_path("adiv_stream_io_test.adiv");

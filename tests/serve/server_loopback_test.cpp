@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <latch>
 #include <optional>
@@ -21,6 +22,8 @@
 
 #include "core/online.hpp"
 #include "detect/registry.hpp"
+#include "fusion/ensemble_scorer.hpp"
+#include "fusion/spec.hpp"
 #include "obs/openmetrics.hpp"
 #include "serve/client.hpp"
 #include "serve/http_metrics.hpp"
@@ -181,29 +184,63 @@ TEST(ServerLoopback, OpenPushDrainCloseLifecycle) {
 }
 
 TEST(ServerLoopback, ConcurrentSessionsScoreBitIdentically) {
-    // The acceptance property at test scale: many sessions over two shared
-    // models, scored concurrently by their readers, each bit-identical to a
-    // serial replay of its own stream.
+    // The acceptance property at test scale: sessions over shared models
+    // (the paper's four detectors, a second Markov window and their vote
+    // ensemble), scored concurrently by their readers, each bit-identical
+    // to a serial replay of its own stream. The streams carry 1% uniform
+    // events, so Lane & Brodley's database scan and the neural net's
+    // forward pass also run concurrently on one shared model.
     MetricsRegistry metrics;
     Server server({}, metrics);
     const auto stide = trained(DetectorKind::Stide, 6);
-    const auto markov = trained(DetectorKind::Markov, 4);
+    const auto markov4 = trained(DetectorKind::Markov, 4);
+    const auto markov = trained(DetectorKind::Markov, 6);
+    const auto lane_brodley = trained(DetectorKind::LaneBrodley, 6);
+    const auto neural_net = trained(DetectorKind::NeuralNet, 6);
     server.add_model("stide/6", stide);
-    server.add_model("markov/4", markov);
+    server.add_model("markov/4", markov4);
+    server.add_model("markov/6", markov);
+    server.add_model("lane-brodley/6", lane_brodley);
+    server.add_model("neural-net/6", neural_net);
+    const std::string vote = "stide/6+markov/6+lane-brodley/6+neural-net/6;fuse=vote";
 
-    constexpr std::size_t kSessions = 8;
+    struct Target {
+        std::string name;
+        std::function<std::vector<double>(SymbolView)> replay;
+    };
+    const auto single = [](std::string name, const SequenceDetector& model) {
+        return Target{std::move(name),
+                      [&model](SymbolView events) { return replay(model, events); }};
+    };
+    const std::vector<Target> targets = {
+        single("stide/6", *stide),
+        single("markov/4", *markov4),
+        single("lane-brodley/6", *lane_brodley),
+        single("neural-net/6", *neural_net),
+        {vote, [&](SymbolView events) {
+             MetricsRegistry quiet;
+             fusion::EnsembleScorer scorer(fusion::parse_ensemble_spec(vote),
+                                           {stide, markov, lane_brodley, neural_net},
+                                           0, quiet);
+             std::vector<double> scores;
+             scorer.push_batch(events.data(), events.size(), scores);
+             return scores;
+         }}};
+
+    const std::size_t sessions = 2 * targets.size();
     constexpr std::size_t kEvents = 4'000;
-    std::vector<std::string> failures(kSessions);
+    std::vector<std::string> failures(sessions);
     std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < kSessions; ++i)
+    for (std::size_t i = 0; i < sessions; ++i)
         threads.emplace_back([&, i] {
             try {
-                const bool use_stide = i % 2 == 0;
-                const SequenceDetector& model = use_stide ? *stide : *markov;
+                const Target& target = targets[i % targets.size()];
                 Client client(connect(server));
-                client.open(use_stide ? "stide/6" : "markov/4");
-                const EventStream events = test::small_corpus().generate_heldout(
-                    kEvents, 100 + static_cast<std::uint64_t>(i));
+                client.open(target.name);
+                const EventStream events = test::with_uniform_events(
+                    test::small_corpus().generate_heldout(
+                        kEvents, 100 + static_cast<std::uint64_t>(i)),
+                    0.01, 200 + static_cast<std::uint64_t>(i));
                 std::vector<double> scores;
                 for (std::size_t pos = 0; pos < events.size(); pos += 128) {
                     const std::size_t n =
@@ -214,7 +251,7 @@ TEST(ServerLoopback, ConcurrentSessionsScoreBitIdentically) {
                 const SessionCounts drained = client.drain();
                 if (drained.events != kEvents)
                     failures[i] = "drained events " + std::to_string(drained.events);
-                else if (scores != replay(model, events.view()))
+                else if (scores != target.replay(events.view()))
                     failures[i] = "scores differ from serial replay";
                 client.close_session();
                 client.disconnect();
@@ -223,8 +260,9 @@ TEST(ServerLoopback, ConcurrentSessionsScoreBitIdentically) {
             }
         });
     for (auto& thread : threads) thread.join();
-    for (std::size_t i = 0; i < kSessions; ++i)
-        EXPECT_EQ(failures[i], "") << "session " << i;
+    for (std::size_t i = 0; i < sessions; ++i)
+        EXPECT_EQ(failures[i], "") << "session " << i << ", "
+                                   << targets[i % targets.size()].name;
     server.wait_connections_closed();
     EXPECT_EQ(server.active_sessions(), 0u);
 }

@@ -21,4 +21,15 @@ const EvaluationSuite& small_suite();
 /// The paper-scale corpus: 1,000,000 elements. Built once, on first use.
 const TrainingCorpus& paper_corpus();
 
+/// `stream` with each event replaced, with probability `share`, by a
+/// uniform draw over its alphabet: the novel windows served traffic holds.
+EventStream with_uniform_events(const EventStream& stream, double share,
+                                std::uint64_t seed);
+
+/// `length` events over `alphabet` symbols that mostly step to the next
+/// symbol and sometimes skip 1 to 3 ahead: few distinct windows over a wide
+/// alphabet.
+EventStream stepping_stream(std::size_t alphabet, std::size_t length,
+                            std::uint64_t seed);
+
 }  // namespace adiv::test

@@ -34,7 +34,6 @@
 // Exit status: 0 when no alarms fire, 2 when at least one alarm event fires
 // (scriptable), 1 on errors.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -120,14 +119,11 @@ int main(int argc, char** argv) {
                 bounded = true;
                 if (tag == "adiv-trace") alphabet.emplace(header.names);
             } else {
-                std::uint64_t id = 0;
-                const auto [end, ec] =
-                    std::from_chars(tag.data(), tag.data() + tag.size(), id);
-                require_data(ec == std::errc{} && end == tag.data() + tag.size(),
+                require_data(tag[0] >= '0' && tag[0] <= '9',
                              "unrecognized stdin input: expected adiv-stream, "
                              "adiv-trace, or bare symbol ids (got '" +
                                  tag + "')");
-                first = static_cast<Symbol>(id);
+                first = parse_symbol(tag, alphabet_size, "symbol id");
             }
 
             const bool keep_events = !framed && !csv;  // report needs them
@@ -158,13 +154,7 @@ int main(int argc, char** argv) {
                 if (alphabet) {
                     consume(alphabet->id(token));
                 } else {
-                    std::uint64_t id = 0;
-                    const auto [end, ec] = std::from_chars(
-                        token.data(), token.data() + token.size(), id);
-                    require_data(
-                        ec == std::errc{} && end == token.data() + token.size(),
-                        "'" + token + "' is not a symbol id");
-                    consume(static_cast<Symbol>(id));
+                    consume(parse_symbol(token, alphabet_size, "symbol id"));
                 }
                 if (bounded) --remaining;
             }

@@ -44,9 +44,10 @@
 #                                       # the serve.shard.* instruments, and
 #                                       # require serve.shard.table acquires
 #                                       # in the drain-time --metrics dump
-#   tools/ci_check.sh --ensemble-smoke  # also: train two coverage-diverse
-#                                       # members, start a sharded daemon
-#                                       # serving both, OPEN ensemble sessions
+#   tools/ci_check.sh --ensemble-smoke  # also: train the paper's four
+#                                       # detectors, start a sharded daemon
+#                                       # serving all four, OPEN a two-member
+#                                       # and a four-member vote ensemble
 #                                       # over TCP (verified against the local
 #                                       # serial replay), scrape /metrics for
 #                                       # the fusion.* instruments, and run
@@ -543,10 +544,18 @@ if [ "$ensemble_smoke" -eq 1 ]; then
         --training-length 4000 --seed 11 --out "$smoke_dir/stide.adiv"
     ./build/tools/adiv_train --detector markov --window 6 \
         --training-length 4000 --seed 22 --out "$smoke_dir/markov.adiv"
+    # The other two paper detectors, so the daemon loads every model file
+    # format the served vote ensemble needs (the neural net's includes its
+    # training contexts).
+    ./build/tools/adiv_train --detector lane-brodley --window 6 \
+        --training-length 4000 --seed 33 --out "$smoke_dir/lane_brodley.adiv"
+    ./build/tools/adiv_train --detector neural-net --window 6 \
+        --training-length 4000 --seed 44 --out "$smoke_dir/neural_net.adiv"
+    models="$smoke_dir/stide.adiv,$smoke_dir/markov.adiv"
+    models="$models,$smoke_dir/lane_brodley.adiv,$smoke_dir/neural_net.adiv"
 
     echo "-- ensemble smoke: verified ensemble sessions over TCP --"
-    ./build/tools/adiv_serve \
-        --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
+    ./build/tools/adiv_serve --model "$models" \
         --port 0 --jobs 4 --metrics-port 0 \
         > "$smoke_dir/serve.log" 2>&1 &
     serve_pid=$!
@@ -563,14 +572,16 @@ if [ "$ensemble_smoke" -eq 1 ]; then
     done
     [ -n "$port" ] && [ -n "$http_port" ] || {
         echo "ensemble smoke: daemon never reported its ports" >&2; exit 1; }
-    ./build/tools/adiv_loadgen --port "$port" \
-        --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
-        --target 'stide/6+markov/6;fuse=ds' \
-        --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
-    grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
-        echo "ensemble smoke: served ensemble scores did not verify" >&2
-        exit 1
-    }
+    for target in 'stide/6+markov/6;fuse=ds' \
+        'stide/6+markov/6+lane-brodley/6+neural-net/6;fuse=vote'; do
+        ./build/tools/adiv_loadgen --port "$port" --model "$models" \
+            --target "$target" \
+            --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
+        grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
+            echo "ensemble smoke: served $target scores did not verify" >&2
+            exit 1
+        }
+    done
     # The live exposition must carry the fusion instruments (dotted names
     # render with underscores in OpenMetrics).
     curl -sf "http://127.0.0.1:$http_port/metrics" > "$smoke_dir/metrics.txt" || {
