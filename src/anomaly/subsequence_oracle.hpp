@@ -4,7 +4,11 @@
 //
 // The anomaly machinery asks many questions of the form "does this n-gram
 // occur in training, and how often?" across lengths 1..AS and 2..DW; the
-// oracle owns one NgramTable per length so each is built exactly once.
+// oracle owns one NgramTable per length so each is built exactly once. A
+// table is derived from the nearest longer cached table when there is one
+// (NgramTable::prefix_table), so asking for the longest length first counts
+// the training stream once. Counts do not depend on how a table was built;
+// only its unsorted for_each order does.
 // Not thread-safe: callers serialize access (the evaluation pipeline is
 // single-threaded by design for reproducibility).
 #pragma once

@@ -1,5 +1,7 @@
 #include "anomaly/suite.hpp"
 
+#include <algorithm>
+
 #include "anomaly/foreign.hpp"
 #include "util/error.hpp"
 
@@ -18,6 +20,9 @@ EvaluationSuite EvaluationSuite::build(const TrainingCorpus& corpus,
     suite.corpus_ = &corpus;
 
     SubsequenceOracle oracle(corpus.training());
+    // The longest table first: every shorter one the suite asks for is then
+    // derived from it, and the training stream is counted once.
+    (void)oracle.table(std::max(config.max_window, config.max_anomaly_size));
     MfsBuilder builder(oracle, config.mfs);
     Injector injector(corpus, oracle);
 

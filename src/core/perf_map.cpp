@@ -1,6 +1,7 @@
 #include "core/perf_map.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "util/csv.hpp"
@@ -8,6 +9,23 @@
 #include "util/table.hpp"
 
 namespace adiv {
+
+namespace {
+
+/// Position of `value` in a strictly ascending axis, or axis.size().
+std::size_t position(const std::vector<std::size_t>& axis, std::size_t value) noexcept {
+    const auto it = std::lower_bound(axis.begin(), axis.end(), value);
+    return it != axis.end() && *it == value
+               ? static_cast<std::size_t>(it - axis.begin())
+               : axis.size();
+}
+
+bool strictly_ascending(const std::vector<std::size_t>& axis) {
+    return std::adjacent_find(axis.begin(), axis.end(), std::greater_equal<>()) ==
+           axis.end();
+}
+
+}  // namespace
 
 PerformanceMap::PerformanceMap(std::string detector_name,
                                std::vector<std::size_t> as_values,
@@ -17,42 +35,56 @@ PerformanceMap::PerformanceMap(std::string detector_name,
       dw_values_(std::move(dw_values)) {
     require(!as_values_.empty() && !dw_values_.empty(),
             "performance map axes must be non-empty");
-    require(std::is_sorted(as_values_.begin(), as_values_.end()),
-            "anomaly sizes must be ascending");
-    require(std::is_sorted(dw_values_.begin(), dw_values_.end()),
-            "window lengths must be ascending");
+    require(strictly_ascending(as_values_),
+            "anomaly sizes must be strictly ascending");
+    require(strictly_ascending(dw_values_),
+            "window lengths must be strictly ascending");
+    cells_.resize(as_values_.size() * dw_values_.size());
+}
+
+std::size_t PerformanceMap::index_of(std::size_t anomaly_size,
+                                     std::size_t window_length) const noexcept {
+    const std::size_t a = position(as_values_, anomaly_size);
+    const std::size_t w = position(dw_values_, window_length);
+    if (a == as_values_.size() || w == dw_values_.size()) return cells_.size();
+    return a * dw_values_.size() + w;
 }
 
 void PerformanceMap::set(std::size_t anomaly_size, std::size_t window_length,
                          SpanScore score) {
-    require(std::count(as_values_.begin(), as_values_.end(), anomaly_size) == 1,
-            "anomaly size outside the map grid");
-    require(std::count(dw_values_.begin(), dw_values_.end(), window_length) == 1,
-            "window length outside the map grid");
-    cells_[{anomaly_size, window_length}] = score;
+    const std::size_t a = position(as_values_, anomaly_size);
+    const std::size_t w = position(dw_values_, window_length);
+    require(a < as_values_.size(), "anomaly size outside the map grid");
+    require(w < dw_values_.size(), "window length outside the map grid");
+    cells_[a * dw_values_.size() + w] = score;
 }
 
 const SpanScore& PerformanceMap::at(std::size_t anomaly_size,
                                     std::size_t window_length) const {
-    const auto it = cells_.find({anomaly_size, window_length});
-    require(it != cells_.end(), "performance map cell (" +
-                                    std::to_string(anomaly_size) + "," +
-                                    std::to_string(window_length) + ") is unset");
-    return it->second;
+    const std::size_t i = index_of(anomaly_size, window_length);
+    if (i < cells_.size() && cells_[i].has_value()) return *cells_[i];
+    throw InvalidArgument("performance map cell (" + std::to_string(anomaly_size) +
+                          "," + std::to_string(window_length) + ") is unset");
 }
 
 bool PerformanceMap::has(std::size_t anomaly_size,
                          std::size_t window_length) const noexcept {
-    return cells_.contains({anomaly_size, window_length});
+    const std::size_t i = index_of(anomaly_size, window_length);
+    return i < cells_.size() && cells_[i].has_value();
+}
+
+std::size_t PerformanceMap::cell_count() const noexcept {
+    return static_cast<std::size_t>(
+        std::count_if(cells_.begin(), cells_.end(),
+                      [](const std::optional<SpanScore>& cell) { return cell.has_value(); }));
 }
 
 std::size_t PerformanceMap::count(DetectionOutcome outcome) const {
-    std::size_t n = 0;
-    for (const auto& [cell, score] : cells_) {
-        (void)cell;
-        if (score.outcome == outcome) ++n;
-    }
-    return n;
+    return static_cast<std::size_t>(
+        std::count_if(cells_.begin(), cells_.end(),
+                      [&](const std::optional<SpanScore>& cell) {
+                          return cell.has_value() && cell->outcome == outcome;
+                      }));
 }
 
 std::string PerformanceMap::render() const {
@@ -84,9 +116,13 @@ void PerformanceMap::write_csv(std::ostream& out) const {
     CsvWriter csv(out);
     csv.row({"detector", "anomaly_size", "window_length", "outcome",
              "max_response"});
-    for (const auto& [cell, score] : cells_) {
-        csv.row_of(detector_name_, cell.first, cell.second,
-                   to_string(score.outcome), fixed(score.max_response, 6));
+    for (std::size_t a = 0; a < as_values_.size(); ++a) {
+        for (std::size_t w = 0; w < dw_values_.size(); ++w) {
+            const std::optional<SpanScore>& cell = cells_[a * dw_values_.size() + w];
+            if (!cell) continue;
+            csv.row_of(detector_name_, as_values_[a], dw_values_[w],
+                       to_string(cell->outcome), fixed(cell->max_response, 6));
+        }
     }
 }
 

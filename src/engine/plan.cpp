@@ -1,6 +1,7 @@
 #include "engine/plan.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/error.hpp"
@@ -41,6 +42,16 @@ void ExperimentPlan::validate() const {
     require(!detectors_.empty(), "experiment plan has no detectors");
     require(!window_lengths_.empty(), "experiment plan has no window lengths");
     require(!anomaly_sizes_.empty(), "experiment plan has no anomaly sizes");
+    // The maps' grids hold one cell per axis value, so a repeated or
+    // unsorted axis is refused here, before any column trains.
+    const auto strictly_ascending = [](const std::vector<std::size_t>& axis) {
+        return std::adjacent_find(axis.begin(), axis.end(),
+                                  std::greater_equal<>()) == axis.end();
+    };
+    require(strictly_ascending(window_lengths_),
+            "plan window lengths must be strictly ascending");
+    require(strictly_ascending(anomaly_sizes_),
+            "plan anomaly sizes must be strictly ascending");
     const auto in_suite = [](const std::vector<std::size_t>& axis,
                              std::size_t value) {
         return std::find(axis.begin(), axis.end(), value) != axis.end();

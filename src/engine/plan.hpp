@@ -40,10 +40,12 @@ public:
     ExperimentPlan& add_detector(DetectorKind kind,
                                  const DetectorSettings& settings = {});
 
-    /// Restricts the window axis; every value must exist in the suite.
+    /// Restricts the window axis: strictly ascending values that all exist
+    /// in the suite (checked by validate()).
     ExperimentPlan& with_window_lengths(std::vector<std::size_t> values);
 
-    /// Restricts the anomaly-size axis; every value must exist in the suite.
+    /// Restricts the anomaly-size axis: strictly ascending values that all
+    /// exist in the suite (checked by validate()).
     ExperimentPlan& with_anomaly_sizes(std::vector<std::size_t> values);
 
     [[nodiscard]] const EvaluationSuite& suite() const noexcept { return *suite_; }
@@ -68,7 +70,8 @@ public:
     }
 
     /// Throws InvalidArgument when the plan cannot run: no detectors, an
-    /// empty axis, or an axis value with no suite entry.
+    /// empty axis, an axis that is not strictly ascending, or an axis value
+    /// with no suite entry.
     void validate() const;
 
 private:

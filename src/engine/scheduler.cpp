@@ -1,6 +1,8 @@
 #include "engine/scheduler.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "core/experiment.hpp"
@@ -85,8 +87,19 @@ PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options) {
     std::vector<SpanScore> cells(ndet * ndw * nas);
     std::vector<MapTiming> column_timings(ndet * ndw);
 
+    // Task i runs column order[i]: widest window first, plan order within one
+    // width. Every paper detector's training cost grows with its window or
+    // stays flat, so the longest columns start first and the plan does not
+    // end on one long column with the other workers idle.
+    std::vector<std::size_t> order(ndet * ndw);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return dws[a % ndw] > dws[b % ndw];
+    });
+
     const Stopwatch total;
-    parallel_for(ndet * ndw, jobs, [&](std::size_t column) {
+    parallel_for(order.size(), jobs, [&](std::size_t task) {
+        const std::size_t column = order[task];
         const PlanDetector& detector = plan.detectors()[column / ndw];
         const std::size_t dw = dws[column % ndw];
         const std::size_t column_base = column * tasks_per_column;

@@ -4,15 +4,19 @@
 // Each (detector, DW) column is one task: build the detector via the
 // factory, train it on the corpus training stream, score the column's cells
 // in AS order, then drop the model. The tasks run on parallel_for
-// (util/parallel.hpp), so at most `jobs` models are alive at once, and at
-// jobs == 1 the plan runs on the calling thread in canonical order.
+// (util/parallel.hpp), so at most `jobs` models are alive at once. Columns
+// run widest window first, in plan order within one width: training cost
+// grows with the window, so the longest columns start first. At jobs == 1
+// the plan runs on the calling thread in that run order.
 //
 // Determinism: every cell result lands in a pre-sized slot addressed by its
 // (detector, AS, DW) grid position, never by completion order, and detector
 // training is independent of interleaving, so the assembled maps are
-// bit-identical for any job count. Failures are deterministic too: the
-// first error in canonical plan order is rethrown (jobs=1 and jobs=N report
-// the same exception).
+// bit-identical for any job count. Trace spans keep their canonical numbers
+// (column * (1 + |AS|)), so the trace tree is too. Failures are
+// deterministic: the first failing column in run order is rethrown, the one
+// the jobs=1 loop meets first, so jobs=1 and jobs=N report the same
+// exception.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +58,8 @@ struct PlanRun {
     PlanSummary summary;
 };
 
-/// Runs the plan and returns every map. Throws the first error in canonical
-/// plan order (invalid plan, factory failures, scoring failures).
+/// Runs the plan and returns every map. Throws the first error in run order
+/// (invalid plan, factory failures, scoring failures).
 PlanRun run_plan(const ExperimentPlan& plan, const EngineOptions& options = {});
 
 /// Resolves a CLI-style job count: 0 -> hardware concurrency, otherwise n.

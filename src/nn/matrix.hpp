@@ -1,6 +1,14 @@
 // Dense row-major matrix of doubles — the minimal linear-algebra substrate
 // for the multilayer feed-forward network. Deliberately small: the networks
 // in this study have tens of units, so clarity beats BLAS.
+//
+// The one product is a sum of scaled rows, y = W^T x (dense, or given by x's
+// nonzero entries): y[c] = sum over rows r of x[r] * W[r][c]. The network
+// stores each layer input-major, so its forward pass is this product, and it
+// keeps an out x in copy of a layer to run its backward product the same
+// way. The kernel holds eight outputs' partial sums in registers across the
+// whole row loop; each sum starts at +0 and takes its terms in row order, one
+// multiply and one add each, so blocking changes no result bit.
 #pragma once
 
 #include <cstddef>
@@ -61,12 +69,18 @@ public:
         for (double& v : data_) v = value;
     }
 
-    /// y = W x (y sized rows()). Requires x.size() == cols().
-    void multiply(std::span<const double> x, std::span<double> y) const;
-
-    /// y = W^T x (y sized cols()), as one axpy per row whose x is nonzero:
-    /// y[c] sums its terms in row order. Requires x.size() == rows().
+    /// y = W^T x (y sized cols()): y[c] sums x[r] * W[r][c] in row order,
+    /// from +0. A zero x[r] adds a +-0 term, which changes no such sum while
+    /// the weights are finite. Requires x.size() == rows().
     void multiply_transposed(std::span<const double> x, std::span<double> y) const;
+
+    /// y = W^T x for an x given by its nonzero entries, values[k] at row
+    /// indices[k]: y[c] sums values[k] * W[indices[k]][c] in k order, from
+    /// +0. Requires one value per index; every index must be below rows()
+    /// (unchecked, as for row()).
+    void multiply_transposed(std::span<const std::size_t> indices,
+                             std::span<const double> values,
+                             std::span<double> y) const;
 
 private:
     std::size_t rows_ = 0;

@@ -84,9 +84,7 @@ std::span<const double> Mlp::forward(std::span<const std::size_t> indices,
             // Bit-identical to the dense product: each skipped term w * 0 is
             // an exact +-0, and adding +-0 to a sum that starts at +0 changes
             // nothing (finite weights, no FMA contraction).
-            std::fill(z.begin(), z.end(), 0.0);
-            for (std::size_t k = 0; k < indices.size(); ++k)
-                axpy(values[k], layer.weights.row(indices[k]), z);
+            layer.weights.multiply_transposed(indices, values, z);
         } else {
             layer.weights.multiply_transposed(layer_output(scratch, i - 1), z);
         }
@@ -142,13 +140,26 @@ double Mlp::loss(const MlpBatch& batch) const {
 void Mlp::step(const MlpBatch& batch, Workspace& ws, double* loss) {
     if (ws.weight_grads.empty()) {
         ws.activations.resize(forward_scratch_size());
-        for (const Layer& layer : layers_) {
-            ws.weight_grads.emplace_back(layer.weights.rows(), layer.weights.cols());
-            ws.bias_grads.emplace_back(layer.bias.size(), 0.0);
+        for (std::size_t li = 0; li < layers_.size(); ++li) {
+            const Matrix& w = layers_[li].weights;
+            ws.weight_grads.emplace_back(w.rows(), w.cols());
+            ws.bias_grads.emplace_back(w.cols(), 0.0);
+            // Layer 0 has no backward product, so it needs no copy.
+            ws.out_major.push_back(li == 0 ? Matrix() : Matrix(w.cols(), w.rows()));
         }
     } else {
         for (Matrix& g : ws.weight_grads) g.fill(0.0);
         for (std::vector<double>& g : ws.bias_grads) std::fill(g.begin(), g.end(), 0.0);
+    }
+    // The backward product of layer li >= 1 sums, for each input unit c,
+    // delta[r] * W[c][r] over outputs r in order: a sum of scaled rows of
+    // the out x in copy, refreshed here because the weights move once per
+    // step.
+    for (std::size_t li = 1; li < layers_.size(); ++li) {
+        const Matrix& w = layers_[li].weights;
+        for (std::size_t c = 0; c < w.rows(); ++c)
+            for (std::size_t r = 0; r < w.cols(); ++r)
+                ws.out_major[li].at(r, c) = w.at(c, r);
     }
 
     // Each gradient element gains one term per sample, in batch order, as in
@@ -183,7 +194,7 @@ void Mlp::step(const MlpBatch& batch, Workspace& ws, double* loss) {
             std::vector<double>& bg = ws.bias_grads[li];
             for (std::size_t r = 0; r < delta.size(); ++r) bg[r] += delta[r];
             ws.prev_delta.resize(in_act.size());
-            layers_[li].weights.multiply(delta, ws.prev_delta);
+            ws.out_major[li].multiply_transposed(delta, ws.prev_delta);
             for (std::size_t c = 0; c < in_act.size(); ++c)
                 ws.prev_delta[c] *= in_act[c] * (1.0 - in_act[c]);  // sigmoid'
             std::swap(delta, ws.prev_delta);

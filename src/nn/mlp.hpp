@@ -11,11 +11,14 @@
 //
 // Layout: each layer's weights are stored input-major (row c holds input c's
 // outgoing weights), and training reads a packed batch that keeps only each
-// sample's nonzero inputs. Every forward product and every weight-gradient
-// accumulation is then an axpy over a contiguous row, and each weight's sum
-// still takes its terms in the order of the plain row-major network, so the
-// results match that network bit for bit. parameters() keeps the row-major
-// out x in order.
+// sample's nonzero inputs. Every forward product is then a sum of scaled
+// contiguous rows (Matrix::multiply_transposed, which keeps eight outputs'
+// partial sums in registers), the backward product is the same kernel over
+// an out x in copy of the layer that each training step refreshes, and every
+// weight-gradient accumulation is an axpy over a contiguous row. Each sum
+// still takes its terms in the order of the plain row-major network, one
+// multiply and one add each, so the results match that network bit for bit.
+// parameters() keeps the row-major out x in order.
 #pragma once
 
 #include <cstdint>
@@ -142,6 +145,9 @@ private:
         std::vector<std::vector<double>> bias_grads;
         std::vector<double> delta;
         std::vector<double> prev_delta;
+        /// Layer li >= 1's weights out x in (row r holds output r's incoming
+        /// weights), for the backward product; empty for layer 0.
+        std::vector<Matrix> out_major;
     };
 
     /// Layer i's output within a forward pass's scratch.

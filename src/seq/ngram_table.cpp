@@ -21,6 +21,27 @@ NgramTable NgramTable::from_stream(const EventStream& stream, std::size_t length
     return table;
 }
 
+NgramTable NgramTable::prefix_table(const EventStream& stream,
+                                    std::size_t length) const {
+    require(length > 0 && length < length_,
+            "a prefix table must be shorter than its source table");
+    require(stream.alphabet_size() == codec_.alphabet_size(),
+            "stream alphabet does not match table alphabet");
+    const SymbolView all = stream.view();
+    require(total_ == stream.window_count(length_),
+            "prefix table source must count exactly this stream's windows");
+    NgramTable out(codec_.alphabet_size(), length);
+    const unsigned shift = codec_.bits_per_symbol() *
+                           static_cast<unsigned>(length_ - length);
+    counts_.for_each(
+        [&](NgramKey key, std::uint64_t count) { out.counts_[key >> shift] += count; });
+    out.total_ = total_;
+    const std::size_t first = all.size() >= length_ ? all.size() - length_ + 1 : 0;
+    for (std::size_t pos = first; pos + length <= all.size(); ++pos)
+        out.add(all.subspan(pos, length));
+    return out;
+}
+
 void NgramTable::add_stream(const EventStream& stream) {
     require(stream.alphabet_size() == codec_.alphabet_size(),
             "stream alphabet does not match table alphabet");

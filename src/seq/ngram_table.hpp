@@ -33,6 +33,16 @@ public:
     }
     [[nodiscard]] const NgramCodec& codec() const noexcept { return codec_; }
 
+    /// The table of the same stream's windows of `length` < length()
+    /// symbols, derived without rescanning it: each window's `length`-prefix
+    /// takes the window's count, and the stream's last length() - `length`
+    /// short windows, which start too late to begin a window of this table,
+    /// are added one by one. Counts and total equal from_stream(stream,
+    /// length); only for_each's visiting order may differ. `stream` must be
+    /// the one stream this table counts.
+    [[nodiscard]] NgramTable prefix_table(const EventStream& stream,
+                                          std::size_t length) const;
+
     /// Adds every complete window of the stream (slides by one).
     void add_stream(const EventStream& stream);
 

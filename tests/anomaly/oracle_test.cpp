@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/corpus_fixture.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -51,6 +52,25 @@ TEST(SubsequenceOracle, TableIsCachedPerLength) {
     const NgramTable& t2 = oracle.table(2);
     EXPECT_EQ(&t1, &t2);
     EXPECT_NE(&t1, &oracle.table(3));
+}
+
+TEST(SubsequenceOracle, DerivedTablesCountAsAStreamScan) {
+    // Once the longest table is cached, every shorter one is derived from
+    // the nearest longer one instead of rescanning the stream; each must
+    // count every gram and total exactly what a scan does.
+    const EventStream& training = test::small_corpus().training();
+    const SubsequenceOracle oracle(training);
+    constexpr std::size_t kLongest = 15;
+    (void)oracle.table(kLongest);
+    for (std::size_t n = kLongest - 1; n >= 1; --n) {
+        const NgramTable& derived = oracle.table(n);
+        const NgramTable scanned = NgramTable::from_stream(training, n);
+        EXPECT_EQ(derived.total(), scanned.total()) << "n=" << n;
+        EXPECT_EQ(derived.distinct(), scanned.distinct()) << "n=" << n;
+        scanned.for_each([&](NgramKey key, std::uint64_t count) {
+            EXPECT_EQ(derived.count_key(key), count) << "n=" << n;
+        });
+    }
 }
 
 TEST(SubsequenceOracle, EmptyStreamThrows) {

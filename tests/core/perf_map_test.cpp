@@ -56,6 +56,9 @@ TEST(PerformanceMap, OffGridCellThrows) {
 TEST(PerformanceMap, AxesMustBeSortedAndNonEmpty) {
     EXPECT_THROW(PerformanceMap("x", {}, {2}), InvalidArgument);
     EXPECT_THROW(PerformanceMap("x", {3, 2}, {2}), InvalidArgument);
+    // One cell per axis value: a repeated value is refused too.
+    EXPECT_THROW(PerformanceMap("x", {2, 2}, {2}), InvalidArgument);
+    EXPECT_THROW(PerformanceMap("x", {2}, {4, 4}), InvalidArgument);
 }
 
 TEST(PerformanceMap, RenderShowsGlyphsAndAxes) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -138,6 +139,37 @@ TEST(NnDetector, PinnedLossAndResponsesAtDw6) {
     EXPECT_EQ(r[4], 0x1.6c11ec789b08p-7);
     EXPECT_EQ(r[6], 1.0);
     EXPECT_EQ(r[8], 0x1.7213e0c5afep-10);
+}
+
+/// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+// The paper's net (default settings: 16 hidden units, 400 epochs) trained at
+// two windows, the wider with a 14-symbol context. The saved bytes (the
+// training loss, every weight and bias as hex floats, the training contexts)
+// were recorded from the trainer before its products were register-blocked:
+// training must keep reproducing them bit for bit.
+TEST(NnDetector, SavedModelsMatchRecordedBytes) {
+    struct Golden {
+        std::size_t window;
+        std::uint64_t fnv1a;
+    };
+    for (const Golden& golden : {Golden{6, 0x7c746e7a17d6486aULL},
+                                 Golden{15, 0xf803a3f27ec235c0ULL}}) {
+        NnDetector d(golden.window);
+        d.train(test::small_corpus().training());
+        std::ostringstream saved;
+        d.save_model(saved);
+        EXPECT_EQ(fnv1a(saved.str()), golden.fnv1a)
+            << "DW " << golden.window << ": 0x" << std::hex << fnv1a(saved.str());
+    }
 }
 
 TEST(NnDetector, TableAndNovelPathsMatchPredict) {

@@ -14,8 +14,10 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "detect/registry.hpp"
@@ -114,16 +116,16 @@ TEST(EngineDeterminism, ParallelErrorMatchesSerialError) {
 }
 
 TEST(EngineDeterminism, ParallelErrorMessageMatchesSerial) {
-    // Two columns fail with different messages; the lower one fails later,
-    // so at jobs=4 the higher column's failure arrives first. Every job
-    // count must still report the lower column's error, as the serial loop
-    // does.
+    // Two columns fail with different messages. Columns run widest window
+    // first, so DW 5 is the one the serial loop meets first; it fails later,
+    // so at jobs=4 DW 3's failure arrives first. Every job count must still
+    // report DW 5's error, as the serial loop does.
     const DetectorFactory broken = [](std::size_t dw) {
-        if (dw == 3) {
+        if (dw == 5) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            throw DataError("column DW=3 failed");
+            throw DataError("column DW=5 failed");
         }
-        if (dw == 5) throw DataError("column DW=5 failed");
+        if (dw == 3) throw DataError("column DW=3 failed");
         return make_detector(DetectorKind::Stide, dw);
     };
     for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
@@ -135,7 +137,7 @@ TEST(EngineDeterminism, ParallelErrorMessageMatchesSerial) {
             (void)run_plan(plan, options);
             ADD_FAILURE() << "jobs=" << jobs << ": run_plan must throw";
         } catch (const DataError& e) {
-            EXPECT_STREQ(e.what(), "column DW=3 failed") << "jobs=" << jobs;
+            EXPECT_STREQ(e.what(), "column DW=5 failed") << "jobs=" << jobs;
         }
     }
 }
@@ -174,6 +176,24 @@ private:
     std::unique_ptr<SequenceDetector> inner_;
     std::atomic<int>& live_;
 };
+
+TEST(EngineScheduler, RunsWidestWindowsFirst) {
+    // At jobs=1 the run order is the factory-call order: window lengths
+    // descending, and plan order among the columns of one width.
+    std::vector<std::pair<std::string, std::size_t>> calls;
+    ExperimentPlan plan(reduced_suite());
+    for (const char* name : {"first", "second"})
+        plan.add_detector(name, [&calls, name](std::size_t dw) {
+            calls.emplace_back(name, dw);
+            return make_detector(DetectorKind::Stide, dw);
+        });
+    plan.with_window_lengths({2, 3, 5});
+    (void)run_plan(plan, EngineOptions{});
+    const std::vector<std::pair<std::string, std::size_t>> expected{
+        {"first", 5}, {"second", 5}, {"first", 3},
+        {"second", 3}, {"first", 2}, {"second", 2}};
+    EXPECT_EQ(calls, expected);
+}
 
 TEST(EngineScheduler, AtMostJobsTrainedModelsAreAliveAtOnce) {
     // Each column's model lives only while its own task trains and scores

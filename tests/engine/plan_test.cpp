@@ -2,8 +2,12 @@
 // anomaly-sizes) experiment grid.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "detect/registry.hpp"
 #include "engine/plan.hpp"
+#include "engine/scheduler.hpp"
 #include "support/corpus_fixture.hpp"
 #include "util/error.hpp"
 
@@ -50,6 +54,32 @@ TEST(ExperimentPlan, ValidateRejectsAxisValuesOutsideTheSuite) {
     plan.add_detector(DetectorKind::Stide);
     plan.with_window_lengths({99});
     EXPECT_THROW(plan.validate(), InvalidArgument);
+}
+
+TEST(ExperimentPlan, ValidateRejectsUnsortedOrRepeatedAxes) {
+    // A map grid holds one cell per axis value, ascending. Such a plan is
+    // refused by validate(), and run_plan refuses it before any detector is
+    // built or trained.
+    std::size_t built = 0;
+    const DetectorFactory counting = [&built](std::size_t dw) {
+        ++built;
+        return make_detector(DetectorKind::Stide, dw);
+    };
+    const auto with_axes = [&](std::vector<std::size_t> dws,
+                               std::vector<std::size_t> as) {
+        ExperimentPlan plan(test::small_suite());
+        plan.add_detector("counted", counting);
+        plan.with_window_lengths(std::move(dws)).with_anomaly_sizes(std::move(as));
+        return plan;
+    };
+    const std::vector<ExperimentPlan> plans{
+        with_axes({4, 2}, {3}), with_axes({3, 3}, {3}),
+        with_axes({2, 4}, {5, 3}), with_axes({2, 4}, {3, 3})};
+    for (const ExperimentPlan& plan : plans) {
+        EXPECT_THROW(plan.validate(), InvalidArgument);
+        EXPECT_THROW((void)run_plan(plan), InvalidArgument);
+    }
+    EXPECT_EQ(built, 0u);
 }
 
 TEST(ExperimentPlan, ValidateRejectsEmptyAxes) {

@@ -6,9 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "nn/encoding.hpp"
-#include "nn/matrix.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -292,19 +293,32 @@ TEST(Mlp, DeepNetworkTrains) {
 
 // --- One-hot inputs against a dense reference -----------------------------
 //
-// Mlp stores its weights input-major, trains on packed batches and reads
-// only the input's nonzero entries. The reference below is the plain dense
-// row-major network written with Matrix::multiply; the two must agree bit for
-// bit, because each weight's sum takes its terms in the same order and each
-// term the one-hot path skips is w * 0.
+// Mlp stores its weights input-major, trains on packed batches, reads only
+// the input's nonzero entries and sums eight outputs at a time in registers.
+// The reference below is the plain dense row-major network written as plain
+// loops; the two must agree bit for bit, because each sum takes its terms in
+// the same order and each term the one-hot path skips is w * 0. The shapes
+// cover a net narrower than one eight-output block, the paper's net (context
+// 14, alphabet 8, 16 hidden units: whole blocks) and widths that leave a
+// remainder.
 
-constexpr std::size_t kContext = 7;  // long enough that summation order shows
-constexpr std::size_t kAlphabet = 4;
-constexpr std::size_t kHidden = 6;
+struct OneHotShape {
+    std::size_t context;
+    std::size_t alphabet;
+    std::size_t hidden;
+};
 
-MlpConfig one_hot_config() {
+constexpr OneHotShape kShapes[] = {{7, 4, 6}, {14, 8, 16}, {5, 11, 19}};
+
+std::string describe(const OneHotShape& shape) {
+    return "context " + std::to_string(shape.context) + ", alphabet " +
+           std::to_string(shape.alphabet) + ", hidden " + std::to_string(shape.hidden);
+}
+
+MlpConfig one_hot_config(const OneHotShape& shape) {
     MlpConfig cfg;
-    cfg.layer_sizes = {one_hot_size(kContext, kAlphabet), kHidden, kAlphabet};
+    cfg.layer_sizes = {one_hot_size(shape.context, shape.alphabet), shape.hidden,
+                       shape.alphabet};
     cfg.learning_rate = 0.5;
     cfg.momentum = 0.9;
     cfg.seed = 23;
@@ -314,8 +328,8 @@ MlpConfig one_hot_config() {
 /// The one_hot_config() network with full-precision weights. The seeded
 /// initializer draws multiples of 2^-53, whose small sums are exact in any
 /// order, so it would hide a change in summation order.
-Mlp one_hot_net() {
-    Mlp net(one_hot_config());
+Mlp one_hot_net(const OneHotShape& shape) {
+    Mlp net(one_hot_config(shape));
     std::vector<double> params = net.parameters();
     for (std::size_t i = 0; i < params.size(); ++i)
         params[i] = 0.5 * std::sin(1.0 + static_cast<double>(i));
@@ -323,17 +337,18 @@ Mlp one_hot_net() {
     return net;
 }
 
-std::vector<DenseSample> one_hot_samples() {
+std::vector<DenseSample> one_hot_samples(const OneHotShape& shape) {
+    const std::size_t n = shape.alphabet;
     std::vector<DenseSample> batch;
     for (std::size_t i = 0; i < 6; ++i) {
-        Sequence context(kContext);
-        for (std::size_t k = 0; k < kContext; ++k)
-            context[k] = static_cast<Symbol>((i + 3 * k + k * k) % kAlphabet);
+        Sequence context(shape.context);
+        for (std::size_t k = 0; k < shape.context; ++k)
+            context[k] = static_cast<Symbol>((i + 3 * k + k * k) % n);
         DenseSample s;
-        s.input = one_hot_context(context, kAlphabet);
-        s.target.assign(kAlphabet, 0.0);
-        s.target[(i + 3) % kAlphabet] = 0.75;
-        s.target[(i + 1) % kAlphabet] = 0.25;
+        s.input = one_hot_context(context, n);
+        s.target.assign(n, 0.0);
+        s.target[(i + 3) % n] = 0.75;
+        s.target[(i + 1) % n] = 0.25;
         s.weight = 1.0 + static_cast<double>(i);
         batch.push_back(std::move(s));
     }
@@ -346,112 +361,148 @@ std::vector<std::uint64_t> bits(const std::vector<double>& values) {
     return out;
 }
 
-/// The one_hot_config() network as dense matrices, unpacked from
-/// Mlp::parameters() (per layer: weights row-major, then biases).
+/// The one_hot_config() network as dense row-major arrays, unpacked from
+/// Mlp::parameters() (per layer: weights out x in, then biases), with its
+/// own momentum state. Every product is a plain loop.
 struct DenseNet {
-    Matrix w0{kHidden, one_hot_size(kContext, kAlphabet)};
-    std::vector<double> b0 = std::vector<double>(kHidden);
-    Matrix w1{kAlphabet, kHidden};
-    std::vector<double> b1 = std::vector<double>(kAlphabet);
+    std::size_t in;
+    std::size_t hidden;
+    std::size_t out;
+    std::vector<double> w0, b0, w1, b1;  // parameters
+    std::vector<double> v0, vb0, v1, vb1;  // their velocities
 
-    explicit DenseNet(const std::vector<double>& params) {
-        std::size_t at = 0;
-        for (double& v : w0.flat()) v = params[at++];
-        for (double& v : b0) v = params[at++];
-        for (double& v : w1.flat()) v = params[at++];
-        for (double& v : b1) v = params[at++];
+    DenseNet(const OneHotShape& shape, const std::vector<double>& params)
+        : in(one_hot_size(shape.context, shape.alphabet)),
+          hidden(shape.hidden),
+          out(shape.alphabet) {
+        auto next = params.begin();
+        const auto take = [&next](std::size_t n) {
+            std::vector<double> part(next, next + static_cast<std::ptrdiff_t>(n));
+            next += static_cast<std::ptrdiff_t>(n);
+            return part;
+        };
+        w0 = take(hidden * in);
+        b0 = take(hidden);
+        w1 = take(out * hidden);
+        b1 = take(out);
+        v0.assign(w0.size(), 0.0);
+        vb0.assign(b0.size(), 0.0);
+        v1.assign(w1.size(), 0.0);
+        vb1.assign(b1.size(), 0.0);
     }
 
     [[nodiscard]] std::vector<double> parameters() const {
-        std::vector<double> out(w0.flat().begin(), w0.flat().end());
-        out.insert(out.end(), b0.begin(), b0.end());
-        out.insert(out.end(), w1.flat().begin(), w1.flat().end());
-        out.insert(out.end(), b1.begin(), b1.end());
-        return out;
+        std::vector<double> p(w0);
+        p.insert(p.end(), b0.begin(), b0.end());
+        p.insert(p.end(), w1.begin(), w1.end());
+        p.insert(p.end(), b1.begin(), b1.end());
+        return p;
     }
 
-    /// Dense forward pass; `hidden` receives the sigmoid layer's output.
+    /// Dense forward pass; `h` receives the sigmoid layer's output.
     std::vector<double> forward(const std::vector<double>& x,
-                                std::vector<double>& hidden) const {
-        hidden.assign(kHidden, 0.0);
-        w0.multiply(x, hidden);
-        for (std::size_t r = 0; r < kHidden; ++r)
-            hidden[r] = 1.0 / (1.0 + std::exp(-(hidden[r] + b0[r])));
-        std::vector<double> y(kAlphabet);
-        w1.multiply(hidden, y);
-        for (std::size_t r = 0; r < kAlphabet; ++r) y[r] += b1[r];
+                                std::vector<double>& h) const {
+        h.assign(hidden, 0.0);
+        for (std::size_t r = 0; r < hidden; ++r) {
+            double sum = 0.0;
+            for (std::size_t c = 0; c < in; ++c) sum += w0[r * in + c] * x[c];
+            h[r] = 1.0 / (1.0 + std::exp(-(sum + b0[r])));
+        }
+        std::vector<double> y(out);
+        for (std::size_t r = 0; r < out; ++r) {
+            double sum = 0.0;
+            for (std::size_t c = 0; c < hidden; ++c) sum += w1[r * hidden + c] * h[c];
+            y[r] = sum + b1[r];
+        }
         softmax_inplace(y);
         return y;
     }
 
-    /// One full-batch momentum step from zero velocity, every weight's
-    /// gradient accumulated densely; returns the pre-step loss.
+    /// One full-batch momentum step, every weight's gradient accumulated
+    /// densely; returns the pre-step loss.
     double epoch(const std::vector<DenseSample>& batch, const MlpConfig& cfg) {
-        Matrix g0(w0.rows(), w0.cols());
-        Matrix g1(w1.rows(), w1.cols());
-        std::vector<double> gb0(kHidden, 0.0);
-        std::vector<double> gb1(kAlphabet, 0.0);
+        std::vector<double> g0(w0.size()), gb0(hidden), g1(w1.size()), gb1(out);
         double total_loss = 0.0;
         double total_weight = 0.0;
         for (const DenseSample& s : batch) {
             std::vector<double> h;
             const std::vector<double> y = forward(s.input, h);
-            for (std::size_t c = 0; c < kAlphabet; ++c)
+            for (std::size_t c = 0; c < out; ++c)
                 if (s.target[c] > 0.0)
                     total_loss -= s.weight * s.target[c] * std::log(std::max(y[c], 1e-300));
             total_weight += s.weight;
-            std::vector<double> d1(kAlphabet);
-            for (std::size_t c = 0; c < kAlphabet; ++c)
-                d1[c] = s.weight * (y[c] - s.target[c]);
-            for (std::size_t r = 0; r < kAlphabet; ++r) {
-                for (std::size_t c = 0; c < kHidden; ++c) g1.at(r, c) += d1[r] * h[c];
+            std::vector<double> d1(out);
+            for (std::size_t c = 0; c < out; ++c) d1[c] = s.weight * (y[c] - s.target[c]);
+            for (std::size_t r = 0; r < out; ++r) {
+                for (std::size_t c = 0; c < hidden; ++c) g1[r * hidden + c] += d1[r] * h[c];
                 gb1[r] += d1[r];
             }
-            std::vector<double> d0(kHidden);
-            w1.multiply_transposed(d1, d0);
-            for (std::size_t c = 0; c < kHidden; ++c) d0[c] *= h[c] * (1.0 - h[c]);
-            for (std::size_t r = 0; r < kHidden; ++r) {
-                for (std::size_t c = 0; c < w0.cols(); ++c)
-                    g0.at(r, c) += d0[r] * s.input[c];
+            std::vector<double> d0(hidden);
+            for (std::size_t c = 0; c < hidden; ++c) {
+                double sum = 0.0;
+                for (std::size_t r = 0; r < out; ++r) sum += d1[r] * w1[r * hidden + c];
+                d0[c] = sum * (h[c] * (1.0 - h[c]));
+            }
+            for (std::size_t r = 0; r < hidden; ++r) {
+                for (std::size_t c = 0; c < in; ++c) g0[r * in + c] += d0[r] * s.input[c];
                 gb0[r] += d0[r];
             }
         }
         const double step = cfg.learning_rate / total_weight;
-        auto update = [&](std::span<double> w, std::span<const double> g) {
+        auto update = [&](std::vector<double>& w, std::vector<double>& v,
+                          const std::vector<double>& g) {
             for (std::size_t i = 0; i < w.size(); ++i) {
-                const double velocity = cfg.momentum * 0.0 - step * g[i];
-                w[i] += velocity;
+                v[i] = cfg.momentum * v[i] - step * g[i];
+                w[i] += v[i];
             }
         };
-        update(w0.flat(), g0.flat());
-        update(b0, gb0);
-        update(w1.flat(), g1.flat());
-        update(b1, gb1);
+        update(w0, v0, g0);
+        update(b0, vb0, gb0);
+        update(w1, v1, g1);
+        update(b1, vb1, gb1);
         return total_loss / total_weight;
     }
 };
 
 TEST(MlpOneHot, ForwardMatchesDenseReferenceBitForBit) {
-    const Mlp net = one_hot_net();
-    const DenseNet dense(net.parameters());
-    for (const DenseSample& s : one_hot_samples()) {
-        std::vector<double> hidden;
-        EXPECT_EQ(bits(net.forward(s.input)), bits(dense.forward(s.input, hidden)));
+    for (const OneHotShape& shape : kShapes) {
+        SCOPED_TRACE(describe(shape));
+        const Mlp net = one_hot_net(shape);
+        const DenseNet dense(shape, net.parameters());
+        for (const DenseSample& s : one_hot_samples(shape)) {
+            std::vector<double> hidden;
+            EXPECT_EQ(bits(net.forward(s.input)), bits(dense.forward(s.input, hidden)));
+        }
     }
 }
 
 TEST(MlpOneHot, TrainEpochMatchesDenseReferenceBitForBit) {
-    const MlpConfig cfg = one_hot_config();
-    const auto samples = one_hot_samples();
-    Mlp net = one_hot_net();
-    const std::vector<double> before = net.parameters();
-    DenseNet dense(before);
-    const double loss = net.train_epoch(pack(samples));
-    const double dense_loss = dense.epoch(samples, cfg);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), std::bit_cast<std::uint64_t>(dense_loss));
-    EXPECT_EQ(bits(net.parameters()), bits(dense.parameters()));
-    // The stepped weights really moved, so the comparison is not vacuous.
-    EXPECT_NE(bits(net.parameters()), bits(before));
+    // Several epochs, so momentum carries velocity from step to step, both
+    // one train_epoch() at a time and through train(), which reuses one
+    // workspace (and so its per-step copy of the weights) across steps.
+    constexpr std::size_t kEpochs = 3;
+    for (const OneHotShape& shape : kShapes) {
+        SCOPED_TRACE(describe(shape));
+        const MlpConfig cfg = one_hot_config(shape);
+        const auto samples = one_hot_samples(shape);
+        const MlpBatch batch = pack(samples);
+        Mlp net = one_hot_net(shape);
+        Mlp trained = one_hot_net(shape);
+        const std::vector<double> before = net.parameters();
+        DenseNet dense(shape, before);
+        for (std::size_t e = 0; e < kEpochs; ++e) {
+            const double loss = net.train_epoch(batch);
+            const double dense_loss = dense.epoch(samples, cfg);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(loss),
+                      std::bit_cast<std::uint64_t>(dense_loss))
+                << "epoch " << e;
+            EXPECT_EQ(bits(net.parameters()), bits(dense.parameters())) << "epoch " << e;
+        }
+        (void)trained.train(batch, kEpochs);
+        EXPECT_EQ(bits(trained.parameters()), bits(dense.parameters()));
+        // The stepped weights really moved, so the comparison is not vacuous.
+        EXPECT_NE(bits(net.parameters()), bits(before));
+    }
 }
 
 }  // namespace

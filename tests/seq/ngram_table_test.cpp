@@ -65,6 +65,47 @@ TEST(NgramTable, LengthBeyondCodecCapacityThrows) {
     EXPECT_THROW(NgramTable(8, 43), InvalidArgument);
 }
 
+TEST(NgramTable, PrefixTableMatchesAStreamScan) {
+    // A table derived from a longer one of the same stream counts every gram
+    // and totals exactly what a scan of the stream does, for every shorter
+    // length, including streams shorter than the source window.
+    Rng rng(17);
+    for (const std::size_t size : {3u, 6u, 7u, 2000u}) {
+        Sequence events(size);
+        for (Symbol& e : events) e = static_cast<Symbol>(rng.below(3));
+        const EventStream stream(3, std::move(events));
+        constexpr std::size_t kLongest = 6;
+        const NgramTable longest = NgramTable::from_stream(stream, kLongest);
+        for (std::size_t n = 1; n < kLongest; ++n) {
+            const NgramTable scanned = NgramTable::from_stream(stream, n);
+            const NgramTable derived = longest.prefix_table(stream, n);
+            EXPECT_EQ(derived.length(), n);
+            EXPECT_EQ(derived.total(), scanned.total()) << size << " events, n=" << n;
+            EXPECT_EQ(derived.distinct(), scanned.distinct()) << size << " events, n=" << n;
+            scanned.for_each([&](NgramKey key, std::uint64_t count) {
+                EXPECT_EQ(derived.count_key(key), count) << size << " events, n=" << n;
+            });
+            // Chained: derived from a derived table, as the oracle does.
+            if (n > 1) {
+                const NgramTable chained =
+                    longest.prefix_table(stream, n).prefix_table(stream, n - 1);
+                const NgramTable shorter = NgramTable::from_stream(stream, n - 1);
+                EXPECT_EQ(chained.total(), shorter.total());
+                EXPECT_EQ(chained.items_by_count(), shorter.items_by_count());
+            }
+        }
+    }
+}
+
+TEST(NgramTable, PrefixTableRejectsAForeignStreamOrALongerLength) {
+    const NgramTable t = NgramTable::from_stream(abab(), 3);
+    EXPECT_THROW((void)t.prefix_table(abab(), 3), InvalidArgument);
+    EXPECT_THROW((void)t.prefix_table(abab(), 0), InvalidArgument);
+    EXPECT_THROW((void)t.prefix_table(EventStream(2, {0, 1, 0}), 2), InvalidArgument);
+    EXPECT_THROW((void)t.prefix_table(EventStream(3, {0, 1, 0, 1, 0, 1, 0}), 2),
+                 InvalidArgument);
+}
+
 TEST(NgramTable, ForEachVisitsEveryDistinctGram) {
     const NgramTable t = NgramTable::from_stream(abab(), 2);
     std::size_t visits = 0;

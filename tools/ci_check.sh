@@ -17,7 +17,9 @@
 #   tools/ci_check.sh --obs-smoke       # also: run a small instrumented map
 #                                       # experiment (--trace + a --metrics
 #                                       # dump; its -- csv -- block must
-#                                       # equal a --jobs 1 run's), analyze
+#                                       # equal a --jobs 1 run's, and so
+#                                       # must a small neural-net map's at
+#                                       # --jobs 2), analyze
 #                                       # the trace with adiv_traceview (one
 #                                       # tree: the plan parents its workers'
 #                                       # spans, and the setup spans plus the
@@ -224,19 +226,31 @@ if [ "$obs_smoke" -eq 1 ]; then
     head -1 "$smoke_dir/trace.jsonl" | grep -q '"type":"manifest"' || {
         echo "obs smoke: trace does not start with a manifest" >&2; exit 1; }
     # Maps do not depend on the jobs value: the same map at --jobs 1 must
-    # print the same -- csv -- block.
+    # print the same -- csv -- block. The neural net's map is checked too,
+    # because both the column run order and its trainer's kernel are
+    # parallel-sensitive code.
     ./build/bench/fig5_stide_map --training-length 20000 --background 512 \
         --max-anomaly 3 --max-window 4 --jobs 1 > "$smoke_dir/map_j1.log"
-    for j in 1 2; do
-        log="$smoke_dir/map_j$j.log"
-        [ "$j" -eq 2 ] && log="$smoke_dir/map.log"
-        sed -n '/^-- csv --$/,/^# plan:/p' "$log" | grep -v '^# plan:' \
-            > "$smoke_dir/csv_j$j.txt"
+    ./build/bench/fig6_nn_map --training-length 20000 --background 512 \
+        --max-anomaly 3 --max-window 4 --jobs 1 > "$smoke_dir/nn_j1.log"
+    ./build/bench/fig6_nn_map --training-length 20000 --background 512 \
+        --max-anomaly 3 --max-window 4 --jobs 2 > "$smoke_dir/nn_j2.log"
+    for map in map nn; do
+        for j in 1 2; do
+            log="$smoke_dir/${map}_j$j.log"
+            [ "$map$j" = map2 ] && log="$smoke_dir/map.log"
+            sed -n '/^-- csv --$/,/^# plan:/p' "$log" | grep -v '^# plan:' \
+                > "$smoke_dir/${map}_csv_j$j.txt"
+        done
     done
-    grep -q '^stide,' "$smoke_dir/csv_j1.txt" || {
+    grep -q '^stide,' "$smoke_dir/map_csv_j1.txt" || {
         echo "obs smoke: the --jobs 1 map printed no csv rows" >&2; exit 1; }
-    cmp -s "$smoke_dir/csv_j1.txt" "$smoke_dir/csv_j2.txt" || {
+    grep -q '^neural-net,' "$smoke_dir/nn_csv_j1.txt" || {
+        echo "obs smoke: the --jobs 1 neural-net map printed no csv rows" >&2; exit 1; }
+    cmp -s "$smoke_dir/map_csv_j1.txt" "$smoke_dir/map_csv_j2.txt" || {
         echo "obs smoke: --jobs 1 and --jobs 2 printed different maps" >&2; exit 1; }
+    cmp -s "$smoke_dir/nn_csv_j1.txt" "$smoke_dir/nn_csv_j2.txt" || {
+        echo "obs smoke: --jobs 1 and --jobs 2 printed different neural-net maps" >&2; exit 1; }
 
     echo "-- obs smoke: adiv_traceview over the run's trace --"
     ./build/tools/adiv_traceview "$smoke_dir/trace.jsonl" > "$smoke_dir/traceview.txt"
